@@ -53,6 +53,18 @@ impl SyntheticDataset {
             "dataset dimensions must be positive"
         );
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        // The Gaussian envelope depends only on the pixel, so it is one
+        // `height x width` table per dataset (the same `f32` expression,
+        // so the same bits).
+        let envelope: Vec<f32> = (0..height)
+            .flat_map(|y| {
+                (0..width).map(move |x| {
+                    let dy = y as f32 - height as f32 / 2.0;
+                    let dx = x as f32 - width as f32 / 2.0;
+                    (-(dx * dx + dy * dy) / (2.0 * (width as f32 / 3.0).powi(2))).exp()
+                })
+            })
+            .collect();
         let mut images = Vec::with_capacity(samples);
         let mut labels = Vec::with_capacity(samples);
         for i in 0..samples {
@@ -68,12 +80,7 @@ impl SyntheticDataset {
             let img = Tensor::from_fn(channels, height, width, |ch, y, x| {
                 let u = (x as f32 * c + y as f32 * s) * freq;
                 let carrier = (u + phase + ch as f32 * 0.7).sin();
-                let envelope = {
-                    let dy = y as f32 - height as f32 / 2.0;
-                    let dx = x as f32 - width as f32 / 2.0;
-                    (-(dx * dx + dy * dy) / (2.0 * (width as f32 / 3.0).powi(2))).exp()
-                };
-                carrier * envelope + noise_rng.gen_range(-0.12..0.12)
+                carrier * envelope[y * width + x] + noise_rng.gen_range(-0.12..0.12)
             });
             images.push(img);
             labels.push(class);

@@ -148,8 +148,9 @@ pub(crate) fn mode_for_bits(bits: u32) -> SubwordMode {
 /// Reusable buffers of the GEMM path. One `Scratch` amortizes the im2col
 /// panel and accumulator allocations across layers of a forward pass —
 /// and, via the batch entry points of `Network`, across samples of a
-/// dataset sweep. Contents are fully overwritten before every use, so
-/// reuse never affects results.
+/// dataset sweep. Buffers only grow; every use overwrites whatever part
+/// it reads (the fused packed fill writes every word of every panel
+/// row), so reuse never affects results.
 #[derive(Debug, Default)]
 pub struct Scratch {
     /// im2col panel: one packed patch per output position (`n x k`).
@@ -158,60 +159,21 @@ pub struct Scratch {
     pub(crate) acts: Vec<i16>,
     /// GEMM accumulators (`m x n`, exact `i64`).
     pub(crate) acc: Vec<i64>,
-    /// Subword-packed activation panel of the `GemmPacked` kernel
-    /// (repacked per layer from `patches`/`acts`; the buffer is reused).
+    /// Subword-packed activation panel of the `GemmPacked` kernel, filled
+    /// row by row in place by its fused path.
     pub(crate) packed: PackedPanel,
-    /// Directly-filled activation panels of the batched `GemmPacked`
-    /// path, keyed by fill structure (see `PackedPanel::begin_fill_reuse`)
-    /// so each layer geometry keeps **its own** panel across forward
-    /// calls: a repeat fill of an unchanged `X1` structure then skips the
-    /// zeroing pass entirely. LRU order, capped entries/words (below).
-    pub(crate) packed_pool: Vec<(u64, PackedPanel)>,
+    /// One sample's quantized input, zero-bordered by the layer's
+    /// padding, that the fused conv fill reads its taps from.
+    pub(crate) padded: Vec<u16>,
+    /// One sub-word panel row staged as lanes before it is packed.
+    pub(crate) stage: Vec<u16>,
 }
-
-/// Entry cap of [`Scratch::packed_pool`] — comfortably above the
-/// parameterized-layer count of the deepest scenario network, so a full
-/// forward sweep keeps every layer's panel pooled.
-const PANEL_POOL_MAX_ENTRIES: usize = 24;
-
-/// Word cap (`u16`s, so bytes are 2x) of [`Scratch::packed_pool`] across
-/// all entries: pooling holds one panel **per layer geometry** alive
-/// where the single shared panel held only the largest, so bound the
-/// total and evict least-recently-used panels past it.
-const PANEL_POOL_MAX_WORDS: usize = 1 << 24;
 
 impl Scratch {
     /// Creates an empty scratch; buffers grow on first use.
     #[must_use]
     pub fn new() -> Self {
         Scratch::default()
-    }
-
-    /// The pooled packed panel for fill-structure `key`, plus the GEMM
-    /// accumulator buffer (handed out together so the caller can hold
-    /// both mutably). Creates the panel on first use; moves a hit to the
-    /// back (LRU) and evicts from the front past the pool caps.
-    pub(crate) fn pooled_panel_and_acc(&mut self, key: u64) -> (&mut PackedPanel, &mut Vec<i64>) {
-        let entry = match self.packed_pool.iter().position(|(k, _)| *k == key) {
-            Some(i) => self.packed_pool.remove(i),
-            None => (key, PackedPanel::default()),
-        };
-        let words = |p: &PackedPanel| p.rows() * p.words_per_row();
-        while !self.packed_pool.is_empty()
-            && (self.packed_pool.len() + 1 > PANEL_POOL_MAX_ENTRIES
-                || self
-                    .packed_pool
-                    .iter()
-                    .map(|(_, p)| words(p))
-                    .sum::<usize>()
-                    + words(&entry.1)
-                    > PANEL_POOL_MAX_WORDS)
-        {
-            self.packed_pool.remove(0);
-        }
-        self.packed_pool.push(entry);
-        let (_, panel) = self.packed_pool.last_mut().expect("entry just pushed");
-        (panel, &mut self.acc)
     }
 }
 

@@ -11,10 +11,11 @@
 //! [`crate::kernel`]): the original scalar loops ([`NnKernel::Naive`], the
 //! reference oracle), the im2col + blocked-integer-GEMM path
 //! ([`NnKernel::Gemm`]), and the default subword-packed GEMM
-//! ([`NnKernel::GemmPacked`]) that shares the im2col packing and all
-//! statistics bookkeeping with the `Gemm` path and only swaps the inner
-//! product for the lane-packed one. Accumulation is exact in `i64`, so
-//! all three produce byte-identical outputs and statistics.
+//! ([`NnKernel::GemmPacked`]). The packed kernel runs a single sample and
+//! a whole batch alike through one fused path that fills the packed
+//! activation panel in place, whole row by whole row. Accumulation is
+//! exact in `i64`, so all three produce byte-identical outputs and
+//! statistics.
 
 use crate::error::NnError;
 use crate::kernel::{mode_for_bits, NnKernel, PackedWeights, Scratch, WeightCache};
@@ -26,82 +27,63 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Packs one dense panel row (a sample's full activation vector) into a
-/// `PackedPanel::begin_fill` row at `LANES` two's-complement fields of
-/// `WBITS` bits per word, exactly where `repack` would place each
-/// operand (`X1` is `<1, 16, { i16::MIN as i32 }>` — the word IS the
-/// operand). The row tail past the last operand stays at the buffer's
-/// pre-zeroed state. Returns the row's `(zero_count, has_min)` — `MIN`
-/// is the mode's most negative lane value, which triggers the exact
-/// min-correction kernel.
-fn fill_row_packed<const LANES: usize, const WBITS: u16, const MIN: i32>(
-    src: &[i32],
-    row: &mut [u16],
-) -> (u64, bool) {
-    let mut zeros = 0u64;
-    let mut min = false;
-    if LANES == 1 {
-        for (d, &q) in row.iter_mut().zip(src) {
-            zeros += u64::from(q == 0);
-            min |= q == MIN;
-            *d = q as u16;
-        }
-    } else {
+/// Packs one whole staged panel row into its `PackedPanel::begin_fill`
+/// words: `lanes` holds the row's operands as two's-complement bit
+/// patterns, zero padding included (`row.len() * mode.lanes()` of them),
+/// and word `w` receives lanes `w*mode.lanes()..` as `lane_bits` fields,
+/// lane 0 at the LSBs — exactly where `repack` would place them. At `X1`
+/// the word IS the operand.
+fn pack_row(mode: SubwordMode, lanes: &[u16], row: &mut [u16]) {
+    fn fields<const LANES: usize, const WBITS: u16>(lanes: &[u16], row: &mut [u16]) {
         let mask = ((1u32 << WBITS) - 1) as u16;
-        for (d, chunk) in row.iter_mut().zip(src.chunks(LANES)) {
+        for (d, chunk) in row.iter_mut().zip(lanes.chunks_exact(LANES)) {
             let mut word = 0u16;
-            for (l, &q) in chunk.iter().enumerate() {
-                zeros += u64::from(q == 0);
-                min |= q == MIN;
-                word |= ((q as u16) & mask) << (l as u16 * WBITS);
+            for (l, &v) in chunk.iter().enumerate() {
+                word |= (v & mask) << (l as u16 * WBITS);
             }
             *d = word;
         }
     }
-    (zeros, min)
+    match mode {
+        SubwordMode::X1 => row.copy_from_slice(&lanes[..row.len()]),
+        SubwordMode::X2 => fields::<2, 8>(lanes, row),
+        SubwordMode::X4 => fields::<4, 4>(lanes, row),
+    }
 }
 
-/// Pool key for dense-layer panel fills (see [`Scratch::pooled_panel_and_acc`]).
-///
-/// A dense `X1` fill writes every operand word of every row, so a reused
-/// buffer needs no re-zeroing once `begin_fill_reuse` has pinned the
-/// `(rows, k, mode)` geometry — one shared key covers all dense layers.
-/// The value can never collide with a [`conv_fill_key`]: a conv key's low
-/// nibble holds `kernel >= 1` while its stride nibble holds `stride >= 1`,
-/// and this constant has a zero stride nibble.
-const DENSE_FILL_KEY: u64 = 1;
+/// The one result of a single-sample batch forward.
+fn single(
+    results: Result<Vec<(Tensor, LayerStats)>, NnError>,
+) -> Result<(Tensor, LayerStats), NnError> {
+    results.map(|mut r| r.pop().expect("one result per sample"))
+}
 
-/// Pool key for a conv-layer im2col panel fill, or `None` when a field
-/// overflows its bit budget (callers then fall back to an unpooled,
-/// always-zeroed fill).
-///
-/// The key must capture everything that determines *which* panel words
-/// `pack_im2col_packed` writes — input shape, kernel geometry, and batch
-/// size — because a pooled `X1` buffer is reused without re-zeroing and
-/// the structural padding words rely on stale zeros from the previous
-/// fill of identical structure.
-fn conv_fill_key(
-    c: usize,
-    h: usize,
-    w: usize,
-    kernel: usize,
-    stride: usize,
-    padding: usize,
-    b: usize,
-) -> Option<u64> {
-    if kernel < 16 && stride < 16 && padding < 16 && c < 4096 && h < 4096 && w < 4096 && b < 65536 {
-        Some(
-            kernel as u64
-                | (stride as u64) << 4
-                | (padding as u64) << 8
-                | (c as u64) << 12
-                | (h as u64) << 24
-                | (w as u64) << 36
-                | (b as u64) << 48,
-        )
-    } else {
-        None
+/// The most negative lane value of `mode`, which engages the exact
+/// min-correction kernel.
+fn lane_min(mode: SubwordMode) -> i32 {
+    -(1i32 << (mode.lane_bits() - 1))
+}
+
+/// Writes one dense panel row (a sample's whole activation vector, then
+/// zeros to the row's end) through the `stage` buffer, which holds
+/// `row.len() * mode.lanes()` lanes and whose tail past `src.len()` is
+/// zero. Returns the row's `(zero_count, has_min)`.
+fn fill_dense_row(
+    mode: SubwordMode,
+    src: &[i32],
+    stage: &mut [u16],
+    row: &mut [u16],
+) -> (u64, bool) {
+    let min_lane = lane_min(mode);
+    let mut zeros = 0u64;
+    let mut min = false;
+    for (d, &q) in stage.iter_mut().zip(src) {
+        zeros += u64::from(q == 0);
+        min |= q == min_lane;
+        *d = q as u16;
     }
+    pack_row(mode, stage, row);
+    (zeros, min)
 }
 
 /// Execution statistics of one layer forward pass.
@@ -292,8 +274,8 @@ impl Conv2d {
         }
         match kernel {
             NnKernel::Naive => self.forward_naive(qa, wbits),
-            NnKernel::Gemm => self.forward_gemm(qa, wbits, scratch, false),
-            NnKernel::GemmPacked => self.forward_gemm(qa, wbits, scratch, true),
+            NnKernel::Gemm => self.forward_gemm(qa, wbits, scratch),
+            NnKernel::GemmPacked => single(self.forward_quant_batch(&[qa], wbits, kernel, scratch)),
         }
     }
 
@@ -465,86 +447,129 @@ impl Conv2d {
         zero_acts
     }
 
-    /// [`pack_im2col`](Self::pack_im2col)'s walk writing one sample's
-    /// im2col rows straight into a `PackedPanel::begin_fill` buffer at
-    /// `LANES` two's-complement fields of `WBITS` bits per word (`X1` is
-    /// `<1, 16, { i16::MIN as i32 }>` — the word IS the operand), so the
-    /// batched packed path skips the `i16` staging buffer and the repack
-    /// pass entirely. `words` is this sample's pre-zeroed row block
-    /// (`n * stride` words); operand `t` of panel row `r` lands in word
-    /// `r*stride + t/LANES` exactly as `repack` would place it —
-    /// identical taps, identical zero accounting, bit-identical panels
-    /// by construction. Returns the sample's `(zero_acts, has_min)`
-    /// (`MIN` is the mode's most negative lane value, which triggers the
-    /// exact min-correction kernel).
-    fn pack_im2col_packed<const LANES: usize, const WBITS: u16, const MIN: i32>(
-        &self,
-        qa: &QuantizedTensor,
-        words: &mut [u16],
-        stride: usize,
-    ) -> (u64, bool) {
-        let (_, h, w) = qa.shape;
-        let (oh, ow) = self.out_hw(h, w);
-        let k = self.kernel;
-        let c = self.in_channels;
-        let pad = self.padding as isize;
-        let mut zero_acts = 0u64;
-        let mut has_min = false;
-        for oy in 0..oh {
-            for ky in 0..k {
-                let iy = (oy * self.stride + ky) as isize - pad;
-                if iy < 0 || iy >= h as isize {
-                    continue;
-                }
-                let iy = iy as usize;
-                for ox in 0..ow {
-                    let row = (oy * ow + ox) * stride;
-                    let base = (ox * self.stride) as isize - pad;
-                    let kx_lo = usize::try_from(-base).unwrap_or(0).min(k);
-                    let kx_hi = usize::try_from(w as isize - base).unwrap_or(0).min(k);
-                    if kx_lo >= kx_hi {
-                        continue;
-                    }
-                    let ix0 = (base + kx_lo as isize) as usize;
-                    for ci in 0..c {
-                        let src = &qa.data[(ci * h + iy) * w + ix0..][..kx_hi - kx_lo];
-                        let t0 = (ci * k + ky) * k + kx_lo;
-                        if LANES == 1 {
-                            // One operand per word: a contiguous store run,
-                            // like the staging path but already in panel
-                            // layout.
-                            let dst = &mut words[row + t0..][..kx_hi - kx_lo];
-                            for (d, &q) in dst.iter_mut().zip(src) {
-                                zero_acts += u64::from(q == 0);
-                                has_min |= q == MIN;
-                                *d = q as u16;
-                            }
-                        } else {
-                            // Sub-word lanes: adjacent taps from different
-                            // `ky` share words, so deposit fields with `|=`
-                            // over the pre-zeroed buffer.
-                            for (j, &q) in src.iter().enumerate() {
-                                zero_acts += u64::from(q == 0);
-                                has_min |= q == MIN;
-                                let t = t0 + j;
-                                words[row + t / LANES] |= ((q as u16)
-                                    & (((1u32 << WBITS) - 1) as u16))
-                                    << ((t % LANES) as u16 * WBITS);
-                            }
-                        }
+    /// Per-coordinate tap coverage along one spatial axis: entry `i` is
+    /// the number of (output position `o`, tap `kk`) pairs in `0..out_len`
+    /// x `0..kernel` that read input coordinate `i`
+    /// (`o*stride + kk - padding == i`). An input element at `(y, x)`
+    /// feeds `cover_y[y] * cover_x[x]` im2col slots — the MACs whose
+    /// activation-zero guard it decides.
+    fn axis_cover(&self, out_len: usize, dim: usize) -> Vec<u64> {
+        let mut cover = vec![0u64; dim];
+        for o in 0..out_len {
+            for kk in 0..self.kernel {
+                let i = (o * self.stride + kk) as isize - self.padding as isize;
+                if let Ok(i) = usize::try_from(i) {
+                    if i < dim {
+                        cover[i] += 1;
                     }
                 }
             }
         }
+        cover
+    }
+
+    /// Writes one sample's im2col panel rows into its block of a
+    /// `PackedPanel::begin_fill` buffer (`n * stride` words), each row
+    /// **whole**: the in-bounds operands, explicit zeros for padding taps,
+    /// and zeros for the tail up to the 16-lane step, packed at `mode`
+    /// exactly where `repack` would place them. The input is first copied
+    /// once into `padded`, zero-bordered, so every tap of every row is a
+    /// plain read ([`fill_rows`](Self::fill_rows)).
+    ///
+    /// The zero-activation count and the min flag come from that one
+    /// copy, per input element: `cover` is the per-axis tap coverage
+    /// ([`axis_cover`](Self::axis_cover)), so a zero feeding
+    /// `cover_y[y] * cover_x[x]` slots counts that many guarded MACs — the
+    /// same total the naive loop reaches tap by tap (a padding tap is a
+    /// skipped MAC, not a zero operand). Returns `(zero_acts, has_min)`.
+    fn fill_im2col(
+        &self,
+        mode: SubwordMode,
+        qa: &QuantizedTensor,
+        (cover_y, cover_x): (&[u64], &[u64]),
+        (padded, stage): (&mut Vec<u16>, &mut Vec<u16>),
+        words: &mut [u16],
+        stride: usize,
+    ) -> (u64, bool) {
+        let (c, h, w) = qa.shape;
+        let p = self.padding;
+        let (hp, wp) = (h + 2 * p, w + 2 * p);
+        padded.clear();
+        padded.resize(c * hp * wp, 0);
+        let min_lane = lane_min(mode);
+        let mut zero_acts = 0u64;
+        let mut has_min = false;
+        for (src, (ci, y)) in qa
+            .data
+            .chunks_exact(w.max(1))
+            .zip((0..c).flat_map(|ci| (0..h).map(move |y| (ci, y))))
+        {
+            let dst = &mut padded[(ci * hp + y + p) * wp + p..][..w];
+            let mut zeros = 0u64;
+            let mut min = false;
+            for ((d, &q), &cx) in dst.iter_mut().zip(src).zip(cover_x) {
+                *d = q as u16;
+                zeros += u64::from(q == 0) * cx;
+                min |= q == min_lane && cx > 0;
+            }
+            zero_acts += zeros * cover_y[y];
+            has_min |= min && cover_y[y] > 0;
+        }
+        stage.clear();
+        stage.resize(stride * mode.lanes(), 0);
+        let rows = (mode, words, stride);
+        match self.kernel {
+            3 => self.fill_rows::<3>(qa.shape, padded, stage, rows),
+            5 => self.fill_rows::<5>(qa.shape, padded, stage, rows),
+            11 => self.fill_rows::<11>(qa.shape, padded, stage, rows),
+            _ => self.fill_rows::<0>(qa.shape, padded, stage, rows),
+        }
         (zero_acts, has_min)
+    }
+
+    /// The row walk of [`fill_im2col`](Self::fill_im2col): row
+    /// `oy*ow + ox` is the `(ci, ky)`-major run of `kernel`-tap windows
+    /// of the zero-bordered input `padded`, staged in `stage` (zero past
+    /// `klen`) and packed at `mode`. A nonzero `K` is the kernel size as a
+    /// compile-time constant, so each window moves as a few inline loads
+    /// and stores instead of a copy call; `K == 0` reads the size from
+    /// the layer. The scenario networks' kernel sizes (3, 5, 11) take the
+    /// constant path.
+    fn fill_rows<const K: usize>(
+        &self,
+        (c, h, w): (usize, usize, usize),
+        padded: &[u16],
+        stage: &mut [u16],
+        (mode, words, stride): (SubwordMode, &mut [u16], usize),
+    ) {
+        let k = if K == 0 { self.kernel } else { K };
+        let (s, p) = (self.stride, self.padding);
+        let (hp, wp) = (h + 2 * p, w + 2 * p);
+        let (oh, ow) = self.out_hw(h, w);
+        let mut rows = words.chunks_exact_mut(stride);
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let mut at = 0;
+                for ci in 0..c {
+                    for ky in 0..k {
+                        let from = (ci * hp + oy * s + ky) * wp + ox * s;
+                        stage[at..at + k].copy_from_slice(&padded[from..from + k]);
+                        at += k;
+                    }
+                }
+                let row = rows.next().expect("one panel row per output position");
+                pack_row(mode, stage, row);
+            }
+        }
     }
 
     /// The data-independent guard-skip statistics of one GEMM conv pass
     /// on an `h x w` input, reproduced exactly from the packed
     /// representation: tap `(ky, kx)` is in bounds at `py[ky]*px[kx]`
     /// output positions. Returns `(macs, zero_weight_macs)`; the
-    /// data-dependent `zero_act_macs` comes from
-    /// [`pack_im2col`](Self::pack_im2col).
+    /// data-dependent `zero_act_macs` comes from the activation fill
+    /// ([`pack_im2col`](Self::pack_im2col) or
+    /// [`fill_im2col`](Self::fill_im2col)).
     fn gemm_mac_stats(&self, pw: &PackedWeights, h: usize, w: usize) -> (u64, u64) {
         let (oh, ow) = self.out_hw(h, w);
         let k = self.kernel;
@@ -563,22 +588,16 @@ impl Conv2d {
         )
     }
 
-    /// The im2col + blocked-integer-GEMM path. Patches are packed at the
-    /// filters' own layout with structural zeros where a tap falls in the
-    /// padding; those zeros contribute nothing to the exact `i64` sums, so
-    /// outputs are byte-identical to [`forward_naive`](Self::forward_naive).
-    ///
-    /// With `packed` set this is the `GemmPacked` kernel: the identical
-    /// im2col panel (and therefore the identical statistics bookkeeping)
-    /// is subword-packed at the activation width's [`mode_for_bits`] and
-    /// multiplied against the pre-packed weight panel by the exact packed
-    /// GEMM — same numbers, fewer lane words.
+    /// The im2col + blocked-integer-GEMM path (the `Gemm` kernel). Patches
+    /// are packed at the filters' own layout with structural zeros where a
+    /// tap falls in the padding; those zeros contribute nothing to the
+    /// exact `i64` sums, so outputs are byte-identical to
+    /// [`forward_naive`](Self::forward_naive).
     fn forward_gemm(
         &self,
         qa: &QuantizedTensor,
         wbits: u32,
         scratch: &mut Scratch,
-        packed: bool,
     ) -> Result<(Tensor, LayerStats), NnError> {
         let (_, h, w) = qa.shape;
         let pw = self.packed_weights(wbits)?;
@@ -593,14 +612,7 @@ impl Conv2d {
 
         scratch.acc.clear();
         scratch.acc.resize(f * n, 0);
-        if packed {
-            scratch
-                .packed
-                .repack(&scratch.patches, n, klen, mode_for_bits(qa.bits));
-            gemm::gemm_packed(&pw.panel, &scratch.packed, &mut scratch.acc);
-        } else {
-            gemm::gemm_i16(&pw.qi16, &scratch.patches, f, klen, n, &mut scratch.acc);
-        }
+        gemm::gemm_i16(&pw.qi16, &scratch.patches, f, klen, n, &mut scratch.acc);
 
         let (macs, zero_weight_macs) = self.gemm_mac_stats(&pw, h, w);
         let stats = LayerStats {
@@ -625,18 +637,18 @@ impl Conv2d {
     }
 
     /// Executes the convolution on a whole batch of already-quantized
-    /// inputs with **one wide GEMM**: each sample's im2col panel (packed
-    /// by the same [`pack_im2col`](Self::pack_im2col) the per-sample path
-    /// uses) becomes `n` extra rows of a shared `(B·n) x k` activation
-    /// panel, so the packed weight panel streams through cache once per
-    /// batch instead of once per sample. Every output element is still an
-    /// independent exact-`i64` dot product over the same operands, so
-    /// outputs and statistics are bit-identical to running
-    /// [`forward_quant`](Self::forward_quant) per sample.
+    /// inputs with **one wide GEMM**: each sample's im2col panel becomes
+    /// `n` extra rows of a shared `(B·n) x k` activation panel, so the
+    /// packed weight panel streams through cache once per batch instead
+    /// of once per sample. Every output element is still an independent
+    /// exact-`i64` dot product over the same operands, so outputs and
+    /// statistics are bit-identical to the per-sample `Naive` and `Gemm`
+    /// paths.
     ///
-    /// Falls back to the per-sample path for the naive kernel, single
-    /// samples, or mixed grid geometry (still bit-identical — only wall
-    /// time changes).
+    /// This is also the `GemmPacked` kernel's single-sample path. Falls
+    /// back to [`forward_quant`](Self::forward_quant) per sample for the
+    /// naive kernel or mixed grid geometry (still bit-identical — only
+    /// wall time changes).
     pub(crate) fn forward_quant_batch(
         &self,
         qas: &[&QuantizedTensor],
@@ -645,11 +657,10 @@ impl Conv2d {
         scratch: &mut Scratch,
     ) -> Result<Vec<(Tensor, LayerStats)>, NnError> {
         let fusable = kernel != NnKernel::Naive
-            && qas.len() > 1
             && qas
                 .iter()
                 .all(|qa| qa.shape == qas[0].shape && qa.bits == qas[0].bits);
-        if !fusable {
+        if !fusable || qas.is_empty() {
             return qas
                 .iter()
                 .map(|qa| self.forward_quant(qa, wbits, kernel, scratch))
@@ -674,64 +685,45 @@ impl Conv2d {
         let total = b * n;
 
         // One concatenated panel: sample `si` owns rows `si*n..(si+1)*n`.
-        let mode = mode_for_bits(qas[0].bits);
+        // The GEMM fully overwrites its output, so the accumulator only
+        // grows — no per-call zero fill of `f * total` elements.
+        let Scratch {
+            patches,
+            acc,
+            packed,
+            padded,
+            stage,
+            ..
+        } = scratch;
+        if acc.len() < f * total {
+            acc.resize(f * total, 0);
+        }
+        let acc = &mut acc[..f * total];
         let mut zero_acts = Vec::with_capacity(b);
         if kernel == NnKernel::GemmPacked {
-            // im2col packs the wide panel directly at the activation
-            // mode's lane geometry — no i16 staging buffer and no repack
-            // pass ([`pack_im2col_packed`] walks the same taps as
-            // `pack_im2col`). The panel is pooled per fill structure, so
-            // a repeated `X1` fill of this exact geometry (every suffix
-            // re-forward of a precision scan) skips the zeroing pass.
-            let key = conv_fill_key(
-                self.in_channels,
-                h,
-                w,
-                self.kernel,
-                self.stride,
-                self.padding,
-                b,
-            );
-            let (panel, acc) = scratch.pooled_panel_and_acc(key.unwrap_or(u64::MAX));
-            // The GEMM fully overwrites its output, so only grow the
-            // accumulator — no per-call zero fill of `f * total` elements.
-            if acc.len() < f * total {
-                acc.resize(f * total, 0);
-            }
-            let acc = &mut acc[..f * total];
-            let (words, stride, _) = if let Some(key) = key {
-                panel.begin_fill_reuse(key, total, klen, mode)
-            } else {
-                let (words, stride) = panel.begin_fill(total, klen, mode);
-                (words, stride, false)
-            };
+            // im2col writes the wide panel directly at the activation
+            // mode's lane geometry, every word of every row — no i16
+            // staging panel and no repack pass.
+            let cover = (self.axis_cover(oh, h), self.axis_cover(ow, w));
+            let cover = (cover.0.as_slice(), cover.1.as_slice());
+            let mode = mode_for_bits(qas[0].bits);
+            let (words, stride) = packed.begin_fill(total, klen, mode);
             let mut has_min = false;
-            for (si, qa) in qas.iter().enumerate() {
-                let block = &mut words[si * n * stride..(si + 1) * n * stride];
-                let (zeros, min) = match mode {
-                    SubwordMode::X1 => {
-                        self.pack_im2col_packed::<1, 16, { i16::MIN as i32 }>(qa, block, stride)
-                    }
-                    SubwordMode::X2 => self.pack_im2col_packed::<2, 8, -128>(qa, block, stride),
-                    SubwordMode::X4 => self.pack_im2col_packed::<4, 4, -8>(qa, block, stride),
-                };
+            for (qa, block) in qas.iter().zip(words.chunks_exact_mut(n * stride)) {
+                let bufs = (&mut *padded, &mut *stage);
+                let (zeros, min) = self.fill_im2col(mode, qa, cover, bufs, block, stride);
                 zero_acts.push(zeros);
                 has_min |= min;
             }
-            panel.finish_fill(has_min);
-            gemm::gemm_packed(&pw.panel, panel, acc);
+            packed.finish_fill(has_min);
+            gemm::gemm_packed(&pw.panel, packed, acc);
         } else {
-            if scratch.acc.len() < f * total {
-                scratch.acc.resize(f * total, 0);
-            }
-            let acc = &mut scratch.acc[..f * total];
-            scratch.patches.clear();
-            scratch.patches.resize(total * klen, 0);
-            for (si, qa) in qas.iter().enumerate() {
-                let panel = &mut scratch.patches[si * n * klen..(si + 1) * n * klen];
+            patches.clear();
+            patches.resize(total * klen, 0);
+            for (qa, panel) in qas.iter().zip(patches.chunks_exact_mut(n * klen)) {
                 zero_acts.push(self.pack_im2col(qa, panel));
             }
-            gemm::gemm_i16(&pw.qi16, &scratch.patches, f, klen, total, acc);
+            gemm::gemm_i16(&pw.qi16, patches, f, klen, total, acc);
         }
 
         let (macs, zero_weight_macs) = self.gemm_mac_stats(&pw, h, w);
@@ -744,7 +736,7 @@ impl Conv2d {
             let mut data = Vec::with_capacity(f * n);
             for fi in 0..f {
                 let bias = f64::from(self.bias[fi]);
-                let acc_row = &scratch.acc[fi * total + si * n..][..n];
+                let acc_row = &acc[fi * total + si * n..][..n];
                 data.extend(
                     acc_row
                         .iter()
@@ -891,8 +883,8 @@ impl Dense {
         }
         match kernel {
             NnKernel::Naive => self.forward_naive(qa, wbits),
-            NnKernel::Gemm => self.forward_gemm(qa, wbits, scratch, false),
-            NnKernel::GemmPacked => self.forward_gemm(qa, wbits, scratch, true),
+            NnKernel::Gemm => self.forward_gemm(qa, wbits, scratch),
+            NnKernel::GemmPacked => single(self.forward_quant_batch(&[qa], wbits, kernel, scratch)),
         }
     }
 
@@ -956,41 +948,26 @@ impl Dense {
         }))
     }
 
-    /// The dense GEMM path: one exact `i16`-panel dot product per output
-    /// neuron. Every weight is consumed exactly once and every activation
-    /// once per output row, so the guard-skip counters are the packed
-    /// zero counts directly.
-    ///
-    /// With `packed` set this is the `GemmPacked` kernel: the identical
-    /// activation vector (and zero count) is subword-packed into a
-    /// one-row panel and dotted against the pre-packed weight rows by the
-    /// exact packed dot — same numbers, fewer lane words.
+    /// The dense GEMM path (the `Gemm` kernel): one exact `i16`-panel dot
+    /// product per output neuron. Every weight is consumed exactly once
+    /// and every activation once per output row, so the guard-skip
+    /// counters are the packed zero counts directly.
     fn forward_gemm(
         &self,
         qa: &QuantizedTensor,
         wbits: u32,
         scratch: &mut Scratch,
-        packed: bool,
     ) -> Result<(Tensor, LayerStats), NnError> {
         let pw = self.packed_weights(wbits)?;
         let zero_acts = qa.fill_i16(&mut scratch.acts);
-        if packed {
-            scratch
-                .packed
-                .repack(&scratch.acts, 1, self.inputs, mode_for_bits(qa.bits));
-        }
         let scale = qa.scale * pw.scale;
         let mut out = Tensor::zeros(1, 1, self.outputs);
         let data = out.as_mut_slice();
         for (z, dst) in data.iter_mut().enumerate() {
-            let acc = if packed {
-                gemm::dot_packed(&pw.panel, z, &scratch.packed, 0)
-            } else {
-                gemm::dot_i16(
-                    &pw.qi16[z * self.inputs..(z + 1) * self.inputs],
-                    &scratch.acts,
-                )
-            };
+            let acc = gemm::dot_i16(
+                &pw.qi16[z * self.inputs..(z + 1) * self.inputs],
+                &scratch.acts,
+            );
             *dst = (acc as f64 * scale + f64::from(self.bias[z])) as f32;
         }
         let stats = LayerStats {
@@ -1006,10 +983,11 @@ impl Dense {
     /// vector becomes one row of a shared `B x inputs` right-hand panel,
     /// so the packed weight rows stream once per batch. Every output
     /// element is the same exact-`i64` dot product over the same
-    /// operands, so outputs and statistics are bit-identical to running
-    /// [`forward_quant`](Self::forward_quant) per sample. Falls back to
-    /// the per-sample path for the naive kernel, single samples, or
-    /// mixed grid geometry.
+    /// operands, so outputs and statistics are bit-identical to the
+    /// per-sample `Naive` and `Gemm` paths. This is also the `GemmPacked`
+    /// kernel's single-sample path; the naive kernel and mixed grid
+    /// geometry fall back to [`forward_quant`](Self::forward_quant) per
+    /// sample.
     pub(crate) fn forward_quant_batch(
         &self,
         qas: &[&QuantizedTensor],
@@ -1018,11 +996,10 @@ impl Dense {
         scratch: &mut Scratch,
     ) -> Result<Vec<(Tensor, LayerStats)>, NnError> {
         let fusable = kernel != NnKernel::Naive
-            && qas.len() > 1
             && qas
                 .iter()
                 .all(|qa| qa.shape == qas[0].shape && qa.bits == qas[0].bits);
-        if !fusable {
+        if !fusable || qas.is_empty() {
             return qas
                 .iter()
                 .map(|qa| self.forward_quant(qa, wbits, kernel, scratch))
@@ -1039,45 +1016,39 @@ impl Dense {
         }
         let pw = self.packed_weights(wbits)?;
         let b = qas.len();
-        let mode = mode_for_bits(qas[0].bits);
+        let Scratch {
+            patches,
+            acc,
+            packed,
+            stage,
+            ..
+        } = scratch;
+        // The GEMM fully overwrites its output, so only grow the
+        // accumulator — no per-call zero fill.
+        if acc.len() < self.outputs * b {
+            acc.resize(self.outputs * b, 0);
+        }
+        let acc = &mut acc[..self.outputs * b];
         let mut zero_counts = Vec::with_capacity(b);
         if kernel == NnKernel::GemmPacked {
-            // Direct panel fill at the activation mode's lane geometry —
-            // each sample's vector is one panel row, deposited over the
-            // pre-zeroed buffer (see the conv batch path). The dense walk
-            // writes every operand word, so its pooled panel reuses
-            // without re-zeroing under the shared dense key (the
-            // structure is fully pinned by the `(rows, k, mode)` check).
-            let (panel, acc) = scratch.pooled_panel_and_acc(DENSE_FILL_KEY);
-            // The GEMM fully overwrites its output, so only grow the
-            // accumulator — no per-call zero fill.
-            if acc.len() < self.outputs * b {
-                acc.resize(self.outputs * b, 0);
-            }
-            let acc = &mut acc[..self.outputs * b];
-            let (words, stride, _) = panel.begin_fill_reuse(DENSE_FILL_KEY, b, self.inputs, mode);
+            // Direct panel fill at the activation mode's lane geometry:
+            // each sample's vector is one whole panel row.
+            let mode = mode_for_bits(qas[0].bits);
+            let (words, stride) = packed.begin_fill(b, self.inputs, mode);
+            stage.clear();
+            stage.resize(stride * mode.lanes(), 0);
             let mut has_min = false;
-            for (si, qa) in qas.iter().enumerate() {
-                let row = &mut words[si * stride..(si + 1) * stride];
-                let (zeros, min) = match mode {
-                    SubwordMode::X1 => fill_row_packed::<1, 16, { i16::MIN as i32 }>(&qa.data, row),
-                    SubwordMode::X2 => fill_row_packed::<2, 8, -128>(&qa.data, row),
-                    SubwordMode::X4 => fill_row_packed::<4, 4, -8>(&qa.data, row),
-                };
+            for (qa, row) in qas.iter().zip(words.chunks_exact_mut(stride)) {
+                let (zeros, min) = fill_dense_row(mode, &qa.data, stage, row);
                 zero_counts.push(zeros);
                 has_min |= min;
             }
-            panel.finish_fill(has_min);
-            gemm::gemm_packed(&pw.panel, panel, acc);
+            packed.finish_fill(has_min);
+            gemm::gemm_packed(&pw.panel, packed, acc);
         } else {
-            if scratch.acc.len() < self.outputs * b {
-                scratch.acc.resize(self.outputs * b, 0);
-            }
-            let acc = &mut scratch.acc[..self.outputs * b];
-            scratch.patches.clear();
-            scratch.patches.resize(b * self.inputs, 0);
-            for (si, qa) in qas.iter().enumerate() {
-                let row = &mut scratch.patches[si * self.inputs..(si + 1) * self.inputs];
+            patches.clear();
+            patches.resize(b * self.inputs, 0);
+            for (qa, row) in qas.iter().zip(patches.chunks_exact_mut(self.inputs)) {
                 let mut zeros = 0u64;
                 for (dst, &q) in row.iter_mut().zip(&qa.data) {
                     zeros += u64::from(q == 0);
@@ -1085,14 +1056,7 @@ impl Dense {
                 }
                 zero_counts.push(zeros);
             }
-            gemm::gemm_i16(
-                &pw.qi16,
-                &scratch.patches,
-                self.outputs,
-                self.inputs,
-                b,
-                acc,
-            );
+            gemm::gemm_i16(&pw.qi16, patches, self.outputs, self.inputs, b, acc);
         }
 
         // Sample `si` of output row `z` lives at `acc[z*b + si]`.
@@ -1100,7 +1064,7 @@ impl Dense {
         for (si, qa) in qas.iter().enumerate() {
             let scale = qa.scale * pw.scale;
             let data: Vec<f32> = (0..self.outputs)
-                .map(|z| (scratch.acc[z * b + si] as f64 * scale + f64::from(self.bias[z])) as f32)
+                .map(|z| (acc[z * b + si] as f64 * scale + f64::from(self.bias[z])) as f32)
                 .collect();
             let stats = LayerStats {
                 macs: (self.outputs * self.inputs) as u64,
@@ -1426,6 +1390,59 @@ mod tests {
         // No padding: executed MACs equal the analytic count.
         assert_eq!(stats.macs, conv.mac_count(6, 6));
         assert_eq!(stats.macs, 4 * 4 * 4 * 2 * 9);
+    }
+
+    /// The fused packed fill writes every word of every panel row: over a
+    /// buffer dirtied by a larger fill, its panel equals `PackedPanel::pack`
+    /// of the `pack_im2col` staging panel (in-bounds operands, zeros for
+    /// padding taps and for the lanes up to the 16-lane step), and its
+    /// per-sample zero-activation counts equal the staging walk's — for
+    /// kernel sizes 1 to 11 with strides and padding around them, at
+    /// every activation mode.
+    #[test]
+    fn fused_fill_writes_whole_rows() {
+        let (c, h, w) = (2usize, 13usize, 12usize);
+        for (k, stride, padding) in [
+            (1usize, 1usize, 0usize),
+            (2, 1, 2),
+            (3, 1, 1),
+            (3, 2, 0),
+            (3, 5, 3),
+            (5, 1, 2),
+            (11, 4, 0),
+        ] {
+            for bits in [3u32, 8, 16] {
+                let conv = Conv2d::random(c, 3, k, stride, padding, 5);
+                let mut inputs: Vec<Tensor> =
+                    (0..2).map(|i| Tensor::random(c, h, w, 40 + i)).collect();
+                inputs[1].as_mut_slice()[..20].fill(0.0);
+                let qas: Vec<QuantizedTensor> = inputs
+                    .iter()
+                    .map(|t| QuantizedTensor::quantize(t, bits).unwrap())
+                    .collect();
+                let refs: Vec<&QuantizedTensor> = qas.iter().collect();
+                let mut scratch = Scratch::new();
+                let (dirty, _) = scratch.packed.begin_fill(4096, 100, SubwordMode::X1);
+                dirty.fill(0xBEEF);
+                scratch.padded = vec![0xBEEF; 4096];
+                let results = conv
+                    .forward_quant_batch(&refs, 16, NnKernel::GemmPacked, &mut scratch)
+                    .unwrap();
+                let (oh, ow) = conv.out_hw(h, w);
+                let (n, klen) = (oh * ow, c * k * k);
+                let mut patches = vec![0i16; 2 * n * klen];
+                let mut zeros = Vec::new();
+                for (qa, block) in qas.iter().zip(patches.chunks_exact_mut(n * klen)) {
+                    zeros.push(conv.pack_im2col(qa, block));
+                }
+                let reference = gemm::PackedPanel::pack(&patches, 2 * n, klen, mode_for_bits(bits));
+                let what = format!("k={k} s={stride} p={padding} bits={bits}");
+                assert_eq!(scratch.packed, reference, "{what}");
+                for ((_, stats), z) in results.iter().zip(zeros) {
+                    assert_eq!(stats.zero_act_macs, 3 * z, "{what}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -49,13 +49,11 @@ impl QuantizedTensor {
         } else {
             max_abs / f64::from(qmax)
         };
+        let qmax = f64::from(qmax);
         let data = t
             .as_slice()
             .iter()
-            .map(|&v| {
-                let q = (f64::from(v) / scale).round();
-                q.clamp(f64::from(-qmax), f64::from(qmax)) as i32
-            })
+            .map(|&v| round_to_grid(f64::from(v) / scale, qmax))
             .collect();
         Ok(QuantizedTensor {
             data,
@@ -109,6 +107,21 @@ impl QuantizedTensor {
             (1i32 << (self.bits - 1)) - 1
         }
     }
+}
+
+/// `x.round().clamp(-qmax, qmax) as i32` without the out-of-line `round`
+/// call (the baseline x86-64 target has no `roundsd`). Clamping first
+/// gives the same grid index, because rounding is monotone and `qmax` is
+/// an integer. The clamped value is then rounded half away from zero:
+/// `as i32` truncates toward zero, and the fractional part `x - trunc(x)`
+/// is exact for `|x| <= 2^15`, so comparing it against ±0.5 decides the
+/// ties exactly as `f64::round` does.
+#[inline]
+fn round_to_grid(x: f64, qmax: f64) -> i32 {
+    let x = x.clamp(-qmax, qmax);
+    let t = x as i32;
+    let frac = x - f64::from(t);
+    t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5)
 }
 
 /// Root-mean-square quantization error of a tensor at a bit width.
@@ -194,6 +207,46 @@ mod tests {
         assert_eq!(buf.len(), 5);
         for (lane, &q32) in buf.iter().zip(&q.data) {
             assert_eq!(i32::from(*lane), q32);
+        }
+    }
+
+    /// `round_to_grid` agrees with `f64::round` + clamp at every width:
+    /// on every tie `±n.5`, one ulp inside and outside each tie, around
+    /// `±qmax ± 0.5`, and on random values across and past the grid.
+    #[test]
+    fn round_to_grid_matches_round_then_clamp() {
+        use rand::{Rng, SeedableRng};
+        let reference = |x: f64, qmax: f64| x.round().clamp(-qmax, qmax) as i32;
+        let ulp = |x: f64, up: bool| {
+            // Adjacent doubles of a positive x; mirrored for negatives.
+            let m = f64::from_bits(if up {
+                x.abs().to_bits() + 1
+            } else {
+                x.abs().to_bits() - 1
+            });
+            m.copysign(x)
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x6e1d);
+        for bits in 1u32..=16 {
+            let qmax = if bits == 1 {
+                1
+            } else {
+                (1i32 << (bits - 1)) - 1
+            };
+            let q = f64::from(qmax);
+            let mut probes = vec![0.0, -0.0, q, -q, q + 0.5, -q - 0.5, q - 0.5, 0.5 - q];
+            for n in 0..=qmax + 1 {
+                let tie = f64::from(n) + 0.5;
+                for x in [tie, ulp(tie, true), ulp(tie, false)] {
+                    probes.extend([x, -x]);
+                }
+            }
+            for _ in 0..2000 {
+                probes.push(rng.gen_range(-1.5 * q - 1.0..1.5 * q + 1.0));
+            }
+            for x in probes {
+                assert_eq!(round_to_grid(x, q), reference(x, q), "bits={bits} x={x:e}");
+            }
         }
     }
 

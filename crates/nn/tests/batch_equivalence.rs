@@ -5,9 +5,11 @@
 //! `zero_weight`/`zero_act` guard-skip counters, and argmaxes — over
 //! random geometries and precisions, for all three MAC kernels, across
 //! the batch boundaries that matter (B = 1, non-dividing B, B larger
-//! than the sample count, ragged tails) and thread counts 1..=8. Plus
-//! the precision search: the incremental scan's batched prefix and
-//! suffix must reproduce the per-sample scan's requirements exactly.
+//! than the sample count, ragged tails) and thread counts 1..=8; the
+//! fused conv fill against the naive oracle on the degenerate conv
+//! geometries. Plus the precision search: the incremental scan's batched
+//! prefix and suffix must reproduce the per-sample scan's requirements
+//! exactly.
 
 use dvafs_executor::Executor;
 use dvafs_nn::dataset::SyntheticDataset;
@@ -116,6 +118,54 @@ proptest! {
             .expect("parallel fused inference");
         prop_assert_eq!(&oracle, &parallel_sample, "parallel sample-major diverged");
         prop_assert_eq!(&oracle, &parallel_layer, "parallel layer-major diverged");
+    }
+
+    /// The fused conv fill on degenerate geometry: `kernel_equivalence`'s
+    /// conv ranges (padding at or past the kernel, stride past the
+    /// kernel, 1x1 kernels, multi-channel inputs, every subword mode pair)
+    /// plus the 5x5 and 11x11 kernels of the scenario networks, through a
+    /// one-layer `forward_batch` on `LayerMajor` with 1..=4 samples —
+    /// outputs and statistics bitwise equal to the naive per-sample
+    /// oracle.
+    #[test]
+    fn fused_conv_fill_matches_naive_on_degenerate_geometry(
+        seed in any::<u64>(),
+        count in 1usize..=4,
+        in_c in 1usize..=3,
+        out_c in 1usize..=5,
+        k in prop_oneof![1usize..=5, Just(11)],
+        stride in 1usize..=5,
+        padding in 0usize..=5,
+        h in 4usize..=9,
+        w in 4usize..=9,
+        wbits in 1u32..=16,
+        abits in 1u32..=16,
+    ) {
+        let (h, w) = (h.max(k), w.max(k));
+        let conv = || Layer::Conv2d(Conv2d::random(in_c, out_c, k, stride, padding, seed));
+        let net = |kernel, path| {
+            Network::new("conv", vec![conv()])
+                .with_kernel(kernel)
+                .with_batch_path(path)
+        };
+        let inputs: Vec<Tensor> = (0..count)
+            .map(|i| Tensor::random(in_c, h, w, seed ^ 0x5eed ^ (i as u64) << 16))
+            .collect();
+        let cfg = QuantConfig::uniform(1, wbits, abits);
+        let oracle = net(NnKernel::Naive, BatchPath::SampleMajor)
+            .forward_batch(&inputs, &cfg, &mut Scratch::new())
+            .expect("oracle inference");
+        let fused = net(NnKernel::GemmPacked, BatchPath::LayerMajor)
+            .forward_batch(&inputs, &cfg, &mut Scratch::new())
+            .expect("fused inference");
+        prop_assert_eq!(oracle.len(), fused.len());
+        for ((out_n, st_n), (out_f, st_f)) in oracle.iter().zip(fused.iter()) {
+            prop_assert_eq!(st_n, st_f, "statistics diverged");
+            prop_assert_eq!(out_n.shape(), out_f.shape(), "shape diverged");
+            let nb: Vec<u32> = out_n.as_slice().iter().map(|v| v.to_bits()).collect();
+            let fb: Vec<u32> = out_f.as_slice().iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(nb, fb, "outputs diverged bitwise");
+        }
     }
 
     /// The incremental precision search on `LayerMajor` (batched prefix

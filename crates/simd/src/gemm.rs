@@ -28,7 +28,7 @@
 //! **exactly** the field rules of `dvafs_arith::subword::pack_lanes`
 //! (lane 0 at the LSBs, two's-complement fields of
 //! [`SubwordMode::lane_bits`] each — the correspondence is pinned by
-//! test). The packed dot kernels re-expand lanes on the fly and keep the
+//! test). The packed kernels re-expand lanes on the fly and keep the
 //! accumulation exact:
 //!
 //! * every 16-lane step forms pairwise `i32` sums of products (the
@@ -36,21 +36,34 @@
 //! * narrow modes bound the pair sums (`2·2^(wa-1)·2^(wb-1)`), so whole
 //!   blocks accumulate in `i32` before being widened to `i64` — the
 //!   block length per mode pair is chosen so the `i32` partial can never
-//!   wrap;
+//!   wrap (`X1 x X1` pair sums already need 32 bits and widen every
+//!   step);
 //! * the one full-width corner — both pairs of a step summing
 //!   `MIN·MIN + MIN·MIN = 2^31` — is corrected explicitly: panels record
 //!   at pack time whether they contain `-2^(w-1)`, and only when *both*
 //!   operands do does the kernel count the overflowing cross-terms and
 //!   add back `2^32` per occurrence.
 //!
+//! ## The tile kernel
+//!
+//! On x86-64 hosts with AVX2 (a run-time feature check: the workspace
+//! targets baseline x86-64) [`gemm_packed`] is a register-blocked
+//! microkernel in the sense of Goto & van de Geijn ("Anatomy of
+//! High-Performance Matrix Multiplication", TOMS 2008). Each [`MR`]-row
+//! micro-panel of the left operand sweeps a [`COL_TILE`]-row block of the
+//! right one in [`MR`]` x `[`NR`] tiles. Per step, a tile expands each of
+//! its `MR + NR` lane vectors once and issues `MR * NR` `vpmaddwd`s into
+//! register accumulators. The `i32` blocks are widened into `i64`
+//! accumulators, and every output is reduced horizontally once per tile.
+//! Ragged edges run the same tile at one row or one column (a one-row
+//! panel times a one-row panel is its `1 x 1` case). Everywhere else, and
+//! as the oracle the tiles are tested against, the scalar decode loop of
+//! [`dot_packed`] computes the same exact sums.
+//!
 //! The result is bit-identical to [`dot_i16`]/[`gemm_i16`] for every
 //! input `pack_lanes` accepts, which is what lets the `GemmPacked` NN
 //! kernel join the `Naive == Gemm` equivalence net without moving a
-//! number. On x86-64 hosts with AVX2 the packed kernels dispatch to
-//! `vpmaddwd`-based inner loops at run time (the workspace targets
-//! baseline x86-64, so this is a run-time feature check, not a compile
-//! flag); everywhere else a scalar decode loop computes the same exact
-//! sums.
+//! number.
 
 use dvafs_arith::SubwordMode;
 
@@ -163,16 +176,10 @@ pub struct PackedPanel {
     /// explicit cross-term correction is engaged only when both operand
     /// panels can produce it.
     has_min: bool,
-    /// Whether the current contents were written through a completed
-    /// [`begin_fill`](Self::begin_fill)/
-    /// [`begin_fill_reuse`](Self::begin_fill_reuse) cycle — the
-    /// precondition for the zeroing skip of `begin_fill_reuse`. Execution
-    /// state, not panel identity: ignored by `PartialEq`.
-    direct_filled: bool,
-    /// The structure key of the last direct fill (see
-    /// [`begin_fill_reuse`](Self::begin_fill_reuse)); execution state,
-    /// ignored by `PartialEq`.
-    fill_key: u64,
+    /// The lane words, row-major. Only the first `rows * words_per_row`
+    /// are panel content: [`begin_fill`](Self::begin_fill) never shrinks
+    /// the buffer, so a fill after a larger one leaves a stale tail
+    /// instead of paying a zeroing pass when the larger fill comes back.
     words: Vec<u16>,
 }
 
@@ -183,7 +190,7 @@ impl PartialEq for PackedPanel {
             && self.k == other.k
             && self.words_per_row == other.words_per_row
             && self.has_min == other.has_min
-            && self.words == other.words
+            && self.words() == other.words()
     }
 }
 
@@ -205,9 +212,7 @@ impl PackedPanel {
     }
 
     /// Re-packs this panel in place (same contract as
-    /// [`pack`](Self::pack)), reusing the word buffer's capacity — the
-    /// per-forward activation panels of the NN kernel go through this so
-    /// a sweep allocates once.
+    /// [`pack`](Self::pack)), reusing the word buffer's capacity.
     pub fn repack(&mut self, values: &[i16], rows: usize, k: usize, mode: SubwordMode) {
         assert_eq!(values.len(), rows * k, "panel must be rows x k");
         let lanes = mode.lanes();
@@ -222,7 +227,6 @@ impl PackedPanel {
         self.k = k;
         self.words_per_row = words_per_row;
         self.has_min = false;
-        self.direct_filled = false;
         self.words.clear();
         self.words.reserve(rows * words_per_row);
         let mut has_min = false;
@@ -291,19 +295,18 @@ impl PackedPanel {
     }
 
     /// Resets this panel to a `rows x k` geometry at `mode`, handing the
-    /// caller the **zeroed** word buffer and the row stride in words
-    /// (`k` padded to [`PACK_STEP_LANES`] lanes, divided by
-    /// `mode.lanes()`) to fill in place. A producer that already walks
-    /// its operands — an im2col pass, say — can pack them directly
-    /// instead of staging an `i16` buffer for [`repack`](Self::repack)
-    /// to re-read: one write pass instead of write + read + write.
+    /// caller the word buffer and the row stride in words (`k` padded to
+    /// [`PACK_STEP_LANES`] lanes, divided by `mode.lanes()`) to fill in
+    /// place. A producer that already walks its operands — an im2col pass,
+    /// say — can pack them directly instead of staging an `i16` buffer for
+    /// [`repack`](Self::repack) to re-read.
     ///
-    /// Contract: operand `t` of row `i` lives in word
-    /// `i * stride + t / lanes`, as the `pack_lanes` two's-complement
-    /// field at bits `(t % lanes) * lane_bits ..` (at `X1` the word IS
-    /// the operand, `v as u16`). The buffer starts all-zero, so zero
-    /// operands, padding lanes, and padding words may simply be left
-    /// untouched, and sub-word fields can be deposited with `|=`. Every
+    /// Contract: the buffer's contents on entry are **unspecified** (the
+    /// previous fill's words), so the caller writes every word of every
+    /// row: operand `t` of row `i` lives in word `i * stride + t / lanes`,
+    /// as the `pack_lanes` two's-complement field at bits
+    /// `(t % lanes) * lane_bits ..` (at `X1` the word IS the operand,
+    /// `v as u16`), and padding lanes and words past `k` are zero. Every
     /// value must fit the mode's lane range (this path skips
     /// [`repack`](Self::repack)'s range assert — callers feed quantizer
     /// output that fits by construction). Finish with
@@ -311,56 +314,17 @@ impl PackedPanel {
     /// operand was the mode's most negative lane value — the panel is
     /// not a valid dot operand until then.
     pub fn begin_fill(&mut self, rows: usize, k: usize, mode: SubwordMode) -> (&mut [u16], usize) {
-        // Anonymous fills never reuse: force the zeroing path.
-        self.direct_filled = false;
-        let (words, stride, _) = self.begin_fill_reuse(0, rows, k, mode);
-        (words, stride)
-    }
-
-    /// [`begin_fill`](Self::begin_fill) with a structural-reuse fast
-    /// path: when the panel's current contents came from a **completed**
-    /// direct fill of the same `(rows, k, mode)` geometry and the same
-    /// caller-supplied structure `key`, and the mode is `X1`, the word
-    /// buffer is handed back **without re-zeroing** (third return `true`).
-    /// Sound because an `X1` refill of identical structure overwrites
-    /// every in-bounds operand word unconditionally while its
-    /// structural-zero words (padding taps, row tails) were never written
-    /// and still hold the original zeros. Sub-word modes deposit fields
-    /// with `|=`, so they always get a freshly zeroed buffer (third
-    /// return `false`).
-    ///
-    /// `key` must capture everything that determines which words the
-    /// caller's walk writes (for an im2col fill: the full conv geometry
-    /// and batch shape) — two fills sharing a key must write the exact
-    /// same word positions.
-    pub fn begin_fill_reuse(
-        &mut self,
-        key: u64,
-        rows: usize,
-        k: usize,
-        mode: SubwordMode,
-    ) -> (&mut [u16], usize, bool) {
         let words_per_row = k.next_multiple_of(PACK_STEP_LANES) / mode.lanes();
         let need = rows * words_per_row;
-        let retained = mode == SubwordMode::X1
-            && self.direct_filled
-            && self.fill_key == key
-            && self.rows == rows
-            && self.k == k
-            && self.mode == mode
-            && self.words.len() == need;
         self.mode = mode;
         self.rows = rows;
         self.k = k;
         self.words_per_row = words_per_row;
         self.has_min = false;
-        self.direct_filled = false;
-        self.fill_key = key;
-        if !retained {
-            self.words.clear();
+        if self.words.len() < need {
             self.words.resize(need, 0);
         }
-        (&mut self.words, words_per_row, retained)
+        (&mut self.words[..need], words_per_row)
     }
 
     /// Completes a [`begin_fill`](Self::begin_fill) fill: `has_min` is
@@ -369,7 +333,6 @@ impl PackedPanel {
     /// the exact `X1 x X1` kernel).
     pub fn finish_fill(&mut self, has_min: bool) {
         self.has_min = has_min;
-        self.direct_filled = true;
     }
 
     /// The subword mode the panel is packed at.
@@ -397,6 +360,12 @@ impl PackedPanel {
         self.words_per_row
     }
 
+    /// The packed lane words of every row (`rows * words_per_row`,
+    /// row-major; without the stale tail a direct fill may leave).
+    fn words(&self) -> &[u16] {
+        &self.words[..self.rows * self.words_per_row]
+    }
+
     /// The packed lane words of row `i`.
     ///
     /// # Panics
@@ -404,7 +373,7 @@ impl PackedPanel {
     /// Panics when `i` is out of range.
     #[must_use]
     pub fn row_words(&self, i: usize) -> &[u16] {
-        &self.words[i * self.words_per_row..(i + 1) * self.words_per_row]
+        &self.words()[i * self.words_per_row..(i + 1) * self.words_per_row]
     }
 
     /// Re-expands row `i` into its `k` logical operands (test/debug
@@ -462,17 +431,26 @@ fn decode_step(words: &[u16], step: usize, mode: SubwordMode, out: &mut [i16; PA
     }
 }
 
-/// The portable packed dot inner loop: decode 16 lanes per side per step,
-/// widen every product to `i64`. Exact for the full `pack_lanes` range;
-/// used when the AVX2 path is unavailable (and as the oracle the AVX2
-/// kernels are tested against).
-fn dot_rows_scalar(a: &[u16], ma: SubwordMode, b: &[u16], mb: SubwordMode, steps: usize) -> i64 {
+/// Exact dot product of row `ai` of `a` with row `bi` of `b` — the
+/// packed mirror of [`dot_i16`], bit-identical to it on the re-expanded
+/// lanes. This is the portable scalar decode loop: 16 lanes per side per
+/// step, every product widened to `i64`, exact for the full `pack_lanes`
+/// range. [`gemm_packed`] runs it per output on hosts without AVX2, and
+/// its tile kernel is tested against it.
+///
+/// # Panics
+///
+/// Panics when the panels disagree on `k` or a row index is out of range.
+#[must_use]
+pub fn dot_packed(a: &PackedPanel, ai: usize, b: &PackedPanel, bi: usize) -> i64 {
+    assert_eq!(a.k(), b.k(), "dot operands must have equal logical length");
+    let (ra, rb) = (a.row_words(ai), b.row_words(bi));
     let mut acc = 0i64;
     let mut ba = [0i16; PACK_STEP_LANES];
     let mut bb = [0i16; PACK_STEP_LANES];
-    for s in 0..steps {
-        decode_step(a, s, ma, &mut ba);
-        decode_step(b, s, mb, &mut bb);
+    for s in 0..a.steps() {
+        decode_step(ra, s, a.mode, &mut ba);
+        decode_step(rb, s, b.mode, &mut bb);
         for (&x, &y) in ba.iter().zip(&bb) {
             acc += i64::from(x) * i64::from(y);
         }
@@ -480,80 +458,166 @@ fn dot_rows_scalar(a: &[u16], ma: SubwordMode, b: &[u16], mb: SubwordMode, steps
     acc
 }
 
-/// AVX2 packed dot kernels, dispatched at run time (the workspace builds
-/// for baseline x86-64). `unsafe` is confined to this module: every
-/// function is gated behind `is_x86_feature_detected!("avx2")` by the
-/// [`dot_rows`] dispatcher, and all pointer arithmetic walks panel rows
-/// whose lengths the dispatcher derives from the panels themselves.
+/// Rows of the left panel (`a`, the weights) per register tile of
+/// [`gemm_packed`].
+pub const MR: usize = 4;
+
+/// Rows of the right panel (`bt`, the activations) per register tile of
+/// [`gemm_packed`]: an `MR x NR` tile keeps `MR * NR` accumulators in
+/// vector registers, so every decoded lane vector feeds several outputs.
+pub const NR: usize = 2;
+
+/// The scalar oracle of [`gemm_packed`]: one [`dot_packed`] per output
+/// element, in the same [`COL_TILE`] order. Also the whole multiply on
+/// hosts without AVX2.
+fn gemm_packed_scalar(a: &PackedPanel, bt: &PackedPanel, out: &mut [i64]) {
+    let n = bt.rows();
+    for j0 in (0..n).step_by(COL_TILE) {
+        let j1 = (j0 + COL_TILE).min(n);
+        for i in 0..a.rows() {
+            for j in j0..j1 {
+                out[i * n + j] = dot_packed(a, i, bt, j);
+            }
+        }
+    }
+}
+
+/// The AVX2 tile kernels, dispatched at run time (the workspace builds for
+/// baseline x86-64). `unsafe` is confined to this module: the safe entry
+/// points check for AVX2 and for the panel shapes themselves, and every
+/// pointer walks panel rows whose lengths come from the panels.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx2 {
-    use super::{PackedPanel, SubwordMode};
+    use super::{PackedPanel, SubwordMode, COL_TILE, MR, NR};
     use std::arch::x86_64::{
-        __m128i, __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_and_si256,
-        _mm256_castsi256_si128, _mm256_cmpeq_epi16, _mm256_cmpeq_epi32, _mm256_cvtepi32_epi64,
-        _mm256_cvtepi8_epi16, _mm256_extracti128_si256, _mm256_loadu_si256, _mm256_madd_epi16,
-        _mm256_set1_epi16, _mm256_set1_epi32, _mm256_setzero_si256, _mm256_storeu_si256,
-        _mm_and_si128, _mm_loadl_epi64, _mm_loadu_si128, _mm_set1_epi8, _mm_srli_epi16,
-        _mm_sub_epi8, _mm_unpacklo_epi8, _mm_xor_si128,
+        __m128i, __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_and_si256, _mm256_cmpeq_epi16,
+        _mm256_cmpeq_epi32, _mm256_cvtepi8_epi16, _mm256_loadu_si256, _mm256_madd_epi16,
+        _mm256_mullo_epi16, _mm256_permute2x128_si256, _mm256_set1_epi16, _mm256_set1_epi32,
+        _mm256_set1_epi64x, _mm256_setr_epi16, _mm256_setr_epi8, _mm256_setzero_si256,
+        _mm256_shuffle_epi8, _mm256_srai_epi16, _mm256_srli_epi64, _mm256_storeu_si256,
+        _mm256_sub_epi32, _mm256_unpackhi_epi64, _mm256_unpacklo_epi64, _mm256_xor_si256,
+        _mm_loadu_si128,
     };
 
-    /// 16 `i16` lanes from an `X1` row segment (16 words).
-    ///
-    /// # Safety
-    ///
-    /// `p` must be readable for 16 `u16`s.
-    #[inline(always)]
-    unsafe fn lanes_x1(p: *const u16) -> __m256i {
-        _mm256_loadu_si256(p.cast::<__m256i>())
+    /// One subword mode's lane expander: 16 sign-extended `i16` lanes from
+    /// one step of a packed row, in natural lane order (the inverse of the
+    /// `pack_lanes` field rule, like the scalar `decode_step`).
+    trait Lanes {
+        /// Bits per lane field.
+        const BITS: u32;
+        /// Words one 16-lane step spans.
+        const WORDS: usize;
+        /// Expands the step starting at `p`.
+        ///
+        /// # Safety
+        ///
+        /// AVX2 must be available and `p` readable for `WORDS` `u16`s.
+        unsafe fn load(p: *const u16) -> __m256i;
     }
 
-    /// 16 `i16` lanes from an `X2` row segment (8 words = 16 byte
-    /// fields), sign-extended.
-    ///
-    /// # Safety
-    ///
-    /// `p` must be readable for 8 `u16`s.
-    #[inline(always)]
-    unsafe fn lanes_x2(p: *const u16) -> __m256i {
-        _mm256_cvtepi8_epi16(_mm_loadu_si128(p.cast::<__m128i>()))
+    /// `X1` lanes: the word is the operand.
+    struct Bits16;
+    /// `X2` lanes: two byte fields per word.
+    struct Bits8;
+    /// `X4` lanes: four nibble fields per word.
+    struct Bits4;
+
+    impl Lanes for Bits16 {
+        const BITS: u32 = 16;
+        const WORDS: usize = 16;
+        #[inline(always)]
+        unsafe fn load(p: *const u16) -> __m256i {
+            _mm256_loadu_si256(p.cast::<__m256i>())
+        }
     }
 
-    /// 16 `i16` lanes from an `X4` row segment (4 words = 16 nibble
-    /// fields): split each byte into its two nibbles (low nibble = even
-    /// lane, matching the little-endian `pack_lanes` layout), sign-extend
-    /// the 4-bit fields via the `(x ^ 8) - 8` identity, then widen.
-    ///
-    /// # Safety
-    ///
-    /// `p` must be readable for 4 `u16`s.
-    #[inline(always)]
-    unsafe fn lanes_x4(p: *const u16) -> __m256i {
-        let v = _mm_loadl_epi64(p.cast::<__m128i>());
-        let nib_mask = _mm_set1_epi8(0x0F);
-        let lo = _mm_and_si128(v, nib_mask);
-        let hi = _mm_and_si128(_mm_srli_epi16::<4>(v), nib_mask);
-        let inter = _mm_unpacklo_epi8(lo, hi);
-        let eight = _mm_set1_epi8(8);
-        let signed = _mm_sub_epi8(_mm_xor_si128(inter, eight), eight);
-        _mm256_cvtepi8_epi16(signed)
+    impl Lanes for Bits8 {
+        const BITS: u32 = 8;
+        const WORDS: usize = 8;
+        #[inline(always)]
+        unsafe fn load(p: *const u16) -> __m256i {
+            _mm256_cvtepi8_epi16(_mm_loadu_si128(p.cast::<__m128i>()))
+        }
     }
 
-    /// Widens 8 `i32` pair sums into 4 `i64` lanes (both 128-bit halves
-    /// summed).
+    impl Lanes for Bits4 {
+        const BITS: u32 = 4;
+        const WORDS: usize = 4;
+        /// Lane `l` is nibble `l % 2` of byte `l / 2`: broadcast the 8
+        /// bytes, move byte `l / 2` into the high byte of `i16` lane `l`,
+        /// shift even lanes' low nibble up to the top (`x16`), and
+        /// sign-extend the top nibble with an arithmetic shift.
+        #[inline(always)]
+        unsafe fn load(p: *const u16) -> __m256i {
+            let bytes = _mm256_set1_epi64x(p.cast::<i64>().read_unaligned());
+            const Z: i8 = -128; // pshufb: zero this byte
+            let spread = _mm256_setr_epi8(
+                Z, 0, Z, 0, Z, 1, Z, 1, Z, 2, Z, 2, Z, 3, Z, 3, //
+                Z, 4, Z, 4, Z, 5, Z, 5, Z, 6, Z, 6, Z, 7, Z, 7,
+            );
+            let high = _mm256_shuffle_epi8(bytes, spread);
+            let up = _mm256_setr_epi16(16, 1, 16, 1, 16, 1, 16, 1, 16, 1, 16, 1, 16, 1, 16, 1);
+            _mm256_srai_epi16::<12>(_mm256_mullo_epi16(high, up))
+        }
+    }
+
+    /// Steps the `i32` pair-sum partials of an `A x B` tile may run before
+    /// they are widened into the `i64` accumulators. A `vpmaddwd` pair sum
+    /// is bounded by `2 * 2^(wa-1) * 2^(wb-1) = 2^(wa+wb-1)`, so
+    /// `2^(30-(wa+wb-1))` steps keep a partial under `2^30`, capped at
+    /// 32768: `X1 x X2` 128, `X1 x X4` 2048, the narrower pairs 32768.
+    /// `X1 x X1` pair sums may already need all 32 bits, so they are
+    /// widened every step.
+    const fn spill_steps(wa: u32, wb: u32) -> usize {
+        let pair_log2 = wa + wb - 1;
+        if pair_log2 >= 30 {
+            1
+        } else if 30 - pair_log2 >= 15 {
+            32768
+        } else {
+            1 << (30 - pair_log2)
+        }
+    }
+
+    /// Widens 8 `i32` partials into 4 `i64` lanes (each the sum of one
+    /// adjacent pair), **biased by `+2^32` per lane**: flipping the sign
+    /// bit maps `x` to the `u32` `x + 2^31`, which zero-extends with a mask
+    /// and a shift. Unlike sign extension (`vpmovsxdq`, a cross-lane
+    /// shuffle) this runs on every vector ALU port, which is what bounds
+    /// the `X1 x X1` tile, whose partials widen every step. The caller
+    /// removes the bias, `4 * 2^32` per call across the four lanes, once
+    /// per output.
     ///
     /// # Safety
     ///
     /// AVX2 only.
     #[inline(always)]
-    unsafe fn widen_pairs(v: __m256i) -> __m256i {
+    unsafe fn widen_biased(v: __m256i) -> __m256i {
+        let x = _mm256_xor_si256(v, _mm256_set1_epi32(i32::MIN));
+        let low = _mm256_and_si256(x, _mm256_set1_epi64x(0xFFFF_FFFF));
+        _mm256_add_epi64(low, _mm256_srli_epi64::<32>(x))
+    }
+
+    /// Horizontal sums of four `i64` vectors, as one vector
+    /// `[Σv0, Σv1, Σv2, Σv3]`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 only.
+    #[inline(always)]
+    unsafe fn hsum4_epi64(v0: __m256i, v1: __m256i, v2: __m256i, v3: __m256i) -> __m256i {
+        // [v0.0+v0.1, v1.0+v1.1, v0.2+v0.3, v1.2+v1.3], likewise v2/v3.
+        let s01 = _mm256_add_epi64(_mm256_unpacklo_epi64(v0, v1), _mm256_unpackhi_epi64(v0, v1));
+        let s23 = _mm256_add_epi64(_mm256_unpacklo_epi64(v2, v3), _mm256_unpackhi_epi64(v2, v3));
         _mm256_add_epi64(
-            _mm256_cvtepi32_epi64(_mm256_castsi256_si128(v)),
-            _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(v)),
+            _mm256_permute2x128_si256::<0x20>(s01, s23),
+            _mm256_permute2x128_si256::<0x31>(s01, s23),
         )
     }
 
-    /// Horizontal sum of 4 `i64` lanes.
+    /// Horizontal sum of 4 `i64` lanes (wrapping: the exact total fits, so
+    /// the order of the partial sums cannot matter).
     ///
     /// # Safety
     ///
@@ -562,7 +626,7 @@ mod avx2 {
     unsafe fn hsum_epi64(v: __m256i) -> i64 {
         let mut lanes = [0i64; 4];
         _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), v);
-        lanes[0].wrapping_add(lanes[1]) + lanes[2] + lanes[3]
+        lanes.iter().fold(0i64, |s, &x| s.wrapping_add(x))
     }
 
     /// Horizontal sum of 8 `i32` lanes (exact in `i64`).
@@ -577,187 +641,256 @@ mod avx2 {
         lanes.iter().map(|&x| i64::from(x)).sum()
     }
 
-    /// Full-width `X1 x X1` dot: one `vpmaddwd` per 16 lanes, every pair
-    /// sum widened to `i64` immediately. Exact whenever at most one
-    /// operand panel contains `i16::MIN` (pair sums then stay inside
-    /// `i32`); the `MIN x MIN` corner goes to [`dot_x1x1_min`].
+    /// The register tile: the exact dots of `R` rows of `a` (row stride
+    /// `sa` words) with `C` rows of `b` (stride `sb`) over `steps` steps.
+    /// Each step expands every lane vector of the tile once and feeds it to
+    /// all the outputs it meets; `vpmaddwd` pair sums accumulate in `i32`
+    /// for [`spill_steps`] steps, are widened into `i64`, and each output
+    /// is reduced horizontally once, at the end (where the widening bias
+    /// comes off).
+    ///
+    /// With `MINFIX` (`X1 x X1` when both panels hold `i16::MIN`) the tile
+    /// also counts the `i32` lanes whose two products were both
+    /// `MIN x MIN`: that pair sum is `+2^31`, which wraps to `-2^31`, so
+    /// each occurrence adds back `2^32`. Exact over the full
+    /// two's-complement range.
     ///
     /// # Safety
     ///
-    /// AVX2 must be available; both pointers readable for `16 * steps`
-    /// `u16`s.
+    /// AVX2 must be available; rows `0..R` of `a` and `0..C` of `b` must be
+    /// readable for `steps` steps of their mode.
     #[target_feature(enable = "avx2")]
-    unsafe fn dot_x1x1(a: *const u16, b: *const u16, steps: usize) -> i64 {
-        let mut acc = _mm256_setzero_si256();
-        for s in 0..steps {
-            let p = _mm256_madd_epi16(lanes_x1(a.add(16 * s)), lanes_x1(b.add(16 * s)));
-            acc = _mm256_add_epi64(acc, widen_pairs(p));
-        }
-        hsum_epi64(acc)
-    }
-
-    /// `X1 x X1` with the explicit cross-term correction: `vpmaddwd`
-    /// wraps in exactly one case — both pairs of a 32-bit lane multiply
-    /// `MIN x MIN`, summing to `+2^31` which wraps to `-2^31` — so the
-    /// kernel counts those lanes (`a == MIN` AND `b == MIN` across both
-    /// 16-bit halves) and adds back `2^32` per occurrence. Exact over the
-    /// full two's-complement range.
-    ///
-    /// # Safety
-    ///
-    /// As [`dot_x1x1`].
-    #[target_feature(enable = "avx2")]
-    unsafe fn dot_x1x1_min(a: *const u16, b: *const u16, steps: usize) -> i64 {
+    unsafe fn tile<A: Lanes, B: Lanes, const R: usize, const C: usize, const MINFIX: bool>(
+        a: *const u16,
+        sa: usize,
+        b: *const u16,
+        sb: usize,
+        steps: usize,
+    ) -> [[i64; C]; R] {
+        let spill = spill_steps(A::BITS, B::BITS);
+        let zero = _mm256_setzero_si256();
         let min = _mm256_set1_epi16(i16::MIN);
-        let all32 = _mm256_set1_epi32(-1);
-        let mut acc = _mm256_setzero_si256();
-        let mut fixes = _mm256_setzero_si256();
-        for s in 0..steps {
-            let va = lanes_x1(a.add(16 * s));
-            let vb = lanes_x1(b.add(16 * s));
-            let p = _mm256_madd_epi16(va, vb);
-            acc = _mm256_add_epi64(acc, widen_pairs(p));
-            // A 32-bit lane overflows iff all four 16-bit operands feeding
-            // it are MIN: both halves of the AND-ed compare masks set.
-            let both_min =
-                _mm256_and_si256(_mm256_cmpeq_epi16(va, min), _mm256_cmpeq_epi16(vb, min));
-            let wrapped = _mm256_cmpeq_epi32(both_min, all32);
-            // Subtracting the all-ones mask increments the per-lane count.
-            fixes = _mm256_add_epi32(fixes, _mm256_and_si256(wrapped, _mm256_set1_epi32(1)));
-        }
-        hsum_epi64(acc) + (hsum_epi32(fixes) << 32)
-    }
-
-    /// Generates a packed dot kernel for one mode pair: `vpmaddwd` pair
-    /// sums accumulate in `i32` for `$spill` steps (sized so the partial
-    /// can never wrap at the pair's operand bounds), then widen into the
-    /// `i64` accumulator.
-    macro_rules! dot_packed_kernel {
-        ($(#[$doc:meta])* $name:ident, $la:ident, $wa:expr, $lb:ident, $wb:expr, $spill:expr) => {
-            $(#[$doc])*
-            /// # Safety
-            ///
-            /// AVX2 must be available; `a`/`b` readable for their mode's
-            /// words across `steps` steps.
-            #[target_feature(enable = "avx2")]
-            unsafe fn $name(a: *const u16, b: *const u16, steps: usize) -> i64 {
-                let mut acc64 = _mm256_setzero_si256();
-                let mut acc32 = _mm256_setzero_si256();
-                let mut pending: u32 = 0;
-                for s in 0..steps {
-                    let p = _mm256_madd_epi16($la(a.add($wa * s)), $lb(b.add($wb * s)));
-                    acc32 = _mm256_add_epi32(acc32, p);
-                    pending += 1;
-                    if pending == $spill {
-                        acc64 = _mm256_add_epi64(acc64, widen_pairs(acc32));
-                        acc32 = _mm256_setzero_si256();
-                        pending = 0;
+        let ones = _mm256_set1_epi32(-1);
+        let mut acc64 = [[zero; C]; R];
+        let mut fixes = [[zero; C]; R];
+        let mut widens = 0usize;
+        let mut s = 0;
+        while s < steps {
+            let end = steps.min(s + spill);
+            let mut acc32 = [[zero; C]; R];
+            for t in s..end {
+                let mut bv = [zero; C];
+                let mut bmin = [zero; C];
+                for (j, (v, vmin)) in bv.iter_mut().zip(&mut bmin).enumerate() {
+                    *v = B::load(b.add(j * sb + t * B::WORDS));
+                    if MINFIX {
+                        *vmin = _mm256_cmpeq_epi16(*v, min);
                     }
                 }
-                acc64 = _mm256_add_epi64(acc64, widen_pairs(acc32));
-                hsum_epi64(acc64)
-            }
-        };
-    }
-
-    dot_packed_kernel!(
-        /// `X1 x X2`: pair sums bounded by `2·2^15·2^7 = 2^23`; 128 steps
-        /// keep the `i32` partial under `2^30`.
-        dot_x1x2, lanes_x1, 16, lanes_x2, 8, 128u32
-    );
-    dot_packed_kernel!(
-        /// `X1 x X4`: pair sums bounded by `2·2^15·2^3 = 2^19`; 2048
-        /// steps keep the `i32` partial under `2^30`.
-        dot_x1x4, lanes_x1, 16, lanes_x4, 4, 2048u32
-    );
-    dot_packed_kernel!(
-        /// `X2 x X2`: pair sums bounded by `2^15`; 32768 steps keep the
-        /// `i32` partial under `2^30`.
-        dot_x2x2, lanes_x2, 8, lanes_x2, 8, 32768u32
-    );
-    dot_packed_kernel!(
-        /// `X2 x X4`: pair sums bounded by `2^11`; 32768 steps keep the
-        /// `i32` partial under `2^27`.
-        dot_x2x4, lanes_x2, 8, lanes_x4, 4, 32768u32
-    );
-    dot_packed_kernel!(
-        /// `X4 x X4`: pair sums bounded by `2^7`; 32768 steps keep the
-        /// `i32` partial under `2^23`.
-        dot_x4x4, lanes_x4, 4, lanes_x4, 4, 32768u32
-    );
-
-    /// Dispatches one packed row dot to the mode pair's kernel. The
-    /// caller has verified AVX2 support.
-    pub(super) fn dot_rows(a: &PackedPanel, ai: usize, b: &PackedPanel, bi: usize) -> i64 {
-        let steps = a.steps();
-        let pa = a.row_words(ai).as_ptr();
-        let pb = b.row_words(bi).as_ptr();
-        use SubwordMode::{X1, X2, X4};
-        // SAFETY: AVX2 was detected by the caller; each row holds exactly
-        // the words its mode consumes over `steps` steps (panel rows are
-        // padded to PACK_STEP_LANES lanes).
-        unsafe {
-            match (a.mode(), b.mode()) {
-                (X1, X1) => {
-                    if a.has_min && b.has_min {
-                        dot_x1x1_min(pa, pb, steps)
+                for (i, (acc_row, fix_row)) in acc32.iter_mut().zip(&mut fixes).enumerate() {
+                    let av = A::load(a.add(i * sa + t * A::WORDS));
+                    let amin = if MINFIX {
+                        _mm256_cmpeq_epi16(av, min)
                     } else {
-                        dot_x1x1(pa, pb, steps)
+                        zero
+                    };
+                    for (j, (acc, fix)) in acc_row.iter_mut().zip(fix_row).enumerate() {
+                        *acc = _mm256_add_epi32(*acc, _mm256_madd_epi16(av, bv[j]));
+                        if MINFIX {
+                            // Both 16-bit halves MIN on both sides: the
+                            // lane wrapped. The all-ones mask is -1, so
+                            // subtracting it counts the lane.
+                            let both = _mm256_and_si256(amin, bmin[j]);
+                            *fix = _mm256_sub_epi32(*fix, _mm256_cmpeq_epi32(both, ones));
+                        }
                     }
                 }
-                (X1, X2) => dot_x1x2(pa, pb, steps),
-                (X2, X1) => dot_x1x2(pb, pa, steps),
-                (X1, X4) => dot_x1x4(pa, pb, steps),
-                (X4, X1) => dot_x1x4(pb, pa, steps),
-                (X2, X2) => dot_x2x2(pa, pb, steps),
-                (X2, X4) => dot_x2x4(pa, pb, steps),
-                (X4, X2) => dot_x2x4(pb, pa, steps),
-                (X4, X4) => dot_x4x4(pa, pb, steps),
+            }
+            for (acc_row, part_row) in acc64.iter_mut().zip(&acc32) {
+                for (acc, &part) in acc_row.iter_mut().zip(part_row) {
+                    *acc = _mm256_add_epi64(*acc, widen_biased(part));
+                }
+            }
+            s = end;
+            widens += 1;
+        }
+        let mut out = [[0i64; C]; R];
+        if C == 2 && R % 2 == 0 {
+            // Two rows of two columns are four consecutive outputs. (`C - 1`
+            // is column 1; spelled so the branch also compiles at `C == 1`.)
+            for (pair, acc) in out.chunks_exact_mut(2).zip(acc64.chunks_exact(2)) {
+                let sums = hsum4_epi64(acc[0][0], acc[0][C - 1], acc[1][0], acc[1][C - 1]);
+                _mm256_storeu_si256(pair.as_mut_ptr().cast::<__m256i>(), sums);
+            }
+        } else {
+            for (out_row, acc_row) in out.iter_mut().zip(&acc64) {
+                for (o, &acc) in out_row.iter_mut().zip(acc_row) {
+                    *o = hsum_epi64(acc);
+                }
+            }
+        }
+        let bias = (widens as i64).wrapping_shl(34);
+        for (out_row, fix_row) in out.iter_mut().zip(&fixes) {
+            for (o, &fix) in out_row.iter_mut().zip(fix_row) {
+                *o = o.wrapping_sub(bias);
+                if MINFIX {
+                    *o = o.wrapping_add(hsum_epi32(fix) << 32);
+                }
+            }
+        }
+        out
+    }
+
+    /// Writes an `R x C` tile into `out` (`n` columns) at `(i0, j0)`.
+    fn store<const R: usize, const C: usize>(
+        out: &mut [i64],
+        n: usize,
+        i0: usize,
+        j0: usize,
+        tile: &[[i64; C]; R],
+    ) {
+        for (r, row) in tile.iter().enumerate() {
+            out[(i0 + r) * n + j0..][..C].copy_from_slice(row);
+        }
+    }
+
+    const _: () = assert!(
+        MR == 4 && NR == 2,
+        "the edge dispatch below spells out 4 x 2"
+    );
+
+    /// The whole multiply on one mode pair: for each [`COL_TILE`] block of
+    /// `bt` rows, every `MR`-row micro-panel of `a` sweeps the block in
+    /// `MR x NR` tiles; ragged edges run the same tile at one row or one
+    /// column.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available; `a`/`bt` agree on `k` and their modes are
+    /// `A`/`B`; `out` is `a.rows() x bt.rows()`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn gemm_tiles<A: Lanes, B: Lanes, const MINFIX: bool>(
+        a: &PackedPanel,
+        bt: &PackedPanel,
+        out: &mut [i64],
+    ) {
+        let (m, n, steps) = (a.rows(), bt.rows(), a.steps());
+        let (sa, sb) = (a.words_per_row(), bt.words_per_row());
+        let (pa, pb) = (a.words.as_ptr(), bt.words.as_ptr());
+        for j0 in (0..n).step_by(COL_TILE) {
+            let j1 = (j0 + COL_TILE).min(n);
+            let mut i0 = 0;
+            while i0 < m {
+                let rows = if m - i0 >= MR { MR } else { 1 };
+                let ta = pa.add(i0 * sa);
+                let mut j = j0;
+                while j < j1 {
+                    let tb = pb.add(j * sb);
+                    macro_rules! run {
+                        ($r:literal, $c:literal) => {
+                            store::<$r, $c>(
+                                out,
+                                n,
+                                i0,
+                                j,
+                                &tile::<A, B, $r, $c, MINFIX>(ta, sa, tb, sb, steps),
+                            )
+                        };
+                    }
+                    let cols = NR.min(j1 - j);
+                    match (rows, cols) {
+                        (MR, NR) => run!(4, 2),
+                        (MR, _) => run!(4, 1),
+                        (_, NR) => run!(1, 2),
+                        _ => run!(1, 1),
+                    }
+                    j += cols;
+                }
+                i0 += rows;
+            }
+        }
+    }
+
+    /// [`gemm_packed`](super::gemm_packed) on the tile kernels, or `false`
+    /// (nothing written) when the host lacks AVX2.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the panels disagree on `k` or `out` is not
+    /// `a.rows() x bt.rows()`.
+    pub(super) fn gemm(a: &PackedPanel, bt: &PackedPanel, out: &mut [i64]) -> bool {
+        if !is_x86_feature_detected!("avx2") {
+            return false;
+        }
+        assert_eq!(a.k(), bt.k(), "panels must agree on k");
+        assert_eq!(out.len(), a.rows() * bt.rows(), "out must be m x n");
+        // SAFETY: AVX2 was detected above. The panels agree on `k`, so both
+        // walk `a.steps()` steps, and every row holds exactly the words its
+        // mode consumes over them (`PackedPanel` pads rows to
+        // PACK_STEP_LANES lanes and keeps `words` at least
+        // `rows * words_per_row` long); the tiles only read rows
+        // `0..rows` of either panel. `out` is m x n, and `store` writes
+        // through bounds-checked slices. The `MIN x MIN` correction runs
+        // only where both `X1` panels can produce it.
+        unsafe {
+            use SubwordMode::{X1, X2, X4};
+            match (a.mode(), bt.mode()) {
+                (X1, X1) if a.has_min && bt.has_min => {
+                    gemm_tiles::<Bits16, Bits16, true>(a, bt, out);
+                }
+                (X1, X1) => gemm_tiles::<Bits16, Bits16, false>(a, bt, out),
+                (X1, X2) => gemm_tiles::<Bits16, Bits8, false>(a, bt, out),
+                (X1, X4) => gemm_tiles::<Bits16, Bits4, false>(a, bt, out),
+                (X2, X1) => gemm_tiles::<Bits8, Bits16, false>(a, bt, out),
+                (X2, X2) => gemm_tiles::<Bits8, Bits8, false>(a, bt, out),
+                (X2, X4) => gemm_tiles::<Bits8, Bits4, false>(a, bt, out),
+                (X4, X1) => gemm_tiles::<Bits4, Bits16, false>(a, bt, out),
+                (X4, X2) => gemm_tiles::<Bits4, Bits8, false>(a, bt, out),
+                (X4, X4) => gemm_tiles::<Bits4, Bits4, false>(a, bt, out),
+            }
+        }
+        true
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::spill_steps;
+
+        /// The `i32` cadences per pair, and that each keeps the worst-case
+        /// partial under `2^31`.
+        #[test]
+        fn spill_cadences_are_the_documented_ones() {
+            let table = [
+                (16, 16, 1),
+                (16, 8, 128),
+                (16, 4, 2048),
+                (8, 8, 32768),
+                (8, 4, 32768),
+                (4, 4, 32768),
+            ];
+            for (wa, wb, steps) in table {
+                assert_eq!(spill_steps(wa, wb), steps, "{wa} x {wb}");
+                assert_eq!(spill_steps(wb, wa), steps, "{wb} x {wa}");
+                if steps > 1 {
+                    assert!((steps as u64) << (wa + wb - 1) <= 1 << 30);
+                }
             }
         }
     }
 }
 
-/// One packed row dot, dispatched to the AVX2 kernels when the host
-/// supports them (run-time check) and the scalar decode loop otherwise.
-/// Both paths compute the identical exact sum.
-fn dot_rows(a: &PackedPanel, ai: usize, b: &PackedPanel, bi: usize) -> i64 {
-    #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") {
-        return avx2::dot_rows(a, ai, b, bi);
-    }
-    dot_rows_scalar_rows(a, ai, b, bi)
-}
-
-/// [`dot_rows_scalar`] behind the panel-level signature [`gemm_packed`]'s
-/// hoisted dispatch shares with the AVX2 path.
-fn dot_rows_scalar_rows(a: &PackedPanel, ai: usize, b: &PackedPanel, bi: usize) -> i64 {
-    dot_rows_scalar(
-        a.row_words(ai),
-        a.mode(),
-        b.row_words(bi),
-        b.mode(),
-        a.steps(),
-    )
-}
-
-/// Exact dot product of row `ai` of `a` with row `bi` of `b` — the
-/// packed mirror of [`dot_i16`], bit-identical to it on the re-expanded
-/// lanes.
+/// Subword-packed GEMM: `out[i][j] = Σ_t a[i][t] * bt[j][t]`, exact in
+/// `i64` — the packed mirror of [`gemm_i16`] (same layout convention,
+/// bit-identical results on the re-expanded lanes).
 ///
-/// # Panics
-///
-/// Panics when the panels disagree on `k` or a row index is out of range.
-#[must_use]
-pub fn dot_packed(a: &PackedPanel, ai: usize, b: &PackedPanel, bi: usize) -> i64 {
-    assert_eq!(a.k(), b.k(), "dot operands must have equal logical length");
-    dot_rows(a, ai, b, bi)
-}
-
-/// Blocked subword-packed GEMM: `out[i][j] = Σ_t a[i][t] * bt[j][t]`,
-/// exact in `i64` — the packed mirror of [`gemm_i16`] (same layout
-/// convention, same [`COL_TILE`] tiling, bit-identical results on the
-/// re-expanded lanes).
+/// On AVX2 hosts the multiply runs as register tiles: each `MR`-row
+/// micro-panel of `a` sweeps a [`COL_TILE`]-row block of `bt` in
+/// [`MR`]` x `[`NR`] tiles, so every weight and activation lane vector is
+/// expanded once per tile and step and feeds `NR` (or `MR`) outputs, and
+/// each output is reduced horizontally once. Edges run the same tile at
+/// one row or one column. Elsewhere the scalar decode loop of
+/// [`dot_packed`] computes the same exact sums, one output at a time; it
+/// is also the oracle the tile kernel is tested against.
 ///
 /// The operand panels may use different [`SubwordMode`]s — a reduced-
 /// precision weight panel (2 or 4 operands per lane word) streams against
@@ -780,32 +913,16 @@ pub fn dot_packed(a: &PackedPanel, ai: usize, b: &PackedPanel, bi: usize) -> i64
 /// `a.rows() * bt.rows()`.
 pub fn gemm_packed(a: &PackedPanel, bt: &PackedPanel, out: &mut [i64]) {
     assert_eq!(a.k(), bt.k(), "panels must agree on k");
-    let (m, n) = (a.rows(), bt.rows());
-    assert_eq!(out.len(), m * n, "out must be m x n");
+    assert_eq!(out.len(), a.rows() * bt.rows(), "out must be m x n");
     if a.k() == 0 {
         out.fill(0);
         return;
     }
-    // Hoist the AVX2 feature probe out of the m x n inner loop: one check
-    // selects the dot implementation for the whole multiply.
     #[cfg(target_arch = "x86_64")]
-    let dot: fn(&PackedPanel, usize, &PackedPanel, usize) -> i64 =
-        if is_x86_feature_detected!("avx2") {
-            avx2::dot_rows
-        } else {
-            dot_rows_scalar_rows
-        };
-    #[cfg(not(target_arch = "x86_64"))]
-    let dot = dot_rows_scalar_rows;
-    for j0 in (0..n).step_by(COL_TILE) {
-        let j1 = (j0 + COL_TILE).min(n);
-        for i in 0..m {
-            let out_row = &mut out[i * n + j0..i * n + j1];
-            for (jj, o) in out_row.iter_mut().enumerate() {
-                *o = dot(a, i, bt, j0 + jj);
-            }
-        }
+    if avx2::gemm(a, bt, out) {
+        return;
     }
+    gemm_packed_scalar(a, bt, out);
 }
 
 #[cfg(test)]
@@ -954,7 +1071,8 @@ mod tests {
         }
     }
 
-    /// Packed dots are bit-identical to [`dot_i16`] on the re-expanded
+    /// Packed dots — the scalar [`dot_packed`] and the dispatched `1 x 1`
+    /// multiply — are bit-identical to [`dot_i16`] on the re-expanded
     /// lanes, for every mode pair (including mixed precision) and ragged
     /// lengths, with the full lane range (MIN included) in play.
     #[test]
@@ -967,38 +1085,46 @@ mod tests {
                     let b = random_lanes(k, mb, seed ^ 0xDEAD);
                     let pa = PackedPanel::pack(&a, 1, k, ma);
                     let pb = PackedPanel::pack(&b, 1, k, mb);
-                    assert_eq!(
-                        dot_packed(&pa, 0, &pb, 0),
-                        dot_i16(&a, &b),
-                        "modes {ma}x{mb} k={k}"
-                    );
+                    let want = dot_i16(&a, &b);
+                    assert_eq!(dot_packed(&pa, 0, &pb, 0), want, "modes {ma}x{mb} k={k}");
+                    assert_eq!(gemm_1x1(&pa, &pb), want, "gemm modes {ma}x{mb} k={k}");
                 }
             }
         }
     }
 
+    /// The dispatched [`gemm_packed`] of two one-row panels (on AVX2 hosts
+    /// the `1 x 1` tile).
+    fn gemm_1x1(a: &PackedPanel, b: &PackedPanel) -> i64 {
+        let mut out = [i64::MIN];
+        gemm_packed(a, b, &mut out);
+        out[0]
+    }
+
     /// The `X1 x X1` cross-term corner: whole rows of `MIN x MIN` force
     /// every `vpmaddwd` pair sum to `+2^31` (which wraps uncorrected).
-    /// The explicit correction must restore the exact sum for any length.
+    /// The explicit correction must restore the exact sum for any length,
+    /// on the dispatched kernel and on the scalar oracle.
     #[test]
     fn packed_x1_min_times_min_is_corrected() {
         for k in [1usize, 8, 16, 17, 160, 2048] {
             let a = vec![i16::MIN; k];
             let pa = PackedPanel::pack(&a, 1, k, SubwordMode::X1);
             assert!(pa.has_min);
+            assert_eq!(gemm_1x1(&pa, &pa), k as i64 * (1i64 << 30), "k={k}");
             assert_eq!(dot_packed(&pa, 0, &pa, 0), k as i64 * (1i64 << 30), "k={k}");
             // Mixed MIN/MAX rows exercise partially-overflowing steps.
             let b: Vec<i16> = (0..k)
                 .map(|t| if t % 3 == 0 { i16::MIN } else { i16::MAX })
                 .collect();
             let pb = PackedPanel::pack(&b, 1, k, SubwordMode::X1);
-            assert_eq!(dot_packed(&pa, 0, &pb, 0), dot_i16(&a, &b), "mixed k={k}");
-            assert_eq!(dot_packed(&pb, 0, &pb, 0), dot_i16(&b, &b), "self k={k}");
+            assert_eq!(gemm_1x1(&pa, &pb), dot_i16(&a, &b), "mixed k={k}");
+            assert_eq!(gemm_1x1(&pb, &pb), dot_i16(&b, &b), "self k={k}");
         }
     }
 
     /// The scalar fallback computes the same exact sums as the dispatched
-    /// path (on AVX2 hosts this pits the intrinsics against the decode
+    /// path (on AVX2 hosts this pits the tile kernel against the decode
     /// loop; elsewhere both sides are the decode loop).
     #[test]
     fn scalar_fallback_agrees_with_dispatch() {
@@ -1009,41 +1135,117 @@ mod tests {
                     let b = random_lanes(k, mb, 77 + k as u64);
                     let pa = PackedPanel::pack(&a, 1, k, ma);
                     let pb = PackedPanel::pack(&b, 1, k, mb);
-                    let scalar =
-                        dot_rows_scalar(pa.row_words(0), ma, pb.row_words(0), mb, pa.steps());
-                    assert_eq!(dot_packed(&pa, 0, &pb, 0), scalar, "{ma}x{mb} k={k}");
+                    assert_eq!(
+                        gemm_1x1(&pa, &pb),
+                        dot_packed(&pa, 0, &pb, 0),
+                        "{ma}x{mb} k={k}"
+                    );
                 }
             }
         }
     }
 
-    /// `gemm_packed` is bit-identical to `gemm_i16` across shapes and
-    /// mode pairs (the NN kernel equivalence net rests on this).
+    /// A random `rows x k` panel of `mode` lanes that holds the mode's most
+    /// negative value exactly when `with_min` is set: then in the first
+    /// two lanes of every row, so two such `X1` panels wrap a `vpmaddwd`
+    /// pair sum in every output and the `MIN x MIN` correction is engaged.
+    fn lanes_with_min(
+        rows: usize,
+        k: usize,
+        mode: SubwordMode,
+        seed: u64,
+        with_min: bool,
+    ) -> Vec<i16> {
+        let min = (-(1i32 << (mode.lane_bits() - 1))) as i16;
+        let mut v: Vec<i16> = random_lanes(rows * k, mode, seed)
+            .into_iter()
+            .map(|x| if x == min { min + 1 } else { x })
+            .collect();
+        if with_min {
+            for row in v.chunks_exact_mut(k.max(1)) {
+                for x in row.iter_mut().take(2) {
+                    *x = min;
+                }
+            }
+        }
+        v
+    }
+
+    /// `gemm_packed` is bit-identical to the naive `i64` reference for
+    /// every mode pair across the tile edges — every `m` up to `2·MR+1`
+    /// and `n` up to `2·NR+1` (whole tiles plus each ragged remainder),
+    /// `k` around the 16-lane step, shapes past a [`COL_TILE`] block and
+    /// with a long `k`, and `has_min` on neither, one or both panels —
+    /// and at the `X1 x X2` / `X1 x X4` `i32` spill boundaries ±1 step,
+    /// with worst-magnitude operands. The scalar decode oracle is pinned
+    /// to the dispatched (on AVX2 hosts, tile) kernel on the same grid.
+    /// The NN kernel equivalence net rests on this.
     #[test]
     fn gemm_packed_matches_gemm_i16_across_shapes_and_modes() {
-        for (s, &(m, k, n)) in [
-            (1usize, 1usize, 1usize),
-            (3, 7, 5),
-            (8, 25, 33),
-            (4, 9, 32),
-            (2, 150, 70),
-        ]
-        .iter()
-        .enumerate()
-        {
-            for &ma in &SubwordMode::ALL {
-                for &mb in &SubwordMode::ALL {
-                    let a = random_lanes(m * k, ma, 7 + s as u64);
-                    let bt = random_lanes(n * k, mb, 70 + s as u64);
-                    let pa = PackedPanel::pack(&a, m, k, ma);
-                    let pbt = PackedPanel::pack(&bt, n, k, mb);
-                    let mut out = vec![i64::MIN; m * n];
-                    gemm_packed(&pa, &pbt, &mut out);
-                    assert_eq!(
-                        out,
-                        naive_gemm(&a, &bt, m, k, n),
-                        "m={m} k={k} n={n} {ma}x{mb}"
-                    );
+        let check = |a: &[i16], bt: &[i16], (m, k, n): (usize, usize, usize), ma, mb| {
+            let pa = PackedPanel::pack(a, m, k, ma);
+            let pbt = PackedPanel::pack(bt, n, k, mb);
+            let mut out = vec![i64::MIN; m * n]; // poisoned: must be overwritten
+            gemm_packed(&pa, &pbt, &mut out);
+            assert_eq!(
+                out,
+                naive_gemm(a, bt, m, k, n),
+                "m={m} k={k} n={n} {ma}x{mb} min={}/{}",
+                pa.has_min,
+                pbt.has_min
+            );
+            let mut scalar = vec![i64::MIN; m * n];
+            gemm_packed_scalar(&pa, &pbt, &mut scalar);
+            assert_eq!(out, scalar, "scalar oracle m={m} k={k} n={n} {ma}x{mb}");
+        };
+        let mut shapes = Vec::new();
+        for m in 1..=2 * MR + 1 {
+            for n in 1..=2 * NR + 1 {
+                for k in [0usize, 1, 15, 16, 17, 33] {
+                    shapes.push((m, k, n));
+                }
+            }
+        }
+        shapes.extend([
+            (8, 25, 33),  // n spills one past a COL_TILE block
+            (4, 9, 32),   // n exactly one block
+            (2, 150, 70), // two block boundaries, k longer than any unroll
+        ]);
+        for &ma in &SubwordMode::ALL {
+            for &mb in &SubwordMode::ALL {
+                for &(m, k, n) in &shapes {
+                    for mins in 0..4u64 {
+                        let seed = ((m * 128 + n) * 256 + k) as u64 * 4 + mins;
+                        let a = lanes_with_min(m, k, ma, seed, mins & 1 != 0);
+                        let bt = lanes_with_min(n, k, mb, seed ^ 0xB7, mins & 2 != 0);
+                        check(&a, &bt, (m, k, n), ma, mb);
+                    }
+                }
+            }
+        }
+        // The spill boundaries: 128 (X1 x X2) and 2048 (X1 x X4) steps of
+        // MIN x MIN products push every i32 partial to exactly 2^30.
+        for (wide, narrow, spill) in [
+            (SubwordMode::X1, SubwordMode::X2, 128usize),
+            (SubwordMode::X1, SubwordMode::X4, 2048),
+        ] {
+            for steps in [spill - 1, spill, spill + 1] {
+                let k = steps * PACK_STEP_LANES;
+                let (m, n) = (MR + 1, NR + 1);
+                let lo = |mode: SubwordMode| (-(1i32 << (mode.lane_bits() - 1))) as i16;
+                for extreme in [true, false] {
+                    let a = if extreme {
+                        vec![lo(wide); m * k]
+                    } else {
+                        random_lanes(m * k, wide, 5)
+                    };
+                    let bt = if extreme {
+                        vec![lo(narrow); n * k]
+                    } else {
+                        random_lanes(n * k, narrow, 6)
+                    };
+                    check(&a, &bt, (m, k, n), wide, narrow);
+                    check(&bt, &a, (n, k, m), narrow, wide);
                 }
             }
         }
@@ -1090,10 +1292,14 @@ mod tests {
         }
     }
 
-    /// `begin_fill_x1` + caller stores + `finish_fill_x1` must build a
-    /// panel indistinguishable from `pack` at `X1` — words, geometry and
-    /// the `has_min` flag — including a ragged `k` (padding words stay
-    /// zero) and the `i16::MIN` corner that picks the correcting kernel.
+    /// `begin_fill` + caller stores + `finish_fill` must build a panel
+    /// indistinguishable from `pack` — words, geometry and the `has_min`
+    /// flag — including a ragged `k` and the most-negative-lane corner
+    /// that picks the correcting kernel. `begin_fill` hands back the
+    /// previous fill's words, so the caller writes every word of every
+    /// row, zero padding lanes and words included: the buffer is dirtied
+    /// first (by a larger fill, leaving a stale tail too) so a missed word
+    /// would show.
     #[test]
     fn direct_fill_matches_pack() {
         for mode in [SubwordMode::X1, SubwordMode::X2, SubwordMode::X4] {
@@ -1105,21 +1311,22 @@ mod tests {
                 }
                 let reference = PackedPanel::pack(&values, rows, k, mode);
                 let mut direct = PackedPanel::default();
-                // Dirty the buffer so the test proves begin_fill hands
-                // back a zeroed buffer rather than leftovers.
-                direct.repack(&vec![1i16; rows * k], rows, k, mode);
+                let (dirty, _) = direct.begin_fill(rows + 3, k + 40, mode);
+                dirty.fill(0xA5A5);
+                direct.finish_fill(true);
                 let (words, stride) = direct.begin_fill(rows, k, mode);
-                // Merge operand fields; zeros, padding lanes and padding
-                // words stay at the pre-zeroed state.
                 let lanes = mode.lanes();
                 let wbits = mode.lane_bits();
                 let mask = ((1u32 << wbits) - 1) as u16;
                 let mut has_min = false;
                 for (r, row) in values.chunks_exact(k).enumerate() {
-                    for (t, &v) in row.iter().enumerate() {
-                        has_min |= v == min;
-                        words[r * stride + t / lanes] |=
-                            ((v as u16) & mask) << ((t % lanes) as u16 * wbits as u16);
+                    for (w, word) in words[r * stride..(r + 1) * stride].iter_mut().enumerate() {
+                        *word = 0;
+                        for l in 0..lanes {
+                            let v = row.get(w * lanes + l).copied().unwrap_or(0);
+                            has_min |= v == min;
+                            *word |= ((v as u16) & mask) << (l as u16 * wbits as u16);
+                        }
                     }
                 }
                 direct.finish_fill(has_min);
@@ -1130,6 +1337,11 @@ mod tests {
                 // And it dots identically (exercises the padded tail lanes).
                 let other =
                     PackedPanel::pack(&random_lanes(k, SubwordMode::X2, 7), 1, k, SubwordMode::X2);
+                let mut got = vec![0i64; rows];
+                let mut want = vec![0i64; rows];
+                gemm_packed(&direct, &other, &mut got);
+                gemm_packed(&reference, &other, &mut want);
+                assert_eq!(got, want);
                 for r in 0..rows {
                     assert_eq!(
                         dot_packed(&direct, r, &other, 0),
