@@ -17,7 +17,8 @@ set -eu
 BIN="${DVAFS_BIN:-target/release/dvafs}"
 REQUESTS="ci/serve_requests.jsonl"
 # seq 2 is the table1 run (panics in the worker), seq 4 the lenet5
-# predict (its request line arrives oversized). seq 5 is the shutdown —
+# predict (its request line arrives oversized). seq 5 is the 40-sample
+# vgg16 predict, whose chunks idle workers share, and seq 6 the shutdown —
 # it must still drain and reply with the full served count either way.
 PLAN="panic@2,oversize@4"
 BUDGET="$(awk '$1 == "serve_chaos" { print $2 }' ci/scenario_budgets.txt)"

@@ -4,7 +4,10 @@
 # persistent multi-worker server session and require every served scenario
 # rendering to be byte-identical to the file `dvafs run --format json --out`
 # writes for the same scenario — the serve determinism contract, checked at
-# the shipped-binary level rather than in-process. Wall time is gated by the
+# the shipped-binary level rather than in-process. The same batch is served
+# once more at --threads 1, and its predict replies (the 40-sample vgg16
+# one spans three sample chunks that idle workers share) must be
+# byte-identical to the multi-worker session's. Wall time is gated by the
 # `serve` line in ci/scenario_budgets.txt (generous by design: it catches
 # order-of-magnitude regressions, not scheduler noise).
 set -eu
@@ -38,6 +41,23 @@ fi
 bad=$(jq -r 'select(.ok != true) | .id' "$tmp/replies.jsonl")
 if [ -n "$bad" ]; then
   echo "serve: reply id(s) $bad reported ok=false" >&2
+  fail=1
+fi
+
+# Predict replies do not depend on the worker count: the serial session's
+# lines are the multi-worker session's, byte for byte.
+"$BIN" serve --threads 1 --queue 4 < "$REQUESTS" > "$tmp/serial.jsonl"
+grep '"op":"predict"' "$tmp/replies.jsonl" > "$tmp/predict_threads3.jsonl" || true
+grep '"op":"predict"' "$tmp/serial.jsonl" > "$tmp/predict_threads1.jsonl" || true
+predicts=$(grep -c '"op":"predict"' "$REQUESTS")
+if [ "$(wc -l < "$tmp/predict_threads3.jsonl")" -ne "$predicts" ]; then
+  echo "serve: expected $predicts predict replies" >&2
+  fail=1
+elif cmp -s "$tmp/predict_threads1.jsonl" "$tmp/predict_threads3.jsonl"; then
+  echo "serve: predict replies identical at --threads 1 and 3"
+else
+  echo "serve: predict replies DIFFER between --threads 1 and 3" >&2
+  diff "$tmp/predict_threads1.jsonl" "$tmp/predict_threads3.jsonl" >&2 || true
   fail=1
 fi
 

@@ -38,10 +38,21 @@
 //! reader produces requests, the worker pool executes them concurrently
 //! (`--threads`), and replies are written back **in request order** with
 //! at most `--queue` requests in flight (bounded-queue backpressure — a
-//! slow client stalls the reader, not memory). Because every handler is a
-//! pure function of its request, the reply stream is byte-identical for
-//! any worker count: serving is just another execution strategy, like the
-//! bitsliced engine or the packed kernel, and moves no number. The one
+//! slow client stalls the reader, not memory).
+//!
+//! A `predict` is split into chunks of the network's batch size (16
+//! samples) through its request's [`TaskHandle`]: the worker that took
+//! the request runs chunks, and so does every worker that has finished
+//! its own request, before it starts a new one. Spare cores thus go to
+//! the predict at the head of the reply stream, whose reply the requests
+//! behind it would wait for anyway. Each chunk synthesizes only its own
+//! inputs, the chunks are the batches [`Network::predict_all`] walks, and
+//! the predictions merge in chunk order, so no reply byte changes.
+//!
+//! Because every handler is a pure function of its request, the reply
+//! stream is byte-identical for any worker count: serving is just another
+//! execution strategy, like the bitsliced engine or the packed kernel,
+//! and moves no number. The one
 //! deliberate exclusion is `bench_sweep`, whose output is wall-clock
 //! measurement: it is rejected with an error reply rather than allowed to
 //! break the guarantee.
@@ -85,10 +96,10 @@
 use crate::faultplan::{FaultKind, FaultPlan};
 use crate::report::json::{self, JsonValue};
 use crate::scenario::{self, Format, ScenarioCtx};
-use dvafs_executor::{Executor, PanicPolicy};
+use dvafs_executor::{Executor, PanicPolicy, TaskHandle};
 use dvafs_nn::models::ModelSpec;
 use dvafs_nn::network::QuantConfig;
-use dvafs_nn::Network;
+use dvafs_nn::{Network, NnError};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
@@ -416,8 +427,9 @@ fn error_reply(id: u64, message: &str) -> String {
     )
 }
 
-/// Executes one parsed request and renders its one-line reply.
-fn execute_request(env: &Envelope, state: &ServeState) -> (String, bool) {
+/// Executes one parsed request and renders its one-line reply; `handle`
+/// lets a `predict` share its sample chunks with idle workers.
+fn execute_request(env: &Envelope, state: &ServeState, handle: &TaskHandle<'_>) -> (String, bool) {
     let id = env.id;
     let request = match &env.parsed {
         Ok(r) => r,
@@ -507,8 +519,8 @@ fn execute_request(env: &Envelope, state: &ServeState) -> (String, bool) {
             if let Err(e) = net.warm_weights(&config) {
                 return (error_reply(id, &e.to_string()), false);
             }
-            let data = spec.dataset(*samples, *data_seed);
-            match net.predict_all(&data, &config) {
+            let name = spec.name();
+            match predict_shared(handle, spec, net, config, *samples, *data_seed) {
                 Ok(preds) => {
                     let rendered: Vec<String> = preds.iter().map(ToString::to_string).collect();
                     (
@@ -517,7 +529,7 @@ fn execute_request(env: &Envelope, state: &ServeState) -> (String, bool) {
                              \"model\":\"{}\",\"samples\":{samples},\
                              \"wbits\":{wbits},\"abits\":{abits},\
                              \"predictions\":[{}]}}",
-                            json::escape(spec.name()),
+                            json::escape(name),
                             rendered.join(",")
                         ),
                         false,
@@ -527,6 +539,33 @@ fn execute_request(env: &Envelope, state: &ServeState) -> (String, bool) {
             }
         }
     }
+}
+
+/// `predict_all` over `spec.dataset(samples, data_seed)`, as one
+/// [`TaskHandle::map_indexed`] over `net.batch_size()`-sample chunks that
+/// idle workers share: each chunk synthesizes only its own inputs and
+/// runs on its worker's thread-local scratch. The chunks are the batches
+/// `predict_all` walks, so the predictions are its predictions, and the
+/// first failing chunk's error is the one it would return.
+fn predict_shared(
+    handle: &TaskHandle<'_>,
+    spec: ModelSpec,
+    net: Arc<Network>,
+    config: QuantConfig,
+    samples: usize,
+    data_seed: u64,
+) -> Result<Vec<usize>, NnError> {
+    let chunk = net.batch_size();
+    let per_chunk = handle.map_indexed(samples.div_ceil(chunk), move |c| {
+        let start = c * chunk;
+        let data = spec.dataset_range(start..samples.min(start + chunk), data_seed);
+        net.predict_all(&data, &config)
+    });
+    let mut preds = Vec::with_capacity(samples);
+    for chunk in per_chunk {
+        preds.extend(chunk?);
+    }
+    Ok(preds)
 }
 
 /// One bounded line read off the wire.
@@ -706,7 +745,8 @@ impl<R: BufRead> Iterator for RequestIter<'_, R> {
 /// Determinism contract: the written reply bytes are a pure function of
 /// the request bytes — independent of `opts.threads`, `opts.queue`, and
 /// scheduling — because replies are consumed in request order off
-/// [`Executor::pipeline_ordered`] and every handler is deterministic.
+/// [`Executor::pipeline_ordered_policy`], a predict's shared chunks merge
+/// in chunk order, and every handler is deterministic.
 ///
 /// # Errors
 ///
@@ -745,14 +785,14 @@ where
         PanicPolicy::Isolate,
         opts.queue,
         requests,
-        |seq, env| {
+        |seq, env, handle| {
             let started = Instant::now();
             match plan.and_then(|p| p.fault(seq)) {
                 Some(FaultKind::Panic) => panic!("injected fault: panic at request {seq}"),
                 Some(FaultKind::Delay(ms)) => std::thread::sleep(Duration::from_millis(ms)),
                 _ => {}
             }
-            let (reply, is_shutdown) = execute_request(&env, state);
+            let (reply, is_shutdown) = execute_request(&env, state, handle);
             if let Some(deadline) = opts.deadline_ms {
                 // Checked around the expensive ops only; the result of an
                 // overrunning request is discarded *after* it completed,
@@ -939,7 +979,8 @@ mod tests {
 
     #[test]
     fn predict_replies_match_in_process_inference_and_cache_models() {
-        let req = "{\"op\":\"predict\",\"model\":\"lenet5\",\"samples\":4,\
+        // 40 samples: three shared chunks (16 + 16 + 8).
+        let req = "{\"op\":\"predict\",\"model\":\"lenet5\",\"samples\":40,\
                    \"wbits\":6,\"abits\":8}\n";
         let state = ServeState::new();
         let mut out = Vec::new();
@@ -960,19 +1001,42 @@ mod tests {
         );
         // One model served both requests.
         assert_eq!(state.cached_models(), 1);
-        // And the predictions are exactly predict_all's.
+        // And the predictions are exactly predict_all's over the whole
+        // dataset.
         let spec = ModelSpec::resolve("lenet5", None, None, 1).unwrap();
         let config = QuantConfig::uniform(spec.build().layer_count(), 6, 8);
         let expected = spec
             .build()
-            .predict_all(&spec.dataset(4, 2), &config)
+            .predict_all(&spec.dataset(40, 2), &config)
             .unwrap();
+        assert_eq!(expected.len(), 40);
         let rendered: Vec<String> = expected.iter().map(ToString::to_string).collect();
         assert!(
             lines[0].contains(&format!("\"predictions\":[{}]", rendered.join(","))),
             "{}",
             lines[0]
         );
+    }
+
+    /// Geometry beyond the paper's networks would abort the process on
+    /// allocation, which `PanicPolicy::Isolate` cannot contain, so it is
+    /// an error reply and the session answers the next request.
+    #[test]
+    fn oversized_model_geometry_is_rejected_and_the_session_continues() {
+        let input = "{\"op\":\"predict\",\"model\":\"alexnet\",\"input\":200000}\n\
+                     {\"op\":\"predict\",\"model\":\"vgg16\",\"scale\":100000}\n\
+                     {\"op\":\"predict\",\"samples\":2}\n";
+        let (out, outcome) = serve_bytes(input, 2, 4);
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 3, "{out}");
+        for (line, head, detail) in [
+            (lines[0], "{\"id\":0,\"ok\":false,", "at most 227x227"),
+            (lines[1], "{\"id\":1,\"ok\":false,", "at most 1"),
+            (lines[2], "{\"id\":2,\"ok\":true,", "\"predictions\":["),
+        ] {
+            assert!(line.starts_with(head) && line.contains(detail), "{line}");
+        }
+        assert_eq!(outcome.served, 3);
     }
 
     #[test]
@@ -1157,21 +1221,24 @@ mod tests {
 
     #[test]
     fn reply_stream_is_identical_across_worker_counts() {
+        // The 40- and 33-sample predicts are 3 shared chunks each.
         let input = "{\"op\":\"ping\"}\n\
                      {\"op\":\"predict\",\"samples\":3,\"wbits\":5,\"abits\":7}\n\
+                     {\"op\":\"predict\",\"samples\":40,\"wbits\":4,\"abits\":6}\n\
                      {\"op\":\"list\"}\n\
                      bad\n\
+                     {\"op\":\"predict\",\"samples\":33,\"data_seed\":9}\n\
                      {\"op\":\"predict\",\"samples\":2}\n\
                      {\"op\":\"shutdown\"}\n";
         let (baseline, _) = serve_bytes(input, 1, 1);
-        for (threads, queue) in [(2, 1), (3, 2), (4, 8), (8, 3)] {
+        for (threads, queue) in [(2, 1), (3, 2), (4, 8), (5, 4), (6, 6), (7, 2), (8, 3)] {
             let (out, outcome) = serve_bytes(input, threads, queue);
             assert_eq!(
                 out, baseline,
                 "replies diverged at {threads} threads / queue {queue}"
             );
             assert!(outcome.shutdown);
-            assert_eq!(outcome.served, 6);
+            assert_eq!(outcome.served, 8);
         }
     }
 }

@@ -24,6 +24,13 @@
 //! is scoped: workers borrow the caller's data and are joined before
 //! `par_map_indexed` returns, so no `'static` bounds leak into sweep code.
 //!
+//! The streaming [`Executor::pipeline_ordered_policy`] behind `dvafs
+//! serve` adds one kind of sharing: a task can split itself into an
+//! indexed map ([`TaskHandle::map_indexed`]) that idle workers of the
+//! same pipeline run beside it, merged in index order like every other
+//! map here. Helpers hold such a job by `Arc`, so it is `'static` and
+//! borrows nothing from the owning task.
+//!
 //! There is deliberately no dependency on `rayon` (the build is offline;
 //! see `vendor/`): `std::thread::scope` plus an atomic cursor is all the
 //! machinery the workspace needs.
@@ -41,8 +48,10 @@
 
 #![warn(missing_docs)]
 
+use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Environment variable overriding the default worker count.
 pub const THREADS_ENV: &str = "DVAFS_THREADS";
@@ -318,7 +327,7 @@ impl Executor {
     ///   (capacity is clamped to ≥ 1), so a slow consumer bounds memory
     ///   and a blocking iterator (a socket) never races ahead.
     /// * **Liveness.** The iterator is only ever pulled *outside* the
-    ///   internal locks, so an iterator that blocks on I/O stalls neither
+    ///   internal lock, so an iterator that blocks on I/O stalls neither
     ///   workers nor the consumer of already-claimed items.
     ///
     /// `consume` runs on the calling thread. Returns the number of items
@@ -342,23 +351,34 @@ impl Executor {
         F: Fn(usize, T) -> R + Sync,
         C: FnMut(usize, R),
     {
-        self.pipeline_ordered_policy(PanicPolicy::Propagate, capacity, items, f, |i, r| {
-            match r {
+        self.pipeline_ordered_policy(
+            PanicPolicy::Propagate,
+            capacity,
+            items,
+            |i, t, _| f(i, t),
+            |i, r| match r {
                 Ok(r) => consume(i, r),
                 // Propagate never delivers Err: the task panic resumed on
                 // the caller before the consumer could see this item.
                 Err(p) => unreachable!("contained panic under Propagate: {p}"),
-            }
-        })
+            },
+        )
     }
 
     /// [`pipeline_ordered`](Self::pipeline_ordered) with an explicit
-    /// [`PanicPolicy`]: `consume` receives `Result<R, TaskPanic>` so that
-    /// under [`PanicPolicy::Isolate`] a panicking task becomes an ordered,
-    /// per-item `Err` instead of tearing down the pipeline — the fault
-    /// containment `dvafs serve` is built on. Under
-    /// [`PanicPolicy::Propagate`] the `Err` arm is never entered and the
-    /// behavior is exactly `pipeline_ordered`.
+    /// [`PanicPolicy`] and a [`TaskHandle`] per task: `consume` receives
+    /// `Result<R, TaskPanic>` so that under [`PanicPolicy::Isolate`] a
+    /// panicking task becomes an ordered, per-item `Err` instead of
+    /// tearing down the pipeline — the fault containment `dvafs serve` is
+    /// built on. Under [`PanicPolicy::Propagate`] the `Err` arm is never
+    /// entered and the behavior is exactly `pipeline_ordered`.
+    ///
+    /// `f` gets its item's [`TaskHandle`], whose
+    /// [`map_indexed`](TaskHandle::map_indexed) splits the task into
+    /// indexed jobs that idle workers of this pipeline run beside it.
+    /// Workers take such help jobs before new items, lowest item first, so
+    /// spare threads go to the task at the head of the ordered stream
+    /// instead of to items whose results would wait behind it.
     ///
     /// All three `pipeline_ordered` properties (order, backpressure,
     /// liveness) hold unchanged; under `Isolate` a faulted item occupies
@@ -382,21 +402,25 @@ impl Executor {
         T: Send,
         R: Send,
         I: Iterator<Item = T> + Send,
-        F: Fn(usize, T) -> R + Sync,
+        F: Fn(usize, T, &TaskHandle<'_>) -> R + Sync,
         C: FnMut(usize, Result<R, TaskPanic>),
     {
         let capacity = capacity.max(1);
+        let contain = |seq: usize, p: Box<dyn std::any::Any + Send>| TaskPanic {
+            seq,
+            message: panic_message(p.as_ref()),
+        };
         if self.threads == 1 {
             let mut n = 0usize;
             for item in items {
+                let handle = TaskHandle {
+                    seq: n,
+                    queue: None,
+                };
                 let result = match policy {
-                    PanicPolicy::Propagate => Ok(f(n, item)),
-                    PanicPolicy::Isolate => {
-                        catch_unwind(AssertUnwindSafe(|| f(n, item))).map_err(|p| TaskPanic {
-                            seq: n,
-                            message: panic_message(p.as_ref()),
-                        })
-                    }
+                    PanicPolicy::Propagate => Ok(f(n, item, &handle)),
+                    PanicPolicy::Isolate => catch_unwind(AssertUnwindSafe(|| f(n, item, &handle)))
+                        .map_err(|p| contain(n, p)),
                 };
                 consume(n, result);
                 n += 1;
@@ -404,97 +428,106 @@ impl Executor {
             return n;
         }
 
-        struct PipeState<R> {
-            ready: std::collections::BTreeMap<usize, Result<R, TaskPanic>>,
-            consumed: usize,
-            total: Option<usize>,
-            panic: Option<Box<dyn std::any::Any + Send>>,
-        }
-        let state = std::sync::Mutex::new(PipeState::<R> {
-            ready: std::collections::BTreeMap::new(),
-            consumed: 0,
-            total: None,
-            panic: None,
-        });
-        let ready_cv = std::sync::Condvar::new(); // consumer waits here
-        let space_cv = std::sync::Condvar::new(); // producer waits here
-        let poisoned = std::sync::atomic::AtomicUsize::new(0);
-        let (tx, rx) = std::sync::mpsc::channel::<(usize, T)>();
-        let rx = std::sync::Mutex::new(rx);
+        let pipe = Pipe {
+            state: Mutex::new(PipeState {
+                items: VecDeque::new(),
+                jobs: BTreeMap::new(),
+                running: 0,
+                ready: BTreeMap::new(),
+                consumed: 0,
+                total: None,
+                panic: None,
+            }),
+            work: Condvar::new(),
+            ready: Condvar::new(),
+            space: Condvar::new(),
+        };
 
         let mut processed = 0usize;
         std::thread::scope(|scope| {
-            // Producer: pull the iterator outside every lock, gated on
+            // Producer: pull the iterator outside the lock, gated on
             // `seq < consumed + capacity`.
             scope.spawn(|| {
                 let mut items = items;
                 let mut seq = 0usize;
                 loop {
                     {
-                        let mut st = state.lock().expect("pipeline state lock");
-                        while poisoned.load(Ordering::Relaxed) == 0 && seq >= st.consumed + capacity
-                        {
-                            st = space_cv.wait(st).expect("pipeline state lock");
+                        let mut st = pipe.lock();
+                        while st.panic.is_none() && seq >= st.consumed + capacity {
+                            st = pipe.space.wait(st).expect("pipeline state lock");
+                        }
+                        if st.panic.is_some() {
+                            break;
                         }
                     }
-                    if poisoned.load(Ordering::Relaxed) != 0 {
-                        break;
-                    }
-                    match items.next() {
-                        Some(item) => {
-                            if tx.send((seq, item)).is_err() {
-                                break;
-                            }
-                            seq += 1;
-                        }
-                        None => break,
-                    }
+                    let Some(item) = items.next() else { break };
+                    pipe.lock().items.push_back((seq, item));
+                    pipe.work.notify_all();
+                    seq += 1;
                 }
-                let mut st = state.lock().expect("pipeline state lock");
-                st.total = Some(seq);
-                ready_cv.notify_all();
-                drop(st);
-                drop(tx);
+                pipe.lock().total = Some(seq);
+                pipe.ready.notify_all();
+                pipe.work.notify_all();
             });
 
-            // Workers: claim `(seq, item)` pairs, push results into the
-            // reorder buffer.
+            // Workers: help the lowest published task, else claim the next
+            // item; leave once the producer is done and no task runs.
             for _ in 0..self.threads {
                 scope.spawn(|| loop {
                     let claimed = {
-                        let guard = rx.lock().expect("pipeline claim lock");
-                        guard.recv()
+                        let mut st = pipe.lock();
+                        loop {
+                            if let Some((job, i)) = st.next_help() {
+                                break Claim::Help(job, i);
+                            }
+                            if let Some((seq, item)) = st.items.pop_front() {
+                                if st.panic.is_some() {
+                                    continue; // drain without executing
+                                }
+                                st.running += 1;
+                                break Claim::Item(seq, item);
+                            }
+                            if st.total.is_some() && st.running == 0 {
+                                break Claim::Done;
+                            }
+                            st = pipe.work.wait(st).expect("pipeline state lock");
+                        }
                     };
-                    let Ok((seq, item)) = claimed else { break };
-                    if poisoned.load(Ordering::Relaxed) != 0 {
-                        continue; // drain without executing
-                    }
-                    let result = catch_unwind(AssertUnwindSafe(|| f(seq, item)));
-                    let mut st = state.lock().expect("pipeline state lock");
+                    let (seq, item) = match claimed {
+                        Claim::Help(job, i) => {
+                            job.run(i);
+                            continue;
+                        }
+                        Claim::Item(seq, item) => (seq, item),
+                        Claim::Done => break,
+                    };
+                    let handle = TaskHandle {
+                        seq,
+                        queue: Some(&pipe),
+                    };
+                    let result = catch_unwind(AssertUnwindSafe(|| f(seq, item, &handle)));
+                    let mut st = pipe.lock();
+                    st.running -= 1;
                     match result {
                         Ok(r) => {
                             st.ready.insert(seq, Ok(r));
                         }
                         Err(p) => match policy {
                             PanicPolicy::Propagate => {
-                                poisoned.store(1, Ordering::Relaxed);
-                                if st.panic.is_none() {
-                                    st.panic = Some(p);
-                                }
+                                st.panic.get_or_insert(p);
+                                pipe.space.notify_all();
                             }
                             PanicPolicy::Isolate => {
-                                st.ready.insert(
-                                    seq,
-                                    Err(TaskPanic {
-                                        seq,
-                                        message: panic_message(p.as_ref()),
-                                    }),
-                                );
+                                st.ready.insert(seq, Err(contain(seq, p)));
                             }
                         },
                     }
-                    ready_cv.notify_all();
-                    space_cv.notify_all();
+                    let idle = st.running == 0 && st.total.is_some();
+                    drop(st);
+                    pipe.ready.notify_all();
+                    if idle {
+                        pipe.work.notify_all();
+                    }
                 });
             }
 
@@ -502,30 +535,27 @@ impl Executor {
             let mut next = 0usize;
             loop {
                 let result = {
-                    let mut st = state.lock().expect("pipeline state lock");
+                    let mut st = pipe.lock();
                     loop {
-                        if poisoned.load(Ordering::Relaxed) != 0 {
+                        if st.panic.is_some() {
                             break None;
                         }
                         if let Some(r) = st.ready.remove(&next) {
                             st.consumed += 1;
-                            space_cv.notify_all();
                             break Some(r);
                         }
                         if st.total == Some(next) {
                             break None;
                         }
-                        st = ready_cv.wait(st).expect("pipeline state lock");
+                        st = pipe.ready.wait(st).expect("pipeline state lock");
                     }
                 };
                 let Some(r) = result else { break };
+                pipe.space.notify_all();
                 if let Err(p) = catch_unwind(AssertUnwindSafe(|| consume(next, r))) {
-                    let mut st = state.lock().expect("pipeline state lock");
-                    poisoned.store(1, Ordering::Relaxed);
-                    if st.panic.is_none() {
-                        st.panic = Some(p);
-                    }
-                    space_cv.notify_all();
+                    pipe.lock().panic.get_or_insert(p);
+                    pipe.space.notify_all();
+                    pipe.work.notify_all();
                     break;
                 }
                 next += 1;
@@ -533,11 +563,209 @@ impl Executor {
             processed = next;
         });
 
-        let panic = state.lock().expect("pipeline state lock").panic.take();
+        let panic = pipe.lock().panic.take();
         if let Some(p) = panic {
             resume_unwind(p);
         }
         processed
+    }
+}
+
+/// What a pipeline worker took off the shared queue.
+enum Claim<T> {
+    /// One index of a published help job.
+    Help(Arc<dyn Job>, usize),
+    /// A new item and its sequence number.
+    Item(usize, T),
+    /// The stream is finished and no task is running.
+    Done,
+}
+
+/// The one queue of [`Executor::pipeline_ordered_policy`]: produced items,
+/// published help jobs and the reorder buffer share a lock, with one
+/// condition variable per kind of waiter.
+struct Pipe<T, R> {
+    state: Mutex<PipeState<T, R>>,
+    /// Workers wait here for an item, a help job or the end of the stream.
+    work: Condvar,
+    /// The consumer waits here for the next result in order.
+    ready: Condvar,
+    /// The producer waits here for a consumed slot.
+    space: Condvar,
+}
+
+struct PipeState<T, R> {
+    /// Pulled but unclaimed items, in sequence order.
+    items: VecDeque<(usize, T)>,
+    /// Help jobs with indices possibly left, keyed by the owning item.
+    jobs: BTreeMap<usize, Arc<dyn Job>>,
+    /// Items claimed by a worker and not yet finished.
+    running: usize,
+    /// Finished results waiting for the consumer.
+    ready: BTreeMap<usize, Result<R, TaskPanic>>,
+    /// Results handed to the consumer so far.
+    consumed: usize,
+    /// The item count, once the producer is done.
+    total: Option<usize>,
+    /// The panic that tears the pipeline down (a consumer panic, or a
+    /// task panic under `Propagate`).
+    panic: Option<Box<dyn std::any::Any + Send>>,
+}
+
+impl<T, R> Pipe<T, R> {
+    fn lock(&self) -> MutexGuard<'_, PipeState<T, R>> {
+        self.state.lock().expect("pipeline state lock")
+    }
+}
+
+impl<T, R> PipeState<T, R> {
+    /// Claims an index of the lowest-item help job that has one left,
+    /// dropping jobs whose indices are all claimed.
+    fn next_help(&mut self) -> Option<(Arc<dyn Job>, usize)> {
+        while let Some(entry) = self.jobs.first_entry() {
+            if let Some(i) = entry.get().claim() {
+                return Some((Arc::clone(entry.get()), i));
+            }
+            entry.remove();
+        }
+        None
+    }
+}
+
+/// Where a [`TaskHandle`] publishes its help jobs.
+trait JobQueue: Sync {
+    /// Offers `job` to idle workers on behalf of item `seq`.
+    fn publish(&self, seq: usize, job: Arc<dyn Job>);
+    /// Withdraws item `seq`'s job once the owner has claimed every index.
+    fn retract(&self, seq: usize);
+}
+
+impl<T: Send, R: Send> JobQueue for Pipe<T, R> {
+    fn publish(&self, seq: usize, job: Arc<dyn Job>) {
+        self.lock().jobs.insert(seq, job);
+        self.work.notify_all();
+    }
+
+    fn retract(&self, seq: usize) {
+        self.lock().jobs.remove(&seq);
+    }
+}
+
+/// A type-erased indexed map that several threads run one claimed index
+/// at a time.
+trait Job: Send + Sync {
+    /// Claims the next index nobody has claimed yet.
+    fn claim(&self) -> Option<usize>;
+    /// Runs claimed index `i`, recording its result or panic.
+    fn run(&self, i: usize);
+}
+
+/// The job behind [`TaskHandle::map_indexed`]: a claim cursor plus one
+/// result slot per index. It is `Arc`-owned, so a helper never borrows
+/// from the owning task's stack.
+struct MapJob<R, F> {
+    f: F,
+    n: usize,
+    next: AtomicUsize,
+    done: Mutex<MapSlots<R>>,
+    finished: Condvar,
+}
+
+struct MapSlots<R> {
+    slots: Vec<Option<std::thread::Result<R>>>,
+    count: usize,
+}
+
+impl<R, F> Job for MapJob<R, F>
+where
+    R: Send,
+    F: Fn(usize) -> R + Send + Sync,
+{
+    fn claim(&self) -> Option<usize> {
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        (i < self.n).then_some(i)
+    }
+
+    fn run(&self, i: usize) {
+        let result = catch_unwind(AssertUnwindSafe(|| (self.f)(i)));
+        let mut done = self.done.lock().expect("map job lock");
+        done.slots[i] = Some(result);
+        done.count += 1;
+        if done.count == self.n {
+            self.finished.notify_all();
+        }
+    }
+}
+
+/// A running pipeline task's access to the idle workers of its pipeline,
+/// handed to `f` by [`Executor::pipeline_ordered_policy`].
+///
+/// [`map_indexed`](Self::map_indexed) is fork-join work sharing: the
+/// task's thread and any idle worker claim the map's indices one at a
+/// time, and the results come back in index order, so the output is the
+/// serial map's for any thread count or timing.
+pub struct TaskHandle<'a> {
+    seq: usize,
+    /// `None` on a one-thread pipeline, where maps run inline.
+    queue: Option<&'a dyn JobQueue>,
+}
+
+impl TaskHandle<'_> {
+    /// Maps `f` over `0..n`, running indices on the calling thread and on
+    /// any idle worker of the same pipeline, and returns the results in
+    /// index order. The calling thread takes index 0 and keeps claiming
+    /// until none is left, then waits for the indices helpers are running.
+    /// On a one-thread pipeline, or for `n <= 1`, the map runs inline.
+    ///
+    /// `f` is `'static` because helpers hold the job by `Arc` and may drop
+    /// it after this call returns: no borrow of the owner's stack crosses
+    /// to another thread, so no `unsafe` is needed.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of the lowest index that panicked, after every
+    /// index has finished, so the owning task fails as the serial map
+    /// would (and under [`PanicPolicy::Isolate`] becomes that item's
+    /// `Err(TaskPanic)`).
+    pub fn map_indexed<R, F>(&self, n: usize, f: F) -> Vec<R>
+    where
+        R: Send + 'static,
+        F: Fn(usize) -> R + Send + Sync + 'static,
+    {
+        let Some(queue) = self.queue.filter(|_| n > 1) else {
+            return (0..n).map(f).collect();
+        };
+        let job = Arc::new(MapJob {
+            f,
+            n,
+            next: AtomicUsize::new(0),
+            done: Mutex::new(MapSlots {
+                slots: (0..n).map(|_| None).collect(),
+                count: 0,
+            }),
+            finished: Condvar::new(),
+        });
+        // Index 0 stays on this thread; the rest are up for grabs.
+        let mut claimed = job.claim();
+        queue.publish(self.seq, job.clone());
+        while let Some(i) = claimed {
+            job.run(i);
+            claimed = job.claim();
+        }
+        queue.retract(self.seq);
+        let mut done = job.done.lock().expect("map job lock");
+        while done.count < n {
+            done = job.finished.wait(done).expect("map job lock");
+        }
+        let slots = std::mem::take(&mut done.slots);
+        drop(done);
+        slots
+            .into_iter()
+            .map(|slot| match slot.expect("every index ran") {
+                Ok(r) => r,
+                Err(p) => resume_unwind(p),
+            })
+            .collect()
     }
 }
 
@@ -550,7 +778,12 @@ impl Default for Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// How long a test task waits for work it expects on another thread.
+    const WAIT: Duration = Duration::from_secs(30);
 
     #[test]
     fn results_are_in_index_order() {
@@ -781,7 +1014,7 @@ mod tests {
                 PanicPolicy::Isolate,
                 capacity,
                 0..64u64,
-                |i, x| {
+                |i, x, _| {
                     if i % 13 == 5 {
                         panic!("isolated boom at {i}");
                     }
@@ -817,7 +1050,7 @@ mod tests {
             PanicPolicy::Isolate,
             2,
             0..8usize,
-            |i, _| {
+            |i, _, _| {
                 if i == 2 {
                     // A String payload (panic! with formatting).
                     panic!("string payload {i}");
@@ -851,7 +1084,7 @@ mod tests {
             PanicPolicy::Isolate,
             4,
             0..64usize,
-            |_, x| x,
+            |_, x, _| x,
             |i, _| {
                 if i == 3 {
                     panic!("consumer boom under isolate");
@@ -863,6 +1096,211 @@ mod tests {
     #[test]
     fn panic_policy_defaults_to_propagate() {
         assert_eq!(PanicPolicy::default(), PanicPolicy::Propagate);
+    }
+
+    /// A map whose index 0 blocks until index 1 has run: it completes
+    /// only if index 1 runs on the idle worker while the owner waits in
+    /// index 0 (a serial map would time out in index 0).
+    #[test]
+    fn task_map_runs_on_the_idle_worker_beside_its_owner() {
+        let mut seen = Vec::new();
+        Executor::new(2).pipeline_ordered_policy(
+            PanicPolicy::Propagate,
+            1,
+            std::iter::once(()),
+            |_, (), handle| {
+                let owner = std::thread::current().id();
+                let (tx, rx) = mpsc::channel();
+                let rx = Mutex::new(rx);
+                let ran_on = handle.map_indexed(2, move |i| {
+                    if i == 0 {
+                        rx.lock()
+                            .expect("receiver lock")
+                            .recv_timeout(WAIT)
+                            .expect("index 1 ran while index 0 waited");
+                    } else {
+                        tx.send(()).expect("index 0 is listening");
+                    }
+                    std::thread::current().id()
+                });
+                (owner, ran_on)
+            },
+            |_, r| seen.push(r.expect("no task panics")),
+        );
+        let (owner, ran_on) = &seen[0];
+        assert_eq!(ran_on[0], *owner, "index 0 stays on the owning worker");
+        assert_ne!(ran_on[1], *owner, "index 1 ran on the idle worker");
+    }
+
+    /// A worker that finishes its item helps the running task's map
+    /// before it starts the next item: item 1 finishes only once item 0
+    /// has published its map, so item 2 is already queued when that
+    /// worker comes free, and item 2 must find the map's index 1 done.
+    #[test]
+    fn idle_workers_help_before_taking_new_items() {
+        let (published_tx, published_rx) = mpsc::channel();
+        let published_rx = Mutex::new(published_rx);
+        let helped = Arc::new(AtomicBool::new(false));
+        let mut seen = Vec::new();
+        Executor::new(2).pipeline_ordered_policy(
+            PanicPolicy::Propagate,
+            8,
+            0..3usize,
+            |seq, _, handle| match seq {
+                0 => {
+                    let (tx, rx) = mpsc::channel();
+                    let rx = Mutex::new(rx);
+                    let published = published_tx.clone();
+                    let helped = Arc::clone(&helped);
+                    handle.map_indexed(2, move |i| {
+                        if i == 0 {
+                            published.send(()).expect("item 1 is listening");
+                            rx.lock()
+                                .expect("receiver lock")
+                                .recv_timeout(WAIT)
+                                .expect("index 1 ran while index 0 waited");
+                        } else {
+                            helped.store(true, Ordering::SeqCst);
+                            tx.send(()).expect("index 0 is listening");
+                        }
+                    });
+                    true
+                }
+                1 => {
+                    published_rx
+                        .lock()
+                        .expect("receiver lock")
+                        .recv_timeout(WAIT)
+                        .expect("item 0 published its map");
+                    true
+                }
+                _ => helped.load(Ordering::SeqCst),
+            },
+            |_, r| seen.push(r.expect("no task panics")),
+        );
+        assert_eq!(
+            seen,
+            [true, true, true],
+            "item 2 started before the help job"
+        );
+    }
+
+    #[test]
+    fn task_maps_equal_the_serial_map() {
+        // Uneven index costs so helpers finish out of index order.
+        let work = |x: u64, i: usize| {
+            let mut acc = x ^ i as u64;
+            for k in 0..if i % 3 == 0 { 5_000 } else { 50 } {
+                acc = acc.wrapping_mul(31).wrapping_add(k);
+            }
+            acc
+        };
+        for threads in 1..=4 {
+            for n in 0..=20 {
+                let mut got = Vec::new();
+                Executor::new(threads).pipeline_ordered_policy(
+                    PanicPolicy::Propagate,
+                    3,
+                    0..4u64,
+                    |_, x, handle| handle.map_indexed(n, move |i| work(x, i)),
+                    |_, r| got.push(r.expect("no task panics")),
+                );
+                let serial: Vec<Vec<u64>> = (0..4)
+                    .map(|x| (0..n).map(|i| work(x, i)).collect())
+                    .collect();
+                assert_eq!(got, serial, "{threads} threads, n = {n}");
+            }
+        }
+    }
+
+    /// Item 1's map panics in index 1, which runs on the idle worker
+    /// (index 0 waits for it); the other items map without panicking.
+    fn shared_index_panic(policy: PanicPolicy) -> Vec<(usize, Result<usize, String>)> {
+        let mut seen = Vec::new();
+        Executor::new(2).pipeline_ordered_policy(
+            policy,
+            2,
+            0..4usize,
+            |seq, _, handle| {
+                if seq != 1 {
+                    return handle.map_indexed(2, |i| i).len();
+                }
+                let (tx, rx) = mpsc::channel();
+                let rx = Mutex::new(rx);
+                handle
+                    .map_indexed(2, move |i| {
+                        if i == 0 {
+                            rx.lock()
+                                .expect("receiver lock")
+                                .recv_timeout(WAIT)
+                                .expect("index 1 ran on the idle worker");
+                        } else {
+                            tx.send(()).expect("index 0 is listening");
+                            panic!("shared boom at index {i}");
+                        }
+                        i
+                    })
+                    .len()
+            },
+            |seq, r| seen.push((seq, r.map_err(|p| p.message))),
+        );
+        seen
+    }
+
+    #[test]
+    fn shared_index_panic_is_the_owning_items_err_under_isolate() {
+        assert_eq!(
+            shared_index_panic(PanicPolicy::Isolate),
+            [
+                (0, Ok(2)),
+                (1, Err("shared boom at index 1".to_string())),
+                (2, Ok(2)),
+                (3, Ok(2)),
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "shared boom at index 1")]
+    fn shared_index_panic_propagates_under_propagate() {
+        shared_index_panic(PanicPolicy::Propagate);
+    }
+
+    #[test]
+    fn task_map_reraises_the_lowest_index_panic() {
+        for threads in 1..=4 {
+            let mut errs = Vec::new();
+            Executor::new(threads).pipeline_ordered_policy(
+                PanicPolicy::Isolate,
+                2,
+                0..3usize,
+                |_, _, handle| {
+                    handle.map_indexed(6, |i| {
+                        if i == 2 || i == 4 {
+                            panic!("boom at index {i}");
+                        }
+                        i
+                    })
+                },
+                |_, r| errs.push(r.expect_err("index 2 panics").message),
+            );
+            assert_eq!(errs, ["boom at index 2"; 3], "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn task_map_runs_inline_at_one_thread() {
+        let caller = std::thread::current().id();
+        let mut ran_on = Vec::new();
+        Executor::serial().pipeline_ordered_policy(
+            PanicPolicy::Propagate,
+            4,
+            0..3usize,
+            |_, _, handle| handle.map_indexed(5, |_| std::thread::current().id()),
+            |_, r| ran_on.extend(r.expect("no task panics")),
+        );
+        assert_eq!(ran_on.len(), 15);
+        assert!(ran_on.iter().all(|&id| id == caller));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 use crate::tensor::Tensor;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// A deterministic synthetic labeled image set.
 ///
@@ -34,7 +35,7 @@ pub struct SyntheticDataset {
 
 impl SyntheticDataset {
     /// Generates `samples` images of `channels x height x width` across
-    /// `classes` classes.
+    /// `classes` classes: [`range`](Self::range) over `0..samples`.
     ///
     /// # Panics
     ///
@@ -48,8 +49,31 @@ impl SyntheticDataset {
         width: usize,
         seed: u64,
     ) -> Self {
+        SyntheticDataset::range(0..samples, classes, channels, height, width, seed)
+    }
+
+    /// Samples `samples.start..samples.end` of the set
+    /// [`new`](Self::new) generates from the same arguments with
+    /// `samples.end` samples, bit for bit, labels included. Sample `i`
+    /// draws three values from the seeded stream and then its own noise
+    /// stream, so a range replays the draws of the samples before it and
+    /// synthesizes only its own images: concatenating the ranges of any
+    /// partition of `0..n` gives the `n`-sample set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range or `classes` is empty.
+    #[must_use]
+    pub fn range(
+        samples: Range<usize>,
+        classes: usize,
+        channels: usize,
+        height: usize,
+        width: usize,
+        seed: u64,
+    ) -> Self {
         assert!(
-            samples > 0 && classes > 0,
+            !samples.is_empty() && classes > 0,
             "dataset dimensions must be positive"
         );
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -65,13 +89,16 @@ impl SyntheticDataset {
                 })
             })
             .collect();
-        let mut images = Vec::with_capacity(samples);
-        let mut labels = Vec::with_capacity(samples);
-        for i in 0..samples {
-            let class = i % classes;
+        let mut images = Vec::with_capacity(samples.len());
+        let mut labels = Vec::with_capacity(samples.len());
+        for i in 0..samples.end {
             let phase: f32 = rng.gen_range(0.0..std::f32::consts::TAU);
             let jitter: f32 = rng.gen_range(0.9..1.1);
             let noise_seed: u64 = rng.gen();
+            if i < samples.start {
+                continue;
+            }
+            let class = i % classes;
             let mut noise_rng = rand::rngs::StdRng::seed_from_u64(noise_seed);
             // Class-specific orientation and spatial frequency.
             let angle = std::f32::consts::PI * class as f32 / classes as f32;
@@ -146,6 +173,43 @@ mod tests {
         let a = SyntheticDataset::digits(8, 5);
         let b = SyntheticDataset::digits(8, 5);
         assert_eq!(a, b);
+    }
+
+    /// Any partition of `0..n` into ranges — single samples, ragged
+    /// tails, the `DEFAULT_BATCH_SIZE` chunks `dvafs serve` uses —
+    /// concatenates to `new`'s set bit for bit, labels included.
+    #[test]
+    fn ranges_concatenate_to_the_whole_set() {
+        let (n, classes, channels, h, w, seed) = (23, 10, 3, 9, 7, 11);
+        let whole = SyntheticDataset::new(n, classes, channels, h, w, seed);
+        let bits = |images: &[Tensor]| -> Vec<u32> {
+            images
+                .iter()
+                .flat_map(|t| t.as_slice().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        let partitions: [Vec<usize>; 6] = [
+            vec![n],
+            vec![1, n],
+            vec![n - 1, n],
+            vec![16, n],
+            vec![2, 3, 10, 21, n],
+            (1..=n).collect(),
+        ];
+        for ends in partitions {
+            let (mut images, mut labels) = (Vec::new(), Vec::new());
+            let mut start = 0;
+            for &end in &ends {
+                let part = SyntheticDataset::range(start..end, classes, channels, h, w, seed);
+                assert_eq!(part.len(), end - start);
+                assert_eq!(part.classes(), classes);
+                images.extend_from_slice(part.images());
+                labels.extend_from_slice(part.labels());
+                start = end;
+            }
+            assert_eq!(bits(&images), bits(whole.images()), "ends {ends:?}");
+            assert_eq!(labels, whole.labels(), "ends {ends:?}");
+        }
     }
 
     #[test]

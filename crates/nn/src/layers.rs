@@ -1077,6 +1077,36 @@ impl Dense {
     }
 }
 
+/// `k x k` max pooling with stride `stride` over an input of at least
+/// `k x k`. Each output row is built from slices of the `k` input rows
+/// it covers, one kernel tap at a time across the whole row, so the
+/// outputs' `max` chains are independent and overlap instead of each
+/// waiting on its own. Every output folds its taps in `(ky, kx)` order
+/// starting from `-inf`, the order of the per-output reference loop in
+/// the tests, so the result is bit-identical to it (`f32::max` of `+0`
+/// and `-0` may return either, so the fold order is kept).
+fn max_pool(input: &Tensor, k: usize, stride: usize) -> Tensor {
+    let (c, h, w) = input.shape();
+    let oh = (h - k) / stride + 1;
+    let ow = (w - k) / stride + 1;
+    let mut out = vec![f32::NEG_INFINITY; c * oh * ow];
+    let planes = input.as_slice().chunks_exact(h * w);
+    for (plane, out_plane) in planes.zip(out.chunks_exact_mut(oh * ow)) {
+        for (oy, out_row) in out_plane.chunks_exact_mut(ow).enumerate() {
+            for ky in 0..k {
+                let row = &plane[(oy * stride + ky) * w..][..w];
+                for kx in 0..k {
+                    let taps = &row[kx..=kx + (ow - 1) * stride];
+                    for (ox, m) in out_row.iter_mut().enumerate() {
+                        *m = m.max(taps[ox * stride]);
+                    }
+                }
+            }
+        }
+    }
+    Tensor::from_vec(c, oh, ow, out)
+}
+
 /// One stage of a CNN (Fig. 5): convolution, non-linearity, pooling or
 /// classification.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -1189,23 +1219,7 @@ impl Layer {
                         actual: (c, h, w),
                     });
                 }
-                let oh = (h - k) / stride + 1;
-                let ow = (w - k) / stride + 1;
-                let mut out = Tensor::zeros(c, oh, ow);
-                for ci in 0..c {
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let mut m = f32::NEG_INFINITY;
-                            for ky in 0..*k {
-                                for kx in 0..*k {
-                                    m = m.max(input.get(ci, oy * stride + ky, ox * stride + kx));
-                                }
-                            }
-                            out.set(ci, oy, ox, m);
-                        }
-                    }
-                }
-                Ok((out, LayerStats::default()))
+                Ok((max_pool(input, *k, *stride), LayerStats::default()))
             }
         }
     }
@@ -1464,6 +1478,78 @@ mod tests {
         assert_eq!(out.shape(), (1, 2, 2));
         assert_eq!(out.get(0, 0, 0), 5.0);
         assert_eq!(out.get(0, 1, 1), 15.0);
+    }
+
+    /// Max pooling one output and one tap at a time: the oracle
+    /// `max_pool` is compared against.
+    fn max_pool_reference(input: &Tensor, k: usize, stride: usize) -> Tensor {
+        let (c, h, w) = input.shape();
+        let oh = (h - k) / stride + 1;
+        let ow = (w - k) / stride + 1;
+        let mut out = Tensor::zeros(c, oh, ow);
+        for ci in 0..c {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut m = f32::NEG_INFINITY;
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            m = m.max(input.get(ci, oy * stride + ky, ox * stride + kx));
+                        }
+                    }
+                    out.set(ci, oy, ox, m);
+                }
+            }
+        }
+        out
+    }
+
+    /// `max_pool` equals the per-tap loop bit for bit over random shapes:
+    /// the models' pools, overlapping windows (k3s2), strides that do not
+    /// divide the size, strides wider than the window, and inputs with
+    /// runs of signed zeros (ReLU outputs) and NaNs.
+    #[test]
+    fn max_pool_matches_the_per_tap_loop_bitwise() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x9001);
+        let mut shapes = vec![
+            (6, 28, 28, 2, 2),
+            (12, 15, 15, 3, 2),
+            (4, 32, 32, 2, 2),
+            (16, 8, 8, 2, 2),
+            (32, 7, 7, 3, 2),
+            (2, 13, 13, 3, 2),
+            (1, 5, 9, 2, 3),
+            (3, 4, 4, 4, 1),
+            (1, 1, 1, 1, 1),
+        ];
+        for _ in 0..200 {
+            let k = rng.gen_range(1..=4);
+            let stride = rng.gen_range(1..=5);
+            shapes.push((
+                rng.gen_range(1..=4),
+                rng.gen_range(k..=k + 12),
+                rng.gen_range(k..=k + 12),
+                k,
+                stride,
+            ));
+        }
+        for (i, &(c, h, w, k, stride)) in shapes.iter().enumerate() {
+            let mut input = Tensor::random(c, h, w, i as u64);
+            for v in input.as_mut_slice() {
+                match rng.gen_range(0..8) {
+                    0 => *v = 0.0,
+                    1 => *v = -0.0,
+                    2 if rng.gen_range(0..16) == 0 => *v = f32::NAN,
+                    _ => {}
+                }
+            }
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let want = max_pool_reference(&input, k, stride);
+            let got = max_pool(&input, k, stride);
+            let what = format!("c={c} h={h} w={w} k={k} s={stride}");
+            assert_eq!(got.shape(), want.shape(), "{what}");
+            assert_eq!(bits(&got), bits(&want), "{what}");
+        }
     }
 
     #[test]

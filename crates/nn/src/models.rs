@@ -16,6 +16,7 @@ use crate::dataset::SyntheticDataset;
 use crate::layers::{Conv2d, Dense, Layer};
 use crate::network::Network;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Output spatial size of a convolution/pool stage.
 #[must_use]
@@ -167,18 +168,38 @@ impl ModelSpec {
     /// the order the paper introduces the networks.
     pub const KNOWN: [&'static str; 3] = ["lenet5", "alexnet", "vgg16"];
 
+    /// The largest AlexNet input [`resolve`](Self::resolve) accepts: the
+    /// paper's 227×227.
+    pub const ALEXNET_MAX_INPUT: usize = 227;
+
+    /// The largest VGG16 input [`resolve`](Self::resolve) accepts: the
+    /// paper's 224×224.
+    pub const VGG16_MAX_INPUT: usize = 224;
+
+    /// The largest channel scale [`resolve`](Self::resolve) accepts: the
+    /// paper's full-width networks.
+    pub const MAX_SCALE: f64 = 1.0;
+
     /// Resolves a model request, applying defaults where the caller gave
     /// none: LeNet-5 is fixed at 28×28 / scale 1; AlexNet defaults to
     /// 67×67 at scale 0.125 and VGG16 to 32×32 at scale 0.0625 (the
     /// smallest geometries the cascades support — service-sized, like the
     /// fig6 scenarios).
     ///
+    /// Geometry is bounded by the paper's networks, so one request cannot
+    /// ask for a model too large to allocate: inputs up to
+    /// [`ALEXNET_MAX_INPUT`](Self::ALEXNET_MAX_INPUT) and
+    /// [`VGG16_MAX_INPUT`](Self::VGG16_MAX_INPUT), scales up to
+    /// [`MAX_SCALE`](Self::MAX_SCALE).
+    ///
     /// # Errors
     ///
     /// Returns a user-facing message for an unknown model name, a
-    /// non-finite or non-positive channel scale, or an input resolution
-    /// the topology cannot support (AlexNet < 67; VGG16 not a positive
-    /// multiple of 32; LeNet-5 anything but 28).
+    /// non-finite or non-positive channel scale, a scale above
+    /// [`MAX_SCALE`](Self::MAX_SCALE), or an input resolution the
+    /// topology cannot support or the paper does not reach (AlexNet
+    /// outside 67..=227; VGG16 not a multiple of 32 in 32..=224; LeNet-5
+    /// anything but 28).
     pub fn resolve(
         name: &str,
         input: Option<usize>,
@@ -216,6 +237,13 @@ impl ModelSpec {
                 if input < 67 {
                     return Err(format!("alexnet needs at least 67x67 inputs, got {input}"));
                 }
+                if input > Self::ALEXNET_MAX_INPUT {
+                    return Err(format!(
+                        "alexnet inputs are at most {0}x{0} (the paper's), got {input}",
+                        Self::ALEXNET_MAX_INPUT
+                    ));
+                }
+                Self::check_max_scale(name, scale_val)?;
                 Ok(ModelSpec {
                     name: "alexnet",
                     input,
@@ -230,6 +258,13 @@ impl ModelSpec {
                         "vgg16 input must be a positive multiple of 32, got {input}"
                     ));
                 }
+                if input > Self::VGG16_MAX_INPUT {
+                    return Err(format!(
+                        "vgg16 inputs are at most {0}x{0} (the paper's), got {input}",
+                        Self::VGG16_MAX_INPUT
+                    ));
+                }
+                Self::check_max_scale(name, scale_val)?;
                 Ok(ModelSpec {
                     name: "vgg16",
                     input,
@@ -242,6 +277,16 @@ impl ModelSpec {
                 Self::KNOWN.join(", ")
             )),
         }
+    }
+
+    fn check_max_scale(name: &str, scale: f64) -> Result<(), String> {
+        if scale > Self::MAX_SCALE {
+            return Err(format!(
+                "{name} channel scale is at most {} (the paper's network), got {scale}",
+                Self::MAX_SCALE
+            ));
+        }
+        Ok(())
     }
 
     /// The resolved model name (one of [`KNOWN`](Self::KNOWN)).
@@ -284,10 +329,19 @@ impl ModelSpec {
     /// set at the resolved resolution otherwise (10 classes either way).
     #[must_use]
     pub fn dataset(&self, samples: usize, seed: u64) -> SyntheticDataset {
-        match self.name {
-            "lenet5" => SyntheticDataset::digits(samples, seed),
-            _ => SyntheticDataset::image_like(samples, self.input, 10, seed),
-        }
+        self.dataset_range(0..samples, seed)
+    }
+
+    /// Samples `samples` of [`dataset`](Self::dataset), bit for bit,
+    /// synthesizing only those images (see [`SyntheticDataset::range`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is empty.
+    #[must_use]
+    pub fn dataset_range(&self, samples: Range<usize>, seed: u64) -> SyntheticDataset {
+        let channels = if self.name == "lenet5" { 1 } else { 3 };
+        SyntheticDataset::range(samples, 10, channels, self.input, self.input, seed)
     }
 }
 
@@ -508,10 +562,26 @@ mod tests {
             ("alexnet", None, Some(0.0)),
             ("alexnet", None, Some(f64::NAN)),
             ("alexnet", None, Some(-1.0)),
+            // Beyond the paper's networks: each would abort the process
+            // on allocation in `build`, which no panic policy contains.
+            ("alexnet", Some(228), None),
+            ("alexnet", Some(200_000), None),
+            ("alexnet", None, Some(1.5)),
+            ("vgg16", Some(256), None),
+            ("vgg16", None, Some(100_000.0)),
         ] {
             let r = ModelSpec::resolve(name, input, scale, 0);
             assert!(r.is_err(), "{name} {input:?} {scale:?} resolved: {r:?}");
         }
+        // The paper's own geometries are the inclusive bounds.
+        let alex = ModelSpec::resolve("alexnet", Some(227), Some(1.0), 0).unwrap();
+        assert_eq!((alex.input(), alex.scale()), (227, 1.0));
+        let vgg = ModelSpec::resolve("vgg16", Some(224), Some(1.0), 0).unwrap();
+        assert_eq!((vgg.input(), vgg.scale()), (224, 1.0));
+        let err = ModelSpec::resolve("alexnet", Some(200_000), None, 0).unwrap_err();
+        assert!(err.contains("227"), "{err}");
+        let err = ModelSpec::resolve("vgg16", None, Some(100_000.0), 0).unwrap_err();
+        assert!(err.contains("at most 1"), "{err}");
         // The unknown-name error lists what is available.
         let err = ModelSpec::resolve("resnet", None, None, 0).unwrap_err();
         for known in ModelSpec::KNOWN {

@@ -145,7 +145,9 @@ proptest! {
     /// Serving is an execution choice: whatever the worker count and
     /// queue depth, a session's reply stream is byte-identical to the
     /// serial baseline, and a `run` reply's output is byte-identical to
-    /// the in-process rendering (the same bytes `dvafs run` writes).
+    /// the in-process rendering (the same bytes `dvafs run` writes). The
+    /// 17- and 40-sample predicts are two and three shared chunks of 16
+    /// with ragged tails, so idle workers run some of their chunks.
     #[test]
     fn served_replies_are_invariant_in_threads_and_queue(
         scenario_idx in 0usize..4,
@@ -163,13 +165,15 @@ proptest! {
             "{{\"op\":\"predict\",\"samples\":3,\"wbits\":5,\"abits\":7}}\n\
              {{\"op\":\"run\",\"scenario\":\"{id}\",\"format\":\"{wire_name}\",\
              \"fast\":true}}\n\
+             {{\"op\":\"predict\",\"samples\":17,\"wbits\":4,\"abits\":8}}\n\
+             {{\"op\":\"predict\",\"samples\":40,\"wbits\":8,\"abits\":6}}\n\
              {{\"op\":\"shutdown\"}}\n"
         );
         let (baseline, _) = serve_lines(&requests, 1, 1);
         let (out, outcome) = serve_lines(&requests, threads, queue);
         prop_assert_eq!(&out, &baseline,
             "reply stream changed with threads={}, queue={}", threads, queue);
-        prop_assert_eq!(outcome.served, 3);
+        prop_assert_eq!(outcome.served, 5);
 
         let run_reply = json::parse(out.lines().nth(1).expect("run reply"))
             .expect("reply is valid JSON");
