@@ -1,13 +1,12 @@
 //! `gemm_vs_naive`: the NN MAC-kernel micro-benchmark.
 //!
-//! Times full-network forward passes (LeNet-5 and the fig6-sized AlexNet
-//! stand-in) on all three MAC kernels — the retained naive oracle, the
-//! im2col + blocked-GEMM path, and the default subword-packed GEMM — via
-//! the criterion harness, then re-times them with plain wall clocks and
-//! writes the per-workload medians to `BENCH_nn_kernels.csv` (CI uploads
-//! it next to `BENCH_sweep.json`). All kernels are bit-identical by
-//! construction (asserted here too), so the CSV is a pure wall-time
-//! record.
+//! Times full-network batch forwards (LeNet-5 and the fig6-sized AlexNet
+//! stand-in) on both MAC kernels — the retained naive oracle and the
+//! default subword-packed GEMM — via the criterion harness, then re-times
+//! them with plain wall clocks and writes the per-workload medians to
+//! `BENCH_nn_kernels.csv` (CI uploads it next to `BENCH_sweep.json`).
+//! The kernels are bit-identical by construction (asserted here too), so
+//! the CSV is a pure wall-time record.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dvafs::report::median_time_ms;
@@ -34,12 +33,10 @@ fn workloads() -> Vec<(&'static str, Network, SyntheticDataset)> {
 }
 
 fn forward_all(net: &Network, data: &SyntheticDataset, cfg: &QuantConfig, scratch: &mut Scratch) {
-    for img in data.images() {
-        black_box(
-            net.forward_with(img, cfg, scratch)
-                .expect("forward succeeds"),
-        );
-    }
+    black_box(
+        net.forward_batch(data.images(), cfg, scratch)
+            .expect("forward succeeds"),
+    );
 }
 
 fn bench_gemm_vs_naive(c: &mut Criterion) {
@@ -57,30 +54,21 @@ fn bench_gemm_vs_naive(c: &mut Criterion) {
     group.finish();
 }
 
-/// Writes `BENCH_nn_kernels.csv`: one row per workload with the naive,
-/// GEMM and packed medians (the same [`median_time_ms`] primitive
+/// Writes `BENCH_nn_kernels.csv`: one row per workload with the naive
+/// and packed medians (the same [`median_time_ms`] primitive
 /// `bench_sweep` uses, so the two artifacts share one definition of
-/// "median wall time") and the speedups, after asserting all three
-/// kernels return identical predictions.
+/// "median wall time") and their ratio, after asserting both kernels
+/// return identical predictions.
 fn write_kernel_csv() {
-    let mut csv =
-        String::from("workload,bits,naive_ms,gemm_ms,packed_ms,kernel_speedup,packed_speedup\n");
+    let mut csv = String::from("workload,bits,naive_ms,packed_ms,kernel_speedup\n");
     for (name, net, data) in workloads() {
         let cfg = QuantConfig::uniform(net.layer_count(), 8, 8);
         let naive_net = net.clone().with_kernel(NnKernel::Naive);
-        let gemm_net = net.clone().with_kernel(NnKernel::Gemm);
         let packed_net = net.clone().with_kernel(NnKernel::GemmPacked);
         let mut scratch = Scratch::new();
         let naive_out = naive_net
             .evaluate_batch(data.images(), &cfg, &mut scratch)
             .expect("naive inference");
-        assert_eq!(
-            naive_out,
-            gemm_net
-                .evaluate_batch(data.images(), &cfg, &mut scratch)
-                .expect("gemm inference"),
-            "{name}: gemm kernel disagrees with naive"
-        );
         assert_eq!(
             naive_out,
             packed_net
@@ -90,20 +78,20 @@ fn write_kernel_csv() {
         );
         // Warm caches and buffers, then take medians.
         forward_all(&naive_net, &data, &cfg, &mut scratch);
-        forward_all(&gemm_net, &data, &cfg, &mut scratch);
         forward_all(&packed_net, &data, &cfg, &mut scratch);
         let (naive_ms, ()) =
             median_time_ms(5, || forward_all(&naive_net, &data, &cfg, &mut scratch));
-        let (gemm_ms, ()) = median_time_ms(5, || forward_all(&gemm_net, &data, &cfg, &mut scratch));
         let (packed_ms, ()) =
             median_time_ms(5, || forward_all(&packed_net, &data, &cfg, &mut scratch));
-        let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
-        let speedup = ratio(naive_ms, packed_ms);
-        let packed_speedup = ratio(gemm_ms, packed_ms);
+        let speedup = if packed_ms > 0.0 {
+            naive_ms / packed_ms
+        } else {
+            0.0
+        };
         csv.push_str(&format!(
-            "{name},8,{naive_ms:.3},{gemm_ms:.3},{packed_ms:.3},{speedup:.3},{packed_speedup:.3}\n"
+            "{name},8,{naive_ms:.3},{packed_ms:.3},{speedup:.3}\n"
         ));
-        println!("kernel {name:<24} naive {naive_ms:>9.3} ms  gemm {gemm_ms:>9.3} ms  packed {packed_ms:>9.3} ms  speedup {speedup:.2}x  packed_speedup {packed_speedup:.2}x");
+        println!("kernel {name:<24} naive {naive_ms:>9.3} ms  packed {packed_ms:>9.3} ms  speedup {speedup:.2}x");
     }
     // Benches run with the package directory as cwd; the CSV belongs at
     // the workspace root, next to BENCH_sweep.json (CI uploads both).

@@ -3,9 +3,9 @@
 //! ```text
 //! dvafs list
 //! dvafs run <id>... [--all] [--format text|json|csv] [--out DIR]
-//!                   [--threads N] [--fast] [--kernel naive|gemm|packed]
+//!                   [--threads N] [--fast] [--kernel naive|packed]
 //!                   [--search rescan|incremental] [--repeats N]
-//!                   [--batch-path sample|layer] [--batch-size N]
+//! dvafs serve [options]
 //! ```
 //!
 //! `list` prints every registered scenario (id, artefact, title, and what
@@ -15,11 +15,11 @@
 //! `bench_sweep`'s `BENCH_sweep.json`). A JSON file written this way is
 //! byte-comparable to the golden fixtures under `tests/golden/`.
 //!
-//! Unlike the legacy shims, the CLI **warns on stderr about flags it does
-//! not recognize** and hard-errors when `--out`, `--format` or
-//! `--threads` is missing its value.
+//! The CLI **warns on stderr about flags it does not recognize** and
+//! hard-errors when a flag is missing its value or the value does not
+//! parse.
 
-use dvafs::nn::{BatchPath, NnKernel, SearchStrategy, DEFAULT_BATCH_SIZE};
+use dvafs::nn::{NnKernel, SearchStrategy};
 use dvafs::scenario::{self, Format, Scenario, ScenarioCtx};
 use dvafs::Executor;
 use std::path::Path;
@@ -38,7 +38,7 @@ pub struct RunOpts {
     pub threads: usize,
     /// Reduced problem sizes (`--fast`).
     pub fast: bool,
-    /// NN MAC kernel (`--kernel naive|gemm|packed`, default packed).
+    /// NN MAC kernel (`--kernel naive|packed`, default packed).
     /// Never changes a number — only wall time.
     pub kernel: NnKernel,
     /// Precision-search strategy (`--search rescan|incremental`, default
@@ -46,11 +46,6 @@ pub struct RunOpts {
     pub search: SearchStrategy,
     /// Timed repeats per `bench_sweep` measurement (`--repeats`, default 3).
     pub repeats: usize,
-    /// NN batch path (`--batch-path sample|layer`, default layer).
-    /// Never changes a number — only wall time.
-    pub batch_path: BatchPath,
-    /// Samples per layer-major chunk (`--batch-size N`, default 16).
-    pub batch_size: usize,
 }
 
 /// A parsed `dvafs serve` invocation.
@@ -102,11 +97,9 @@ run options:\n  \
   --out DIR                  write one file per scenario instead of stdout\n  \
   --threads N                worker count (default: DVAFS_THREADS or host)\n  \
   --fast                     reduced problem sizes (see `dvafs list`)\n  \
-  --kernel naive|gemm|packed NN MAC kernel (default packed; results identical)\n  \
+  --kernel naive|packed      NN MAC kernel (default packed; results identical)\n  \
   --search rescan|incremental  precision-search strategy (default incremental; results identical)\n  \
-  --repeats N                timed repeats per bench_sweep measurement (default 3)\n  \
-  --batch-path sample|layer  NN batch forward path (default layer; results identical)\n  \
-  --batch-size N             samples per layer-major chunk (default 16)\n\n\
+  --repeats N                timed repeats per bench_sweep measurement (default 3)\n\n\
 serve options:\n  \
   --listen ADDR              serve TCP on ADDR (e.g. 127.0.0.1:7017) instead of stdio\n  \
   --threads N                requests executed concurrently (default: DVAFS_THREADS or host)\n  \
@@ -175,8 +168,6 @@ pub fn parse(args: &[String]) -> Result<(Command, Vec<String>), String> {
                 kernel: NnKernel::default(),
                 search: SearchStrategy::default(),
                 repeats: 3,
-                batch_path: BatchPath::default(),
-                batch_size: DEFAULT_BATCH_SIZE,
             };
             let mut all = false;
             let mut warnings = Vec::new();
@@ -217,17 +208,6 @@ pub fn parse(args: &[String]) -> Result<(Command, Vec<String>), String> {
                         opts.repeats =
                             v.parse::<usize>().ok().filter(|&n| n > 0).ok_or_else(|| {
                                 format!("--repeats requires a positive integer, got {v:?}")
-                            })?;
-                    }
-                    "--batch-path" => {
-                        opts.batch_path =
-                            BatchPath::parse(&take_value(args, &mut i, inline, "--batch-path")?)?;
-                    }
-                    "--batch-size" => {
-                        let v = take_value(args, &mut i, inline, "--batch-size")?;
-                        opts.batch_size =
-                            v.parse::<usize>().ok().filter(|&n| n > 0).ok_or_else(|| {
-                                format!("--batch-size requires a positive integer, got {v:?}")
                             })?;
                     }
                     flag if flag.starts_with("--") => {
@@ -376,9 +356,7 @@ fn run_one(s: &'static dyn Scenario, opts: &RunOpts) -> Result<String, String> {
         .with_fast(opts.fast)
         .with_kernel(opts.kernel)
         .with_search(opts.search)
-        .with_repeats(opts.repeats)
-        .with_batch_path(opts.batch_path)
-        .with_batch_size(opts.batch_size);
+        .with_repeats(opts.repeats);
     let result = s.run(&ctx);
     let rendered = scenario::render(s.label(), s.title(), &result, opts.format);
     let mut stdout = String::new();
@@ -550,10 +528,6 @@ mod tests {
             "rescan",
             "--repeats",
             "5",
-            "--batch-path",
-            "sample",
-            "--batch-size",
-            "4",
         ]))
         .unwrap();
         assert!(warnings.is_empty());
@@ -567,8 +541,6 @@ mod tests {
         assert_eq!(opts.kernel, NnKernel::Naive);
         assert_eq!(opts.search, SearchStrategy::Rescan);
         assert_eq!(opts.repeats, 5);
-        assert_eq!(opts.batch_path, BatchPath::SampleMajor);
-        assert_eq!(opts.batch_size, 4);
     }
 
     #[test]
@@ -579,8 +551,6 @@ mod tests {
         assert_eq!(opts.kernel, NnKernel::GemmPacked);
         assert_eq!(opts.search, SearchStrategy::Incremental);
         assert_eq!(opts.repeats, 3);
-        assert_eq!(opts.batch_path, BatchPath::LayerMajor);
-        assert_eq!(opts.batch_size, DEFAULT_BATCH_SIZE);
         // And the explicit spelling round-trips.
         let (Command::Run(opts), _) = parse(&argv(&["run", "fig2", "--kernel", "packed"])).unwrap()
         else {
@@ -644,9 +614,10 @@ mod tests {
         assert!(parse(&argv(&["run", "fig2", "--format", "yaml"]))
             .unwrap_err()
             .contains("unknown format"));
-        assert!(parse(&argv(&["run", "fig2", "--kernel", "fast"]))
+        // An unknown kernel names the valid spellings.
+        assert!(parse(&argv(&["run", "fig2", "--kernel", "gemm"]))
             .unwrap_err()
-            .contains("naive|gemm|packed"));
+            .contains("naive|packed"));
         assert!(parse(&argv(&["run", "fig2", "--kernel"]))
             .unwrap_err()
             .contains("--kernel requires a value"));
@@ -657,15 +628,6 @@ mod tests {
             .unwrap_err()
             .contains("--search requires a value"));
         assert!(parse(&argv(&["run", "fig2", "--repeats", "0"]))
-            .unwrap_err()
-            .contains("positive integer"));
-        assert!(parse(&argv(&["run", "fig2", "--batch-path", "wide"]))
-            .unwrap_err()
-            .contains("sample|layer"));
-        assert!(parse(&argv(&["run", "fig2", "--batch-path"]))
-            .unwrap_err()
-            .contains("--batch-path requires a value"));
-        assert!(parse(&argv(&["run", "fig2", "--batch-size", "0"]))
             .unwrap_err()
             .contains("positive integer"));
         assert!(parse(&argv(&["run"])).unwrap_err().contains("no scenarios"));

@@ -105,11 +105,11 @@ pub fn fmt_e(v: f64) -> String {
 /// One timed scenario of the `bench_sweep` performance record.
 ///
 /// Four comparisons share the record, all against `serial_ms` (one
-/// thread, bitsliced engine, subword-packed GEMM kernel — the shipping
-/// configuration): thread scaling (`parallel_ms`), netlist-engine scaling
-/// (`scalar_ms`, the scalar-oracle engine), NN-kernel scaling against
-/// both retained oracles (`naive_ms`, the naive MAC loops, and `gemm_ms`,
-/// the plain blocked GEMM) and precision-search scaling (`rescan_ms`).
+/// thread, bitsliced engine, subword-packed GEMM kernel, incremental
+/// search — the shipping configuration): thread scaling (`parallel_ms`),
+/// netlist-engine scaling (`scalar_ms`, the scalar-oracle engine),
+/// NN-kernel scaling (`naive_ms`, the naive MAC loops) and
+/// precision-search scaling (`rescan_ms`).
 /// Every wall time is a median of N timed repeats after a warmup pass
 /// (N is `ScenarioCtx::repeats`).
 #[derive(Debug, Clone, PartialEq)]
@@ -129,19 +129,10 @@ pub struct SweepTiming {
     /// kernel — the original reference oracle. Scenarios without a CNN in
     /// the loop time close to `serial_ms`.
     pub naive_ms: f64,
-    /// Serial (1-thread) wall time in milliseconds on the plain blocked
-    /// GEMM kernel — the oracle the subword-packed GEMM is timed against.
-    /// Scenarios without a CNN in the loop time close to `serial_ms`.
-    pub gemm_ms: f64,
     /// Serial wall time with the rescan precision-search oracle (the
     /// pre-incremental full-forward scan). Scenarios without a precision
     /// search in the loop time close to `serial_ms`.
     pub rescan_ms: f64,
-    /// Serial wall time on the per-sample forward oracle
-    /// (`BatchPath::SampleMajor`) — the pre-batching baseline the shipping
-    /// layer-major fused-batch forward is timed against. Scenarios without
-    /// a CNN in the loop time close to `serial_ms`.
-    pub sample_major_ms: f64,
 }
 
 impl SweepTiming {
@@ -177,34 +168,12 @@ impl SweepTiming {
         }
     }
 
-    /// Gemm-over-packed NN-kernel speedup at one thread (> 1 means the
-    /// subword-packed GEMM beat the plain blocked GEMM).
-    #[must_use]
-    pub fn packed_speedup(&self) -> f64 {
-        if self.serial_ms > 0.0 {
-            self.gemm_ms / self.serial_ms
-        } else {
-            0.0
-        }
-    }
-
     /// Rescan-over-incremental precision-search speedup at one thread
     /// (> 1 means the prefix-cached incremental search won).
     #[must_use]
     pub fn search_speedup(&self) -> f64 {
         if self.serial_ms > 0.0 {
             self.rescan_ms / self.serial_ms
-        } else {
-            0.0
-        }
-    }
-
-    /// Sample-major-over-layer-major batch-path speedup at one thread
-    /// (> 1 means the fused wide-GEMM batch forward won).
-    #[must_use]
-    pub fn batch_speedup(&self) -> f64 {
-        if self.serial_ms > 0.0 {
-            self.sample_major_ms / self.serial_ms
         } else {
             0.0
         }
@@ -246,14 +215,11 @@ pub fn median_time_ms<R>(repeats: usize, mut f: impl FnMut() -> R) -> (f64, R) {
 /// Renders the `BENCH_sweep.json` document: per-scenario serial vs
 /// parallel wall time, scalar-engine vs bitsliced-engine wall time
 /// (`bitsliced_ms` repeats `serial_ms` so the engine columns read as a
-/// pair), naive-kernel and plain-GEMM-kernel wall time against the
-/// shipping subword-packed kernel (`packed_ms` likewise repeats
-/// `serial_ms`; `gemm_ms` is the *measured* plain-GEMM oracle time),
-/// per-sample-oracle vs layer-major fused-batch wall time
-/// (`layer_major_ms` repeats `serial_ms`; `sample_major_ms` is the
-/// measured per-sample oracle time), the measured thread count, the host
-/// parallelism, and the per-measurement repeat count, so the workspace's
-/// performance trajectory is recorded per commit by CI.
+/// pair), naive-kernel vs subword-packed-kernel wall time (`packed_ms`
+/// likewise repeats `serial_ms`), rescan-search vs incremental-search
+/// wall time (`incremental_ms` likewise), the measured thread count, the
+/// host parallelism, and the per-measurement repeat count, so the
+/// workspace's performance trajectory is recorded per commit by CI.
 #[must_use]
 pub fn bench_sweep_json(
     timings: &[SweepTiming],
@@ -267,12 +233,10 @@ pub fn bench_sweep_json(
             format!(
                 "    {{\"figure\":\"{}\",\"serial_ms\":{:.3},\"parallel_ms\":{:.3},\
                  \"speedup\":{:.3},\"scalar_ms\":{:.3},\"bitsliced_ms\":{:.3},\
-                 \"engine_speedup\":{:.3},\"naive_ms\":{:.3},\"gemm_ms\":{:.3},\
+                 \"engine_speedup\":{:.3},\"naive_ms\":{:.3},\
                  \"packed_ms\":{:.3},\"kernel_speedup\":{:.3},\
-                 \"packed_speedup\":{:.3},\"rescan_ms\":{:.3},\
-                 \"incremental_ms\":{:.3},\"search_speedup\":{:.3},\
-                 \"sample_major_ms\":{:.3},\"layer_major_ms\":{:.3},\
-                 \"batch_speedup\":{:.3}}}",
+                 \"rescan_ms\":{:.3},\"incremental_ms\":{:.3},\
+                 \"search_speedup\":{:.3}}}",
                 t.figure,
                 t.serial_ms,
                 t.parallel_ms,
@@ -281,16 +245,11 @@ pub fn bench_sweep_json(
                 t.serial_ms,
                 t.engine_speedup(),
                 t.naive_ms,
-                t.gemm_ms,
                 t.serial_ms,
                 t.kernel_speedup(),
-                t.packed_speedup(),
                 t.rescan_ms,
                 t.serial_ms,
-                t.search_speedup(),
-                t.sample_major_ms,
-                t.serial_ms,
-                t.batch_speedup()
+                t.search_speedup()
             )
         })
         .collect();
@@ -679,16 +638,12 @@ mod tests {
             parallel_ms: 25.0,
             scalar_ms: 800.0,
             naive_ms: 450.0,
-            gemm_ms: 250.0,
             rescan_ms: 350.0,
-            sample_major_ms: 150.0,
         };
         assert!((t.speedup() - 4.0).abs() < 1e-12);
         assert!((t.engine_speedup() - 8.0).abs() < 1e-12);
         assert!((t.kernel_speedup() - 4.5).abs() < 1e-12);
-        assert!((t.packed_speedup() - 2.5).abs() < 1e-12);
         assert!((t.search_speedup() - 3.5).abs() < 1e-12);
-        assert!((t.batch_speedup() - 1.5).abs() < 1e-12);
         let zero = SweepTiming {
             parallel_ms: 0.0,
             serial_ms: 0.0,
@@ -697,9 +652,7 @@ mod tests {
         assert_eq!(zero.speedup(), 0.0);
         assert_eq!(zero.engine_speedup(), 0.0);
         assert_eq!(zero.kernel_speedup(), 0.0);
-        assert_eq!(zero.packed_speedup(), 0.0);
         assert_eq!(zero.search_speedup(), 0.0);
-        assert_eq!(zero.batch_speedup(), 0.0);
     }
 
     #[test]
@@ -711,9 +664,7 @@ mod tests {
                 parallel_ms: 0.5,
                 scalar_ms: 6.0,
                 naive_ms: 4.5,
-                gemm_ms: 2.0,
                 rescan_ms: 3.0,
-                sample_major_ms: 2.5,
             }],
             4,
             true,
@@ -728,16 +679,14 @@ mod tests {
         assert!(doc.contains("\"bitsliced_ms\":1.000"));
         assert!(doc.contains("\"engine_speedup\":6.000"));
         assert!(doc.contains("\"naive_ms\":4.500"));
-        assert!(doc.contains("\"gemm_ms\":2.000"));
         assert!(doc.contains("\"packed_ms\":1.000"));
         assert!(doc.contains("\"kernel_speedup\":4.500"));
-        assert!(doc.contains("\"packed_speedup\":2.000"));
         assert!(doc.contains("\"rescan_ms\":3.000"));
         assert!(doc.contains("\"incremental_ms\":1.000"));
         assert!(doc.contains("\"search_speedup\":3.000"));
-        assert!(doc.contains("\"sample_major_ms\":2.500"));
-        assert!(doc.contains("\"layer_major_ms\":1.000"));
-        assert!(doc.contains("\"batch_speedup\":2.500"));
+        for gone in ["gemm", "packed_speedup", "major", "batch_speedup"] {
+            assert!(!doc.contains(gone), "dropped column {gone} still rendered");
+        }
         assert!(doc.ends_with("}\n"));
     }
 

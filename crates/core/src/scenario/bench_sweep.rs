@@ -1,23 +1,21 @@
 //! The `BENCH_sweep.json` emitter: wall time of **every registered
-//! scenario**, serial vs parallel, scalar-engine vs bitsliced-engine *and*
-//! naive-/plain-GEMM-kernel vs subword-packed-kernel, plus thread count,
-//! host parallelism and the repeat count — the per-commit performance
-//! record CI uploads as an artifact.
+//! scenario**, serial vs parallel, scalar-engine vs bitsliced-engine,
+//! naive-kernel vs subword-packed-kernel *and* rescan-search vs
+//! incremental-search, plus thread count, host parallelism and the repeat
+//! count — the per-commit performance record CI uploads as an artifact.
 //!
 //! Since the registry refactor this scenario times the real experiments
 //! through [`super::registry`], so the perf trajectory covers every
-//! figure and table, not just the parallelized multiplier sweeps. While
-//! timing, it also *verifies* the determinism contract six times over:
-//! each scenario's parallel [`ScenarioResult`] is asserted equal to the
-//! serial one, the scalar-netlist-oracle run is asserted equal to the
-//! bitsliced one, the naive-MAC-kernel-oracle and plain-GEMM-oracle runs
-//! are asserted equal to the subword-packed one, the rescan-search-oracle
-//! run is asserted equal to the incremental one, and the
-//! sample-major-forward-oracle run is asserted equal to the layer-major
-//! fused-batch one, before a timing is recorded. The gate-level scenarios
+//! figure and table, not just the parallelized multiplier sweeps. Each
+//! scenario runs five ways, and while timing, the scenario also
+//! *verifies* the determinism contract four times over: each scenario's
+//! parallel [`ScenarioResult`] is asserted equal to the serial one, the
+//! scalar-netlist-oracle run is asserted equal to the bitsliced one, the
+//! naive-MAC-kernel-oracle run is asserted equal to the subword-packed
+//! one, and the rescan-search-oracle run is asserted equal to the
+//! incremental one, before a timing is recorded. The gate-level scenarios
 //! (fig2/fig3a/fig3b/table1/ablations) are where `engine_speedup` bites;
-//! `kernel_speedup`, `packed_speedup`, `search_speedup` and
-//! `batch_speedup` bite on the CNN scenarios
+//! `kernel_speedup` and `search_speedup` bite on the CNN scenarios
 //! (fig6/fig6_vgg/cnn_layerwise); scenarios without any of them in the
 //! loop time near 1x.
 //!
@@ -45,7 +43,7 @@ use super::{registry, DataTable, Scenario, ScenarioCtx, ScenarioResult};
 use crate::report::{bench_sweep_json, median_time_ms, SweepTiming};
 use dvafs_arith::netlist::Engine;
 use dvafs_executor::Executor;
-use dvafs_nn::{BatchPath, NnKernel, SearchStrategy};
+use dvafs_nn::{NnKernel, SearchStrategy};
 
 /// The performance-sweep scenario (`dvafs run bench_sweep`).
 pub struct BenchSweep;
@@ -70,10 +68,10 @@ impl Scenario for BenchSweep {
     fn run(&self, ctx: &ScenarioCtx) -> ScenarioResult {
         let repeats = ctx.repeats.max(1);
         // The baseline is always the *shipping* configuration — bitsliced
-        // engine, subword-packed GEMM kernel — regardless of what the
-        // invoking context selected (a `--kernel naive` run must not
-        // silently relabel the serial_ms/packed_ms columns as naive and
-        // flatten kernel_speedup).
+        // engine, subword-packed GEMM kernel, incremental search —
+        // regardless of what the invoking context selected (a
+        // `--kernel naive` run must not silently relabel the
+        // serial_ms/packed_ms columns as naive and flatten kernel_speedup).
         let serial_ctx = ctx
             .serial()
             .with_engine(Engine::Bitsliced)
@@ -85,20 +83,10 @@ impl Scenario for BenchSweep {
         // The naive-oracle run: one thread, naive NN MAC kernel — the
         // pre-GEMM baseline every kernel_speedup column is against.
         let naive_ctx = serial_ctx.clone().with_kernel(NnKernel::Naive);
-        // The plain-GEMM-oracle run: one thread, unpacked blocked GEMM —
-        // the pre-subword-packing baseline every packed_speedup column is
-        // against (and a bit-identity check of the packed kernel on every
-        // scenario, every run).
-        let gemm_ctx = serial_ctx.clone().with_kernel(NnKernel::Gemm);
         // The rescan-oracle run: one thread, full-forward precision-search
         // rescan — the pre-incremental baseline every search_speedup
         // column is against.
         let rescan_ctx = serial_ctx.clone().with_search(SearchStrategy::Rescan);
-        // The sample-major-oracle run: one thread, per-sample forward walk
-        // — the pre-batching baseline every batch_speedup column is
-        // against (and a bit-identity check of the layer-major fused
-        // wide-GEMM forward on every scenario, every run).
-        let sample_ctx = serial_ctx.clone().with_batch_path(BatchPath::SampleMajor);
         // The parallel run: the shipping configuration on the invoking
         // context's executor when it is actually parallel, otherwise on
         // the host parallelism (never a hardcoded count — a serial
@@ -131,9 +119,7 @@ impl Scenario for BenchSweep {
             let (parallel_ms, parallel_result) = median_time_ms(repeats, || s.run(&parallel_ctx));
             let (scalar_ms, scalar_result) = median_time_ms(repeats, || s.run(&scalar_ctx));
             let (naive_ms, naive_result) = median_time_ms(repeats, || s.run(&naive_ctx));
-            let (gemm_ms, gemm_result) = median_time_ms(repeats, || s.run(&gemm_ctx));
             let (rescan_ms, rescan_result) = median_time_ms(repeats, || s.run(&rescan_ctx));
-            let (sample_major_ms, sample_result) = median_time_ms(repeats, || s.run(&sample_ctx));
             assert!(
                 serial_result == parallel_result,
                 "{}: parallel result diverged from serial",
@@ -150,18 +136,8 @@ impl Scenario for BenchSweep {
                 s.id()
             );
             assert!(
-                gemm_result == serial_result,
-                "{}: plain-GEMM result diverged from packed GEMM",
-                s.id()
-            );
-            assert!(
                 rescan_result == serial_result,
                 "{}: rescan-search result diverged from incremental",
-                s.id()
-            );
-            assert!(
-                sample_result == serial_result,
-                "{}: sample-major result diverged from layer-major",
                 s.id()
             );
             r.line(format_args!(
@@ -174,9 +150,7 @@ impl Scenario for BenchSweep {
                 parallel_ms,
                 scalar_ms,
                 naive_ms,
-                gemm_ms,
                 rescan_ms,
-                sample_major_ms,
             });
         }
 
@@ -191,12 +165,8 @@ impl Scenario for BenchSweep {
                 "engine_speedup",
                 "naive_ms",
                 "kernel_speedup",
-                "gemm_ms",
-                "packed_speedup",
                 "rescan_ms",
                 "search_speedup",
-                "sample_major_ms",
-                "batch_speedup",
             ],
         );
         for t in &timings {
@@ -209,12 +179,8 @@ impl Scenario for BenchSweep {
                 t.engine_speedup().into(),
                 t.naive_ms.into(),
                 t.kernel_speedup().into(),
-                t.gemm_ms.into(),
-                t.packed_speedup().into(),
                 t.rescan_ms.into(),
                 t.search_speedup().into(),
-                t.sample_major_ms.into(),
-                t.batch_speedup().into(),
             ]);
         }
         if parallel_ctx.threads() == 1 {

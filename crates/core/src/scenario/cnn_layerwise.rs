@@ -5,9 +5,7 @@
 //! accuracy (Fig. 6 methodology), measures the sparsity the tuned
 //! network actually exhibits, then runs the layers on the Envision chip
 //! model at their individual operating points (Table III style) and
-//! compares against all-16-bit execution. Formerly the standalone
-//! `cnn_layerwise` example; the example remains as a shim over this
-//! scenario.
+//! compares against all-16-bit execution (`dvafs run cnn_layerwise`).
 
 use super::{DataTable, Scenario, ScenarioCtx, ScenarioResult};
 use crate::report::{fmt_f, TextTable};
@@ -49,10 +47,7 @@ impl Scenario for CnnLayerwise {
         let samples = if ctx.fast { 16 } else { 48 };
 
         // A LeNet-5 with realistic (pruned) weight sparsity.
-        let mut net = models::lenet5(ctx.seed + 6)
-            .with_kernel(ctx.kernel)
-            .with_batch_path(ctx.batch_path)
-            .with_batch_size(ctx.batch_size);
+        let mut net = models::lenet5(ctx.seed + 6).with_kernel(ctx.kernel);
         prune_to_sparsity(&mut net, 0.3);
         let data = SyntheticDataset::digits(samples, ctx.seed + 7);
         if dvafs_nn::precision::prediction_diversity(&net, &data) < 3 {

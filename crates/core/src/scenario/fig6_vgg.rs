@@ -63,10 +63,7 @@ impl Scenario for Fig6Vgg {
             }
         };
 
-        let mut vgg = models::vgg16(input, scale, ctx.seed + 4)
-            .with_kernel(ctx.kernel)
-            .with_batch_path(ctx.batch_path)
-            .with_batch_size(ctx.batch_size);
+        let mut vgg = models::vgg16(input, scale, ctx.seed + 4).with_kernel(ctx.kernel);
         let images = SyntheticDataset::image_like(samples, input, 10, ctx.seed + 5);
         ensure_diverse(&mut vgg, &images);
         let w = search.search_with(&vgg, &images, Operand::Weights, exec);

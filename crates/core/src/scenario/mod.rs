@@ -15,10 +15,8 @@
 //! * [`registry`] — the static table of all scenarios, in paper order.
 //!
 //! The `dvafs` CLI in `crates/bench` (`dvafs list`, `dvafs run <id>`) is a
-//! thin front-end over this module, and the legacy one-binary-per-figure
-//! entry points are shims that delegate here — their stdout is
-//! byte-identical to the pre-registry harness, which the smoke tests
-//! enforce by diffing subprocess output against [`render::render`].
+//! thin front-end over this module; the smoke tests diff its stdout
+//! against [`render::render`] for every scenario.
 //!
 //! ## Determinism
 //!
@@ -62,7 +60,7 @@ pub use table3::Table3;
 
 use dvafs_arith::netlist::Engine;
 use dvafs_executor::Executor;
-use dvafs_nn::{BatchPath, NnKernel, SearchStrategy, DEFAULT_BATCH_SIZE};
+use dvafs_nn::{NnKernel, SearchStrategy};
 
 /// Shared root seed of every experiment (full determinism). The
 /// multiplier-level sweeps additionally pin their own
@@ -84,9 +82,9 @@ pub struct ScenarioCtx {
     /// against it). Never moves a number — only wall time.
     pub engine: Engine,
     /// MAC kernel for the NN scenarios (subword-packed GEMM by default;
-    /// the naive layer loops and the plain blocked GEMM are the reference
-    /// oracles `bench_sweep` times against it). Like the engine, it never
-    /// moves a number — only wall time.
+    /// the naive layer loops are the reference oracle `bench_sweep` times
+    /// against it). Like the engine, it never moves a number — only wall
+    /// time.
     pub kernel: NnKernel,
     /// Timed repeats per measurement in `bench_sweep` (median-of-N after a
     /// warmup pass; `--repeats`, default 3). Ignored by every other
@@ -97,14 +95,6 @@ pub struct ScenarioCtx {
     /// the reference oracle `bench_sweep` times against it). Like the
     /// engine and kernel, it never moves a number — only wall time.
     pub search: SearchStrategy,
-    /// Batch path of the NN scenarios (layer-major fused wide GEMM by
-    /// default; the per-sample walk is the reference oracle `bench_sweep`
-    /// times against it). Like the kernel, it never moves a number — only
-    /// wall time.
-    pub batch_path: BatchPath,
-    /// Samples per layer-major chunk (`--batch-size`, default
-    /// [`DEFAULT_BATCH_SIZE`]). Also execution-only.
-    pub batch_size: usize,
     exec: Executor,
 }
 
@@ -120,8 +110,6 @@ impl ScenarioCtx {
             kernel: NnKernel::default(),
             repeats: 3,
             search: SearchStrategy::default(),
-            batch_path: BatchPath::default(),
-            batch_size: DEFAULT_BATCH_SIZE,
             exec: Executor::from_env(),
         }
     }
@@ -164,21 +152,6 @@ impl ScenarioCtx {
     #[must_use]
     pub fn with_search(mut self, search: SearchStrategy) -> Self {
         self.search = search;
-        self
-    }
-
-    /// Replaces the NN batch path (see [`ScenarioCtx::batch_path`]).
-    #[must_use]
-    pub fn with_batch_path(mut self, batch_path: BatchPath) -> Self {
-        self.batch_path = batch_path;
-        self
-    }
-
-    /// Replaces the layer-major chunk size (clamped to ≥ 1; see
-    /// [`ScenarioCtx::batch_size`]).
-    #[must_use]
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size.max(1);
         self
     }
 
@@ -249,10 +222,9 @@ pub trait Scenario: Sync {
 }
 
 /// Checks the cycle-level SIMD machine's read-back outputs against the
-/// exact software reference selected by `nn_kernel` — the naive tap loop,
-/// the blocked GEMM, or the subword-packed GEMM (all provably identical;
-/// this exercises whichever path the run selected). Shared by the
-/// fig4/table2 scenarios.
+/// exact software reference selected by `nn_kernel` — the naive tap loop
+/// or the subword-packed GEMM (provably identical; this exercises
+/// whichever path the run selected). Shared by the fig4/table2 scenarios.
 pub(crate) fn simd_outputs_match(
     report: &dvafs_simd::processor::KernelReport,
     kernel: &dvafs_simd::kernels::ConvKernel,
@@ -260,7 +232,6 @@ pub(crate) fn simd_outputs_match(
 ) -> bool {
     match nn_kernel {
         NnKernel::Naive => report.outputs_match(kernel),
-        NnKernel::Gemm => report.outputs_match_gemm(kernel),
         NnKernel::GemmPacked => report.outputs_match_packed(kernel),
     }
 }
@@ -338,13 +309,5 @@ mod tests {
         let rescan = naive.with_search(SearchStrategy::Rescan);
         assert_eq!(rescan.search, SearchStrategy::Rescan);
         assert_eq!(rescan.serial().search, SearchStrategy::Rescan);
-        assert_eq!(rescan.batch_path, BatchPath::LayerMajor);
-        assert_eq!(rescan.batch_size, DEFAULT_BATCH_SIZE);
-        let sample = rescan
-            .with_batch_path(BatchPath::SampleMajor)
-            .with_batch_size(0);
-        assert_eq!(sample.batch_path, BatchPath::SampleMajor);
-        assert_eq!(sample.serial().batch_path, BatchPath::SampleMajor);
-        assert_eq!(sample.batch_size, 1, "batch size clamps to >= 1");
     }
 }

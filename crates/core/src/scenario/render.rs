@@ -57,7 +57,7 @@ impl Format {
     }
 }
 
-/// The experiment banner every figure binary prints first (label is the
+/// The experiment banner every text rendering starts with (label is the
 /// paper artefact name, e.g. `"Fig. 2"`).
 #[must_use]
 pub fn banner_text(label: &str, title: &str) -> String {

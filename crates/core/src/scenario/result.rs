@@ -9,8 +9,7 @@
 //!   values (a property the test suite asserts);
 //! * the *text body* is the human presentation the original figure
 //!   binaries printed (pivoted tables, paper anchors, custom decimal
-//!   counts) and is kept byte-identical so the legacy commands and smoke
-//!   tests never move;
+//!   counts) and is kept byte-identical so the smoke tests never move;
 //! * [`Artifact`]s are files a scenario asks the runner to write (only
 //!   `bench_sweep` uses this, for `BENCH_sweep.json`).
 

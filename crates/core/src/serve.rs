@@ -40,8 +40,8 @@
 //! at most `--queue` requests in flight (bounded-queue backpressure — a
 //! slow client stalls the reader, not memory).
 //!
-//! A `predict` is split into chunks of the network's batch size (16
-//! samples) through its request's [`TaskHandle`]: the worker that took
+//! A `predict` is split into [`DEFAULT_BATCH_SIZE`]-sample chunks (16)
+//! through its request's [`TaskHandle`]: the worker that took
 //! the request runs chunks, and so does every worker that has finished
 //! its own request, before it starts a new one. Spare cores thus go to
 //! the predict at the head of the reply stream, whose reply the requests
@@ -99,7 +99,7 @@ use crate::scenario::{self, Format, ScenarioCtx};
 use dvafs_executor::{Executor, PanicPolicy, TaskHandle};
 use dvafs_nn::models::ModelSpec;
 use dvafs_nn::network::QuantConfig;
-use dvafs_nn::{Network, NnError};
+use dvafs_nn::{Network, NnError, DEFAULT_BATCH_SIZE};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
@@ -542,7 +542,7 @@ fn execute_request(env: &Envelope, state: &ServeState, handle: &TaskHandle<'_>) 
 }
 
 /// `predict_all` over `spec.dataset(samples, data_seed)`, as one
-/// [`TaskHandle::map_indexed`] over `net.batch_size()`-sample chunks that
+/// [`TaskHandle::map_indexed`] over [`DEFAULT_BATCH_SIZE`]-sample chunks that
 /// idle workers share: each chunk synthesizes only its own inputs and
 /// runs on its worker's thread-local scratch. The chunks are the batches
 /// `predict_all` walks, so the predictions are its predictions, and the
@@ -555,7 +555,7 @@ fn predict_shared(
     samples: usize,
     data_seed: u64,
 ) -> Result<Vec<usize>, NnError> {
-    let chunk = net.batch_size();
+    let chunk = DEFAULT_BATCH_SIZE;
     let per_chunk = handle.map_indexed(samples.div_ceil(chunk), move |c| {
         let start = c * chunk;
         let data = spec.dataset_range(start..samples.min(start + chunk), data_seed);

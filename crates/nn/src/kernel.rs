@@ -2,30 +2,26 @@
 //! multiply-accumulates.
 //!
 //! Mirroring the netlist engine selector of `dvafs-arith`
-//! (`netlist::Engine::{Scalar, Bitsliced}`), the NN hot path has three
+//! (`netlist::Engine::{Scalar, Bitsliced}`), the NN hot path has two
 //! interchangeable kernels:
 //!
 //! * [`NnKernel::Naive`] — the original 7-deep convolution loop (and the
 //!   2-deep dense loop), retained verbatim as the **reference oracle**;
-//! * [`NnKernel::Gemm`] — activations are packed into an im2col panel and
-//!   consumed by the blocked integer GEMM of [`dvafs_simd::gemm`]
-//!   (`i16 x i16` products, exact `i64` accumulation), with
-//!   per-`(layer, bits)` weight quantization memoized in a [`WeightCache`]
-//!   across a precision sweep;
-//! * [`NnKernel::GemmPacked`] — the default: the GEMM operands are
-//!   additionally *subword-packed* (the paper's Section II-C move in
-//!   software): each side independently selects the most-parallel
-//!   [`SubwordMode`] its bit width allows via
-//!   [`SubwordMode::for_precision`] — see [`mode_for_bits`] — so an
-//!   8-bit layer carries 2 operands per 16-bit lane word and a 4-bit
-//!   layer 4, and the packed GEMM of `dvafs_simd::gemm` consumes them
-//!   with exact accumulation.
+//! * [`NnKernel::GemmPacked`] — the default: activations are written into
+//!   an im2col panel that is *subword-packed* (the paper's Section II-C
+//!   move in software) and consumed by the packed GEMM of
+//!   [`dvafs_simd::gemm`] with exact accumulation. Each side
+//!   independently selects the most-parallel [`SubwordMode`] its bit
+//!   width allows via [`SubwordMode::for_precision`] — see
+//!   `mode_for_bits` — so an 8-bit layer carries 2 operands per 16-bit
+//!   lane word and a 4-bit layer 4. Per-`(layer, bits)` weight panels are
+//!   memoized in a `WeightCache` across a precision sweep.
 //!
-//! Accumulation is exact in every kernel, so the choice **never moves a
+//! Accumulation is exact in both kernels, so the choice **never moves a
 //! number**: outputs are byte-identical and the `zero_weight`/`zero_act`
 //! guard-skip counters are reproduced exactly from the packed
-//! representation (the `Naive == Gemm == GemmPacked` property tests pin
-//! all three). Only wall time changes.
+//! representation (the `Naive == GemmPacked` property tests pin both).
+//! Only wall time changes.
 
 use crate::quant::QuantizedTensor;
 use dvafs_arith::{Precision, SubwordMode};
@@ -38,8 +34,6 @@ use std::sync::{Arc, OnceLock};
 pub enum NnKernel {
     /// The original scalar layer loops — the reference oracle.
     Naive,
-    /// im2col packing + blocked integer GEMM.
-    Gemm,
     /// Subword-packed GEMM: reduced-precision operands share lane words
     /// at the [`SubwordMode`] geometry — the default.
     #[default]
@@ -48,9 +42,9 @@ pub enum NnKernel {
 
 impl NnKernel {
     /// All kernels, oracle first (test matrices iterate this).
-    pub const ALL: [NnKernel; 3] = [NnKernel::Naive, NnKernel::Gemm, NnKernel::GemmPacked];
+    pub const ALL: [NnKernel; 2] = [NnKernel::Naive, NnKernel::GemmPacked];
 
-    /// Parses a CLI spelling (`"naive"` / `"gemm"` / `"packed"`).
+    /// Parses a CLI spelling (`"naive"` / `"packed"`).
     ///
     /// # Errors
     ///
@@ -58,11 +52,8 @@ impl NnKernel {
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "naive" => Ok(NnKernel::Naive),
-            "gemm" => Ok(NnKernel::Gemm),
             "packed" => Ok(NnKernel::GemmPacked),
-            other => Err(format!(
-                "unknown kernel {other:?} (expected naive|gemm|packed)"
-            )),
+            other => Err(format!("unknown kernel {other:?} (expected naive|packed)")),
         }
     }
 }
@@ -71,65 +62,16 @@ impl fmt::Display for NnKernel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             NnKernel::Naive => "naive",
-            NnKernel::Gemm => "gemm",
             NnKernel::GemmPacked => "packed",
         })
     }
 }
 
-/// Selects how a batch of samples walks the network — the batching
-/// counterpart of [`NnKernel`], and the same selector-plus-oracle
-/// discipline: the per-sample path is retained verbatim as the reference
-/// oracle, and the choice **never moves a number** (the
-/// `batch_equivalence` proptest net pins outputs, guard-skip counters and
-/// argmaxes bitwise across both paths). Only wall time changes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum BatchPath {
-    /// Each sample walks the whole network alone (the reference oracle):
-    /// the per-`(layer, bits)` weight panel is re-streamed once per
-    /// sample.
-    SampleMajor,
-    /// A whole chunk of samples is carried layer-by-layer: each conv
-    /// layer concatenates the samples' im2col panels into **one wide
-    /// GEMM** (`m × k × (B·n)`; dense layers `m × k × B`), so the packed
-    /// weight panel streams through cache once per batch — the software
-    /// edition of the paper's weight-stationary MAC array. The default.
-    #[default]
-    LayerMajor,
-}
-
-impl BatchPath {
-    /// Both paths, oracle first (test matrices iterate this).
-    pub const ALL: [BatchPath; 2] = [BatchPath::SampleMajor, BatchPath::LayerMajor];
-
-    /// Parses a CLI spelling (`"sample"` / `"layer"`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a user-facing message for anything else.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "sample" => Ok(BatchPath::SampleMajor),
-            "layer" => Ok(BatchPath::LayerMajor),
-            other => Err(format!(
-                "unknown batch path {other:?} (expected sample|layer)"
-            )),
-        }
-    }
-}
-
-impl fmt::Display for BatchPath {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            BatchPath::SampleMajor => "sample",
-            BatchPath::LayerMajor => "layer",
-        })
-    }
-}
-
-/// Default samples per layer-major chunk: big enough to amortize one
-/// weight-panel stream over many activation columns, small enough that
-/// the widened im2col/accumulator scratch stays cache-resident.
+/// Samples per chunk of every batch entry point of `Network` (and of the
+/// precision search, sparsity measurement and `dvafs serve`): big enough
+/// to amortize one weight-panel stream over many activation columns,
+/// small enough that the widened im2col/accumulator scratch stays
+/// cache-resident.
 pub const DEFAULT_BATCH_SIZE: usize = 16;
 
 /// The [`SubwordMode`] the packed kernel selects for a `bits`-wide
@@ -145,18 +87,14 @@ pub(crate) fn mode_for_bits(bits: u32) -> SubwordMode {
     SubwordMode::for_precision(Precision::new(bits).expect("bits validated to 1..=16"))
 }
 
-/// Reusable buffers of the GEMM path. One `Scratch` amortizes the im2col
-/// panel and accumulator allocations across layers of a forward pass —
-/// and, via the batch entry points of `Network`, across samples of a
-/// dataset sweep. Buffers only grow; every use overwrites whatever part
-/// it reads (the fused packed fill writes every word of every panel
+/// Reusable buffers of the packed GEMM path. One `Scratch` amortizes the
+/// im2col panel and accumulator allocations across layers of a forward
+/// pass — and, via the batch entry points of `Network`, across samples
+/// of a dataset sweep. Buffers only grow; every use overwrites whatever
+/// part it reads (the fused packed fill writes every word of every panel
 /// row), so reuse never affects results.
 #[derive(Debug, Default)]
 pub struct Scratch {
-    /// im2col panel: one packed patch per output position (`n x k`).
-    pub(crate) patches: Vec<i16>,
-    /// Quantized activation vector of a dense layer.
-    pub(crate) acts: Vec<i16>,
     /// GEMM accumulators (`m x n`, exact `i64`).
     pub(crate) acc: Vec<i64>,
     /// Subword-packed activation panel of the `GemmPacked` kernel, filled
@@ -194,14 +132,11 @@ pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
     })
 }
 
-/// One memoized weight quantization: the `i16` panel the GEMM consumes,
+/// One memoized weight quantization: the packed panel the GEMM consumes,
 /// its scale, and the zero-weight counts the guard-skip statistics are
 /// reproduced from.
 #[derive(Debug)]
 pub(crate) struct PackedWeights {
-    /// Quantized weights as the GEMM's left operand (row-major, one filter
-    /// or output neuron per row).
-    pub qi16: Vec<i16>,
     /// Real value per grid step (`QuantizedTensor::scale`).
     pub scale: f64,
     /// Zero-weight count per spatial tap `ky*k + kx`, summed over filters
@@ -212,7 +147,7 @@ pub(crate) struct PackedWeights {
     pub zeros_per_tap: Vec<u64>,
     /// Total zero weights (the dense layer's per-output-row zero count).
     pub zeros_total: u64,
-    /// The same weights subword-packed at
+    /// The quantized weights subword-packed at
     /// [`mode_for_bits`]`(bits)` — one filter/output neuron per panel
     /// row — pre-built at pack time so the `GemmPacked` hot path never
     /// re-packs weights.
@@ -376,32 +311,20 @@ mod tests {
         for k in NnKernel::ALL {
             assert_eq!(NnKernel::parse(&k.to_string()), Ok(k));
         }
-        assert!(NnKernel::parse("fast")
+        assert!(NnKernel::parse("gemm")
             .unwrap_err()
-            .contains("naive|gemm|packed"));
+            .contains("naive|packed"));
         assert_eq!(NnKernel::default(), NnKernel::GemmPacked);
-    }
-
-    #[test]
-    fn batch_path_parse_and_display_roundtrip() {
-        for p in BatchPath::ALL {
-            assert_eq!(BatchPath::parse(&p.to_string()), Ok(p));
-        }
-        assert!(BatchPath::parse("wide")
-            .unwrap_err()
-            .contains("sample|layer"));
-        assert_eq!(BatchPath::default(), BatchPath::LayerMajor);
-        const { assert!(DEFAULT_BATCH_SIZE >= 1) };
     }
 
     #[test]
     fn thread_scratch_is_reused_and_reentrancy_safe() {
         // Two sequential borrows see the same buffer (capacity persists);
         // a nested borrow gets a fresh scratch instead of panicking.
-        with_thread_scratch(|s| s.patches.resize(64, 7));
+        with_thread_scratch(|s| s.acc.resize(64, 7));
         let (outer_len, inner_len) = with_thread_scratch(|s| {
-            let inner = with_thread_scratch(|nested| nested.patches.len());
-            (s.patches.len(), inner)
+            let inner = with_thread_scratch(|nested| nested.acc.len());
+            (s.acc.len(), inner)
         });
         assert_eq!(outer_len, 64, "thread-local scratch persists across calls");
         assert_eq!(
@@ -490,7 +413,6 @@ mod tests {
             let _ = cache.get_or_pack(bits, || {
                 packs += 1;
                 PackedWeights {
-                    qi16: vec![],
                     scale: 1.0,
                     zeros_per_tap: vec![],
                     zeros_total: 0,

@@ -7,18 +7,19 @@
 //! accumulation — the arithmetic a DVAFS MAC array performs — and report
 //! the MAC/sparsity statistics that drive the Envision power model.
 //!
-//! Three interchangeable MAC kernels execute that arithmetic (see
-//! [`crate::kernel`]): the original scalar loops ([`NnKernel::Naive`], the
-//! reference oracle), the im2col + blocked-integer-GEMM path
-//! ([`NnKernel::Gemm`]), and the default subword-packed GEMM
-//! ([`NnKernel::GemmPacked`]). The packed kernel runs a single sample and
-//! a whole batch alike through one fused path that fills the packed
-//! activation panel in place, whole row by whole row. Accumulation is
-//! exact in `i64`, so all three produce byte-identical outputs and
-//! statistics.
+//! Every layer runs on a batch of samples ([`Layer::forward`] is a batch
+//! of one). Conv and dense layers execute that batch on one of two MAC
+//! kernels (see [`crate::kernel`]): the original scalar loops, sample by
+//! sample ([`NnKernel::Naive`], the reference oracle), or the default
+//! subword-packed GEMM ([`NnKernel::GemmPacked`]), which fills one packed
+//! activation panel for the whole batch in place, whole row by whole row,
+//! and multiplies it once. Accumulation is exact in `i64`, so both
+//! produce byte-identical outputs and statistics.
 
 use crate::error::NnError;
-use crate::kernel::{mode_for_bits, NnKernel, PackedWeights, Scratch, WeightCache};
+use crate::kernel::{
+    mode_for_bits, with_thread_scratch, NnKernel, PackedWeights, Scratch, WeightCache,
+};
 use crate::quant::QuantizedTensor;
 use crate::tensor::Tensor;
 use dvafs_arith::SubwordMode;
@@ -51,10 +52,8 @@ fn pack_row(mode: SubwordMode, lanes: &[u16], row: &mut [u16]) {
     }
 }
 
-/// The one result of a single-sample batch forward.
-fn single(
-    results: Result<Vec<(Tensor, LayerStats)>, NnError>,
-) -> Result<(Tensor, LayerStats), NnError> {
+/// The one result of a batch-of-one forward.
+pub(crate) fn single<T>(results: Result<Vec<T>, NnError>) -> Result<T, NnError> {
     results.map(|mut r| r.pop().expect("one result per sample"))
 }
 
@@ -228,15 +227,9 @@ impl Conv2d {
         (oh, ow)
     }
 
-    fn forward_with(
-        &self,
-        input: &Tensor,
-        wbits: u32,
-        abits: u32,
-        kernel: NnKernel,
-        scratch: &mut Scratch,
-    ) -> Result<(Tensor, LayerStats), NnError> {
-        let (c, h, w) = input.shape();
+    /// Rejects an input grid of shape `(c, h, w)` this convolution cannot
+    /// consume.
+    fn check_shape(&self, (c, h, w): (usize, usize, usize)) -> Result<(), NnError> {
         if c != self.in_channels
             || h + 2 * self.padding < self.kernel
             || w + 2 * self.padding < self.kernel
@@ -246,37 +239,7 @@ impl Conv2d {
                 actual: (c, h, w),
             });
         }
-        let qa = QuantizedTensor::quantize(input, abits)?;
-        self.forward_quant(&qa, wbits, kernel, scratch)
-    }
-
-    /// Executes the convolution on an already-quantized input activation —
-    /// the entry point the incremental precision search drives through its
-    /// per-`(sample, layer, abits)` [`crate::kernel::ActivationCache`]
-    /// memo. Quantization is a pure function of `(input, bits)`, so this
-    /// is bit-identical to quantizing inline.
-    pub(crate) fn forward_quant(
-        &self,
-        qa: &QuantizedTensor,
-        wbits: u32,
-        kernel: NnKernel,
-        scratch: &mut Scratch,
-    ) -> Result<(Tensor, LayerStats), NnError> {
-        let (c, h, w) = qa.shape;
-        if c != self.in_channels
-            || h + 2 * self.padding < self.kernel
-            || w + 2 * self.padding < self.kernel
-        {
-            return Err(NnError::ShapeMismatch {
-                expected: (self.in_channels, self.kernel, self.kernel),
-                actual: (c, h, w),
-            });
-        }
-        match kernel {
-            NnKernel::Naive => self.forward_naive(qa, wbits),
-            NnKernel::Gemm => self.forward_gemm(qa, wbits, scratch),
-            NnKernel::GemmPacked => single(self.forward_quant_batch(&[qa], wbits, kernel, scratch)),
-        }
+        Ok(())
     }
 
     /// The original 7-deep scalar loop — the reference oracle the GEMM
@@ -357,9 +320,8 @@ impl Conv2d {
                 }
                 qi16.push(q as i16);
             }
-            // Pre-pack the subword panel at the width's own mode (one
-            // filter per row): the GemmPacked hot path then only packs
-            // activations.
+            // Pack the subword panel at the width's own mode (one filter
+            // per row): the hot path then only packs activations.
             let panel = gemm::PackedPanel::pack(
                 &qi16,
                 self.out_channels,
@@ -367,7 +329,6 @@ impl Conv2d {
                 mode_for_bits(wbits),
             );
             PackedWeights {
-                qi16,
                 scale: qw.scale,
                 zeros_per_tap,
                 zeros_total,
@@ -394,57 +355,6 @@ impl Conv2d {
                     .count() as u64
             })
             .collect()
-    }
-
-    /// Packs one sample's im2col panel into the **pre-zeroed** `patches`
-    /// (length `n * klen`), counting in-bounds zero activations as it
-    /// goes — a padding tap is a *skipped* MAC, not a zero-operand MAC,
-    /// so structural zeros come from the zeroed buffer and are not
-    /// counted. Shared by the per-sample and batched `Gemm` paths, so
-    /// their panels (and zero-activation counts) are bit-identical by
-    /// construction.
-    fn pack_im2col(&self, qa: &QuantizedTensor, patches: &mut [i16]) -> u64 {
-        let (_, h, w) = qa.shape;
-        let (oh, ow) = self.out_hw(h, w);
-        let k = self.kernel;
-        let c = self.in_channels;
-        let klen = c * k * k;
-        let pad = self.padding as isize;
-        let mut zero_acts = 0u64;
-        for oy in 0..oh {
-            for ky in 0..k {
-                let iy = (oy * self.stride + ky) as isize - pad;
-                if iy < 0 || iy >= h as isize {
-                    continue;
-                }
-                let iy = iy as usize;
-                for ox in 0..ow {
-                    let row = (oy * ow + ox) * klen;
-                    // Hoist the per-tap ix bounds check: tap kx is in
-                    // bounds iff 0 <= ox*stride + kx - pad < w, so the
-                    // in-bounds taps form one contiguous kx range and the
-                    // two innermost loops run over contiguous reads
-                    // (src[ix0..]) and contiguous writes (dst[kx_lo..]).
-                    let base = (ox * self.stride) as isize - pad;
-                    let kx_lo = usize::try_from(-base).unwrap_or(0).min(k);
-                    let kx_hi = usize::try_from(w as isize - base).unwrap_or(0).min(k);
-                    if kx_lo >= kx_hi {
-                        continue;
-                    }
-                    let ix0 = (base + kx_lo as isize) as usize;
-                    for ci in 0..c {
-                        let src = &qa.data[(ci * h + iy) * w + ix0..][..kx_hi - kx_lo];
-                        let dst_at = row + (ci * k + ky) * k + kx_lo;
-                        let dst = &mut patches[dst_at..][..kx_hi - kx_lo];
-                        for (d, &q) in dst.iter_mut().zip(src) {
-                            zero_acts += u64::from(q == 0);
-                            *d = q as i16;
-                        }
-                    }
-                }
-            }
-        }
-        zero_acts
     }
 
     /// Per-coordinate tap coverage along one spatial axis: entry `i` is
@@ -568,8 +478,7 @@ impl Conv2d {
     /// representation: tap `(ky, kx)` is in bounds at `py[ky]*px[kx]`
     /// output positions. Returns `(macs, zero_weight_macs)`; the
     /// data-dependent `zero_act_macs` comes from the activation fill
-    /// ([`pack_im2col`](Self::pack_im2col) or
-    /// [`fill_im2col`](Self::fill_im2col)).
+    /// ([`fill_im2col`](Self::fill_im2col)).
     fn gemm_mac_stats(&self, pw: &PackedWeights, h: usize, w: usize) -> (u64, u64) {
         let (oh, ow) = self.out_hw(h, w);
         let k = self.kernel;
@@ -588,67 +497,18 @@ impl Conv2d {
         )
     }
 
-    /// The im2col + blocked-integer-GEMM path (the `Gemm` kernel). Patches
-    /// are packed at the filters' own layout with structural zeros where a
-    /// tap falls in the padding; those zeros contribute nothing to the
-    /// exact `i64` sums, so outputs are byte-identical to
-    /// [`forward_naive`](Self::forward_naive).
-    fn forward_gemm(
-        &self,
-        qa: &QuantizedTensor,
-        wbits: u32,
-        scratch: &mut Scratch,
-    ) -> Result<(Tensor, LayerStats), NnError> {
-        let (_, h, w) = qa.shape;
-        let pw = self.packed_weights(wbits)?;
-        let (oh, ow) = self.out_hw(h, w);
-        let f = self.out_channels;
-        let klen = self.in_channels * self.kernel * self.kernel;
-        let n = oh * ow;
-
-        scratch.patches.clear();
-        scratch.patches.resize(n * klen, 0);
-        let zero_acts = self.pack_im2col(qa, &mut scratch.patches);
-
-        scratch.acc.clear();
-        scratch.acc.resize(f * n, 0);
-        gemm::gemm_i16(&pw.qi16, &scratch.patches, f, klen, n, &mut scratch.acc);
-
-        let (macs, zero_weight_macs) = self.gemm_mac_stats(&pw, h, w);
-        let stats = LayerStats {
-            macs,
-            zero_weight_macs,
-            zero_act_macs: f as u64 * zero_acts,
-        };
-
-        let scale = qa.scale * pw.scale;
-        let mut out = Tensor::zeros(f, oh, ow);
-        let data = out.as_mut_slice();
-        for fi in 0..f {
-            let bias = f64::from(self.bias[fi]);
-            for (dst, &acc) in data[fi * n..(fi + 1) * n]
-                .iter_mut()
-                .zip(&scratch.acc[fi * n..(fi + 1) * n])
-            {
-                *dst = (acc as f64 * scale + bias) as f32;
-            }
-        }
-        Ok((out, stats))
-    }
-
-    /// Executes the convolution on a whole batch of already-quantized
-    /// inputs with **one wide GEMM**: each sample's im2col panel becomes
-    /// `n` extra rows of a shared `(B·n) x k` activation panel, so the
-    /// packed weight panel streams through cache once per batch instead
-    /// of once per sample. Every output element is still an independent
-    /// exact-`i64` dot product over the same operands, so outputs and
-    /// statistics are bit-identical to the per-sample `Naive` and `Gemm`
-    /// paths.
+    /// Executes the convolution on a batch of already-quantized inputs —
+    /// the one conv entry point of every forward. The naive kernel runs
+    /// its scalar loop sample by sample; the packed kernel runs **one
+    /// wide GEMM** ([`forward_packed`](Self::forward_packed)). Both are
+    /// exact, so outputs and statistics are bit-identical across kernels
+    /// and batch sizes. A batch of mixed grid geometry runs as batches of
+    /// one.
     ///
-    /// This is also the `GemmPacked` kernel's single-sample path. Falls
-    /// back to [`forward_quant`](Self::forward_quant) per sample for the
-    /// naive kernel or mixed grid geometry (still bit-identical — only
-    /// wall time changes).
+    /// # Errors
+    ///
+    /// [`NnError::ShapeMismatch`] for the first input that does not fit,
+    /// and [`NnError::InvalidBits`] for `wbits` outside `1..=16`.
     pub(crate) fn forward_quant_batch(
         &self,
         qas: &[&QuantizedTensor],
@@ -656,27 +516,39 @@ impl Conv2d {
         kernel: NnKernel,
         scratch: &mut Scratch,
     ) -> Result<Vec<(Tensor, LayerStats)>, NnError> {
-        let fusable = kernel != NnKernel::Naive
-            && qas
-                .iter()
-                .all(|qa| qa.shape == qas[0].shape && qa.bits == qas[0].bits);
-        if !fusable || qas.is_empty() {
-            return qas
-                .iter()
-                .map(|qa| self.forward_quant(qa, wbits, kernel, scratch))
-                .collect();
+        for qa in qas {
+            self.check_shape(qa.shape)?;
         }
-        let (c, h, w) = qas[0].shape;
-        if c != self.in_channels
-            || h + 2 * self.padding < self.kernel
-            || w + 2 * self.padding < self.kernel
-        {
-            return Err(NnError::ShapeMismatch {
-                expected: (self.in_channels, self.kernel, self.kernel),
-                actual: (c, h, w),
-            });
+        let uniform = qas
+            .iter()
+            .all(|qa| qa.shape == qas[0].shape && qa.bits == qas[0].bits);
+        match kernel {
+            NnKernel::Naive => qas.iter().map(|qa| self.forward_naive(qa, wbits)).collect(),
+            NnKernel::GemmPacked if uniform => self.forward_packed(qas, wbits, scratch),
+            NnKernel::GemmPacked => qas
+                .iter()
+                .map(|qa| single(self.forward_packed(&[qa], wbits, scratch)))
+                .collect(),
         }
+    }
+
+    /// The packed kernel on a batch of same-geometry inputs: each
+    /// sample's im2col panel becomes `n` extra rows of a shared
+    /// `(B·n) x k` activation panel, so the packed weight panel streams
+    /// through cache once per batch instead of once per sample. Every
+    /// output element is still an independent exact-`i64` dot product
+    /// over the same operands as [`forward_naive`](Self::forward_naive).
+    fn forward_packed(
+        &self,
+        qas: &[&QuantizedTensor],
+        wbits: u32,
+        scratch: &mut Scratch,
+    ) -> Result<Vec<(Tensor, LayerStats)>, NnError> {
+        let Some(first) = qas.first() else {
+            return Ok(Vec::new());
+        };
         let pw = self.packed_weights(wbits)?;
+        let (_, h, w) = first.shape;
         let (oh, ow) = self.out_hw(h, w);
         let f = self.out_channels;
         let klen = self.in_channels * self.kernel * self.kernel;
@@ -688,43 +560,32 @@ impl Conv2d {
         // The GEMM fully overwrites its output, so the accumulator only
         // grows — no per-call zero fill of `f * total` elements.
         let Scratch {
-            patches,
             acc,
             packed,
             padded,
             stage,
-            ..
         } = scratch;
         if acc.len() < f * total {
             acc.resize(f * total, 0);
         }
         let acc = &mut acc[..f * total];
+        // im2col writes the wide panel directly at the activation mode's
+        // lane geometry, every word of every row — no i16 staging panel
+        // and no repack pass.
+        let cover = (self.axis_cover(oh, h), self.axis_cover(ow, w));
+        let cover = (cover.0.as_slice(), cover.1.as_slice());
+        let mode = mode_for_bits(first.bits);
+        let (words, stride) = packed.begin_fill(total, klen, mode);
         let mut zero_acts = Vec::with_capacity(b);
-        if kernel == NnKernel::GemmPacked {
-            // im2col writes the wide panel directly at the activation
-            // mode's lane geometry, every word of every row — no i16
-            // staging panel and no repack pass.
-            let cover = (self.axis_cover(oh, h), self.axis_cover(ow, w));
-            let cover = (cover.0.as_slice(), cover.1.as_slice());
-            let mode = mode_for_bits(qas[0].bits);
-            let (words, stride) = packed.begin_fill(total, klen, mode);
-            let mut has_min = false;
-            for (qa, block) in qas.iter().zip(words.chunks_exact_mut(n * stride)) {
-                let bufs = (&mut *padded, &mut *stage);
-                let (zeros, min) = self.fill_im2col(mode, qa, cover, bufs, block, stride);
-                zero_acts.push(zeros);
-                has_min |= min;
-            }
-            packed.finish_fill(has_min);
-            gemm::gemm_packed(&pw.panel, packed, acc);
-        } else {
-            patches.clear();
-            patches.resize(total * klen, 0);
-            for (qa, panel) in qas.iter().zip(patches.chunks_exact_mut(n * klen)) {
-                zero_acts.push(self.pack_im2col(qa, panel));
-            }
-            gemm::gemm_i16(&pw.qi16, patches, f, klen, total, acc);
+        let mut has_min = false;
+        for (qa, block) in qas.iter().zip(words.chunks_exact_mut(n * stride)) {
+            let bufs = (&mut *padded, &mut *stage);
+            let (zeros, min) = self.fill_im2col(mode, qa, cover, bufs, block, stride);
+            zero_acts.push(zeros);
+            has_min |= min;
         }
+        packed.finish_fill(has_min);
+        gemm::gemm_packed(&pw.panel, packed, acc);
 
         let (macs, zero_weight_macs) = self.gemm_mac_stats(&pw, h, w);
         // Slice each sample's output columns back out: filter `fi` of
@@ -847,45 +708,16 @@ impl Dense {
         t
     }
 
-    fn forward_with(
-        &self,
-        input: &Tensor,
-        wbits: u32,
-        abits: u32,
-        kernel: NnKernel,
-        scratch: &mut Scratch,
-    ) -> Result<(Tensor, LayerStats), NnError> {
-        if input.len() != self.inputs {
-            return Err(NnError::ShapeMismatch {
-                expected: (1, 1, self.inputs),
-                actual: input.shape(),
-            });
-        }
-        let qa = QuantizedTensor::quantize(input, abits)?;
-        self.forward_quant(&qa, wbits, kernel, scratch)
-    }
-
-    /// Executes the layer on an already-quantized input activation (see
-    /// [`Conv2d::forward_quant`]).
-    pub(crate) fn forward_quant(
-        &self,
-        qa: &QuantizedTensor,
-        wbits: u32,
-        kernel: NnKernel,
-        scratch: &mut Scratch,
-    ) -> Result<(Tensor, LayerStats), NnError> {
-        let (c, h, w) = qa.shape;
+    /// Rejects an input of shape `(c, h, w)` whose flattened length is
+    /// not this layer's input width.
+    fn check_shape(&self, (c, h, w): (usize, usize, usize)) -> Result<(), NnError> {
         if c * h * w != self.inputs {
             return Err(NnError::ShapeMismatch {
                 expected: (1, 1, self.inputs),
                 actual: (c, h, w),
             });
         }
-        match kernel {
-            NnKernel::Naive => self.forward_naive(qa, wbits),
-            NnKernel::Gemm => self.forward_gemm(qa, wbits, scratch),
-            NnKernel::GemmPacked => single(self.forward_quant_batch(&[qa], wbits, kernel, scratch)),
-        }
+        Ok(())
     }
 
     /// The original 2-deep scalar loop — the reference oracle. Kept
@@ -939,7 +771,6 @@ impl Dense {
             let panel =
                 gemm::PackedPanel::pack(&qi16, self.outputs, self.inputs, mode_for_bits(wbits));
             PackedWeights {
-                qi16,
                 scale: qw.scale,
                 zeros_per_tap: Vec::new(),
                 zeros_total,
@@ -948,46 +779,15 @@ impl Dense {
         }))
     }
 
-    /// The dense GEMM path (the `Gemm` kernel): one exact `i16`-panel dot
-    /// product per output neuron. Every weight is consumed exactly once
-    /// and every activation once per output row, so the guard-skip
-    /// counters are the packed zero counts directly.
-    fn forward_gemm(
-        &self,
-        qa: &QuantizedTensor,
-        wbits: u32,
-        scratch: &mut Scratch,
-    ) -> Result<(Tensor, LayerStats), NnError> {
-        let pw = self.packed_weights(wbits)?;
-        let zero_acts = qa.fill_i16(&mut scratch.acts);
-        let scale = qa.scale * pw.scale;
-        let mut out = Tensor::zeros(1, 1, self.outputs);
-        let data = out.as_mut_slice();
-        for (z, dst) in data.iter_mut().enumerate() {
-            let acc = gemm::dot_i16(
-                &pw.qi16[z * self.inputs..(z + 1) * self.inputs],
-                &scratch.acts,
-            );
-            *dst = (acc as f64 * scale + f64::from(self.bias[z])) as f32;
-        }
-        let stats = LayerStats {
-            macs: (self.outputs * self.inputs) as u64,
-            zero_weight_macs: pw.zeros_total,
-            zero_act_macs: self.outputs as u64 * zero_acts,
-        };
-        Ok((out, stats))
-    }
-
-    /// Executes the layer on a whole batch of already-quantized inputs
-    /// with one `outputs x inputs x B` GEMM: each sample's activation
-    /// vector becomes one row of a shared `B x inputs` right-hand panel,
-    /// so the packed weight rows stream once per batch. Every output
-    /// element is the same exact-`i64` dot product over the same
-    /// operands, so outputs and statistics are bit-identical to the
-    /// per-sample `Naive` and `Gemm` paths. This is also the `GemmPacked`
-    /// kernel's single-sample path; the naive kernel and mixed grid
-    /// geometry fall back to [`forward_quant`](Self::forward_quant) per
-    /// sample.
+    /// Executes the layer on a batch of already-quantized inputs (see
+    /// [`Conv2d::forward_quant_batch`]). The packed kernel runs one
+    /// `outputs x inputs x B` GEMM: each sample's activation vector is
+    /// one row of a shared `B x inputs` right-hand panel, so the packed
+    /// weight rows stream once per batch.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Conv2d::forward_quant_batch`].
     pub(crate) fn forward_quant_batch(
         &self,
         qas: &[&QuantizedTensor],
@@ -995,33 +795,37 @@ impl Dense {
         kernel: NnKernel,
         scratch: &mut Scratch,
     ) -> Result<Vec<(Tensor, LayerStats)>, NnError> {
-        let fusable = kernel != NnKernel::Naive
-            && qas
-                .iter()
-                .all(|qa| qa.shape == qas[0].shape && qa.bits == qas[0].bits);
-        if !fusable || qas.is_empty() {
-            return qas
-                .iter()
-                .map(|qa| self.forward_quant(qa, wbits, kernel, scratch))
-                .collect();
+        for qa in qas {
+            self.check_shape(qa.shape)?;
         }
-        {
-            let (c, h, w) = qas[0].shape;
-            if c * h * w != self.inputs {
-                return Err(NnError::ShapeMismatch {
-                    expected: (1, 1, self.inputs),
-                    actual: (c, h, w),
-                });
-            }
+        let uniform = qas.iter().all(|qa| qa.bits == qas[0].bits);
+        match kernel {
+            NnKernel::Naive => qas.iter().map(|qa| self.forward_naive(qa, wbits)).collect(),
+            NnKernel::GemmPacked if uniform => self.forward_packed(qas, wbits, scratch),
+            NnKernel::GemmPacked => qas
+                .iter()
+                .map(|qa| single(self.forward_packed(&[qa], wbits, scratch)))
+                .collect(),
         }
+    }
+
+    /// The packed kernel on a batch of inputs sharing one activation
+    /// width. Every weight is consumed exactly once per sample and every
+    /// activation once per output row, so the guard-skip counters are the
+    /// packed zero counts directly.
+    fn forward_packed(
+        &self,
+        qas: &[&QuantizedTensor],
+        wbits: u32,
+        scratch: &mut Scratch,
+    ) -> Result<Vec<(Tensor, LayerStats)>, NnError> {
+        let Some(first) = qas.first() else {
+            return Ok(Vec::new());
+        };
         let pw = self.packed_weights(wbits)?;
         let b = qas.len();
         let Scratch {
-            patches,
-            acc,
-            packed,
-            stage,
-            ..
+            acc, packed, stage, ..
         } = scratch;
         // The GEMM fully overwrites its output, so only grow the
         // accumulator — no per-call zero fill.
@@ -1029,35 +833,21 @@ impl Dense {
             acc.resize(self.outputs * b, 0);
         }
         let acc = &mut acc[..self.outputs * b];
+        // Direct panel fill at the activation mode's lane geometry: each
+        // sample's vector is one whole panel row.
+        let mode = mode_for_bits(first.bits);
+        let (words, stride) = packed.begin_fill(b, self.inputs, mode);
+        stage.clear();
+        stage.resize(stride * mode.lanes(), 0);
         let mut zero_counts = Vec::with_capacity(b);
-        if kernel == NnKernel::GemmPacked {
-            // Direct panel fill at the activation mode's lane geometry:
-            // each sample's vector is one whole panel row.
-            let mode = mode_for_bits(qas[0].bits);
-            let (words, stride) = packed.begin_fill(b, self.inputs, mode);
-            stage.clear();
-            stage.resize(stride * mode.lanes(), 0);
-            let mut has_min = false;
-            for (qa, row) in qas.iter().zip(words.chunks_exact_mut(stride)) {
-                let (zeros, min) = fill_dense_row(mode, &qa.data, stage, row);
-                zero_counts.push(zeros);
-                has_min |= min;
-            }
-            packed.finish_fill(has_min);
-            gemm::gemm_packed(&pw.panel, packed, acc);
-        } else {
-            patches.clear();
-            patches.resize(b * self.inputs, 0);
-            for (qa, row) in qas.iter().zip(patches.chunks_exact_mut(self.inputs)) {
-                let mut zeros = 0u64;
-                for (dst, &q) in row.iter_mut().zip(&qa.data) {
-                    zeros += u64::from(q == 0);
-                    *dst = q as i16;
-                }
-                zero_counts.push(zeros);
-            }
-            gemm::gemm_i16(&pw.qi16, patches, self.outputs, self.inputs, b, acc);
+        let mut has_min = false;
+        for (qa, row) in qas.iter().zip(words.chunks_exact_mut(stride)) {
+            let (zeros, min) = fill_dense_row(mode, &qa.data, stage, row);
+            zero_counts.push(zeros);
+            has_min |= min;
         }
+        packed.finish_fill(has_min);
+        gemm::gemm_packed(&pw.panel, packed, acc);
 
         // Sample `si` of output row `z` lives at `acc[z*b + si]`.
         let mut results = Vec::with_capacity(b);
@@ -1161,11 +951,9 @@ impl Layer {
         }
     }
 
-    /// Executes the layer; `wbits`/`abits` only affect parameterized layers.
-    ///
-    /// Runs on the default MAC kernel with a throwaway scratch — hot paths
-    /// should use [`forward_with`](Self::forward_with) and reuse a
-    /// [`Scratch`] across layers and samples.
+    /// Executes the layer on one sample — a batch of one through the
+    /// layer's batch step, on the default MAC kernel and this thread's
+    /// [`Scratch`]. `wbits`/`abits` only affect parameterized layers.
     ///
     /// # Errors
     ///
@@ -1177,93 +965,29 @@ impl Layer {
         wbits: u32,
         abits: u32,
     ) -> Result<(Tensor, LayerStats), NnError> {
-        self.forward_with(
-            input,
-            wbits,
-            abits,
-            NnKernel::default(),
-            &mut Scratch::new(),
-        )
+        with_thread_scratch(|scratch| {
+            single(self.forward_batch_with(
+                std::slice::from_ref(input),
+                wbits,
+                abits,
+                NnKernel::default(),
+                scratch,
+            ))
+        })
     }
 
-    /// Executes the layer on an explicit MAC kernel with caller-provided
-    /// scratch buffers. The kernel choice never changes outputs or
-    /// statistics — only wall time.
+    /// Executes the layer on a whole chunk of samples — the step every
+    /// forward takes: parameterized layers quantize each input at `abits`
+    /// (in sample order; quantization is per-sample, so grids and scales
+    /// do not depend on the chunk) and run the chunk on `kernel` — one
+    /// wide GEMM on the packed kernel; ReLU/pooling layers run per
+    /// sample.
     ///
     /// # Errors
     ///
-    /// Same as [`forward`](Self::forward).
-    pub fn forward_with(
-        &self,
-        input: &Tensor,
-        wbits: u32,
-        abits: u32,
-        kernel: NnKernel,
-        scratch: &mut Scratch,
-    ) -> Result<(Tensor, LayerStats), NnError> {
-        match self {
-            Layer::Conv2d(c) => c.forward_with(input, wbits, abits, kernel, scratch),
-            Layer::Dense(d) => d.forward_with(input, wbits, abits, kernel, scratch),
-            Layer::ReLU => {
-                let mut out = input.clone();
-                for v in out.as_mut_slice() {
-                    *v = v.max(0.0);
-                }
-                Ok((out, LayerStats::default()))
-            }
-            Layer::MaxPool2d { k, stride } => {
-                let (c, h, w) = input.shape();
-                if h < *k || w < *k {
-                    return Err(NnError::ShapeMismatch {
-                        expected: (c, *k, *k),
-                        actual: (c, h, w),
-                    });
-                }
-                Ok((max_pool(input, *k, *stride), LayerStats::default()))
-            }
-        }
-    }
-
-    /// Executes a **parameterized** layer on an already-quantized input
-    /// activation — the incremental-search fast path, fed from the
-    /// per-`(sample, layer, abits)` [`crate::kernel::ActivationCache`].
-    /// Bit-identical to [`forward_with`](Self::forward_with) because
-    /// quantization is a pure function of `(input, abits)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when the input does not fit or
-    /// when called on a non-parameterized layer (ReLU / pooling layers
-    /// take no quantized operands — callers route them through
-    /// [`forward_with`](Self::forward_with)).
-    pub(crate) fn forward_prequantized(
-        &self,
-        qa: &QuantizedTensor,
-        wbits: u32,
-        kernel: NnKernel,
-        scratch: &mut Scratch,
-    ) -> Result<(Tensor, LayerStats), NnError> {
-        match self {
-            Layer::Conv2d(c) => c.forward_quant(qa, wbits, kernel, scratch),
-            Layer::Dense(d) => d.forward_quant(qa, wbits, kernel, scratch),
-            Layer::ReLU | Layer::MaxPool2d { .. } => Err(NnError::ShapeMismatch {
-                expected: (0, 0, 0),
-                actual: qa.shape,
-            }),
-        }
-    }
-
-    /// Executes the layer on a whole chunk of samples — the `LayerMajor`
-    /// step: parameterized layers quantize each input at `abits` (in
-    /// sample order; quantization is per-sample, so grids and scales are
-    /// unchanged) and fuse the batch into one wide GEMM; ReLU/pooling
-    /// layers run per sample. Bit-identical to mapping
-    /// [`forward_with`](Self::forward_with) over the samples.
-    ///
-    /// # Errors
-    ///
-    /// Same per-sample errors as [`forward_with`](Self::forward_with);
-    /// the first failing sample (in sample order) of this layer wins.
+    /// [`NnError::ShapeMismatch`] when an input does not fit and
+    /// [`NnError::InvalidBits`] for bit widths outside `1..=16`; the first
+    /// failing sample (in sample order) of this layer wins.
     pub(crate) fn forward_batch_with(
         &self,
         inputs: &[Tensor],
@@ -1275,8 +999,8 @@ impl Layer {
         match self {
             Layer::Conv2d(_) | Layer::Dense(_) => {
                 // Validate-then-quantize per sample, in sample order, so a
-                // bad sample surfaces the same error the per-sample path
-                // would raise for it.
+                // bad shape surfaces as a shape error, not a quantization
+                // one.
                 let mut qas = Vec::with_capacity(inputs.len());
                 for input in inputs {
                     self.validate_input(input)?;
@@ -1285,21 +1009,44 @@ impl Layer {
                 let refs: Vec<&QuantizedTensor> = qas.iter().collect();
                 self.forward_prequantized_batch(&refs, wbits, kernel, scratch)
             }
-            Layer::ReLU | Layer::MaxPool2d { .. } => inputs
+            Layer::ReLU => Ok(inputs
                 .iter()
-                .map(|input| self.forward_with(input, wbits, abits, kernel, scratch))
+                .map(|input| {
+                    let mut out = input.clone();
+                    for v in out.as_mut_slice() {
+                        *v = v.max(0.0);
+                    }
+                    (out, LayerStats::default())
+                })
+                .collect()),
+            Layer::MaxPool2d { k, stride } => inputs
+                .iter()
+                .map(|input| {
+                    let (c, h, w) = input.shape();
+                    if h < *k || w < *k {
+                        return Err(NnError::ShapeMismatch {
+                            expected: (c, *k, *k),
+                            actual: (c, h, w),
+                        });
+                    }
+                    Ok((max_pool(input, *k, *stride), LayerStats::default()))
+                })
                 .collect(),
         }
     }
 
-    /// The batch counterpart of
-    /// [`forward_prequantized`](Self::forward_prequantized): a whole
-    /// chunk of already-quantized inputs through one parameterized layer
-    /// as one wide GEMM.
+    /// A whole chunk of already-quantized inputs through one
+    /// **parameterized** layer — the incremental-search fast path, fed
+    /// from the per-`(sample, layer, abits)`
+    /// [`crate::kernel::ActivationCache`]. Bit-identical to
+    /// [`forward_batch_with`](Self::forward_batch_with) because
+    /// quantization is a pure function of `(input, abits)`.
     ///
     /// # Errors
     ///
-    /// Same as [`forward_prequantized`](Self::forward_prequantized).
+    /// Returns [`NnError::ShapeMismatch`] when an input does not fit or
+    /// when called on a non-parameterized layer (ReLU / pooling layers
+    /// take no quantized operands).
     pub(crate) fn forward_prequantized_batch(
         &self,
         qas: &[&QuantizedTensor],
@@ -1317,32 +1064,12 @@ impl Layer {
         }
     }
 
-    /// The shape validation [`forward_with`](Self::forward_with) performs
-    /// before quantizing (parameterized layers only).
+    /// The shape check parameterized layers run on a raw input before
+    /// quantizing it.
     fn validate_input(&self, input: &Tensor) -> Result<(), NnError> {
         match self {
-            Layer::Conv2d(c) => {
-                let (ci, h, w) = input.shape();
-                if ci != c.in_channels
-                    || h + 2 * c.padding < c.kernel
-                    || w + 2 * c.padding < c.kernel
-                {
-                    return Err(NnError::ShapeMismatch {
-                        expected: (c.in_channels, c.kernel, c.kernel),
-                        actual: (ci, h, w),
-                    });
-                }
-                Ok(())
-            }
-            Layer::Dense(d) => {
-                if input.len() != d.inputs {
-                    return Err(NnError::ShapeMismatch {
-                        expected: (1, 1, d.inputs),
-                        actual: input.shape(),
-                    });
-                }
-                Ok(())
-            }
+            Layer::Conv2d(c) => c.check_shape(input.shape()),
+            Layer::Dense(d) => d.check_shape(input.shape()),
             Layer::ReLU | Layer::MaxPool2d { .. } => Ok(()),
         }
     }
@@ -1358,9 +1085,7 @@ mod tests {
         let mut conv = Conv2d::random(1, 1, 1, 1, 0, 1);
         conv.weights_mut()[0] = 1.0;
         let input = Tensor::from_fn(1, 3, 3, |_, y, x| (y * 3 + x) as f32 / 10.0);
-        let (out, stats) = conv
-            .forward_with(&input, 16, 16, NnKernel::default(), &mut Scratch::new())
-            .unwrap();
+        let (out, stats) = Layer::Conv2d(conv).forward(&input, 16, 16).unwrap();
         assert_eq!(out.shape(), (1, 3, 3));
         assert_eq!(stats.macs, 9);
         // out = in + bias: the offset must be the same everywhere.
@@ -1377,9 +1102,7 @@ mod tests {
     fn conv_shapes_follow_stride_and_padding() {
         let conv = Conv2d::random(3, 8, 3, 2, 1, 2);
         let input = Tensor::random(3, 9, 9, 3);
-        let (out, _) = conv
-            .forward_with(&input, 8, 8, NnKernel::default(), &mut Scratch::new())
-            .unwrap();
+        let (out, _) = Layer::Conv2d(conv).forward(&input, 8, 8).unwrap();
         // (9 + 2 - 3)/2 + 1 = 5.
         assert_eq!(out.shape(), (8, 5, 5));
     }
@@ -1389,7 +1112,7 @@ mod tests {
         let conv = Conv2d::random(3, 4, 3, 1, 0, 4);
         let input = Tensor::random(2, 8, 8, 5);
         assert!(matches!(
-            conv.forward_with(&input, 8, 8, NnKernel::default(), &mut Scratch::new()),
+            Layer::Conv2d(conv).forward(&input, 8, 8),
             Err(NnError::ShapeMismatch { .. })
         ));
     }
@@ -1398,12 +1121,44 @@ mod tests {
     fn conv_mac_count_matches_dense_interior() {
         let conv = Conv2d::random(2, 4, 3, 1, 0, 6);
         let input = Tensor::random(2, 6, 6, 7);
-        let (_, stats) = conv
-            .forward_with(&input, 8, 8, NnKernel::default(), &mut Scratch::new())
-            .unwrap();
+        let (_, stats) = Layer::Conv2d(conv.clone()).forward(&input, 8, 8).unwrap();
         // No padding: executed MACs equal the analytic count.
         assert_eq!(stats.macs, conv.mac_count(6, 6));
         assert_eq!(stats.macs, 4 * 4 * 4 * 2 * 9);
+    }
+
+    /// Packs one sample's im2col panel into the **pre-zeroed** `patches`
+    /// (length `n * klen`, one patch per output position at the filters'
+    /// own layout), counting in-bounds zero activations as it goes — a
+    /// padding tap is a *skipped* MAC, not a zero-operand MAC, so
+    /// structural zeros come from the zeroed buffer and are not counted.
+    /// The reference the fused packed fill is checked against.
+    fn pack_im2col(conv: &Conv2d, qa: &QuantizedTensor, patches: &mut [i16]) -> u64 {
+        let (_, h, w) = qa.shape;
+        let (oh, ow) = conv.out_hw(h, w);
+        let k = conv.kernel;
+        let klen = conv.in_channels * k * k;
+        let pad = conv.padding as isize;
+        let mut zero_acts = 0u64;
+        for oy in 0..oh {
+            for ox in 0..ow {
+                for ci in 0..conv.in_channels {
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            let iy = (oy * conv.stride + ky) as isize - pad;
+                            let ix = (ox * conv.stride + kx) as isize - pad;
+                            if iy < 0 || iy >= h as isize || ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            let q = qa.data[(ci * h + iy as usize) * w + ix as usize];
+                            zero_acts += u64::from(q == 0);
+                            patches[(oy * ow + ox) * klen + (ci * k + ky) * k + kx] = q as i16;
+                        }
+                    }
+                }
+            }
+        }
+        zero_acts
     }
 
     /// The fused packed fill writes every word of every panel row: over a
@@ -1447,7 +1202,7 @@ mod tests {
                 let mut patches = vec![0i16; 2 * n * klen];
                 let mut zeros = Vec::new();
                 for (qa, block) in qas.iter().zip(patches.chunks_exact_mut(n * klen)) {
-                    zeros.push(conv.pack_im2col(qa, block));
+                    zeros.push(pack_im2col(&conv, qa, block));
                 }
                 let reference = gemm::PackedPanel::pack(&patches, 2 * n, klen, mode_for_bits(bits));
                 let what = format!("k={k} s={stride} p={padding} bits={bits}");
@@ -1569,9 +1324,7 @@ mod tests {
         let mut input = Tensor::zeros(1, 1, 2);
         input.set(0, 0, 0, 1.0);
         input.set(0, 0, 1, 1.0);
-        let (out, stats) = d
-            .forward_with(&input, 16, 16, NnKernel::default(), &mut Scratch::new())
-            .unwrap();
+        let (out, stats) = Layer::Dense(d).forward(&input, 16, 16).unwrap();
         assert_eq!(stats.macs, 2);
         let bias = out.get(0, 0, 0) - 0.25;
         assert!(bias.abs() < 0.06, "residual {bias}");
@@ -1581,22 +1334,16 @@ mod tests {
     fn dense_flattens_multi_channel_input() {
         let d = Dense::random(2 * 3 * 3, 5, 10);
         let input = Tensor::random(2, 3, 3, 11);
-        let (out, _) = d
-            .forward_with(&input, 8, 8, NnKernel::default(), &mut Scratch::new())
-            .unwrap();
+        let (out, _) = Layer::Dense(d).forward(&input, 8, 8).unwrap();
         assert_eq!(out.shape(), (1, 1, 5));
     }
 
     #[test]
     fn coarse_quantization_changes_conv_output() {
-        let conv = Conv2d::random(1, 4, 3, 1, 0, 12);
+        let conv = Layer::Conv2d(Conv2d::random(1, 4, 3, 1, 0, 12));
         let input = Tensor::random(1, 8, 8, 13);
-        let (fine, _) = conv
-            .forward_with(&input, 16, 16, NnKernel::default(), &mut Scratch::new())
-            .unwrap();
-        let (coarse, _) = conv
-            .forward_with(&input, 2, 2, NnKernel::default(), &mut Scratch::new())
-            .unwrap();
+        let (fine, _) = conv.forward(&input, 16, 16).unwrap();
+        let (coarse, _) = conv.forward(&input, 2, 2).unwrap();
         let diff: f32 = fine
             .as_slice()
             .iter()
@@ -1618,9 +1365,7 @@ mod tests {
         for v in input.as_mut_slice().iter_mut().take(10) {
             *v = 0.0;
         }
-        let (_, stats) = conv
-            .forward_with(&input, 8, 8, NnKernel::default(), &mut Scratch::new())
-            .unwrap();
+        let (_, stats) = Layer::Conv2d(conv).forward(&input, 8, 8).unwrap();
         assert!(stats.weight_sparsity() > 0.3);
         assert!(stats.input_sparsity() > 0.1);
     }

@@ -3,13 +3,18 @@
 //! The key observation exploited by DVAFS (paper Fig. 6, \[22\]) is that the
 //! required fixed-point precision varies **per layer**. [`QuantConfig`]
 //! carries one weight/activation bit-width pair per layer and
-//! [`Network::forward`] runs the whole cascade on the integer MAC path at
-//! that mixed precision.
+//! [`Network::forward_batch`] runs the whole cascade on the integer MAC
+//! path at that mixed precision.
+//!
+//! There is one forward: a chunk of samples carried layer by layer
+//! ([`Network::forward_batch_from`]), each conv/dense layer fusing the
+//! chunk into one wide GEMM. The single-sample calls are batches of one,
+//! and the dataset-level calls walk [`DEFAULT_BATCH_SIZE`]-sample chunks.
 
 use crate::dataset::SyntheticDataset;
 use crate::error::NnError;
-use crate::kernel::{with_thread_scratch, BatchPath, NnKernel, Scratch, DEFAULT_BATCH_SIZE};
-use crate::layers::{Layer, LayerStats};
+use crate::kernel::{with_thread_scratch, NnKernel, Scratch, DEFAULT_BATCH_SIZE};
+use crate::layers::{single, Layer, LayerStats};
 use crate::tensor::Tensor;
 use dvafs_executor::Executor;
 use serde::{Deserialize, Serialize};
@@ -111,16 +116,6 @@ pub struct Network {
     /// guaranteed to never change a number — see [`crate::kernel`]).
     #[serde(skip)]
     kernel: NnKernel,
-    /// How batch entry points walk the samples (execution strategy, like
-    /// `kernel`: ignored by `PartialEq`/serialization, never changes a
-    /// number — see [`BatchPath`]).
-    #[serde(skip)]
-    batch_path: BatchPath,
-    /// Samples per layer-major chunk. Execution strategy like
-    /// `batch_path`; `0` (the post-deserialization default) means
-    /// [`DEFAULT_BATCH_SIZE`] — see [`batch_size`](Self::batch_size).
-    #[serde(skip)]
-    batch_size: usize,
 }
 
 impl PartialEq for Network {
@@ -142,8 +137,6 @@ impl Network {
             name: name.into(),
             layers,
             kernel: NnKernel::default(),
-            batch_path: BatchPath::default(),
-            batch_size: DEFAULT_BATCH_SIZE,
         }
     }
 
@@ -163,50 +156,6 @@ impl Network {
     #[must_use]
     pub fn kernel(&self) -> NnKernel {
         self.kernel
-    }
-
-    /// This network with an explicit batch path (builder form).
-    #[must_use]
-    pub fn with_batch_path(mut self, path: BatchPath) -> Self {
-        self.batch_path = path;
-        self
-    }
-
-    /// Switches how batch entry points walk the samples.
-    pub fn set_batch_path(&mut self, path: BatchPath) {
-        self.batch_path = path;
-    }
-
-    /// How batch entry points walk the samples.
-    #[must_use]
-    pub fn batch_path(&self) -> BatchPath {
-        self.batch_path
-    }
-
-    /// This network with an explicit layer-major chunk size (builder
-    /// form). `0` means [`DEFAULT_BATCH_SIZE`].
-    #[must_use]
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size;
-        self
-    }
-
-    /// Switches the layer-major chunk size (`0` means
-    /// [`DEFAULT_BATCH_SIZE`]).
-    pub fn set_batch_size(&mut self, batch_size: usize) {
-        self.batch_size = batch_size;
-    }
-
-    /// Samples per layer-major chunk. A stored `0` (the field's
-    /// post-deserialization state — execution strategy is skipped by
-    /// serde) reads as [`DEFAULT_BATCH_SIZE`].
-    #[must_use]
-    pub fn batch_size(&self) -> usize {
-        if self.batch_size == 0 {
-            DEFAULT_BATCH_SIZE
-        } else {
-            self.batch_size
-        }
     }
 
     /// The network's name (e.g. `"LeNet-5"`).
@@ -245,11 +194,11 @@ impl Network {
             .collect()
     }
 
-    /// Runs the cascade at a mixed per-layer precision, returning the
-    /// output tensor and per-layer statistics. Routes through the
-    /// thread-local [`Scratch`], so repeated convenience calls reuse the
-    /// same im2col buffers instead of allocating fresh ones per
-    /// invocation.
+    /// Runs the cascade at a mixed per-layer precision on one input,
+    /// returning the output tensor and per-layer statistics — a batch of
+    /// one through [`forward_batch_from`](Self::forward_batch_from) on
+    /// the thread-local [`Scratch`], so repeated convenience calls reuse
+    /// the same im2col buffers instead of allocating fresh ones.
     ///
     /// # Errors
     ///
@@ -260,132 +209,48 @@ impl Network {
         input: &Tensor,
         config: &QuantConfig,
     ) -> Result<(Tensor, Vec<LayerStats>), NnError> {
-        with_thread_scratch(|scratch| self.forward_with(input, config, scratch))
+        with_thread_scratch(|scratch| {
+            single(self.forward_batch_from(0, std::slice::from_ref(input), config, scratch))
+        })
     }
 
-    /// Like [`forward`](Self::forward) with caller-provided scratch
-    /// buffers, so the GEMM kernel's im2col panels are amortized across
-    /// layers — and, when the caller loops, across samples.
+    /// Runs a whole chunk of samples through the cascade, returning each
+    /// sample's output tensor and per-layer statistics in input order.
     ///
-    /// # Errors
-    ///
-    /// Same as [`forward`](Self::forward).
-    pub fn forward_with(
-        &self,
-        input: &Tensor,
-        config: &QuantConfig,
-        scratch: &mut Scratch,
-    ) -> Result<(Tensor, Vec<LayerStats>), NnError> {
-        if config.len() != self.layers.len() {
-            return Err(NnError::ConfigLengthMismatch {
-                layers: self.layers.len(),
-                entries: config.len(),
-            });
-        }
-        let mut x = input.clone();
-        let mut stats = Vec::with_capacity(self.layers.len());
-        for (i, layer) in self.layers.iter().enumerate() {
-            let p = config.layer(i);
-            let (out, st) =
-                layer.forward_with(&x, p.weights, p.activations, self.kernel, scratch)?;
-            stats.push(st);
-            x = out;
-        }
-        Ok((x, stats))
-    }
-
-    /// Resumes the cascade at layer `start` from a cached intermediate
-    /// activation — the suffix entry point of the incremental precision
-    /// search. `input` must be the tensor that entered layer `start` in a
-    /// full run; since layers are a pure function of their input and
-    /// precision, the suffix output is bit-identical to the tail of
-    /// [`forward_with`](Self::forward_with) under the same `config`.
-    ///
-    /// `start == layer_count()` is allowed and returns the input unchanged
-    /// (the cached prefix already covers the whole cascade).
+    /// The chunk is carried layer-by-layer: each parameterized layer
+    /// fuses every sample's im2col panel into **one wide GEMM**, so the
+    /// per-`(layer, bits)` packed weight panel streams through cache once
+    /// per chunk instead of once per sample. Every output element is still
+    /// an independent exact-`i64` dot over the same operands — outputs,
+    /// guard-skip counters and argmaxes are **bit-identical** to running
+    /// each sample as a batch of one, and to the naive kernel.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::ConfigLengthMismatch`] when `config` does not
-    /// have one entry per layer, and propagates layer errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `start > layer_count()`.
-    pub fn forward_from(
-        &self,
-        start: usize,
-        input: &Tensor,
-        config: &QuantConfig,
-        scratch: &mut Scratch,
-    ) -> Result<(Tensor, Vec<LayerStats>), NnError> {
-        assert!(
-            start <= self.layers.len(),
-            "suffix start {start} beyond layer count {}",
-            self.layers.len()
-        );
-        if config.len() != self.layers.len() {
-            return Err(NnError::ConfigLengthMismatch {
-                layers: self.layers.len(),
-                entries: config.len(),
-            });
-        }
-        let mut x = input.clone();
-        let mut stats = Vec::with_capacity(self.layers.len() - start);
-        for (i, layer) in self.layers.iter().enumerate().skip(start) {
-            let p = config.layer(i);
-            let (out, st) =
-                layer.forward_with(&x, p.weights, p.activations, self.kernel, scratch)?;
-            stats.push(st);
-            x = out;
-        }
-        Ok((x, stats))
-    }
-
-    /// Runs a whole chunk of samples through the cascade on the
-    /// configured [`BatchPath`], returning each sample's output tensor
-    /// and per-layer statistics in input order.
-    ///
-    /// On [`BatchPath::LayerMajor`] the chunk is carried layer-by-layer:
-    /// each parameterized layer fuses every sample's im2col panel into
-    /// **one wide GEMM**, so the per-`(layer, bits)` packed weight panel
-    /// streams through cache once per chunk instead of once per sample.
-    /// Every output element is still an independent exact-`i64` dot over
-    /// the same operands — outputs, guard-skip counters and argmaxes are
-    /// **bit-identical** to the per-sample [`BatchPath::SampleMajor`]
-    /// oracle; the selector never moves a number.
-    ///
-    /// # Errors
-    ///
-    /// Same per-sample errors as [`forward_with`](Self::forward_with).
-    /// The paths differ only in *which* error surfaces first when several
-    /// samples fail: sample-major scans in `(sample, layer)` order,
-    /// layer-major in `(layer, sample)` order. Successful results are
-    /// pinned bit-identical.
+    /// have one entry per layer, and propagates layer errors in
+    /// `(layer, sample)` order.
     pub fn forward_batch(
         &self,
         inputs: &[Tensor],
         config: &QuantConfig,
         scratch: &mut Scratch,
     ) -> Result<Vec<(Tensor, Vec<LayerStats>)>, NnError> {
-        match self.batch_path {
-            BatchPath::SampleMajor => inputs
-                .iter()
-                .map(|input| self.forward_with(input, config, scratch))
-                .collect(),
-            BatchPath::LayerMajor => self.forward_batch_from(0, inputs, config, scratch),
-        }
+        self.forward_batch_from(0, inputs, config, scratch)
     }
 
     /// Resumes a whole chunk at layer `start` from cached intermediate
-    /// activations — the layer-major counterpart of
-    /// [`forward_from`](Self::forward_from), always fused (callers pick
-    /// the path). `start == layer_count()` returns the inputs unchanged.
+    /// activations — the one forward every other entry point runs, and
+    /// the suffix entry point of the incremental precision search.
+    /// `inputs` must be the tensors that entered layer `start` in a full
+    /// run; since layers are a pure function of their input and
+    /// precision, the suffix outputs are bit-identical to the tail of
+    /// [`forward_batch`](Self::forward_batch) under the same `config`.
+    /// `start == layer_count()` returns the inputs unchanged.
     ///
     /// # Errors
     ///
-    /// Same as [`forward_batch`](Self::forward_batch) (layer-major error
-    /// order).
+    /// Same as [`forward_batch`](Self::forward_batch).
     ///
     /// # Panics
     ///
@@ -433,27 +298,11 @@ impl Network {
         Ok(self.forward(input, config)?.0.argmax())
     }
 
-    /// [`predict`](Self::predict) with caller-provided scratch buffers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`forward`](Self::forward) errors.
-    pub fn predict_with(
-        &self,
-        input: &Tensor,
-        config: &QuantConfig,
-        scratch: &mut Scratch,
-    ) -> Result<usize, NnError> {
-        Ok(self.forward_with(input, config, scratch)?.0.argmax())
-    }
-
     /// Batch evaluation: classifies every image with **one** scratch, so
     /// the im2col buffers of the GEMM kernel are allocated once and reused
-    /// across all samples (the serial building block `predict_all` and the
-    /// per-worker loops of [`predict_all_with`](Self::predict_all_with)
-    /// stand on). Walks the images in [`batch_size`](Self::batch_size)
-    /// chunks on the configured [`BatchPath`]; the path never changes a
-    /// prediction.
+    /// across all samples (the serial building block `predict_all`
+    /// stands on). Walks the images in [`DEFAULT_BATCH_SIZE`]-sample
+    /// chunks through [`forward_batch`](Self::forward_batch).
     ///
     /// # Errors
     ///
@@ -465,7 +314,7 @@ impl Network {
         scratch: &mut Scratch,
     ) -> Result<Vec<usize>, NnError> {
         let mut preds = Vec::with_capacity(images.len());
-        for chunk in images.chunks(self.batch_size()) {
+        for chunk in images.chunks(DEFAULT_BATCH_SIZE) {
             for (out, _) in self.forward_batch(chunk, config, scratch)? {
                 preds.push(out.argmax());
             }
@@ -489,12 +338,11 @@ impl Network {
         with_thread_scratch(|scratch| self.evaluate_batch(data.images(), config, scratch))
     }
 
-    /// Predictions over a whole dataset, run in parallel on `exec`. On
-    /// [`BatchPath::SampleMajor`] workers claim single samples; on
-    /// [`BatchPath::LayerMajor`] they claim whole
-    /// [`batch_size`](Self::batch_size) chunks and carry each chunk
-    /// layer-by-layer through the fused wide GEMM. Either way results
-    /// merge in sample order and every prediction is bit-identical to
+    /// Predictions over a whole dataset, run in parallel on `exec`:
+    /// workers claim whole [`DEFAULT_BATCH_SIZE`]-sample chunks — the
+    /// chunks [`predict_all`](Self::predict_all) walks — and carry each
+    /// chunk layer-by-layer through the fused wide GEMM. Results merge in
+    /// sample order, so every prediction is bit-identical to
     /// [`predict_all`](Self::predict_all) for any thread count. Each
     /// worker reuses one thread-local [`Scratch`] across everything it
     /// claims (buffer contents never outlive a single pass, so reuse
@@ -502,32 +350,19 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Propagates [`forward`](Self::forward) errors (lowest sample/chunk
-    /// index first, matching serial semantics).
+    /// Propagates [`forward`](Self::forward) errors (lowest chunk index
+    /// first, matching serial semantics).
     pub fn predict_all_with(
         &self,
         data: &SyntheticDataset,
         config: &QuantConfig,
         exec: &Executor,
     ) -> Result<Vec<usize>, NnError> {
-        match self.batch_path {
-            BatchPath::SampleMajor => exec.try_par_map_indexed(data.images(), |_, img| {
-                with_thread_scratch(|scratch| self.predict_with(img, config, scratch))
-            }),
-            BatchPath::LayerMajor => {
-                let chunks: Vec<&[Tensor]> = data.images().chunks(self.batch_size()).collect();
-                let per_chunk = exec.try_par_map_indexed(&chunks, |_, chunk| {
-                    with_thread_scratch(|scratch| {
-                        Ok(self
-                            .forward_batch(chunk, config, scratch)?
-                            .into_iter()
-                            .map(|(out, _)| out.argmax())
-                            .collect::<Vec<usize>>())
-                    })
-                })?;
-                Ok(per_chunk.into_iter().flatten().collect())
-            }
-        }
+        let chunks: Vec<&[Tensor]> = data.images().chunks(DEFAULT_BATCH_SIZE).collect();
+        let per_chunk = exec.try_par_map_indexed(&chunks, |_, chunk| {
+            with_thread_scratch(|scratch| self.evaluate_batch(chunk, config, scratch))
+        })?;
+        Ok(per_chunk.into_iter().flatten().collect())
     }
 
     /// Quantizes and packs every parameterized layer's weights for the
@@ -563,7 +398,9 @@ impl Network {
     /// dominant class, which makes the *relative accuracy* metric
     /// degenerate (any quantization "agrees"). Centering restores diverse,
     /// small-margin decisions — the regime trained classifiers operate in
-    /// and the one the paper's Fig. 6 search probes.
+    /// and the one the paper's Fig. 6 search probes. The calibration set
+    /// runs in [`DEFAULT_BATCH_SIZE`]-sample chunks and the logits are
+    /// summed in sample order.
     ///
     /// # Panics
     ///
@@ -572,13 +409,15 @@ impl Network {
         let cfg = QuantConfig::uniform(self.layer_count(), 16, 16);
         let mut sums: Option<Vec<f64>> = None;
         let mut scratch = Scratch::new();
-        for img in data.images() {
-            let (out, _) = self
-                .forward_with(img, &cfg, &mut scratch)
+        for chunk in data.images().chunks(DEFAULT_BATCH_SIZE) {
+            let outs = self
+                .forward_batch(chunk, &cfg, &mut scratch)
                 .expect("calibration inference");
-            let sums = sums.get_or_insert_with(|| vec![0.0; out.len()]);
-            for (s, &v) in sums.iter_mut().zip(out.as_slice()) {
-                *s += f64::from(v);
+            for (out, _) in outs {
+                let sums = sums.get_or_insert_with(|| vec![0.0; out.len()]);
+                for (s, &v) in sums.iter_mut().zip(out.as_slice()) {
+                    *s += f64::from(v);
+                }
             }
         }
         let means: Vec<f32> = sums

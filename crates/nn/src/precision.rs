@@ -12,13 +12,14 @@
 //! configuration) from `crates/bench`.
 //!
 //! The search's inference hot path runs on the network's MAC kernel
-//! ([`crate::kernel::NnKernel`], blocked GEMM by default with per-layer
-//! weight-quantization memoized across the scan; `Network::with_kernel`
-//! selects the naive oracle). The kernel never changes a search result —
+//! ([`crate::kernel::NnKernel`], the subword-packed GEMM by default with
+//! per-layer weight panels memoized across the scan; `Network::with_kernel`
+//! selects the naive oracle), in [`DEFAULT_BATCH_SIZE`]-sample chunks
+//! carried layer by layer. The kernel never changes a search result —
 //! only wall time (`bench_sweep` asserts exactly that on fig6).
 
 use crate::dataset::SyntheticDataset;
-use crate::kernel::{with_thread_scratch, ActivationCache, BatchPath};
+use crate::kernel::{with_thread_scratch, ActivationCache, DEFAULT_BATCH_SIZE};
 use crate::network::{Network, QuantConfig};
 use crate::quant::QuantizedTensor;
 use crate::tensor::Tensor;
@@ -261,12 +262,13 @@ impl PrecisionSearch {
     /// The scan only ever perturbs one layer, so for every sample the
     /// full-precision cascade through layers `0..li` is **identical**
     /// across all candidate widths of layer `li`. One full-precision pass
-    /// per sample records (a) the tensor entering every parameterized
-    /// layer and (b) the final argmax — which doubles as the reference
-    /// prediction the rescan oracle computes via `predict_all_with`, on
-    /// the same per-layer code path and therefore bit-identical. Each
-    /// candidate width then costs one prequantized layer execution plus a
-    /// suffix forward from `li + 1`.
+    /// over the data records, per sample, (a) the tensor entering every
+    /// parameterized layer and (b) the final argmax — which doubles as the
+    /// reference prediction the rescan oracle computes via
+    /// `predict_all_with`, on the same per-layer code path and therefore
+    /// bit-identical. Each candidate width then costs one prequantized
+    /// layer execution plus a suffix forward from `li + 1`, chunk by
+    /// chunk.
     ///
     /// Within one layer's scan the quantized input activation only depends
     /// on `(sample, abits)`, so it is memoized in a per-layer
@@ -281,70 +283,50 @@ impl PrecisionSearch {
         exec: &Executor,
     ) -> Vec<LayerRequirement> {
         let full = QuantConfig::uniform(net.layer_count(), self.full_bits, self.full_bits);
-        // Prefix pass: one full-precision forward per sample, walking the
-        // same layer calls `Network::forward_with` / `forward_batch` make,
-        // keeping each parameterized layer's input instead of dropping it.
-        // Under `BatchPath::LayerMajor` workers claim whole chunks and
-        // carry them layer-by-layer (one wide GEMM per layer); the
-        // per-sample walk is the oracle. Accumulation is exact either way,
-        // so the prefix tensors and argmaxes are bit-identical.
-        let prefix: Vec<(Vec<Tensor>, usize)> = match net.batch_path() {
-            BatchPath::SampleMajor => exec.par_map_indexed(data.images(), |_, img| {
+        // Prefix pass: one full-precision forward over the data, walking
+        // the same layer calls `Network::forward_batch` makes, keeping each
+        // parameterized layer's input instead of dropping it. Workers claim
+        // whole chunks and carry them layer-by-layer (one wide GEMM per
+        // layer).
+        let images: Vec<&[Tensor]> = data.images().chunks(DEFAULT_BATCH_SIZE).collect();
+        let per_chunk: Vec<Vec<(Vec<Tensor>, usize)>> =
+            exec.par_map_indexed(&images, |_, chunk| {
                 with_thread_scratch(|scratch| {
-                    let mut x = img.clone();
-                    let mut inputs = Vec::new();
+                    let mut xs: Vec<Tensor> = chunk.to_vec();
+                    let mut inputs: Vec<Vec<Tensor>> = vec![Vec::new(); chunk.len()];
                     for (i, layer) in net.layers().iter().enumerate() {
                         let p = full.layer(i);
-                        let (out, _) = layer
-                            .forward_with(&x, p.weights, p.activations, net.kernel(), scratch)
+                        let outs = layer
+                            .forward_batch_with(
+                                &xs,
+                                p.weights,
+                                p.activations,
+                                net.kernel(),
+                                scratch,
+                            )
                             .expect("full-precision inference must succeed");
-                        let consumed = std::mem::replace(&mut x, out);
+                        let consumed = std::mem::replace(
+                            &mut xs,
+                            outs.into_iter().map(|(out, _)| out).collect(),
+                        );
                         if layer.is_parameterized() {
-                            inputs.push(consumed);
+                            for (per_sample, x) in inputs.iter_mut().zip(consumed) {
+                                per_sample.push(x);
+                            }
                         }
                     }
-                    (inputs, x.argmax())
+                    inputs
+                        .into_iter()
+                        .zip(xs)
+                        .map(|(ins, x)| (ins, x.argmax()))
+                        .collect()
                 })
-            }),
-            BatchPath::LayerMajor => {
-                let chunks: Vec<&[Tensor]> = data.images().chunks(net.batch_size()).collect();
-                let per_chunk: Vec<Vec<(Vec<Tensor>, usize)>> =
-                    exec.par_map_indexed(&chunks, |_, chunk| {
-                        with_thread_scratch(|scratch| {
-                            let mut xs: Vec<Tensor> = chunk.to_vec();
-                            let mut inputs: Vec<Vec<Tensor>> = vec![Vec::new(); chunk.len()];
-                            for (i, layer) in net.layers().iter().enumerate() {
-                                let p = full.layer(i);
-                                let outs = layer
-                                    .forward_batch_with(
-                                        &xs,
-                                        p.weights,
-                                        p.activations,
-                                        net.kernel(),
-                                        scratch,
-                                    )
-                                    .expect("full-precision inference must succeed");
-                                let keep = layer.is_parameterized();
-                                let consumed = std::mem::replace(
-                                    &mut xs,
-                                    outs.into_iter().map(|(out, _)| out).collect(),
-                                );
-                                if keep {
-                                    for (per_sample, x) in inputs.iter_mut().zip(consumed) {
-                                        per_sample.push(x);
-                                    }
-                                }
-                            }
-                            inputs
-                                .into_iter()
-                                .zip(xs)
-                                .map(|(ins, x)| (ins, x.argmax()))
-                                .collect()
-                        })
-                    });
-                per_chunk.into_iter().flatten().collect()
-            }
-        };
+            });
+        let prefix: Vec<(Vec<Tensor>, usize)> = per_chunk.into_iter().flatten().collect();
+        // The candidate layer and the suffix run a chunk at a time; the
+        // memo slot is the global sample index `ci * DEFAULT_BATCH_SIZE + j`
+        // because chunks are contiguous.
+        let chunks: Vec<&[(Vec<Tensor>, usize)]> = prefix.chunks(DEFAULT_BATCH_SIZE).collect();
         let layers = net.parameterized_layers();
         // Same nested-executor split as the rescan oracle (see
         // `search_rescan`): outer over layers, inner over samples.
@@ -363,75 +345,37 @@ impl PrecisionSearch {
                     Operand::Activations => (self.full_bits, bits),
                 };
                 cfg.set_layer(li, wbits, abits);
-                // Under `BatchPath::LayerMajor` the candidate layer and the
-                // suffix both run batched (workers claim whole chunks; the
-                // memo slot stays the global sample index `ci * bs + j`
-                // because chunks are contiguous); the per-sample walk is the
-                // oracle. Exact accumulation keeps the agreement count
-                // bit-identical across both paths.
-                let agree: usize = match net.batch_path() {
-                    BatchPath::SampleMajor => inner
-                        .par_map_indexed(&prefix, |si, (inputs, reference)| {
-                            with_thread_scratch(|scratch| {
-                                let qa = acts.get_or_quantize(si, abits, || {
-                                    QuantizedTensor::quantize(&inputs[rank], abits)
-                                        .expect("bit widths validated by the scan")
-                                });
-                                let (out, _) = net.layers()[li]
-                                    .forward_prequantized(&qa, wbits, net.kernel(), scratch)
-                                    .expect("scan inference must succeed");
-                                let (logits, _) = net
-                                    .forward_from(li + 1, &out, &cfg, scratch)
-                                    .expect("suffix inference must succeed");
-                                usize::from(logits.argmax() == *reference)
-                            })
-                        })
-                        .into_iter()
-                        .sum(),
-                    BatchPath::LayerMajor => {
-                        let bs = net.batch_size();
-                        let chunks: Vec<&[(Vec<Tensor>, usize)]> = prefix.chunks(bs).collect();
-                        inner
-                            .par_map_indexed(&chunks, |ci, chunk| {
-                                with_thread_scratch(|scratch| {
-                                    let qas: Vec<_> = chunk
-                                        .iter()
-                                        .enumerate()
-                                        .map(|(j, (inputs, _))| {
-                                            acts.get_or_quantize(ci * bs + j, abits, || {
-                                                QuantizedTensor::quantize(&inputs[rank], abits)
-                                                    .expect("bit widths validated by the scan")
-                                            })
-                                        })
-                                        .collect();
-                                    let refs: Vec<&QuantizedTensor> =
-                                        qas.iter().map(|qa| qa.as_ref()).collect();
-                                    let outs = net.layers()[li]
-                                        .forward_prequantized_batch(
-                                            &refs,
-                                            wbits,
-                                            net.kernel(),
-                                            scratch,
-                                        )
-                                        .expect("scan inference must succeed");
-                                    let mids: Vec<Tensor> =
-                                        outs.into_iter().map(|(out, _)| out).collect();
-                                    let logits = net
-                                        .forward_batch_from(li + 1, &mids, &cfg, scratch)
-                                        .expect("suffix inference must succeed");
-                                    logits
-                                        .into_iter()
-                                        .zip(chunk.iter())
-                                        .filter(|((out, _), (_, reference))| {
-                                            out.argmax() == *reference
-                                        })
-                                        .count()
+                let agree: usize = inner
+                    .par_map_indexed(&chunks, |ci, chunk| {
+                        with_thread_scratch(|scratch| {
+                            let qas: Vec<_> = chunk
+                                .iter()
+                                .enumerate()
+                                .map(|(j, (inputs, _))| {
+                                    acts.get_or_quantize(ci * DEFAULT_BATCH_SIZE + j, abits, || {
+                                        QuantizedTensor::quantize(&inputs[rank], abits)
+                                            .expect("bit widths validated by the scan")
+                                    })
                                 })
-                            })
-                            .into_iter()
-                            .sum()
-                    }
-                };
+                                .collect();
+                            let refs: Vec<&QuantizedTensor> =
+                                qas.iter().map(|qa| qa.as_ref()).collect();
+                            let outs = net.layers()[li]
+                                .forward_prequantized_batch(&refs, wbits, net.kernel(), scratch)
+                                .expect("scan inference must succeed");
+                            let mids: Vec<Tensor> = outs.into_iter().map(|(out, _)| out).collect();
+                            let logits = net
+                                .forward_batch_from(li + 1, &mids, &cfg, scratch)
+                                .expect("suffix inference must succeed");
+                            logits
+                                .into_iter()
+                                .zip(chunk.iter())
+                                .filter(|((out, _), (_, reference))| out.argmax() == *reference)
+                                .count()
+                        })
+                    })
+                    .into_iter()
+                    .sum();
                 let acc = agree as f64 / prefix.len() as f64;
                 if acc >= self.target {
                     best_bits = bits;

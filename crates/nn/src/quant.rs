@@ -83,8 +83,8 @@ impl QuantizedTensor {
         self.data.iter().filter(|q| **q == 0).count() as f64 / self.data.len() as f64
     }
 
-    /// Copies the grid indices into an `i16` panel for the blocked GEMM
-    /// (every index fits: `bits <= 16` means `|q| <= 32767`), returning
+    /// Copies the grid indices into an `i16` row-major panel, the layout
+    /// `PackedPanel::pack` takes (every index fits: `bits <= 16` means `|q| <= 32767`), returning
     /// the number of zero indices — the operand-sparsity count the
     /// guard-skip statistics are built from. `buf` is cleared first.
     pub fn fill_i16(&self, buf: &mut Vec<i16>) -> u64 {

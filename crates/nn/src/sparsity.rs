@@ -75,11 +75,11 @@ pub fn measure_sparsity(
 ) -> Vec<SparsityReport> {
     let param_layers = net.parameterized_layers();
     let mut totals = vec![(0u64, 0u64, 0u64); param_layers.len()];
-    // One batched forward per chunk on the network's `BatchPath`, with the
-    // thread-local scratch shared by the other convenience wrappers — the
-    // per-sample statistics are bit-identical on either path.
+    // One batched forward per chunk, with the thread-local scratch shared
+    // by the other convenience wrappers — the per-sample statistics do not
+    // depend on the chunking.
     crate::kernel::with_thread_scratch(|scratch| {
-        for chunk in data.images().chunks(net.batch_size()) {
+        for chunk in data.images().chunks(crate::kernel::DEFAULT_BATCH_SIZE) {
             let results = net
                 .forward_batch(chunk, config, scratch)
                 .expect("inference must succeed");

@@ -1,48 +1,58 @@
-//! The kernel-layer equivalence net: the blocked-GEMM MAC kernel *and*
-//! the subword-packed GEMM kernel must be **bit-identical** to the
-//! retained naive oracle — outputs *and* the `zero_weight`/`zero_act`
-//! guard-skip counters — over random layer geometries, including the
-//! degenerate ones (padding at or beyond the kernel size, stride larger
-//! than the kernel, 1x1 kernels), across mixed 1..=16-bit operand widths
-//! (which drive the packed kernel through every subword mode pair) and
-//! thread counts. Plus the memoization contract: per-`(layer, bits)`
-//! weight packs are reused across a sweep and invalidated by
-//! `weights_mut` (pruning).
+//! The kernel-layer equivalence net: the subword-packed GEMM kernel must
+//! be **bit-identical** to the retained naive oracle — outputs *and* the
+//! `zero_weight`/`zero_act` guard-skip counters — over random layer
+//! geometries, including the degenerate ones (padding at or beyond the
+//! kernel size, stride larger than the kernel, 1x1 kernels), across mixed
+//! 1..=16-bit operand widths (which drive the packed kernel through every
+//! subword mode pair) and thread counts. Plus the memoization contract:
+//! per-`(layer, bits)` weight packs are reused across a sweep and
+//! invalidated by `weights_mut` (pruning).
 
 use dvafs_executor::Executor;
 use dvafs_nn::dataset::SyntheticDataset;
 use dvafs_nn::kernel::{NnKernel, Scratch};
-use dvafs_nn::layers::{Conv2d, Dense, Layer};
+use dvafs_nn::layers::{Conv2d, Dense, Layer, LayerStats};
 use dvafs_nn::models;
-use dvafs_nn::network::QuantConfig;
+use dvafs_nn::network::{Network, QuantConfig};
 use dvafs_nn::tensor::Tensor;
+use dvafs_nn::NnError;
 use proptest::prelude::*;
 
-/// Runs one layer on every kernel and asserts bitwise-equal outputs and
-/// equal statistics against the naive oracle.
+/// One layer on one input through a one-layer network on `kernel`.
+fn run_layer(
+    layer: &Layer,
+    kernel: NnKernel,
+    input: &Tensor,
+    wbits: u32,
+    abits: u32,
+) -> Result<(Tensor, LayerStats), NnError> {
+    let net = Network::new("one", vec![layer.clone()]).with_kernel(kernel);
+    let (out, stats) = net.forward(input, &QuantConfig::uniform(1, wbits, abits))?;
+    Ok((out, stats[0]))
+}
+
+/// Runs one layer on the packed kernel and asserts bitwise-equal outputs
+/// and equal statistics against the naive oracle.
 fn assert_kernels_agree(layer: &Layer, input: &Tensor, wbits: u32, abits: u32) {
-    let mut scratch = Scratch::new();
-    let naive = layer.forward_with(input, wbits, abits, NnKernel::Naive, &mut scratch);
-    for kernel in [NnKernel::Gemm, NnKernel::GemmPacked] {
-        let other = layer.forward_with(input, wbits, abits, kernel, &mut scratch);
-        match (&naive, other) {
-            (Ok((out_n, st_n)), Ok((out_g, st_g))) => {
-                assert_eq!(*st_n, st_g, "{kernel}: statistics diverged");
-                let nb: Vec<u32> = out_n.as_slice().iter().map(|v| v.to_bits()).collect();
-                let gb: Vec<u32> = out_g.as_slice().iter().map(|v| v.to_bits()).collect();
-                assert_eq!(out_n.shape(), out_g.shape(), "{kernel}: shape diverged");
-                assert_eq!(nb, gb, "{kernel}: outputs diverged bitwise");
-            }
-            (Err(_), Err(_)) => {} // both reject — also agreement
-            (n, g) => panic!("kernels disagree on fallibility: naive={n:?} {kernel}={g:?}"),
+    let naive = run_layer(layer, NnKernel::Naive, input, wbits, abits);
+    let packed = run_layer(layer, NnKernel::GemmPacked, input, wbits, abits);
+    match (naive, packed) {
+        (Ok((out_n, st_n)), Ok((out_p, st_p))) => {
+            assert_eq!(st_n, st_p, "statistics diverged");
+            let nb: Vec<u32> = out_n.as_slice().iter().map(|v| v.to_bits()).collect();
+            let pb: Vec<u32> = out_p.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(out_n.shape(), out_p.shape(), "shape diverged");
+            assert_eq!(nb, pb, "outputs diverged bitwise");
         }
+        (Err(_), Err(_)) => {} // both reject — also agreement
+        (n, p) => panic!("kernels disagree on fallibility: naive={n:?} packed={p:?}"),
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Conv2d: Naive == Gemm == GemmPacked over random channels x kernel
+    /// Conv2d: Naive == GemmPacked over random channels x kernel
     /// x stride x padding x precision, with the degenerate geometries
     /// explicitly in range (padding >= kernel, stride > kernel, 1x1
     /// kernels). Independent 1..=16-bit weight/activation widths drive
@@ -82,15 +92,12 @@ proptest! {
         let layer = Layer::Conv2d(conv);
         let input = Tensor::random(2, h, h, seed ^ 1);
         for kernel in NnKernel::ALL {
-            let (_, stats) = layer
-                .forward_with(&input, 8, 8, kernel, &mut Scratch::new())
-                .expect("geometry is valid");
+            let (_, stats) = run_layer(&layer, kernel, &input, 8, 8).expect("geometry is valid");
             prop_assert_eq!(stats.macs, analytic, "kernel {}", kernel);
         }
     }
 
-    /// Dense: Naive == Gemm == GemmPacked over random widths and
-    /// precisions.
+    /// Dense: Naive == GemmPacked over random widths and precisions.
     #[test]
     fn dense_gemm_matches_naive(
         seed in any::<u64>(),
@@ -104,8 +111,8 @@ proptest! {
         assert_kernels_agree(&layer, &input, wbits, abits);
     }
 
-    /// Whole-network agreement: same predictions and bitwise-equal logits
-    /// on all three kernels, serial or parallel, batched or not.
+    /// Whole-network agreement: same predictions on both kernels, serial
+    /// or parallel.
     #[test]
     fn network_gemm_matches_naive_end_to_end(
         seed in any::<u64>(),
@@ -113,32 +120,22 @@ proptest! {
         threads in 1usize..=4,
     ) {
         let data = SyntheticDataset::digits(6, seed ^ 3);
-        let cfg_bits = bits;
         let naive = models::lenet5(seed).with_kernel(NnKernel::Naive);
-        let gemm = models::lenet5(seed).with_kernel(NnKernel::Gemm);
         let packed = models::lenet5(seed).with_kernel(NnKernel::GemmPacked);
-        let cfg = QuantConfig::uniform(naive.layer_count(), cfg_bits, cfg_bits);
+        let cfg = QuantConfig::uniform(naive.layer_count(), bits, bits);
         let serial = naive.predict_all(&data, &cfg).expect("naive inference");
-        let batched = gemm
-            .evaluate_batch(data.images(), &cfg, &mut Scratch::new())
-            .expect("batched gemm inference");
-        let parallel = gemm
-            .predict_all_with(&data, &cfg, &Executor::new(threads))
-            .expect("parallel gemm inference");
         let packed_batched = packed
             .evaluate_batch(data.images(), &cfg, &mut Scratch::new())
             .expect("batched packed inference");
         let packed_parallel = packed
             .predict_all_with(&data, &cfg, &Executor::new(threads))
             .expect("parallel packed inference");
-        prop_assert_eq!(&serial, &batched);
-        prop_assert_eq!(&serial, &parallel);
         prop_assert_eq!(&serial, &packed_batched);
         prop_assert_eq!(&serial, &packed_parallel);
     }
 
     /// Mixed per-layer widths (the fig6 scan shape: one layer reduced,
-    /// the rest at full precision) keep all three kernels bit-identical —
+    /// the rest at full precision) keep both kernels bit-identical —
     /// this is precisely the asymmetric X2/X4-against-X1 panel pairing of
     /// the packed kernel.
     #[test]
@@ -183,36 +180,37 @@ fn degenerate_conv_geometries_agree() {
 /// the next forward re-packs and the zero-weight counters move.
 #[test]
 fn pruning_invalidates_weight_memoization() {
-    // One layer instance throughout: cloning would reset the cache.
-    let mut layer = Layer::Conv2d(Conv2d::random(2, 4, 3, 1, 1, 7));
+    // One network instance throughout: cloning would reset the cache.
+    let mut net = Network::new(
+        "conv",
+        vec![Layer::Conv2d(Conv2d::random(2, 4, 3, 1, 1, 7))],
+    );
+    assert_eq!(net.kernel(), NnKernel::GemmPacked);
     let input = Tensor::random(2, 8, 8, 8);
-    let fwd = |l: &Layer, kernel| {
-        l.forward_with(&input, 8, 8, kernel, &mut Scratch::new())
-            .expect("forward succeeds")
-            .1
-    };
+    let cfg = QuantConfig::uniform(1, 8, 8);
+    let fwd = |n: &Network| n.forward(&input, &cfg).expect("forward succeeds").1[0];
     // Warm the cache at 8 bits; the second pass is the memoized hit.
-    let before = fwd(&layer, NnKernel::Gemm);
-    let again = fwd(&layer, NnKernel::Gemm);
+    let before = fwd(&net);
+    let again = fwd(&net);
     assert_eq!(before, again, "memoized pass must not move a number");
 
     // Prune half the weights to zero; the counters must change.
-    let Layer::Conv2d(conv) = &mut layer else {
+    let Layer::Conv2d(conv) = &mut net.layers_mut()[0] else {
         unreachable!("constructed as conv above")
     };
     let n = conv.weights_mut().len();
     for w in conv.weights_mut().iter_mut().take(n / 2) {
         *w = 0.0;
     }
-    let after = fwd(&layer, NnKernel::Gemm);
+    let after = fwd(&net);
     assert!(
         after.zero_weight_macs > before.zero_weight_macs,
         "pruned weights must raise the zero-weight count ({} -> {})",
         before.zero_weight_macs,
         after.zero_weight_macs
     );
-    // And the re-packed Gemm stats still match the never-cached oracle.
-    assert_eq!(after, fwd(&layer, NnKernel::Naive));
+    // And the re-packed stats still match the never-cached oracle.
+    assert_eq!(after, fwd(&net.clone().with_kernel(NnKernel::Naive)));
 }
 
 /// Dense memoization: same contract through the network-level API.

@@ -1,19 +1,19 @@
-//! Blocked integer GEMM primitives for quantized MAC workloads.
+//! Subword-packed integer GEMM for quantized MAC workloads.
 //!
 //! The DVAFS claim is that reduced-precision MAC *arrays* are cheap; this
 //! module is the software mirror of that array: instead of issuing one
 //! guarded multiply-accumulate at a time (the naive 7-deep convolution
-//! loop), operands are packed into dense `i16` panels and consumed by a
-//! tiled matrix-matrix product with exact 64-bit accumulation.
+//! loop), operands are packed into dense lane-word panels and consumed by
+//! a tiled matrix-matrix product with exact 64-bit accumulation.
 //!
 //! Exactness is the load-bearing property: every product of two `i16`
-//! operands fits `i32`, a *pair* of such products still fits `i32`
-//! (`2 * 32767^2 < 2^31`), and the pair sums are folded into `i64`
-//! accumulators. Integer addition is associative, so any tiling or
-//! unrolling order yields bit-identical results to the scalar reference
-//! loop — which is what lets `dvafs-nn` swap its naive layer loops for
-//! [`gemm_i16`] without moving a single output, and what the
-//! `Naive == Gemm` property tests assert.
+//! operands fits `i32`, and the sums are folded into `i64` accumulators
+//! (with the one pairwise-`i32` overflow corner corrected, below).
+//! Integer addition is associative, so any tiling or unrolling order
+//! yields bit-identical results to the scalar reference loop — which is
+//! what lets `dvafs-nn` swap its naive layer loops for [`gemm_packed`]
+//! without moving a single output, and what the `Naive == GemmPacked`
+//! property tests assert.
 //!
 //! The layout convention is dot-product friendly: the left operand `A` is
 //! `m x k` row-major and the right operand is handed over **already
@@ -60,90 +60,15 @@
 //! as the oracle the tiles are tested against, the scalar decode loop of
 //! [`dot_packed`] computes the same exact sums.
 //!
-//! The result is bit-identical to [`dot_i16`]/[`gemm_i16`] for every
-//! input `pack_lanes` accepts, which is what lets the `GemmPacked` NN
-//! kernel join the `Naive == Gemm` equivalence net without moving a
-//! number.
+//! The result is bit-identical to the plain `i16` reference GEMM of the
+//! unit tests for every input `pack_lanes` accepts.
 
 use dvafs_arith::SubwordMode;
 
-/// Output columns per tile of [`gemm_i16`]: one `Bᵗ` tile of
+/// Rows of `Bᵗ` per block of [`gemm_packed`]'s tile kernel: one block of
 /// `COL_TILE x k` operands stays cache-resident while every row of `A`
 /// streams against it.
 pub const COL_TILE: usize = 32;
-
-/// Exact dot product of two `i16` slices with 64-bit accumulation.
-///
-/// Every `i16 x i16` product fits `i32` (even `MIN x MIN = 2^30`); each
-/// product is widened to `i64` before summation — a *pair* of extreme
-/// products would overflow a pairwise `i32` sum by exactly one, the
-/// classic `pmaddwd` saturation corner — and folded into two independent
-/// `i64` accumulators. The result is the exact mathematical dot product
-/// regardless of length or unrolling.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[inline]
-#[must_use]
-pub fn dot_i16(a: &[i16], b: &[i16]) -> i64 {
-    assert_eq!(a.len(), b.len(), "dot operands must have equal length");
-    let mut acc0 = 0i64;
-    let mut acc1 = 0i64;
-    let mut ca = a.chunks_exact(8);
-    let mut cb = b.chunks_exact(8);
-    for (x, y) in (&mut ca).zip(&mut cb) {
-        let p0 = i64::from(i32::from(x[0]) * i32::from(y[0]))
-            + i64::from(i32::from(x[1]) * i32::from(y[1]));
-        let p1 = i64::from(i32::from(x[2]) * i32::from(y[2]))
-            + i64::from(i32::from(x[3]) * i32::from(y[3]));
-        let p2 = i64::from(i32::from(x[4]) * i32::from(y[4]))
-            + i64::from(i32::from(x[5]) * i32::from(y[5]));
-        let p3 = i64::from(i32::from(x[6]) * i32::from(y[6]))
-            + i64::from(i32::from(x[7]) * i32::from(y[7]));
-        acc0 += p0 + p1;
-        acc1 += p2 + p3;
-    }
-    for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
-        acc0 += i64::from(x) * i64::from(y);
-    }
-    acc0 + acc1
-}
-
-/// Blocked integer GEMM: `out[i][j] = Σ_t a[i][t] * bt[j][t]`, exact in
-/// `i64`.
-///
-/// * `a` is `m x k` row-major (e.g. one quantized filter per row);
-/// * `bt` is the **transposed** right operand, `n x k` row-major (e.g. one
-///   im2col patch per row);
-/// * `out` is `m x n` row-major and is fully overwritten.
-///
-/// Columns are processed in [`COL_TILE`]-wide tiles so the active slice of
-/// `bt` stays cache-hot while all `m` rows of `a` stream against it. The
-/// accumulation is exact, so the tiling never changes a value.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with the given dimensions.
-pub fn gemm_i16(a: &[i16], bt: &[i16], m: usize, k: usize, n: usize, out: &mut [i64]) {
-    assert_eq!(a.len(), m * k, "A must be m x k");
-    assert_eq!(bt.len(), n * k, "Bt must be n x k");
-    assert_eq!(out.len(), m * n, "out must be m x n");
-    if k == 0 {
-        out.fill(0);
-        return;
-    }
-    for (tile, bt_tile) in bt.chunks(COL_TILE * k).enumerate() {
-        let j0 = tile * COL_TILE;
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let out_row = &mut out[i * n + j0..];
-            for (jj, b_row) in bt_tile.chunks_exact(k).enumerate() {
-                out_row[jj] = dot_i16(a_row, b_row);
-            }
-        }
-    }
-}
 
 /// Logical lanes one packed dot step consumes (and the lane count panel
 /// rows are zero-padded to): 16 lanes per step means one full 256-bit
@@ -158,7 +83,7 @@ pub const PACK_STEP_LANES: usize = 16;
 /// Each row holds `k` logical operands as 16-bit lane words following the
 /// field rules of `dvafs_arith::subword::pack_lanes`: `mode.lanes()`
 /// two's-complement fields of `mode.lane_bits()` each, lane 0 at the
-/// LSBs. `X1` stores one operand per word (the [`gemm_i16`] layout bit
+/// LSBs. `X1` stores one operand per word (the plain `i16` layout bit
 /// for bit), `X2` two, `X4` four. Rows are padded with zero lanes to a
 /// multiple of [`PACK_STEP_LANES`], so two panels of equal `k` always
 /// walk the same step count regardless of their (possibly different)
@@ -431,9 +356,8 @@ fn decode_step(words: &[u16], step: usize, mode: SubwordMode, out: &mut [i16; PA
     }
 }
 
-/// Exact dot product of row `ai` of `a` with row `bi` of `b` — the
-/// packed mirror of [`dot_i16`], bit-identical to it on the re-expanded
-/// lanes. This is the portable scalar decode loop: 16 lanes per side per
+/// Exact dot product of row `ai` of `a` with row `bi` of `b` over the
+/// re-expanded lanes. This is the portable scalar decode loop: 16 lanes per side per
 /// step, every product widened to `i64`, exact for the full `pack_lanes`
 /// range. [`gemm_packed`] runs it per output on hosts without AVX2, and
 /// its tile kernel is tested against it.
@@ -880,8 +804,9 @@ mod avx2 {
 }
 
 /// Subword-packed GEMM: `out[i][j] = Σ_t a[i][t] * bt[j][t]`, exact in
-/// `i64` — the packed mirror of [`gemm_i16`] (same layout convention,
-/// bit-identical results on the re-expanded lanes).
+/// `i64`: `a` is `m x k` (e.g. one quantized filter per row), `bt` the
+/// **transposed** right operand, `n x k` (e.g. one im2col patch per
+/// row), and `out` is `m x n` row-major, fully overwritten.
 ///
 /// On AVX2 hosts the multiply runs as register tiles: each `MR`-row
 /// micro-panel of `a` sweeps a [`COL_TILE`]-row block of `bt` in
@@ -904,8 +829,8 @@ mod avx2 {
 /// the same exact dot either way, so a fused multi-sample multiply is
 /// bit-identical to `B` separate ones while streaming the left (weight)
 /// panel through cache once per batch instead of once per sample
-/// (`dvafs-nn`'s `BatchPath::LayerMajor` forward is built on exactly
-/// this; the concatenation-equivalence test below pins it).
+/// (`dvafs-nn`'s batch forward is built on exactly this; the
+/// concatenation-equivalence test below pins it).
 ///
 /// # Panics
 ///
@@ -930,6 +855,78 @@ mod tests {
     use super::*;
     use dvafs_arith::subword::pack_lanes;
     use rand::{Rng, SeedableRng};
+
+    /// Exact dot product of two `i16` slices with 64-bit accumulation —
+    /// the plain reference the packed kernels are checked against.
+    ///
+    /// Every `i16 x i16` product fits `i32` (even `MIN x MIN = 2^30`); each
+    /// product is widened to `i64` before summation — a *pair* of extreme
+    /// products would overflow a pairwise `i32` sum by exactly one, the
+    /// classic `pmaddwd` saturation corner — and folded into two independent
+    /// `i64` accumulators. The result is the exact mathematical dot product
+    /// regardless of length or unrolling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    fn dot_i16(a: &[i16], b: &[i16]) -> i64 {
+        assert_eq!(a.len(), b.len(), "dot operands must have equal length");
+        let mut acc0 = 0i64;
+        let mut acc1 = 0i64;
+        let mut ca = a.chunks_exact(8);
+        let mut cb = b.chunks_exact(8);
+        for (x, y) in (&mut ca).zip(&mut cb) {
+            let p0 = i64::from(i32::from(x[0]) * i32::from(y[0]))
+                + i64::from(i32::from(x[1]) * i32::from(y[1]));
+            let p1 = i64::from(i32::from(x[2]) * i32::from(y[2]))
+                + i64::from(i32::from(x[3]) * i32::from(y[3]));
+            let p2 = i64::from(i32::from(x[4]) * i32::from(y[4]))
+                + i64::from(i32::from(x[5]) * i32::from(y[5]));
+            let p3 = i64::from(i32::from(x[6]) * i32::from(y[6]))
+                + i64::from(i32::from(x[7]) * i32::from(y[7]));
+            acc0 += p0 + p1;
+            acc1 += p2 + p3;
+        }
+        for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
+            acc0 += i64::from(x) * i64::from(y);
+        }
+        acc0 + acc1
+    }
+
+    /// Blocked plain `i16` GEMM: `out[i][j] = Σ_t a[i][t] * bt[j][t]`,
+    /// exact in `i64` — the reference [`gemm_packed`] is checked against.
+    ///
+    /// * `a` is `m x k` row-major (e.g. one quantized filter per row);
+    /// * `bt` is the **transposed** right operand, `n x k` row-major (e.g. one
+    ///   im2col patch per row);
+    /// * `out` is `m x n` row-major and is fully overwritten.
+    ///
+    /// Columns are processed in [`COL_TILE`]-wide tiles so the active slice of
+    /// `bt` stays cache-hot while all `m` rows of `a` stream against it. The
+    /// accumulation is exact, so the tiling never changes a value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice length disagrees with the given dimensions.
+    fn gemm_i16(a: &[i16], bt: &[i16], m: usize, k: usize, n: usize, out: &mut [i64]) {
+        assert_eq!(a.len(), m * k, "A must be m x k");
+        assert_eq!(bt.len(), n * k, "Bt must be n x k");
+        assert_eq!(out.len(), m * n, "out must be m x n");
+        if k == 0 {
+            out.fill(0);
+            return;
+        }
+        for (tile, bt_tile) in bt.chunks(COL_TILE * k).enumerate() {
+            let j0 = tile * COL_TILE;
+            for i in 0..m {
+                let a_row = &a[i * k..(i + 1) * k];
+                let out_row = &mut out[i * n + j0..];
+                for (jj, b_row) in bt_tile.chunks_exact(k).enumerate() {
+                    out_row[jj] = dot_i16(a_row, b_row);
+                }
+            }
+        }
+    }
 
     fn naive_gemm(a: &[i16], bt: &[i16], m: usize, k: usize, n: usize) -> Vec<i64> {
         let mut out = vec![0i64; m * n];
@@ -1255,8 +1252,8 @@ mod tests {
     /// concatenated right-hand panels is bit-identical, slice by slice,
     /// to `B` separate per-sample multiplies — for both the packed and
     /// unpacked GEMMs, across mode pairs and a non-multiple-of-tile
-    /// total width. This is the property `dvafs-nn`'s layer-major
-    /// forward stands on.
+    /// total width. This is the property `dvafs-nn`'s batch forward
+    /// stands on.
     #[test]
     fn concatenated_wide_panel_matches_per_sample_gemms() {
         let (m, k, n, batches) = (5usize, 23usize, 13usize, 3usize);

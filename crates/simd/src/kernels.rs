@@ -131,40 +131,9 @@ impl ConvKernel {
     }
 
     /// [`expected_outputs`](Self::expected_outputs) computed through the
-    /// blocked integer GEMM ([`crate::gemm`]) instead of the naive tap
-    /// loop: the sliding input windows are packed into an im2col panel
-    /// (one patch per row) and multiplied against the 1-row weight matrix.
-    /// Accumulation is exact in `i64`, so the result is bit-identical to
-    /// the naive reference — the `fig4`/`table2` scenarios assert the
-    /// cycle-level machine against whichever path the run selected.
-    #[must_use]
-    pub fn expected_outputs_gemm(&self, bits: u32, shift: u32, store_bits: u32) -> Vec<i32> {
-        let lo = -(1i64 << (store_bits - 1));
-        let hi = (1i64 << (store_bits - 1)) - 1;
-        let w: Vec<i16> = self
-            .weights
-            .iter()
-            .map(|&v| Self::effective_i16(v, bits))
-            .collect();
-        // im2col of the 1-D convolution: patch row o = inputs[o..o+taps].
-        let mut patches = Vec::with_capacity(self.outputs * self.taps);
-        for o in 0..self.outputs {
-            patches.extend(
-                self.inputs[o..o + self.taps]
-                    .iter()
-                    .map(|&v| Self::effective_i16(v, bits)),
-            );
-        }
-        let mut acc = vec![0i64; self.outputs];
-        crate::gemm::gemm_i16(&w, &patches, 1, self.taps, self.outputs, &mut acc);
-        acc.into_iter()
-            .map(|a| (a >> shift).clamp(lo, hi) as i32)
-            .collect()
-    }
-
-    /// [`expected_outputs`](Self::expected_outputs) computed through the
-    /// subword-packed GEMM ([`crate::gemm::gemm_packed`]): the same im2col
-    /// panels as [`expected_outputs_gemm`](Self::expected_outputs_gemm),
+    /// subword-packed GEMM ([`crate::gemm::gemm_packed`]) instead of the
+    /// naive tap loop: the sliding input windows form an im2col panel (one
+    /// patch per row) multiplied against the 1-row weight matrix, both
     /// packed at the most-parallel [`SubwordMode`] the precision allows
     /// ([`SubwordMode::for_precision`]). Effective operands span the full
     /// `bits`-wide two's-complement range (`effective` can produce
@@ -520,14 +489,8 @@ mod tests {
         for bits in [16u32, 12, 8, 4, 1] {
             for shift in [0u32, 7, 20] {
                 for store_bits in [16u32, 8] {
-                    let naive = k.expected_outputs(bits, shift, store_bits);
                     assert_eq!(
-                        naive,
-                        k.expected_outputs_gemm(bits, shift, store_bits),
-                        "gemm: bits={bits} shift={shift} store={store_bits}"
-                    );
-                    assert_eq!(
-                        naive,
+                        k.expected_outputs(bits, shift, store_bits),
                         k.expected_outputs_packed(bits, shift, store_bits),
                         "packed: bits={bits} shift={shift} store={store_bits}"
                     );

@@ -171,17 +171,6 @@ impl KernelReport {
     }
 
     /// Like [`outputs_match`](Self::outputs_match), but recomputes the
-    /// reference through the blocked integer GEMM
-    /// ([`ConvKernel::expected_outputs_gemm`]) — bit-identical to the naive
-    /// reference by construction, and the path the scenarios assert when a
-    /// run selects the `Gemm` kernel.
-    #[must_use]
-    pub fn outputs_match_gemm(&self, kernel: &ConvKernel) -> bool {
-        let expected = kernel.expected_outputs_gemm(self.bits, self.shift, self.mode.lane_bits());
-        expected == self.outputs
-    }
-
-    /// Like [`outputs_match`](Self::outputs_match), but recomputes the
     /// reference through the subword-packed GEMM
     /// ([`ConvKernel::expected_outputs_packed`]) — the path the scenarios
     /// assert when a run selects the `GemmPacked` kernel.

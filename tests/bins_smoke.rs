@@ -1,20 +1,16 @@
-//! Smoke tests: every experiment entry point in `crates/bench` must build
-//! and exit 0 — and every **legacy shim** must print stdout byte-identical
-//! to the in-process scenario rendering (`dvafs::scenario::render`), at a
-//! *different* thread count. One subprocess run per binary is enough to
-//! pin both properties:
+//! Smoke tests of the one experiment entry point, the `dvafs` binary of
+//! `crates/bench`: for every registered scenario except `bench_sweep`,
+//! `dvafs run <id> --fast --threads 2` must print stdout byte-identical to
+//! the in-process scenario rendering (`dvafs::scenario::render`) at
+//! `--threads 1`. One subprocess run per scenario pins both:
 //!
-//! * the shim really delegates to the registry (same bytes), and
+//! * the binary really delegates to the registry (same bytes), and
 //! * output is thread-count invariant (subprocess at `--threads 2` vs
 //!   in-process at `--threads 1`) — the end-to-end enforcement of the
 //!   parallel executor's determinism guarantee.
 //!
-//! This replaces the pre-registry scheme of running every binary twice
-//! and diffing the two runs: the suite now spawns half the subprocesses
-//! and additionally checks shim fidelity, which subprocess-vs-subprocess
-//! diffing never could.
-//!
-//! Each binary is invoked through `cargo run --release`: the gate-level
+//! `bench_sweep` records wall times, so its stable lines are pinned
+//! instead. Each run goes through `cargo run --release`: the gate-level
 //! simulators are orders of magnitude slower unoptimized, and the tier-1
 //! pipeline (`cargo build --release && cargo test -q`) leaves a warm
 //! release cache. Output is captured and only shown on failure.
@@ -22,30 +18,12 @@
 use dvafs::nn::SearchStrategy;
 use dvafs::scenario::{self, Format, ScenarioCtx};
 use std::path::Path;
-use std::process::Command;
+use std::process::{Command, Output};
 
-/// Every legacy `[[bin]]` target of `dvafs-bench`, one per paper artefact
-/// (plus the `BENCH_sweep.json` performance emitter). The `dvafs` CLI
-/// binary is covered separately below.
-const FIGURE_BINARIES: &[&str] = &[
-    "fig2",
-    "fig3a",
-    "fig3b",
-    "fig4",
-    "fig6",
-    "fig8",
-    "table1",
-    "table2",
-    "table3",
-    "ablations",
-    "bench_sweep",
-];
-
-/// Runs one bench binary with the given trailing args, returning stdout.
-fn run_bin(name: &str, args: &[&str]) -> String {
+/// Runs the `dvafs` binary with `args`, returning its captured output.
+fn dvafs(args: &[&str]) -> Output {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
-    let workspace_root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let output = Command::new(cargo)
+    Command::new(cargo)
         .args([
             "run",
             "--quiet",
@@ -53,45 +31,53 @@ fn run_bin(name: &str, args: &[&str]) -> String {
             "-p",
             "dvafs-bench",
             "--bin",
-            name,
+            "dvafs",
             "--",
         ])
         .args(args)
-        .current_dir(workspace_root)
+        .current_dir(Path::new(env!("CARGO_MANIFEST_DIR")))
         .output()
-        .unwrap_or_else(|e| panic!("failed to spawn cargo run --bin {name}: {e}"));
+        .unwrap_or_else(|e| panic!("failed to spawn dvafs {args:?}: {e}"))
+}
+
+/// Runs the `dvafs` binary and returns its stdout, asserting a clean exit
+/// with output.
+fn run_dvafs(args: &[&str]) -> String {
+    let output = dvafs(args);
     assert!(
         output.status.success(),
-        "binary {name} {args:?} exited with {:?}\n--- stdout ---\n{}\n--- stderr ---\n{}",
+        "dvafs {args:?} exited with {:?}\n--- stdout ---\n{}\n--- stderr ---\n{}",
         output.status.code(),
         String::from_utf8_lossy(&output.stdout),
         String::from_utf8_lossy(&output.stderr),
     );
     assert!(
         !output.stdout.is_empty(),
-        "binary {name} exited 0 but printed nothing"
+        "dvafs {args:?} exited 0 but printed nothing"
     );
     String::from_utf8_lossy(&output.stdout).into_owned()
 }
 
-/// The smoke check for one legacy shim: subprocess stdout at `--threads 2`
-/// (with an unknown flag thrown in, which legacy shims must keep
-/// ignoring) equals the in-process scenario rendering at `--threads 1`.
-fn run_bench_binary(name: &str) {
-    if name == "bench_sweep" {
-        // bench_sweep gets its own invocation: no `--threads` (its
-        // parallel column must default to the *host* parallelism, not a
-        // count this test happens to pick — a hardcoded 2 on a 1-CPU
-        // runner recorded a meaningless slowdown artifact) and one timed
-        // repeat (the scenario runs every experiment 4 ways; medians are
-        // CI's job). Timings make a second full run pointless; the
-        // scenario itself asserts serial == parallel == scalar == naive
+/// The in-process text rendering of scenario `id` at `--fast --threads 1`.
+fn rendering(id: &str) -> String {
+    let s = scenario::find(id).expect("registered");
+    let result = s.run(&ScenarioCtx::new().with_threads(1).with_fast(true));
+    scenario::render(s.label(), s.title(), &result, Format::Text)
+}
+
+/// The smoke check for one scenario.
+fn smoke_scenario(id: &str) {
+    if id == "bench_sweep" {
+        // No `--threads`: the parallel column must default to the *host*
+        // parallelism, not a count this test happens to pick. One timed
+        // repeat: timings make a byte diff pointless, and the scenario
+        // itself asserts serial == parallel == scalar == naive == rescan
         // for every registered experiment. Pin the stable parts of the
         // presentation instead.
-        let stdout = run_bin(name, &["--fast", "--repeats", "1", "--legacy-noise"]);
+        let stdout = run_dvafs(&["run", id, "--fast", "--repeats", "1"]);
         assert!(stdout.starts_with("=== DVAFS reproduction | BENCH sweep"));
         for s in scenario::registry() {
-            if s.id() != "bench_sweep" {
+            if s.id() != id {
                 assert!(
                     stdout.contains(&format!(
                         "measured {}: serial and parallel runs bit-identical",
@@ -102,27 +88,28 @@ fn run_bench_binary(name: &str) {
                 );
             }
         }
-        assert!(stdout.ends_with("wrote BENCH_sweep.json\n"));
         return;
     }
-    let stdout = run_bin(name, &["--fast", "--threads", "2", "--legacy-noise"]);
-    let s = scenario::find(name).expect("every legacy binary has a scenario");
-    let result = s.run(&ScenarioCtx::new().with_threads(1).with_fast(true));
-    let expected = scenario::render(s.label(), s.title(), &result, Format::Text);
+    let stdout = run_dvafs(&["run", id, "--fast", "--threads", "2"]);
     assert_eq!(
-        stdout, expected,
-        "binary {name}: stdout differs from the in-process scenario \
-         rendering (shim drift, or thread-count dependent output)"
+        stdout,
+        rendering(id),
+        "dvafs run {id}: stdout differs from the in-process scenario \
+         rendering (CLI drift, or thread-count dependent output)"
     );
 }
 
 macro_rules! smoke {
-    ($($name:ident),* $(,)?) => {$(
-        #[test]
-        fn $name() {
-            run_bench_binary(stringify!($name));
-        }
-    )*};
+    ($($name:ident),* $(,)?) => {
+        /// Every scenario with a smoke test below.
+        const SMOKED: &[&str] = &[$(stringify!($name)),*];
+        $(
+            #[test]
+            fn $name() {
+                smoke_scenario(stringify!($name));
+            }
+        )*
+    };
 }
 
 smoke!(
@@ -131,6 +118,8 @@ smoke!(
     fig3b,
     fig4,
     fig6,
+    fig6_vgg,
+    cnn_layerwise,
     fig8,
     table1,
     table2,
@@ -141,8 +130,8 @@ smoke!(
 
 #[test]
 fn fig6_stdout_unchanged_by_search_strategy() {
-    // The incremental precision search is the new default; it must never
-    // move a byte of presentation text. In-process: both strategies render
+    // The incremental precision search is the default; it must never move
+    // a byte of presentation text. In-process: both strategies render
     // identically for the fig6-family scenarios...
     for id in ["fig6", "fig6_vgg"] {
         let s = scenario::find(id).expect("registered");
@@ -155,22 +144,28 @@ fn fig6_stdout_unchanged_by_search_strategy() {
             "{id}: search strategy moved the rendered text"
         );
     }
-    // ...and the legacy fig6 shim pinned to the old rescan path prints
-    // stdout byte-identical to the in-process rendering under the new
-    // default (at a different thread count, like every shim smoke).
-    let stdout = run_bin("fig6", &["--fast", "--threads", "2", "--search", "rescan"]);
-    let s = scenario::find("fig6").expect("registered");
-    let result = s.run(&ScenarioCtx::new().with_threads(1).with_fast(true));
+    // ...and the binary pinned to the rescan oracle prints stdout
+    // byte-identical to the in-process rendering under the default (at a
+    // different thread count, like every smoke run).
+    let stdout = run_dvafs(&[
+        "run",
+        "fig6",
+        "--fast",
+        "--threads",
+        "2",
+        "--search",
+        "rescan",
+    ]);
     assert_eq!(
         stdout,
-        scenario::render(s.label(), s.title(), &result, Format::Text),
-        "fig6 shim stdout changed under the default incremental strategy"
+        rendering("fig6"),
+        "dvafs run fig6 --search rescan changed stdout"
     );
 }
 
 #[test]
 fn dvafs_cli_lists_every_scenario() {
-    let stdout = run_bin("dvafs", &["list"]);
+    let stdout = run_dvafs(&["list"]);
     for s in scenario::registry() {
         assert!(stdout.contains(s.id()), "dvafs list missing {}", s.id());
         assert!(
@@ -183,29 +178,14 @@ fn dvafs_cli_lists_every_scenario() {
 
 #[test]
 fn dvafs_cli_rejects_bad_invocations() {
-    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
-    let workspace_root = Path::new(env!("CARGO_MANIFEST_DIR"));
     for (args, needle) in [
         (vec!["run"], "no scenarios"),
         (vec!["run", "fig99"], "unknown scenario"),
         (vec!["run", "fig2", "--out"], "--out requires a value"),
         (vec!["run", "fig2", "--format", "yaml"], "unknown format"),
+        (vec!["run", "fig6", "--kernel", "gemm"], "naive|packed"),
     ] {
-        let output = Command::new(&cargo)
-            .args([
-                "run",
-                "--quiet",
-                "--release",
-                "-p",
-                "dvafs-bench",
-                "--bin",
-                "dvafs",
-                "--",
-            ])
-            .args(&args)
-            .current_dir(workspace_root)
-            .output()
-            .expect("spawn dvafs");
+        let output = dvafs(&args);
         assert!(
             !output.status.success(),
             "dvafs {args:?} should exit nonzero"
@@ -220,34 +200,29 @@ fn dvafs_cli_rejects_bad_invocations() {
 
 #[test]
 fn smoke_list_matches_bench_bin_dir() {
-    // Guard the guard: if a new binary is added under crates/bench/src/bin,
-    // it must be added to FIGURE_BINARIES above (and the smoke! list) —
-    // or be the `dvafs` CLI itself, which has its own tests here.
+    // Guard the guard: `dvafs` is the one binary under crates/bench/src/bin,
+    // and every registered scenario has a smoke test above.
     let bin_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/src/bin");
-    let mut on_disk: Vec<String> = std::fs::read_dir(bin_dir)
+    let on_disk: Vec<String> = std::fs::read_dir(bin_dir)
         .expect("crates/bench/src/bin exists")
-        .map(|e| e.expect("readable dir entry").path())
-        .filter(|p| p.extension().is_some_and(|ext| ext == "rs"))
-        .map(|p| {
-            p.file_stem()
-                .expect("file has a stem")
+        .map(|e| {
+            e.expect("readable dir entry")
+                .file_name()
                 .to_string_lossy()
                 .into_owned()
         })
         .collect();
-    on_disk.sort();
-    let mut listed: Vec<String> = FIGURE_BINARIES.iter().map(ToString::to_string).collect();
-    listed.push("dvafs".to_string());
-    listed.sort();
     assert_eq!(
-        listed, on_disk,
-        "smoke-test list out of sync with crates/bench/src/bin"
+        on_disk,
+        ["dvafs.rs"],
+        "crates/bench/src/bin holds only the dvafs CLI"
     );
-    // And every legacy binary must be a registered scenario.
-    for name in FIGURE_BINARIES {
-        assert!(
-            scenario::find(name).is_some(),
-            "binary {name} has no registered scenario"
-        );
-    }
+    let mut registered: Vec<&str> = scenario::registry().iter().map(|s| s.id()).collect();
+    let mut smoked = SMOKED.to_vec();
+    registered.sort_unstable();
+    smoked.sort_unstable();
+    assert_eq!(
+        smoked, registered,
+        "smoke list out of sync with the registry"
+    );
 }

@@ -93,9 +93,8 @@ fn fig6_vgg_matches_golden() {
 
 #[test]
 fn cnn_layerwise_matches_golden() {
-    // The Section IV/V end-to-end flow (formerly the `cnn_layerwise`
-    // example). The batch forward path never moves a number, so this
-    // fixture also pins the sample-major oracle against the layer-major
-    // default (see crates/nn/tests/batch_equivalence.rs).
+    // The Section IV/V end-to-end flow. Its calibration, search and
+    // sparsity measurement all walk 16-sample chunks; the chunking never
+    // moves a number (see crates/nn/tests/batch_equivalence.rs).
     assert_matches_golden("cnn_layerwise");
 }
