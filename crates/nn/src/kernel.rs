@@ -7,15 +7,18 @@
 //!
 //! * [`NnKernel::Naive`] — the original 7-deep convolution loop (and the
 //!   2-deep dense loop), retained verbatim as the **reference oracle**;
-//! * [`NnKernel::GemmPacked`] — the default: activations are written into
-//!   an im2col panel that is *subword-packed* (the paper's Section II-C
-//!   move in software) and consumed by the packed GEMM of
-//!   [`dvafs_simd::gemm`] with exact accumulation. Each side
+//! * [`NnKernel::GemmPacked`] — the default: each sample's quantized
+//!   activations are copied once into a zero-bordered, channel-interleaved
+//!   buffer of lanes ([`Scratch`]), and every im2col row is cut from it
+//!   with `k` contiguous copies into a panel that is *subword-packed* (the
+//!   paper's Section II-C move in software) and consumed by the packed
+//!   GEMM of [`dvafs_simd::gemm`] with exact accumulation. Each side
 //!   independently selects the most-parallel [`SubwordMode`] its bit
 //!   width allows via [`SubwordMode::for_precision`] — see
 //!   `mode_for_bits` — so an 8-bit layer carries 2 operands per 16-bit
 //!   lane word and a 4-bit layer 4. Per-`(layer, bits)` weight panels are
-//!   memoized in a `WeightCache` across a precision sweep.
+//!   memoized in a `WeightCache` across a precision sweep, conv filters in
+//!   the `(ky, kx, ci)` order the activation rows are cut in.
 //!
 //! Accumulation is exact in both kernels, so the choice **never moves a
 //! number**: outputs are byte-identical and the `zero_weight`/`zero_act`
@@ -91,8 +94,8 @@ pub(crate) fn mode_for_bits(bits: u32) -> SubwordMode {
 /// im2col panel and accumulator allocations across layers of a forward
 /// pass — and, via the batch entry points of `Network`, across samples
 /// of a dataset sweep. Buffers only grow; every use overwrites whatever
-/// part it reads (the fused packed fill writes every word of every panel
-/// row), so reuse never affects results.
+/// part it reads (the packed fill writes every byte of every panel row),
+/// so reuse never affects results.
 #[derive(Debug, Default)]
 pub struct Scratch {
     /// GEMM accumulators (`m x n`, exact `i64`).
@@ -100,11 +103,15 @@ pub struct Scratch {
     /// Subword-packed activation panel of the `GemmPacked` kernel, filled
     /// row by row in place by its fused path.
     pub(crate) packed: PackedPanel,
-    /// One sample's quantized input, zero-bordered by the layer's
-    /// padding, that the fused conv fill reads its taps from.
-    pub(crate) padded: Vec<u16>,
-    /// One sub-word panel row staged as lanes before it is packed.
-    pub(crate) stage: Vec<u16>,
+    /// One sample's quantized input as lanes at the activation mode's
+    /// width, zero-bordered by the layer's padding and channel-interleaved
+    /// (a pixel's channels adjacent), that the conv fill cuts its rows
+    /// from.
+    pub(crate) padded: Vec<u8>,
+    /// `X4` activations staged one lane per byte (one conv sample's
+    /// block of rows, or one dense row) before they are packed two lanes
+    /// to a byte.
+    pub(crate) stage: Vec<u8>,
 }
 
 impl Scratch {
@@ -169,19 +176,17 @@ pub(crate) struct PackedWeights {
 /// racing duplicate pack is possible and harmless: packing is pure, one
 /// winner is kept).
 #[derive(Default)]
-pub(crate) struct WeightCache([OnceLock<Arc<PackedWeights>>; 16]);
+pub(crate) struct WeightCache([OnceLock<PackedWeights>; 16]);
 
 impl WeightCache {
     /// The packed weights for `bits` (`1..=16`, validated by the caller),
-    /// packing on first use.
-    pub fn get_or_pack(
-        &self,
-        bits: u32,
-        pack: impl FnOnce() -> PackedWeights,
-    ) -> Arc<PackedWeights> {
-        self.0[bits as usize - 1]
-            .get_or_init(|| Arc::new(pack()))
-            .clone()
+    /// packing on first use. A hit is a plain borrow, with no reference
+    /// count to bump. Measured on a 2-vCPU Xeon, the 2-thread `fig6`
+    /// precision search took 0.50 s wall with a cloned `Arc` per hit and
+    /// 0.35 s with the borrow (medians of separate sets of runs); the
+    /// cause of the difference was not established.
+    pub fn get_or_pack(&self, bits: u32, pack: impl FnOnce() -> PackedWeights) -> &PackedWeights {
+        self.0[bits as usize - 1].get_or_init(pack)
     }
 
     /// Drops every memoized quantization (weights changed). Requires

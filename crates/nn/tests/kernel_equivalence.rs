@@ -55,22 +55,25 @@ proptest! {
     /// Conv2d: Naive == GemmPacked over random channels x kernel
     /// x stride x padding x precision, with the degenerate geometries
     /// explicitly in range (padding >= kernel, stride > kernel, 1x1
-    /// kernels). Independent 1..=16-bit weight/activation widths drive
-    /// the packed kernel through every subword mode pair (X1/X2/X4 on
-    /// either side), ragged k included.
+    /// kernels) and the paper's: LeNet's 5x5, VGG's 3x3 and AlexNet's
+    /// 11x11 stride-4 windows over up to 48 channels, so a window row is
+    /// a run of 1 to 528 lanes, odd and even. Independent 1..=16-bit
+    /// weight/activation widths drive the packed kernel through every
+    /// subword mode pair (X1/X2/X4 on either side), ragged k included.
     #[test]
     fn conv_gemm_matches_naive(
         seed in any::<u64>(),
-        in_c in 1usize..=3,
+        in_c in 1usize..=48,
         out_c in 1usize..=5,
-        k in 1usize..=4,
+        k_pick in 0usize..6,
         stride in 1usize..=5,
         padding in 0usize..=5,
-        h in 4usize..=9,
-        w in 4usize..=9,
+        h in 4usize..=15,
+        w in 4usize..=15,
         wbits in 1u32..=16,
         abits in 1u32..=16,
     ) {
+        let k = [1usize, 2, 3, 4, 5, 11][k_pick];
         let conv = Conv2d::random(in_c, out_c, k, stride, padding, seed);
         let layer = Layer::Conv2d(conv);
         let input = Tensor::random(in_c, h, w, seed ^ 0x5eed);

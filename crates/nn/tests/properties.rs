@@ -16,7 +16,7 @@ proptest! {
         let t = Tensor::random(2, 6, 6, seed);
         let q = QuantizedTensor::quantize(&t, bits).expect("valid bits");
         let qmax = q.qmax();
-        prop_assert!(q.data.iter().all(|&v| v.abs() <= qmax));
+        prop_assert!(q.data.iter().all(|&v| i32::from(v).abs() <= qmax));
         let d = q.dequantize();
         // Half a grid step, plus headroom for f32 representation error in
         // the dequantized value (one ulp at the tensor's magnitude).

@@ -220,25 +220,29 @@ impl PackedPanel {
     }
 
     /// Resets this panel to a `rows x k` geometry at `mode`, handing the
-    /// caller the word buffer and the row stride in words (`k` padded to
-    /// [`PACK_STEP_LANES`] lanes, divided by `mode.lanes()`) to fill in
-    /// place. A producer that already walks its operands — an im2col pass,
-    /// say — can pack them directly instead of staging an `i16` buffer for
-    /// [`repack`](Self::repack) to re-read.
+    /// caller the word buffer **as little-endian bytes** and the row
+    /// stride in bytes (`k` padded to [`PACK_STEP_LANES`] lanes, divided
+    /// by `mode.lanes()`, times 2) to fill in place. A producer that
+    /// already walks its operands — an im2col pass, say — can pack them
+    /// directly instead of staging an `i16` buffer for
+    /// [`repack`](Self::repack) to re-read. In bytes the `pack_lanes`
+    /// field rule is plain: an `X1` operand is a little-endian `i16` (two
+    /// bytes), an `X2` operand one `i8` byte, and an `X4` operand one
+    /// nibble, the even lane of each pair in the low nibble. So lane `t`
+    /// of an `X2` row is byte `t`, and a run of lanes copies as a run of
+    /// bytes.
     ///
     /// Contract: the buffer's contents on entry are **unspecified** (the
-    /// previous fill's words), so the caller writes every word of every
-    /// row: operand `t` of row `i` lives in word `i * stride + t / lanes`,
-    /// as the `pack_lanes` two's-complement field at bits
-    /// `(t % lanes) * lane_bits ..` (at `X1` the word IS the operand,
-    /// `v as u16`), and padding lanes and words past `k` are zero. Every
-    /// value must fit the mode's lane range (this path skips
-    /// [`repack`](Self::repack)'s range assert — callers feed quantizer
-    /// output that fits by construction). Finish with
-    /// [`finish_fill`](Self::finish_fill) reporting whether any stored
-    /// operand was the mode's most negative lane value — the panel is
-    /// not a valid dot operand until then.
-    pub fn begin_fill(&mut self, rows: usize, k: usize, mode: SubwordMode) -> (&mut [u16], usize) {
+    /// previous fill's bytes), so the caller writes every byte of every
+    /// row, padding lanes past `k` included (as zeros). Every value must
+    /// fit the mode's lane range without being its most negative value
+    /// `-2^(w-1)` (this path skips [`repack`](Self::repack)'s range
+    /// assert and records no such lane — callers feed symmetric quantizer
+    /// grids, which stop at `±(2^(w-1) - 1)`; operands that reach the
+    /// minimum go through [`pack`](Self::pack)). Finish with
+    /// [`finish_fill`](Self::finish_fill) — the panel is not a valid dot
+    /// operand until then.
+    pub fn begin_fill(&mut self, rows: usize, k: usize, mode: SubwordMode) -> (&mut [u8], usize) {
         let words_per_row = k.next_multiple_of(PACK_STEP_LANES) / mode.lanes();
         let need = rows * words_per_row;
         self.mode = mode;
@@ -249,15 +253,22 @@ impl PackedPanel {
         if self.words.len() < need {
             self.words.resize(need, 0);
         }
-        (&mut self.words[..need], words_per_row)
+        (
+            words_as_bytes_mut(&mut self.words[..need]),
+            2 * words_per_row,
+        )
     }
 
-    /// Completes a [`begin_fill`](Self::begin_fill) fill: `has_min` is
-    /// whether the caller stored the mode's most negative lane value
-    /// anywhere (it saw every value; the panel needs the flag to pick
-    /// the exact `X1 x X1` kernel).
-    pub fn finish_fill(&mut self, has_min: bool) {
-        self.has_min = has_min;
+    /// Completes a [`begin_fill`](Self::begin_fill) fill. On a big-endian
+    /// host this is where the little-endian words the caller wrote become
+    /// native ones.
+    pub fn finish_fill(&mut self) {
+        if cfg!(target_endian = "big") {
+            let need = self.rows * self.words_per_row;
+            for word in &mut self.words[..need] {
+                *word = u16::from_le(*word);
+            }
+        }
     }
 
     /// The subword mode the panel is packed at.
@@ -324,6 +335,17 @@ impl PackedPanel {
     fn steps(&self) -> usize {
         self.k.div_ceil(PACK_STEP_LANES)
     }
+}
+
+/// The memory of `words` as bytes, in address order (the view
+/// [`PackedPanel::begin_fill`] hands out).
+#[allow(unsafe_code)]
+fn words_as_bytes_mut(words: &mut [u16]) -> &mut [u8] {
+    // SAFETY: the byte slice covers exactly the `2 * words.len()` bytes of
+    // `words` and holds its unique borrow for as long as it lives; `u8`
+    // has alignment 1, and every bit pattern is a valid `u8` and a valid
+    // `u16`, so writes through either view are sound.
+    unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr().cast::<u8>(), 2 * words.len()) }
 }
 
 /// Decodes step `step` (16 lanes) of a packed row into `i16` operands —
@@ -1291,46 +1313,43 @@ mod tests {
 
     /// `begin_fill` + caller stores + `finish_fill` must build a panel
     /// indistinguishable from `pack` — words, geometry and the `has_min`
-    /// flag — including a ragged `k` and the most-negative-lane corner
-    /// that picks the correcting kernel. `begin_fill` hands back the
-    /// previous fill's words, so the caller writes every word of every
-    /// row, zero padding lanes and words included: the buffer is dirtied
-    /// first (by a larger fill, leaving a stale tail too) so a missed word
-    /// would show.
+    /// flag — including a ragged `k`, on values that stop one above the
+    /// mode's most negative lane value, as a fill's contract asks.
+    /// `begin_fill` hands back the previous panel's bytes, so the caller
+    /// writes every word of every row (as its little-endian bytes), zero
+    /// padding lanes and words included: the buffer is dirtied first (by
+    /// a larger pack of most-negative lanes, which leaves a stale tail and
+    /// sets `has_min`) so a missed word or a kept flag would show.
     #[test]
     fn direct_fill_matches_pack() {
         for mode in [SubwordMode::X1, SubwordMode::X2, SubwordMode::X4] {
             let min = (-(1i32 << (mode.lane_bits() - 1))) as i16;
-            for &(rows, k, with_min) in &[(3usize, 23usize, false), (4, 16, true), (2, 1, false)] {
-                let mut values = random_lanes(rows * k, mode, 42 + k as u64);
-                if with_min {
-                    values[k / 2] = min;
-                }
+            for &(rows, k) in &[(3usize, 23usize), (4, 16), (2, 1)] {
+                let values: Vec<i16> = random_lanes(rows * k, mode, 42 + k as u64)
+                    .into_iter()
+                    .map(|v| v.max(min + 1))
+                    .collect();
                 let reference = PackedPanel::pack(&values, rows, k, mode);
-                let mut direct = PackedPanel::default();
-                let (dirty, _) = direct.begin_fill(rows + 3, k + 40, mode);
-                dirty.fill(0xA5A5);
-                direct.finish_fill(true);
-                let (words, stride) = direct.begin_fill(rows, k, mode);
+                let (big_rows, big_k) = (rows + 3, k + 40);
+                let mut direct =
+                    PackedPanel::pack(&vec![min; big_rows * big_k], big_rows, big_k, mode);
+                let (bytes, stride) = direct.begin_fill(rows, k, mode);
                 let lanes = mode.lanes();
                 let wbits = mode.lane_bits();
                 let mask = ((1u32 << wbits) - 1) as u16;
-                let mut has_min = false;
                 for (r, row) in values.chunks_exact(k).enumerate() {
-                    for (w, word) in words[r * stride..(r + 1) * stride].iter_mut().enumerate() {
-                        *word = 0;
+                    let row_bytes = &mut bytes[r * stride..(r + 1) * stride];
+                    for (w, pair) in row_bytes.chunks_exact_mut(2).enumerate() {
+                        let mut word = 0u16;
                         for l in 0..lanes {
                             let v = row.get(w * lanes + l).copied().unwrap_or(0);
-                            has_min |= v == min;
-                            *word |= ((v as u16) & mask) << (l as u16 * wbits as u16);
+                            word |= ((v as u16) & mask) << (l as u16 * wbits as u16);
                         }
+                        pair.copy_from_slice(&word.to_le_bytes());
                     }
                 }
-                direct.finish_fill(has_min);
-                assert_eq!(
-                    direct, reference,
-                    "mode={mode:?} rows={rows} k={k} min={with_min}"
-                );
+                direct.finish_fill();
+                assert_eq!(direct, reference, "mode={mode:?} rows={rows} k={k}");
                 // And it dots identically (exercises the padded tail lanes).
                 let other =
                     PackedPanel::pack(&random_lanes(k, SubwordMode::X2, 7), 1, k, SubwordMode::X2);
