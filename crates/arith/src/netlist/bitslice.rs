@@ -25,8 +25,8 @@
 //!
 //! Equivalence with the scalar oracle — values *and* per-gate toggle
 //! counters, ragged lengths included — is proven by the property-test net
-//! in `tests/bitslice_equivalence.rs` and re-asserted end-to-end by the
-//! `bench_sweep` scenario before any timing is recorded.
+//! in `tests/bitslice_equivalence.rs` and re-asserted end to end, per
+//! registered scenario, by the oracle sweep in `tests/scenario_registry.rs`.
 
 use super::{stats_from_toggles, ActivityStats, GateKind, Netlist};
 use crate::error::ArithError;

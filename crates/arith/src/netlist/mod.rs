@@ -27,8 +27,9 @@
 //!   words. Ragged tails (`samples % 64 != 0`) are handled by masked lanes,
 //!   so all sample counts keep their exact scalar results.
 //!
-//! [`Engine`] selects between them at run time; `bench_sweep` times both per
-//! scenario and asserts their results equal before recording a timing.
+//! [`Engine`] selects between them at run time. `tests/bitslice_equivalence.rs`
+//! pins them equal per netlist, and `tests/scenario_registry.rs` renders
+//! every registered scenario on both and compares the bytes.
 
 use crate::error::ArithError;
 use serde::{Deserialize, Serialize};
@@ -583,8 +584,7 @@ pub fn stats_from_toggles(netlist: &Netlist, toggles: &[u64], cycles: u64) -> Ac
 ///
 /// Both engines are proven bit-identical (values *and* per-gate toggle
 /// counts) by the property-test net; [`Engine::Bitsliced`] is the default
-/// everywhere, [`Engine::Scalar`] is the retained reference oracle that
-/// `bench_sweep` times against it.
+/// everywhere, [`Engine::Scalar`] is the retained reference oracle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Engine {
     /// One `bool` per gate per sample ([`Simulator`]) — the reference oracle.

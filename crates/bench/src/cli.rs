@@ -3,23 +3,20 @@
 //! ```text
 //! dvafs list
 //! dvafs run <id>... [--all] [--format text|json|csv] [--out DIR]
-//!                   [--threads N] [--fast] [--kernel naive|packed]
-//!                   [--search rescan|incremental] [--repeats N]
+//!                   [--threads N] [--fast]
 //! dvafs serve [options]
 //! ```
 //!
 //! `list` prints every registered scenario (id, artefact, title, and what
 //! `--fast` shrinks). `run` executes scenarios in registry order and
 //! either prints each rendering to stdout or, with `--out DIR`, writes
-//! one `<id>.<ext>` file per scenario (plus any scenario artifacts, e.g.
-//! `bench_sweep`'s `BENCH_sweep.json`). A JSON file written this way is
+//! one `<id>.<ext>` file per scenario. A JSON file written this way is
 //! byte-comparable to the golden fixtures under `tests/golden/`.
 //!
 //! The CLI **warns on stderr about flags it does not recognize** and
 //! hard-errors when a flag is missing its value or the value does not
 //! parse.
 
-use dvafs::nn::{NnKernel, SearchStrategy};
 use dvafs::scenario::{self, Format, Scenario, ScenarioCtx};
 use dvafs::Executor;
 use std::path::Path;
@@ -38,14 +35,6 @@ pub struct RunOpts {
     pub threads: usize,
     /// Reduced problem sizes (`--fast`).
     pub fast: bool,
-    /// NN MAC kernel (`--kernel naive|packed`, default packed).
-    /// Never changes a number — only wall time.
-    pub kernel: NnKernel,
-    /// Precision-search strategy (`--search rescan|incremental`, default
-    /// incremental). Never changes a number — only wall time.
-    pub search: SearchStrategy,
-    /// Timed repeats per `bench_sweep` measurement (`--repeats`, default 3).
-    pub repeats: usize,
 }
 
 /// A parsed `dvafs serve` invocation.
@@ -55,7 +44,8 @@ pub struct ServeArgs {
     pub listen: Option<String>,
     /// Requests executed concurrently (`--threads`, default
     /// environment/host). The reply stream is byte-identical for any
-    /// value — worker count is an execution choice, like `--kernel`.
+    /// value — worker count is an execution choice, like the netlist
+    /// engine.
     pub threads: usize,
     /// In-flight request bound (`--queue`, default
     /// [`dvafs::serve::DEFAULT_QUEUE`]).
@@ -96,10 +86,7 @@ run options:\n  \
   --format text|json|csv     output format (default text)\n  \
   --out DIR                  write one file per scenario instead of stdout\n  \
   --threads N                worker count (default: DVAFS_THREADS or host)\n  \
-  --fast                     reduced problem sizes (see `dvafs list`)\n  \
-  --kernel naive|packed      NN MAC kernel (default packed; results identical)\n  \
-  --search rescan|incremental  precision-search strategy (default incremental; results identical)\n  \
-  --repeats N                timed repeats per bench_sweep measurement (default 3)\n\n\
+  --fast                     reduced problem sizes (see `dvafs list`)\n\n\
 serve options:\n  \
   --listen ADDR              serve TCP on ADDR (e.g. 127.0.0.1:7017) instead of stdio\n  \
   --threads N                requests executed concurrently (default: DVAFS_THREADS or host)\n  \
@@ -165,9 +152,6 @@ pub fn parse(args: &[String]) -> Result<(Command, Vec<String>), String> {
                 out: None,
                 threads: Executor::from_env().threads(),
                 fast: false,
-                kernel: NnKernel::default(),
-                search: SearchStrategy::default(),
-                repeats: 3,
             };
             let mut all = false;
             let mut warnings = Vec::new();
@@ -193,21 +177,6 @@ pub fn parse(args: &[String]) -> Result<(Command, Vec<String>), String> {
                         opts.threads =
                             v.parse::<usize>().ok().filter(|&t| t > 0).ok_or_else(|| {
                                 format!("--threads requires a positive integer, got {v:?}")
-                            })?;
-                    }
-                    "--kernel" => {
-                        opts.kernel =
-                            NnKernel::parse(&take_value(args, &mut i, inline, "--kernel")?)?;
-                    }
-                    "--search" => {
-                        opts.search =
-                            SearchStrategy::parse(&take_value(args, &mut i, inline, "--search")?)?;
-                    }
-                    "--repeats" => {
-                        let v = take_value(args, &mut i, inline, "--repeats")?;
-                        opts.repeats =
-                            v.parse::<usize>().ok().filter(|&n| n > 0).ok_or_else(|| {
-                                format!("--repeats requires a positive integer, got {v:?}")
                             })?;
                     }
                     flag if flag.starts_with("--") => {
@@ -353,10 +322,7 @@ pub fn list_text() -> String {
 fn run_one(s: &'static dyn Scenario, opts: &RunOpts) -> Result<String, String> {
     let ctx = ScenarioCtx::new()
         .with_threads(opts.threads)
-        .with_fast(opts.fast)
-        .with_kernel(opts.kernel)
-        .with_search(opts.search)
-        .with_repeats(opts.repeats);
+        .with_fast(opts.fast);
     let result = s.run(&ctx);
     let rendered = scenario::render(s.label(), s.title(), &result, opts.format);
     let mut stdout = String::new();
@@ -370,24 +336,6 @@ fn run_one(s: &'static dyn Scenario, opts: &RunOpts) -> Result<String, String> {
         stdout.push_str(&rendered);
         if !rendered.ends_with('\n') {
             stdout.push('\n');
-        }
-    }
-    // Scenario artifacts (bench_sweep's BENCH_sweep.json) always land on
-    // disk: under --out DIR, or the working directory otherwise. Without
-    // --out, stdout carries the rendering itself, so the write notice goes
-    // to stderr — `dvafs run bench_sweep --format json | jq` must stay
-    // parseable.
-    for artifact in result.artifacts() {
-        let path = match &opts.out {
-            Some(dir) => Path::new(dir).join(&artifact.name),
-            None => Path::new(&artifact.name).to_path_buf(),
-        };
-        std::fs::write(&path, &artifact.contents)
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        if opts.out.is_some() {
-            stdout.push_str(&format!("wrote {}\n", path.display()));
-        } else {
-            eprintln!("dvafs: wrote {}", path.display());
         }
     }
     Ok(stdout)
@@ -522,12 +470,6 @@ mod tests {
             "--threads",
             "2",
             "--fast",
-            "--kernel",
-            "naive",
-            "--search",
-            "rescan",
-            "--repeats",
-            "5",
         ]))
         .unwrap();
         assert!(warnings.is_empty());
@@ -538,25 +480,6 @@ mod tests {
         assert_eq!(opts.format, Format::Csv);
         assert_eq!(opts.threads, 2);
         assert!(opts.fast && opts.out.is_none());
-        assert_eq!(opts.kernel, NnKernel::Naive);
-        assert_eq!(opts.search, SearchStrategy::Rescan);
-        assert_eq!(opts.repeats, 5);
-    }
-
-    #[test]
-    fn kernel_and_repeats_default_sensibly() {
-        let (Command::Run(opts), _) = parse(&argv(&["run", "fig2"])).unwrap() else {
-            panic!("expected run")
-        };
-        assert_eq!(opts.kernel, NnKernel::GemmPacked);
-        assert_eq!(opts.search, SearchStrategy::Incremental);
-        assert_eq!(opts.repeats, 3);
-        // And the explicit spelling round-trips.
-        let (Command::Run(opts), _) = parse(&argv(&["run", "fig2", "--kernel", "packed"])).unwrap()
-        else {
-            panic!("expected run")
-        };
-        assert_eq!(opts.kernel, NnKernel::GemmPacked);
     }
 
     #[test]
@@ -564,10 +487,10 @@ mod tests {
         let (Command::Run(opts), _) = parse(&argv(&["run", "--all"])).unwrap() else {
             panic!("expected run")
         };
-        assert_eq!(opts.ids.len(), 13);
+        assert_eq!(opts.ids.len(), 12);
         assert_eq!(opts.ids[0], "fig2");
         assert!(opts.ids.contains(&"cnn_layerwise".to_string()));
-        assert_eq!(opts.ids.last().unwrap(), "bench_sweep");
+        assert_eq!(opts.ids.last().unwrap(), "ablations");
     }
 
     #[test]
@@ -614,22 +537,6 @@ mod tests {
         assert!(parse(&argv(&["run", "fig2", "--format", "yaml"]))
             .unwrap_err()
             .contains("unknown format"));
-        // An unknown kernel names the valid spellings.
-        assert!(parse(&argv(&["run", "fig2", "--kernel", "gemm"]))
-            .unwrap_err()
-            .contains("naive|packed"));
-        assert!(parse(&argv(&["run", "fig2", "--kernel"]))
-            .unwrap_err()
-            .contains("--kernel requires a value"));
-        assert!(parse(&argv(&["run", "fig2", "--search", "magic"]))
-            .unwrap_err()
-            .contains("rescan|incremental"));
-        assert!(parse(&argv(&["run", "fig2", "--search"]))
-            .unwrap_err()
-            .contains("--search requires a value"));
-        assert!(parse(&argv(&["run", "fig2", "--repeats", "0"]))
-            .unwrap_err()
-            .contains("positive integer"));
         assert!(parse(&argv(&["run"])).unwrap_err().contains("no scenarios"));
     }
 

@@ -23,7 +23,6 @@
 //! | `table3` | Table III (per-layer power on Envision) |
 //! | `cnn_layerwise` | Sec. IV/V end-to-end tuning on Envision |
 //! | `ablations` | design-choice ablation studies |
-//! | `bench_sweep` | `BENCH_sweep.json` (wall time per scenario) |
 //!
 //! Every scenario accepts `--threads N` (default: `DVAFS_THREADS` or the
 //! host's available parallelism) and produces **bit-identical output for
@@ -31,7 +30,9 @@
 //! already CI-sized treat it as a no-op — `dvafs list` documents per
 //! scenario what it shrinks.
 //!
-//! Criterion micro-benchmarks of the simulators live in `benches/`.
+//! Wall time is measured by the repository benchmark, not here:
+//! `python3 perfbench/run.py` times every scenario and the serve path
+//! (see `BENCHMARK.json`).
 
 #![warn(missing_docs)]
 

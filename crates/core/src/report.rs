@@ -5,13 +5,11 @@
 //! and figure series as aligned text; this module holds the small
 //! formatter they share, plus [`json`] — the low-level escaping/number
 //! helpers the generic serializer ([`crate::scenario::render`]) builds
-//! JSON from — and the [`SweepTiming`]/[`bench_sweep_json`] performance
-//! record the `bench_sweep` scenario emits. (The offline `serde` stub
-//! under `vendor/` has no serializer, so the JSON here is hand-rendered;
-//! swap to `serde_json` when a registry is available.)
+//! JSON from. (The offline `serde` stub under `vendor/` has no
+//! serializer, so the JSON here is hand-rendered; swap to `serde_json`
+//! when a registry is available.)
 
 use std::fmt;
-use std::time::Instant;
 
 /// A simple column-aligned text table.
 ///
@@ -100,168 +98,6 @@ pub fn fmt_f(v: f64, decimals: usize) -> String {
 #[must_use]
 pub fn fmt_e(v: f64) -> String {
     format!("{v:.2e}")
-}
-
-/// One timed scenario of the `bench_sweep` performance record.
-///
-/// Four comparisons share the record, all against `serial_ms` (one
-/// thread, bitsliced engine, subword-packed GEMM kernel, incremental
-/// search — the shipping configuration): thread scaling (`parallel_ms`),
-/// netlist-engine scaling (`scalar_ms`, the scalar-oracle engine),
-/// NN-kernel scaling (`naive_ms`, the naive MAC loops) and
-/// precision-search scaling (`rescan_ms`).
-/// Every wall time is a median of N timed repeats after a warmup pass
-/// (N is `ScenarioCtx::repeats`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepTiming {
-    /// Scenario identifier (e.g. `"fig3b"`).
-    pub figure: String,
-    /// Serial (1-thread) wall time in milliseconds, bitsliced engine,
-    /// subword-packed GEMM kernel.
-    pub serial_ms: f64,
-    /// Parallel wall time in milliseconds at the configured worker count.
-    pub parallel_ms: f64,
-    /// Serial (1-thread) wall time in milliseconds on the scalar netlist
-    /// engine — the reference oracle the bitsliced engine is timed against.
-    /// Scenarios without a gate-level component time close to `serial_ms`.
-    pub scalar_ms: f64,
-    /// Serial (1-thread) wall time in milliseconds on the naive NN MAC
-    /// kernel — the original reference oracle. Scenarios without a CNN in
-    /// the loop time close to `serial_ms`.
-    pub naive_ms: f64,
-    /// Serial wall time with the rescan precision-search oracle (the
-    /// pre-incremental full-forward scan). Scenarios without a precision
-    /// search in the loop time close to `serial_ms`.
-    pub rescan_ms: f64,
-}
-
-impl SweepTiming {
-    /// Serial-over-parallel speedup (> 1 means parallel won).
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        if self.parallel_ms > 0.0 {
-            self.serial_ms / self.parallel_ms
-        } else {
-            0.0
-        }
-    }
-
-    /// Scalar-over-bitsliced speedup at one thread (> 1 means the
-    /// bitsliced engine won).
-    #[must_use]
-    pub fn engine_speedup(&self) -> f64 {
-        if self.serial_ms > 0.0 {
-            self.scalar_ms / self.serial_ms
-        } else {
-            0.0
-        }
-    }
-
-    /// Naive-over-packed NN-kernel speedup at one thread (> 1 means the
-    /// shipping packed GEMM beat the naive loops).
-    #[must_use]
-    pub fn kernel_speedup(&self) -> f64 {
-        if self.serial_ms > 0.0 {
-            self.naive_ms / self.serial_ms
-        } else {
-            0.0
-        }
-    }
-
-    /// Rescan-over-incremental precision-search speedup at one thread
-    /// (> 1 means the prefix-cached incremental search won).
-    #[must_use]
-    pub fn search_speedup(&self) -> f64 {
-        if self.serial_ms > 0.0 {
-            self.rescan_ms / self.serial_ms
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Times one closure in milliseconds, discarding its result.
-pub fn time_ms<R>(f: impl FnOnce() -> R) -> f64 {
-    let start = Instant::now();
-    let _ = f();
-    start.elapsed().as_secs_f64() * 1e3
-}
-
-/// Runs `f` `repeats` times (clamped to ≥ 1) and returns the median wall
-/// time in milliseconds plus the last result — `bench_sweep`'s
-/// measurement primitive (the median is robust against the one-off stalls
-/// a mean would absorb; an even count averages the two middle samples).
-pub fn median_time_ms<R>(repeats: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let repeats = repeats.max(1);
-    let mut times = Vec::with_capacity(repeats);
-    let mut result = None;
-    for _ in 0..repeats {
-        // Drop the previous repeat's result *before* starting the clock —
-        // deallocating a large result inside the timed closure would bias
-        // every repeat after the first.
-        result = None;
-        times.push(time_ms(|| result = Some(f())));
-    }
-    times.sort_by(|a, b| a.partial_cmp(b).expect("wall times are finite"));
-    let mid = times.len() / 2;
-    let median = if times.len() % 2 == 1 {
-        times[mid]
-    } else {
-        (times[mid - 1] + times[mid]) / 2.0
-    };
-    (median, result.expect("repeats >= 1"))
-}
-
-/// Renders the `BENCH_sweep.json` document: per-scenario serial vs
-/// parallel wall time, scalar-engine vs bitsliced-engine wall time
-/// (`bitsliced_ms` repeats `serial_ms` so the engine columns read as a
-/// pair), naive-kernel vs subword-packed-kernel wall time (`packed_ms`
-/// likewise repeats `serial_ms`), rescan-search vs incremental-search
-/// wall time (`incremental_ms` likewise), the measured thread count, the
-/// host parallelism, and the per-measurement repeat count, so the
-/// workspace's performance trajectory is recorded per commit by CI.
-#[must_use]
-pub fn bench_sweep_json(
-    timings: &[SweepTiming],
-    threads: usize,
-    fast: bool,
-    repeats: usize,
-) -> String {
-    let rows: Vec<String> = timings
-        .iter()
-        .map(|t| {
-            format!(
-                "    {{\"figure\":\"{}\",\"serial_ms\":{:.3},\"parallel_ms\":{:.3},\
-                 \"speedup\":{:.3},\"scalar_ms\":{:.3},\"bitsliced_ms\":{:.3},\
-                 \"engine_speedup\":{:.3},\"naive_ms\":{:.3},\
-                 \"packed_ms\":{:.3},\"kernel_speedup\":{:.3},\
-                 \"rescan_ms\":{:.3},\"incremental_ms\":{:.3},\
-                 \"search_speedup\":{:.3}}}",
-                t.figure,
-                t.serial_ms,
-                t.parallel_ms,
-                t.speedup(),
-                t.scalar_ms,
-                t.serial_ms,
-                t.engine_speedup(),
-                t.naive_ms,
-                t.serial_ms,
-                t.kernel_speedup(),
-                t.rescan_ms,
-                t.serial_ms,
-                t.search_speedup()
-            )
-        })
-        .collect();
-    format!
-        (
-        "{{\n  \"threads\": {},\n  \"host_parallelism\": {},\n  \"fast\": {},\n  \"repeats\": {},\n  \"figures\": [\n{}\n  ]\n}}\n",
-        threads,
-        dvafs_executor::Executor::host_parallelism(),
-        fast,
-        repeats,
-        rows.join(",\n")
-    )
 }
 
 pub mod json {
@@ -631,66 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_timing_speedup() {
-        let t = SweepTiming {
-            figure: "fig3b".into(),
-            serial_ms: 100.0,
-            parallel_ms: 25.0,
-            scalar_ms: 800.0,
-            naive_ms: 450.0,
-            rescan_ms: 350.0,
-        };
-        assert!((t.speedup() - 4.0).abs() < 1e-12);
-        assert!((t.engine_speedup() - 8.0).abs() < 1e-12);
-        assert!((t.kernel_speedup() - 4.5).abs() < 1e-12);
-        assert!((t.search_speedup() - 3.5).abs() < 1e-12);
-        let zero = SweepTiming {
-            parallel_ms: 0.0,
-            serial_ms: 0.0,
-            ..t
-        };
-        assert_eq!(zero.speedup(), 0.0);
-        assert_eq!(zero.engine_speedup(), 0.0);
-        assert_eq!(zero.kernel_speedup(), 0.0);
-        assert_eq!(zero.search_speedup(), 0.0);
-    }
-
-    #[test]
-    fn bench_sweep_json_shape() {
-        let doc = bench_sweep_json(
-            &[SweepTiming {
-                figure: "fig2".into(),
-                serial_ms: 1.0,
-                parallel_ms: 0.5,
-                scalar_ms: 6.0,
-                naive_ms: 4.5,
-                rescan_ms: 3.0,
-            }],
-            4,
-            true,
-            3,
-        );
-        assert!(doc.contains("\"threads\": 4"));
-        assert!(doc.contains("\"host_parallelism\""));
-        assert!(doc.contains("\"repeats\": 3"));
-        assert!(doc.contains("\"figure\":\"fig2\""));
-        assert!(doc.contains("\"speedup\":2.000"));
-        assert!(doc.contains("\"scalar_ms\":6.000"));
-        assert!(doc.contains("\"bitsliced_ms\":1.000"));
-        assert!(doc.contains("\"engine_speedup\":6.000"));
-        assert!(doc.contains("\"naive_ms\":4.500"));
-        assert!(doc.contains("\"packed_ms\":1.000"));
-        assert!(doc.contains("\"kernel_speedup\":4.500"));
-        assert!(doc.contains("\"rescan_ms\":3.000"));
-        assert!(doc.contains("\"incremental_ms\":1.000"));
-        assert!(doc.contains("\"search_speedup\":3.000"));
-        for gone in ["gemm", "packed_speedup", "major", "batch_speedup"] {
-            assert!(!doc.contains(gone), "dropped column {gone} still rendered");
-        }
-        assert!(doc.ends_with("}\n"));
-    }
-
-    #[test]
     fn json_parse_roundtrips_escaped_strings() {
         // parse ∘ escape = identity, including the escapes `escape` emits.
         for s in [
@@ -756,25 +532,5 @@ mod tests {
         // Deep nesting is bounded, not a stack overflow.
         let deep = "[".repeat(200) + &"]".repeat(200);
         assert!(json::parse(&deep).unwrap_err().contains("nesting"));
-    }
-
-    #[test]
-    fn time_ms_is_nonnegative() {
-        assert!(time_ms(|| 40 + 2) >= 0.0);
-    }
-
-    #[test]
-    fn median_time_returns_last_result_and_runs_n_times() {
-        let mut runs = 0;
-        let (ms, last) = median_time_ms(5, || {
-            runs += 1;
-            runs
-        });
-        assert_eq!(runs, 5);
-        assert_eq!(last, 5);
-        assert!(ms >= 0.0);
-        // Zero repeats clamps to one.
-        let (_, once) = median_time_ms(0, || 7);
-        assert_eq!(once, 7);
     }
 }

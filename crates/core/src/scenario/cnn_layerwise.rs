@@ -47,7 +47,7 @@ impl Scenario for CnnLayerwise {
         let samples = if ctx.fast { 16 } else { 48 };
 
         // A LeNet-5 with realistic (pruned) weight sparsity.
-        let mut net = models::lenet5(ctx.seed + 6).with_kernel(ctx.kernel);
+        let mut net = models::lenet5(ctx.seed + 6);
         prune_to_sparsity(&mut net, 0.3);
         let data = SyntheticDataset::digits(samples, ctx.seed + 7);
         if dvafs_nn::precision::prediction_diversity(&net, &data) < 3 {

@@ -49,7 +49,7 @@ impl Scenario for Fig4 {
                     .run_kernel(&kernel)
                     .expect("kernel runs");
                 assert!(
-                    super::simd_outputs_match(&r, &kernel, ctx.kernel),
+                    r.outputs_match_packed(&kernel),
                     "outputs must stay bit-exact"
                 );
                 r.energy_per_word()

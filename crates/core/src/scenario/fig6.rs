@@ -36,8 +36,8 @@ impl Scenario for Fig6 {
     fn run(&self, ctx: &ScenarioCtx) -> ScenarioResult {
         let exec = ctx.executor();
         // The scan strategy comes from the context (prefix-cached
-        // incremental by default, the rescan oracle when bench_sweep times
-        // the search speedup); like the kernel, it never moves a number.
+        // incremental by default, the rescan oracle under `with_search`);
+        // it never moves a number.
         let search = PrecisionSearch::new().with_strategy(ctx.search);
         let mut r = ScenarioResult::new();
 
@@ -61,18 +61,15 @@ impl Scenario for Fig6 {
             }
         };
 
-        // LeNet-5 on the digit-like 28x28 set. The MAC kernel comes from
-        // the context (packed GEMM by default, the naive oracle when
-        // bench_sweep times the kernel speedup); it never moves a number.
-        let mut lenet = models::lenet5(ctx.seed).with_kernel(ctx.kernel);
+        // LeNet-5 on the digit-like 28x28 set.
+        let mut lenet = models::lenet5(ctx.seed);
         let digits = SyntheticDataset::digits(lenet_samples, ctx.seed + 1);
         ensure_diverse(&mut lenet, &digits);
         let lw = search.search_with(&lenet, &digits, Operand::Weights, exec);
         let la = search.search_with(&lenet, &digits, Operand::Activations, exec);
 
         // AlexNet at reduced resolution/width (substitution; see DESIGN.md).
-        let mut alexnet =
-            models::alexnet(alex_input, alex_scale, ctx.seed + 2).with_kernel(ctx.kernel);
+        let mut alexnet = models::alexnet(alex_input, alex_scale, ctx.seed + 2);
         let images = SyntheticDataset::image_like(alex_samples, alex_input, 10, ctx.seed + 3);
         ensure_diverse(&mut alexnet, &images);
         let aw = search.search_with(&alexnet, &images, Operand::Weights, exec);

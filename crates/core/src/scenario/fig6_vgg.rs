@@ -46,7 +46,7 @@ impl Scenario for Fig6Vgg {
 
     fn run(&self, ctx: &ScenarioCtx) -> ScenarioResult {
         let exec = ctx.executor();
-        // Strategy and kernel come from the context; neither moves a number.
+        // The strategy comes from the context; it never moves a number.
         let search = PrecisionSearch::new().with_strategy(ctx.search);
         let mut r = ScenarioResult::new();
 
@@ -63,7 +63,7 @@ impl Scenario for Fig6Vgg {
             }
         };
 
-        let mut vgg = models::vgg16(input, scale, ctx.seed + 4).with_kernel(ctx.kernel);
+        let mut vgg = models::vgg16(input, scale, ctx.seed + 4);
         let images = SyntheticDataset::image_like(samples, input, 10, ctx.seed + 5);
         ensure_diverse(&mut vgg, &images);
         let w = search.search_with(&vgg, &images, Operand::Weights, exec);

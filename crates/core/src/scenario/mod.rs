@@ -8,7 +8,7 @@
 //! * [`Scenario`] — the experiment interface: an id (`"fig2"`), a banner
 //!   label/title, and `run(&ScenarioCtx) -> ScenarioResult`;
 //! * [`ScenarioCtx`] — everything a run needs: the root seed, fast-mode,
-//!   and the deterministic parallel [`Executor`];
+//!   the oracle selectors, and the deterministic parallel [`Executor`];
 //! * [`ScenarioResult`] — structured tables plus the legacy presentation
 //!   text, rendered to text/JSON/CSV by the one generic serializer in
 //!   [`render`];
@@ -22,12 +22,10 @@
 //!
 //! A scenario run is a pure function of its context: same seed, same
 //! fast-mode ⇒ bit-identical [`ScenarioResult`] for *any* thread count
-//! (the executor merges in index order). The one exception is
-//! `bench_sweep`, whose artifact records wall-clock timings; its tables
-//! and text stay deterministic.
+//! (the executor merges in index order) and for either oracle selector
+//! ([`ScenarioCtx::engine`], [`ScenarioCtx::search`]).
 
 mod ablations;
-mod bench_sweep;
 mod cnn_layerwise;
 mod fig2;
 mod fig3a;
@@ -43,7 +41,6 @@ mod table2;
 mod table3;
 
 pub use ablations::Ablations;
-pub use bench_sweep::BenchSweep;
 pub use cnn_layerwise::CnnLayerwise;
 pub use fig2::Fig2;
 pub use fig3a::Fig3a;
@@ -53,14 +50,14 @@ pub use fig6::Fig6;
 pub use fig6_vgg::Fig6Vgg;
 pub use fig8::Fig8;
 pub use render::{banner_text, render, Format};
-pub use result::{Artifact, DataTable, ScenarioResult, Value};
+pub use result::{DataTable, ScenarioResult, Value};
 pub use table1::Table1;
 pub use table2::Table2;
 pub use table3::Table3;
 
 use dvafs_arith::netlist::Engine;
 use dvafs_executor::Executor;
-use dvafs_nn::{NnKernel, SearchStrategy};
+use dvafs_nn::SearchStrategy;
 
 /// Shared root seed of every experiment (full determinism). The
 /// multiplier-level sweeps additionally pin their own
@@ -78,22 +75,14 @@ pub struct ScenarioCtx {
     /// are already CI-sized ignore it — see [`Scenario::fast_note`].
     pub fast: bool,
     /// Netlist evaluation engine for the gate-level scenarios (bitsliced
-    /// by default; scalar is the reference oracle `bench_sweep` times
-    /// against it). Never moves a number — only wall time.
+    /// by default; scalar is the reference oracle). Never moves a number —
+    /// only wall time (`tests/scenario_registry.rs` renders every scenario
+    /// both ways).
     pub engine: Engine,
-    /// MAC kernel for the NN scenarios (subword-packed GEMM by default;
-    /// the naive layer loops are the reference oracle `bench_sweep` times
-    /// against it). Like the engine, it never moves a number — only wall
-    /// time.
-    pub kernel: NnKernel,
-    /// Timed repeats per measurement in `bench_sweep` (median-of-N after a
-    /// warmup pass; `--repeats`, default 3). Ignored by every other
-    /// scenario.
-    pub repeats: usize,
     /// Precision-search strategy for the fig6-family scenarios
     /// (prefix-cached incremental by default; the full-forward rescan is
-    /// the reference oracle `bench_sweep` times against it). Like the
-    /// engine and kernel, it never moves a number — only wall time.
+    /// the reference oracle). Like the engine, it never moves a number —
+    /// only wall time.
     pub search: SearchStrategy,
     exec: Executor,
 }
@@ -107,8 +96,6 @@ impl ScenarioCtx {
             seed: EXPERIMENT_SEED,
             fast: false,
             engine: Engine::default(),
-            kernel: NnKernel::default(),
-            repeats: 3,
             search: SearchStrategy::default(),
             exec: Executor::from_env(),
         }
@@ -141,24 +128,10 @@ impl ScenarioCtx {
         self
     }
 
-    /// Replaces the NN MAC kernel (see [`ScenarioCtx::kernel`]).
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: NnKernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
     /// Replaces the precision-search strategy (see [`ScenarioCtx::search`]).
     #[must_use]
     pub fn with_search(mut self, search: SearchStrategy) -> Self {
         self.search = search;
-        self
-    }
-
-    /// Replaces the `bench_sweep` repeat count (clamped to ≥ 1).
-    #[must_use]
-    pub fn with_repeats(mut self, repeats: usize) -> Self {
-        self.repeats = repeats.max(1);
         self
     }
 
@@ -180,13 +153,6 @@ impl ScenarioCtx {
     pub fn threads(&self) -> usize {
         self.exec.threads()
     }
-
-    /// This context with a single-threaded executor (used by
-    /// `bench_sweep` to time serial baselines).
-    #[must_use]
-    pub fn serial(&self) -> Self {
-        self.clone().with_executor(Executor::serial())
-    }
 }
 
 impl Default for ScenarioCtx {
@@ -198,8 +164,8 @@ impl Default for ScenarioCtx {
 /// One registered paper experiment.
 ///
 /// Implementations are stateless unit structs; all run state comes from
-/// the [`ScenarioCtx`], so a scenario can be executed concurrently, timed,
-/// or embedded in other scenarios (`bench_sweep` does exactly that).
+/// the [`ScenarioCtx`], so a scenario can be executed concurrently or
+/// timed from outside (the repository benchmark, `perfbench/`, does).
 pub trait Scenario: Sync {
     /// Stable machine id, the `dvafs run` argument (e.g. `"fig2"`).
     fn id(&self) -> &'static str;
@@ -221,24 +187,9 @@ pub trait Scenario: Sync {
     fn run(&self, ctx: &ScenarioCtx) -> ScenarioResult;
 }
 
-/// Checks the cycle-level SIMD machine's read-back outputs against the
-/// exact software reference selected by `nn_kernel` — the naive tap loop
-/// or the subword-packed GEMM (provably identical; this exercises
-/// whichever path the run selected). Shared by the fig4/table2 scenarios.
-pub(crate) fn simd_outputs_match(
-    report: &dvafs_simd::processor::KernelReport,
-    kernel: &dvafs_simd::kernels::ConvKernel,
-    nn_kernel: NnKernel,
-) -> bool {
-    match nn_kernel {
-        NnKernel::Naive => report.outputs_match(kernel),
-        NnKernel::GemmPacked => report.outputs_match_packed(kernel),
-    }
-}
-
 /// The scenario registry, in paper order (figures, tables, then the
-/// repo-level ablations and the performance sweep).
-static REGISTRY: [&dyn Scenario; 13] = [
+/// repo-level ablations).
+static REGISTRY: [&dyn Scenario; 12] = [
     &Fig2,
     &Fig3a,
     &Fig3b,
@@ -251,7 +202,6 @@ static REGISTRY: [&dyn Scenario; 13] = [
     &Table2,
     &Table3,
     &Ablations,
-    &BenchSweep,
 ];
 
 /// All registered scenarios.
@@ -273,13 +223,13 @@ mod tests {
     #[test]
     fn registry_ids_are_unique_and_findable() {
         let mut ids: Vec<&str> = registry().iter().map(|s| s.id()).collect();
-        assert_eq!(ids.len(), 13);
+        assert_eq!(ids.len(), 12);
         for id in &ids {
             assert!(find(id).is_some(), "find({id})");
         }
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), 13, "duplicate scenario ids");
+        assert_eq!(ids.len(), 12, "duplicate scenario ids");
         assert!(find("nope").is_none());
     }
 
@@ -293,21 +243,13 @@ mod tests {
         assert!(ctx.fast);
         assert_eq!(ctx.seed, 7);
         assert_eq!(ctx.engine, Engine::Bitsliced);
-        assert_eq!(ctx.kernel, NnKernel::GemmPacked);
-        assert_eq!(ctx.repeats, 3);
         assert_eq!(ctx.search, SearchStrategy::Incremental);
-        assert_eq!(ctx.serial().threads(), 1);
-        assert_eq!(ctx.serial().seed, 7);
-        // serial() preserves the engine and kernel; the builders swap them.
-        let scalar = ctx.clone().with_engine(Engine::Scalar);
-        assert_eq!(scalar.engine, Engine::Scalar);
-        assert_eq!(scalar.serial().engine, Engine::Scalar);
-        let naive = ctx.with_kernel(NnKernel::Naive).with_repeats(0);
-        assert_eq!(naive.kernel, NnKernel::Naive);
-        assert_eq!(naive.serial().kernel, NnKernel::Naive);
-        assert_eq!(naive.repeats, 1, "repeats clamps to >= 1");
-        let rescan = naive.with_search(SearchStrategy::Rescan);
-        assert_eq!(rescan.search, SearchStrategy::Rescan);
-        assert_eq!(rescan.serial().search, SearchStrategy::Rescan);
+        // The oracle builders swap one selector and keep everything else.
+        let oracle = ctx
+            .with_engine(Engine::Scalar)
+            .with_search(SearchStrategy::Rescan);
+        assert_eq!(oracle.engine, Engine::Scalar);
+        assert_eq!(oracle.search, SearchStrategy::Rescan);
+        assert_eq!((oracle.threads(), oracle.fast, oracle.seed), (3, true, 7));
     }
 }

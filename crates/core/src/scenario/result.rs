@@ -1,5 +1,5 @@
 //! The structured value a scenario produces: named data tables of typed
-//! cells, the legacy presentation text, and optional file artifacts.
+//! cells and the legacy presentation text.
 //!
 //! A [`ScenarioResult`] separates *data* from *presentation*:
 //!
@@ -9,9 +9,7 @@
 //!   values (a property the test suite asserts);
 //! * the *text body* is the human presentation the original figure
 //!   binaries printed (pivoted tables, paper anchors, custom decimal
-//!   counts) and is kept byte-identical so the smoke tests never move;
-//! * [`Artifact`]s are files a scenario asks the runner to write (only
-//!   `bench_sweep` uses this, for `BENCH_sweep.json`).
+//!   counts) and is kept byte-identical so the smoke tests never move.
 
 use std::fmt::Write as _;
 
@@ -145,22 +143,11 @@ impl DataTable {
     }
 }
 
-/// A file a scenario asks the runner to write (name + full contents).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Artifact {
-    /// File name (written under `--out DIR`, or the working directory).
-    pub name: String,
-    /// Full file contents.
-    pub contents: String,
-}
-
-/// What a scenario run produced: data tables, presentation text, and
-/// optional file artifacts.
+/// What a scenario run produced: data tables and presentation text.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScenarioResult {
     tables: Vec<DataTable>,
     text: String,
-    artifacts: Vec<Artifact>,
 }
 
 impl ScenarioResult {
@@ -173,14 +160,6 @@ impl ScenarioResult {
     /// Adds a data table.
     pub fn push_table(&mut self, table: DataTable) {
         self.tables.push(table);
-    }
-
-    /// Adds a file artifact.
-    pub fn push_artifact(&mut self, name: &str, contents: String) {
-        self.artifacts.push(Artifact {
-            name: name.to_string(),
-            contents,
-        });
     }
 
     /// Appends one line (plus newline) to the presentation text — the
@@ -205,12 +184,6 @@ impl ScenarioResult {
     #[must_use]
     pub fn text(&self) -> &str {
         &self.text
-    }
-
-    /// The file artifacts.
-    #[must_use]
-    pub fn artifacts(&self) -> &[Artifact] {
-        &self.artifacts
     }
 }
 

@@ -80,7 +80,7 @@ impl Scenario for Table2 {
                 // Power numbers are only meaningful if the machine computed
                 // the right outputs.
                 assert!(
-                    super::simd_outputs_match(&r, &kernel, ctx.kernel),
+                    r.outputs_match_packed(&kernel),
                     "outputs must stay bit-exact"
                 );
                 r

@@ -49,13 +49,11 @@
 //! inputs, the chunks are the batches [`Network::predict_all`] walks, and
 //! the predictions merge in chunk order, so no reply byte changes.
 //!
-//! Because every handler is a pure function of its request, the reply
-//! stream is byte-identical for any worker count: serving is just another
+//! Because every handler is a pure function of its request (every
+//! registered scenario is deterministic), the reply stream is
+//! byte-identical for any worker count: serving is just another
 //! execution strategy, like the bitsliced engine or the packed kernel,
-//! and moves no number. The one
-//! deliberate exclusion is `bench_sweep`, whose output is wall-clock
-//! measurement: it is rejected with an error reply rather than allowed to
-//! break the guarantee.
+//! and moves no number.
 //!
 //! ## Failure model
 //!
@@ -476,16 +474,6 @@ fn execute_request(env: &Envelope, state: &ServeState, handle: &TaskHandle<'_>) 
                     false,
                 );
             };
-            if s.id() == "bench_sweep" {
-                return (
-                    error_reply(
-                        id,
-                        "bench_sweep measures wall time and cannot produce a \
-                         deterministic reply; use `dvafs run bench_sweep` instead",
-                    ),
-                    false,
-                );
-            }
             let ctx = ScenarioCtx::new().with_threads(*threads).with_fast(*fast);
             let result = s.run(&ctx);
             let rendered = scenario::render(s.label(), s.title(), &result, *format);
@@ -954,7 +942,7 @@ mod tests {
                      {\"op\":\"frobnicate\"}\n\
                      {\"op\":\"run\"}\n\
                      {\"op\":\"run\",\"scenario\":\"nope\"}\n\
-                     {\"op\":\"run\",\"scenario\":\"bench_sweep\"}\n\
+                     {\"op\":\"run\",\"scenario\":\"fig2\",\"format\":\"yaml\"}\n\
                      {\"op\":\"predict\",\"model\":\"resnet\"}\n\
                      {\"op\":\"predict\",\"wbits\":0}\n\
                      {\"op\":\"predict\",\"samples\":0}\n\
@@ -968,7 +956,7 @@ mod tests {
         assert!(lines[2].contains("unknown op"));
         assert!(lines[3].contains("missing \\\"scenario\\\""));
         assert!(lines[4].contains("unknown scenario"));
-        assert!(lines[5].contains("bench_sweep"));
+        assert!(lines[5].contains("unknown format"));
         assert!(lines[6].contains("unknown model"));
         assert!(lines[7].contains("1..=16"));
         assert!(lines[8].contains("\\\"samples\\\""));

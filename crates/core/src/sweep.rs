@@ -104,8 +104,9 @@ impl MultiplierSweep {
 
     /// Runs the gate-level toggle simulations on an explicit netlist
     /// engine. The default is the bitsliced engine; [`Engine::Scalar`] is
-    /// the reference oracle `bench_sweep` times against it. Results do not
-    /// depend on the choice (the equivalence suite enforces it); profiles
+    /// the reference oracle. Results do not depend on the choice
+    /// (`tests/bitslice_equivalence.rs` and the oracle sweep in
+    /// `tests/scenario_registry.rs` enforce it); profiles
     /// already extracted are discarded so the requested engine really does
     /// the work.
     #[must_use]

@@ -46,19 +46,6 @@ pub enum NnKernel {
 impl NnKernel {
     /// All kernels, oracle first (test matrices iterate this).
     pub const ALL: [NnKernel; 2] = [NnKernel::Naive, NnKernel::GemmPacked];
-
-    /// Parses a CLI spelling (`"naive"` / `"packed"`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a user-facing message for anything else.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "naive" => Ok(NnKernel::Naive),
-            "packed" => Ok(NnKernel::GemmPacked),
-            other => Err(format!("unknown kernel {other:?} (expected naive|packed)")),
-        }
-    }
 }
 
 impl fmt::Display for NnKernel {
@@ -310,17 +297,6 @@ impl fmt::Debug for ActivationCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kernel_parse_and_display_roundtrip() {
-        for k in NnKernel::ALL {
-            assert_eq!(NnKernel::parse(&k.to_string()), Ok(k));
-        }
-        assert!(NnKernel::parse("gemm")
-            .unwrap_err()
-            .contains("naive|packed"));
-        assert_eq!(NnKernel::default(), NnKernel::GemmPacked);
-    }
 
     #[test]
     fn thread_scratch_is_reused_and_reentrancy_safe() {

@@ -16,7 +16,8 @@
 //! per-layer weight panels memoized across the scan; `Network::with_kernel`
 //! selects the naive oracle), in [`DEFAULT_BATCH_SIZE`]-sample chunks
 //! carried layer by layer. The kernel never changes a search result —
-//! only wall time (`bench_sweep` asserts exactly that on fig6).
+//! only wall time (`tests/kernel_equivalence.rs` and
+//! `tests/batch_equivalence.rs` pin the forward it runs on).
 
 use crate::dataset::SyntheticDataset;
 use crate::kernel::{with_thread_scratch, ActivationCache, DEFAULT_BATCH_SIZE};
@@ -25,7 +26,6 @@ use crate::quant::QuantizedTensor;
 use crate::tensor::Tensor;
 use dvafs_executor::Executor;
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// Selects how the per-layer scan evaluates candidate bit widths.
 ///
@@ -47,35 +47,6 @@ pub enum SearchStrategy {
     /// O(layers x widths x suffix-forward).
     #[default]
     Incremental,
-}
-
-impl SearchStrategy {
-    /// Both strategies, oracle first (test matrices iterate this).
-    pub const ALL: [SearchStrategy; 2] = [SearchStrategy::Rescan, SearchStrategy::Incremental];
-
-    /// Parses a CLI spelling (`"rescan"` / `"incremental"`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a user-facing message for anything else.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "rescan" => Ok(SearchStrategy::Rescan),
-            "incremental" => Ok(SearchStrategy::Incremental),
-            other => Err(format!(
-                "unknown search strategy {other:?} (expected rescan|incremental)"
-            )),
-        }
-    }
-}
-
-impl fmt::Display for SearchStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            SearchStrategy::Rescan => "rescan",
-            SearchStrategy::Incremental => "incremental",
-        })
-    }
 }
 
 /// Which operand of a layer is being scaled.
@@ -526,17 +497,6 @@ mod tests {
     #[should_panic(expected = "target must be in")]
     fn invalid_target_rejected() {
         let _ = PrecisionSearch::new().with_target(0.0);
-    }
-
-    #[test]
-    fn strategy_parses_and_displays() {
-        for s in SearchStrategy::ALL {
-            assert_eq!(SearchStrategy::parse(&s.to_string()), Ok(s));
-        }
-        assert_eq!(SearchStrategy::default(), SearchStrategy::Incremental);
-        assert!(SearchStrategy::parse("bogus")
-            .unwrap_err()
-            .contains("rescan|incremental"));
     }
 
     #[test]

@@ -159,6 +159,28 @@ proptest! {
     }
 }
 
+/// The fig6-sized AlexNet stand-in (67 px input, channel scale 0.125) at
+/// 8/8 bits: its 11x11 stride-4 conv, 5x5 and 3x3 stack and dense tail
+/// agree with the naive oracle as one network, outputs bit for bit and
+/// every layer's statistics. The whole-network proptests above run
+/// LeNet-5 only.
+#[test]
+fn alexnet_gemm_matches_naive_end_to_end() {
+    let data = SyntheticDataset::image_like(2, 67, 10, 4);
+    let net = models::alexnet(67, 0.125, 3);
+    let cfg = QuantConfig::uniform(net.layer_count(), 8, 8);
+    let run = |kernel| -> Vec<(Vec<u32>, Vec<LayerStats>)> {
+        net.clone()
+            .with_kernel(kernel)
+            .forward_batch(data.images(), &cfg, &mut Scratch::new())
+            .expect("AlexNet forward succeeds")
+            .into_iter()
+            .map(|(out, stats)| (out.as_slice().iter().map(|v| v.to_bits()).collect(), stats))
+            .collect()
+    };
+    assert_eq!(run(NnKernel::Naive), run(NnKernel::GemmPacked));
+}
+
 /// Degenerate geometries the random ranges may hit rarely, pinned
 /// explicitly: padding >= kernel, stride > kernel, and 1x1 kernels.
 #[test]

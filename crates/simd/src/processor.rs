@@ -172,8 +172,9 @@ impl KernelReport {
 
     /// Like [`outputs_match`](Self::outputs_match), but recomputes the
     /// reference through the subword-packed GEMM
-    /// ([`ConvKernel::expected_outputs_packed`]) — the path the scenarios
-    /// assert when a run selects the `GemmPacked` kernel.
+    /// ([`ConvKernel::expected_outputs_packed`]) — the check the fig4 and
+    /// table2 scenarios assert on every simulated run. The two references
+    /// agree bit for bit (`kernels` unit tests).
     #[must_use]
     pub fn outputs_match_packed(&self, kernel: &ConvKernel) -> bool {
         let expected = kernel.expected_outputs_packed(self.bits, self.shift, self.mode.lane_bits());

@@ -1,5 +1,5 @@
 //! Smoke tests of the one experiment entry point, the `dvafs` binary of
-//! `crates/bench`: for every registered scenario except `bench_sweep`,
+//! `crates/bench`: for every registered scenario,
 //! `dvafs run <id> --fast --threads 2` must print stdout byte-identical to
 //! the in-process scenario rendering (`dvafs::scenario::render`) at
 //! `--threads 1`. One subprocess run per scenario pins both:
@@ -9,13 +9,11 @@
 //!   in-process at `--threads 1`) — the end-to-end enforcement of the
 //!   parallel executor's determinism guarantee.
 //!
-//! `bench_sweep` records wall times, so its stable lines are pinned
-//! instead. Each run goes through `cargo run --release`: the gate-level
+//! Each run goes through `cargo run --release`: the gate-level
 //! simulators are orders of magnitude slower unoptimized, and the tier-1
 //! pipeline (`cargo build --release && cargo test -q`) leaves a warm
 //! release cache. Output is captured and only shown on failure.
 
-use dvafs::nn::SearchStrategy;
 use dvafs::scenario::{self, Format, ScenarioCtx};
 use std::path::Path;
 use std::process::{Command, Output};
@@ -67,29 +65,6 @@ fn rendering(id: &str) -> String {
 
 /// The smoke check for one scenario.
 fn smoke_scenario(id: &str) {
-    if id == "bench_sweep" {
-        // No `--threads`: the parallel column must default to the *host*
-        // parallelism, not a count this test happens to pick. One timed
-        // repeat: timings make a byte diff pointless, and the scenario
-        // itself asserts serial == parallel == scalar == naive == rescan
-        // for every registered experiment. Pin the stable parts of the
-        // presentation instead.
-        let stdout = run_dvafs(&["run", id, "--fast", "--repeats", "1"]);
-        assert!(stdout.starts_with("=== DVAFS reproduction | BENCH sweep"));
-        for s in scenario::registry() {
-            if s.id() != id {
-                assert!(
-                    stdout.contains(&format!(
-                        "measured {}: serial and parallel runs bit-identical",
-                        s.id()
-                    )),
-                    "bench_sweep stdout missing {}",
-                    s.id()
-                );
-            }
-        }
-        return;
-    }
     let stdout = run_dvafs(&["run", id, "--fast", "--threads", "2"]);
     assert_eq!(
         stdout,
@@ -125,43 +100,7 @@ smoke!(
     table2,
     table3,
     ablations,
-    bench_sweep
 );
-
-#[test]
-fn fig6_stdout_unchanged_by_search_strategy() {
-    // The incremental precision search is the default; it must never move
-    // a byte of presentation text. In-process: both strategies render
-    // identically for the fig6-family scenarios...
-    for id in ["fig6", "fig6_vgg"] {
-        let s = scenario::find(id).expect("registered");
-        let ctx = ScenarioCtx::new().with_threads(1).with_fast(true);
-        let incremental = s.run(&ctx.clone().with_search(SearchStrategy::Incremental));
-        let rescan = s.run(&ctx.with_search(SearchStrategy::Rescan));
-        assert_eq!(
-            scenario::render(s.label(), s.title(), &incremental, Format::Text),
-            scenario::render(s.label(), s.title(), &rescan, Format::Text),
-            "{id}: search strategy moved the rendered text"
-        );
-    }
-    // ...and the binary pinned to the rescan oracle prints stdout
-    // byte-identical to the in-process rendering under the default (at a
-    // different thread count, like every smoke run).
-    let stdout = run_dvafs(&[
-        "run",
-        "fig6",
-        "--fast",
-        "--threads",
-        "2",
-        "--search",
-        "rescan",
-    ]);
-    assert_eq!(
-        stdout,
-        rendering("fig6"),
-        "dvafs run fig6 --search rescan changed stdout"
-    );
-}
 
 #[test]
 fn dvafs_cli_lists_every_scenario() {
@@ -183,7 +122,6 @@ fn dvafs_cli_rejects_bad_invocations() {
         (vec!["run", "fig99"], "unknown scenario"),
         (vec!["run", "fig2", "--out"], "--out requires a value"),
         (vec!["run", "fig2", "--format", "yaml"], "unknown format"),
-        (vec!["run", "fig6", "--kernel", "gemm"], "naive|packed"),
     ] {
         let output = dvafs(&args);
         assert!(

@@ -84,6 +84,14 @@ fn table3_matches_golden() {
 }
 
 #[test]
+fn fig6_matches_golden() {
+    // The LeNet-5/AlexNet precision search of Fig. 6. Like fig6_vgg, the
+    // bytes pin the rescan oracle and the naive MAC kernel as well as the
+    // shipping paths (see crates/nn/tests).
+    assert_matches_golden("fig6");
+}
+
+#[test]
 fn fig6_vgg_matches_golden() {
     // The VGG16-scale search the incremental strategy unlocks; the search
     // strategy never moves a number, so this fixture also pins the

@@ -2,15 +2,19 @@
 //!
 //! * every scenario id is unique, findable and documented;
 //! * `run --all --fast --threads 1` succeeds end to end through the real
-//!   CLI code path (writing one JSON file per scenario plus the
-//!   `BENCH_sweep.json` artifact), and the CLI's fig2 JSON is
-//!   byte-identical to the golden fixture;
+//!   CLI code path (writing one JSON file per scenario), and the CLI's
+//!   fig2 JSON is byte-identical to the golden fixture;
+//! * every scenario renders the same JSON bytes on the shipping paths and
+//!   on the retained reference oracles (scalar netlist engine, rescan
+//!   precision search);
 //! * the generic serializer keeps its agreement contract: JSON, CSV and
 //!   the generic text table of any `DataTable` have the same shape and
 //!   the same values (property-tested over randomized tables, plus the
 //!   real Fig. 2 result).
 
-use dvafs::scenario::{self, DataTable, ScenarioCtx, ScenarioResult, Value};
+use dvafs::arith::netlist::Engine;
+use dvafs::nn::SearchStrategy;
+use dvafs::scenario::{self, DataTable, Format, ScenarioCtx, ScenarioResult, Value};
 use dvafs_bench::cli;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -19,7 +23,7 @@ use std::path::PathBuf;
 #[test]
 fn registry_ids_unique_and_documented() {
     let reg = scenario::registry();
-    assert_eq!(reg.len(), 13, "all 13 experiments must be registered");
+    assert_eq!(reg.len(), 12, "all 12 experiments must be registered");
     let mut ids: Vec<&str> = reg.iter().map(|s| s.id()).collect();
     ids.sort_unstable();
     let mut deduped = ids.clone();
@@ -44,10 +48,6 @@ fn run_all_fast_single_threaded_succeeds() {
         "--fast",
         "--threads",
         "1",
-        // One timed repeat: this test checks the end-to-end path, not the
-        // medians — bench_sweep at the default 3 would triple its runtime.
-        "--repeats",
-        "1",
         "--format",
         "json",
         "--out",
@@ -64,8 +64,6 @@ fn run_all_fast_single_threaded_succeeds() {
         assert!(path.is_file(), "missing {}", path.display());
         assert!(stdout.contains(&format!("{}.json", s.id())));
     }
-    // The bench_sweep scenario's artifact lands in the same directory.
-    assert!(out.join("BENCH_sweep.json").is_file());
 
     // The CLI-written fig2 JSON byte-matches the golden fixture: the CLI,
     // the golden tests and the serializer are one code path.
@@ -77,6 +75,32 @@ fn run_all_fast_single_threaded_succeeds() {
         "CLI fig2 JSON drifted from the golden fixture"
     );
     let _ = std::fs::remove_dir_all(&out);
+}
+
+/// The one oracle sweep over the registry: for every scenario at `--fast`,
+/// the shipping paths (bitsliced netlist engine, incremental precision
+/// search) and their retained reference oracles (scalar engine, rescan)
+/// render byte-identical JSON (the data tables; perfbench's
+/// `pass --oracle` makes the same check at full scale) and text (the
+/// presentation body).
+#[test]
+fn oracle_paths_render_every_scenario_identically() {
+    let shipping = ScenarioCtx::new().with_fast(true);
+    let oracle = shipping
+        .clone()
+        .with_engine(Engine::Scalar)
+        .with_search(SearchStrategy::Rescan);
+    for s in scenario::registry() {
+        let (expected, got) = (s.run(&shipping), s.run(&oracle));
+        for format in [Format::Json, Format::Text] {
+            assert_eq!(
+                scenario::render(s.label(), s.title(), &expected, format),
+                scenario::render(s.label(), s.title(), &got, format),
+                "{}: an oracle path moved the {format:?} rendering",
+                s.id()
+            );
+        }
+    }
 }
 
 /// Builds a randomized flat table: `cols` columns of seeded-random kind,

@@ -43,9 +43,9 @@ fn serve_lines(input: &str, threads: usize, queue: usize) -> (String, SessionOut
 /// error path whose message is part of the protocol: explicit ids,
 /// model-cache reuse (two identical predicts must produce identical
 /// replies modulo id), scenario rendering in two formats, malformed
-/// JSON, unknown ops/scenarios, the `bench_sweep` determinism rejection,
-/// invalid model geometry, and the post-`shutdown` fuse (the trailing
-/// ping must never be answered).
+/// JSON, unknown ops/scenarios (a retired scenario id among them: it gets
+/// the generic unknown-scenario reply), invalid model geometry, and the
+/// post-`shutdown` fuse (the trailing ping must never be answered).
 const TRANSCRIPT_REQUESTS: &str = concat!(
     "{\"op\":\"ping\"}\n",
     "{\"id\":42,\"op\":\"list\"}\n",
@@ -97,9 +97,7 @@ fn transcript_matches_golden() {
 
 /// The acceptance criterion, literally: for every registered scenario a
 /// served `run` reply carries byte-for-byte the rendering `dvafs run`
-/// produces in-process. `bench_sweep` is the deliberate exception — it
-/// measures wall time, so serve refuses it instead of replying
-/// nondeterministically.
+/// produces in-process.
 #[test]
 fn served_run_output_matches_in_process_rendering_for_every_scenario() {
     let mut requests = String::new();
@@ -117,18 +115,6 @@ fn served_run_output_matches_in_process_rendering_for_every_scenario() {
 
     for (line, s) in lines.iter().zip(scenario::registry()) {
         let reply = json::parse(line).expect("reply is valid JSON");
-        if s.id() == "bench_sweep" {
-            assert_eq!(
-                reply.get("ok").and_then(json::JsonValue::as_bool),
-                Some(false)
-            );
-            let err = reply
-                .get("error")
-                .and_then(json::JsonValue::as_str)
-                .expect("error message");
-            assert!(err.contains("bench_sweep"), "unexpected error: {err}");
-            continue;
-        }
         let served = reply
             .get("output")
             .and_then(json::JsonValue::as_str)
