@@ -40,6 +40,10 @@ impl SubwordMode {
     /// All modes, from full precision down.
     pub const ALL: [SubwordMode; 3] = [SubwordMode::X1, SubwordMode::X2, SubwordMode::X4];
 
+    /// The largest lane count of any mode: the length of a stack array
+    /// that holds the lane values of one packed word in every mode.
+    pub const MAX_LANES: usize = 4;
+
     /// The number of parallel lanes `N`.
     #[must_use]
     pub fn lanes(self) -> usize {
@@ -125,9 +129,10 @@ impl fmt::Display for SubwordMode {
 /// use dvafs_arith::SubwordMode;
 ///
 /// let w = pack_lanes(&[1, -1], SubwordMode::X2)?;
-/// assert_eq!(unpack_lanes(w, SubwordMode::X2), vec![1, -1]);
+/// assert_eq!(unpack_lanes(w, SubwordMode::X2).collect::<Vec<_>>(), [1, -1]);
 /// # Ok::<(), dvafs_arith::ArithError>(())
 /// ```
+#[inline]
 pub fn pack_lanes(lanes: &[i32], mode: SubwordMode) -> Result<u16, ArithError> {
     if lanes.len() != mode.lanes() {
         return Err(ArithError::LaneCountMismatch {
@@ -152,19 +157,18 @@ pub fn pack_lanes(lanes: &[i32], mode: SubwordMode) -> Result<u16, ArithError> {
     Ok(packed as u16)
 }
 
-/// Unpacks a 16-bit operand word into signed lane values (lane 0 = LSBs).
-#[must_use]
-pub fn unpack_lanes(word: u16, mode: SubwordMode) -> Vec<i32> {
+/// Unpacks a 16-bit operand word into its signed lane values, lane 0 (the
+/// LSBs) first. The iterator allocates nothing, so a simulator can unpack
+/// every word it touches.
+pub fn unpack_lanes(word: u16, mode: SubwordMode) -> impl ExactSizeIterator<Item = i32> {
     let w = mode.lane_bits();
     let mask = (1u32 << w) - 1;
-    (0..mode.lanes())
-        .map(|i| {
-            let field = (u32::from(word) >> (i as u32 * w)) & mask;
-            // Sign-extend the lane field.
-            let shift = 32 - w;
-            ((field << shift) as i32) >> shift
-        })
-        .collect()
+    (0..mode.lanes()).map(move |i| {
+        let field = (u32::from(word) >> (i as u32 * w)) & mask;
+        // Sign-extend the lane field.
+        let shift = 32 - w;
+        ((field << shift) as i32) >> shift
+    })
 }
 
 #[cfg(test)]
@@ -179,6 +183,9 @@ mod tests {
         assert_eq!(SubwordMode::X2.lane_bits(), 8);
         assert_eq!(SubwordMode::X4.lanes(), 4);
         assert_eq!(SubwordMode::X4.lane_bits(), 4);
+        assert!(SubwordMode::ALL
+            .iter()
+            .all(|m| m.lanes() <= SubwordMode::MAX_LANES));
     }
 
     #[test]
@@ -216,21 +223,21 @@ mod tests {
     fn pack_unpack_roundtrip_x4() {
         let lanes = [-8, 7, -1, 3];
         let w = pack_lanes(&lanes, SubwordMode::X4).unwrap();
-        assert_eq!(unpack_lanes(w, SubwordMode::X4), lanes.to_vec());
+        assert_eq!(unpack_lanes(w, SubwordMode::X4).collect::<Vec<_>>(), lanes);
     }
 
     #[test]
     fn pack_unpack_roundtrip_x2() {
         let lanes = [-128, 127];
         let w = pack_lanes(&lanes, SubwordMode::X2).unwrap();
-        assert_eq!(unpack_lanes(w, SubwordMode::X2), lanes.to_vec());
+        assert_eq!(unpack_lanes(w, SubwordMode::X2).collect::<Vec<_>>(), lanes);
     }
 
     #[test]
     fn pack_unpack_roundtrip_x1() {
         let lanes = [-32768];
         let w = pack_lanes(&lanes, SubwordMode::X1).unwrap();
-        assert_eq!(unpack_lanes(w, SubwordMode::X1), lanes.to_vec());
+        assert_eq!(unpack_lanes(w, SubwordMode::X1).collect::<Vec<_>>(), lanes);
     }
 
     #[test]
@@ -257,7 +264,7 @@ mod tests {
     fn exhaustive_roundtrip_x4_single_lane_range() {
         for v in -8..=7 {
             let w = pack_lanes(&[v, 0, 0, 0], SubwordMode::X4).unwrap();
-            assert_eq!(unpack_lanes(w, SubwordMode::X4)[0], v);
+            assert_eq!(unpack_lanes(w, SubwordMode::X4).next(), Some(v));
         }
     }
 
@@ -272,7 +279,7 @@ mod tests {
             let lo = -(1i32 << (w - 1));
             let hi = (1i32 << (w - 1)) - 1;
             for word in 0..=u16::MAX {
-                let lanes = unpack_lanes(word, mode);
+                let lanes: Vec<i32> = unpack_lanes(word, mode).collect();
                 assert_eq!(lanes.len(), mode.lanes());
                 for &v in &lanes {
                     assert!((lo..=hi).contains(&v), "{mode}: lane {v} out of range");

@@ -59,7 +59,7 @@ proptest! {
     /// Packing then unpacking recovers the lane values exactly.
     #[test]
     fn pack_unpack_roundtrip(word in any::<u16>(), mode in mode_strategy()) {
-        let lanes = unpack_lanes(word, mode);
+        let lanes: Vec<i32> = unpack_lanes(word, mode).collect();
         prop_assert_eq!(pack_lanes(&lanes, mode).expect("unpacked lanes fit"), word);
     }
 

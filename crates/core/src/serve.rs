@@ -77,6 +77,9 @@
 //!   (`--idle-timeout-ms`): an idle client is closed cleanly with a
 //!   stderr note instead of stalling the sequential accept loop, and
 //!   `--max-requests N` caps a session the same clean way;
+//! * the model cache keeps at most 32 networks and 1 GiB of weights,
+//!   evicting the least recently used network, so a client varying
+//!   `model_seed` cannot grow the process without limit;
 //! * a panic inside the model cache recovers the poisoned lock and
 //!   rebuilds (see [`ServeState`]).
 //!
@@ -95,6 +98,7 @@ use crate::faultplan::{FaultKind, FaultPlan};
 use crate::report::json::{self, JsonValue};
 use crate::scenario::{self, Format, ScenarioCtx};
 use dvafs_executor::{Executor, PanicPolicy, TaskHandle};
+use dvafs_nn::layers::Layer;
 use dvafs_nn::models::ModelSpec;
 use dvafs_nn::network::QuantConfig;
 use dvafs_nn::{Network, NnError, DEFAULT_BATCH_SIZE};
@@ -120,6 +124,16 @@ pub const MAX_PREDICT_SAMPLES: usize = 4096;
 /// memory — and answered with an ordered error reply, so an abusive or
 /// broken client costs one buffer, not the process.
 pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
+
+/// Most networks the model cache keeps built: well above the six of a
+/// typical predict mix (three models at two weight seeds).
+pub(crate) const MAX_CACHED_MODELS: usize = 32;
+
+/// Most `f32` weight bytes the cached networks hold together: room for a
+/// paper-scale VGG16 (about 0.5 GiB) beside the service-sized defaults
+/// (about 0.25 MiB each). A network larger than this on its own is still
+/// served, and cached until the next network is built.
+pub(crate) const MAX_CACHED_WEIGHT_BYTES: usize = 1 << 30;
 
 /// Default per-connection read timeout under TCP (`--idle-timeout-ms`):
 /// a client this idle is closed cleanly so the sequential accept loop
@@ -188,18 +202,94 @@ struct ModelKey {
     seed: u64,
 }
 
+#[derive(Debug)]
+struct CachedModel {
+    net: Arc<Network>,
+    weight_bytes: usize,
+    /// The cache's use counter at this network's last request.
+    last_used: u64,
+}
+
+/// Built networks by resolved spec, bounded by a network count and a
+/// total of `f32` weight bytes; over either bound, the least recently
+/// used network is evicted (a linear scan: the cache is small).
+#[derive(Debug)]
+struct ModelCache {
+    entries: HashMap<ModelKey, CachedModel>,
+    uses: u64,
+    max_models: usize,
+    max_weight_bytes: usize,
+}
+
+impl ModelCache {
+    fn weight_bytes(&self) -> usize {
+        self.entries.values().map(|entry| entry.weight_bytes).sum()
+    }
+
+    fn get_or_build(&mut self, key: ModelKey, build: impl FnOnce() -> Network) -> Arc<Network> {
+        self.uses += 1;
+        if let Some(entry) = self.entries.get_mut(&key) {
+            entry.last_used = self.uses;
+            return Arc::clone(&entry.net);
+        }
+        let net = Arc::new(build());
+        let entry = CachedModel {
+            net: Arc::clone(&net),
+            weight_bytes: weight_bytes(&net),
+            last_used: self.uses,
+        };
+        self.entries.insert(key, entry);
+        // The network just built is the most recently used, so it stays.
+        while self.entries.len() > 1
+            && (self.entries.len() > self.max_models || self.weight_bytes() > self.max_weight_bytes)
+        {
+            let oldest = self
+                .entries
+                .iter()
+                .min_by_key(|(_, entry)| entry.last_used)
+                .map(|(key, _)| key.clone())
+                .expect("the cache is not empty");
+            self.entries.remove(&oldest);
+        }
+        net
+    }
+}
+
+/// The `f32` weight bytes of a network's conv and dense layers.
+fn weight_bytes(net: &Network) -> usize {
+    let weights: usize = net
+        .layers()
+        .iter()
+        .map(|layer| match layer {
+            Layer::Conv2d(c) => c.weights().len(),
+            Layer::Dense(d) => d.inputs() * d.outputs(),
+            Layer::ReLU | Layer::MaxPool2d { .. } => 0,
+        })
+        .sum();
+    weights * std::mem::size_of::<f32>()
+}
+
 /// The state that outlives a request — and, under TCP, a connection:
-/// built networks keyed by resolved spec. Holding `Arc<Network>` (never
-/// cloning the network) is what preserves the interior weight-panel cache
-/// across requests; a `Network` clone would start cold.
+/// built networks keyed by resolved spec, at most 32 of them and 1 GiB
+/// of `f32` weights, least recently used evicted first. Holding
+/// `Arc<Network>` (never cloning the network) is what preserves the
+/// interior weight-panel cache across requests; a `Network` clone would
+/// start cold. An evicted network is rebuilt from its spec on its next
+/// request, with the same weights and replies.
 ///
 /// The cache lock is **poison-recovering**: a contained panic while the
 /// lock was held (e.g. mid-`build`) clears the poison flag and drops the
 /// possibly half-updated entries, so the next `predict` rebuilds from
 /// cold instead of panicking for the rest of the session.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ServeState {
-    models: Mutex<HashMap<ModelKey, Arc<Network>>>,
+    models: Mutex<ModelCache>,
+}
+
+impl Default for ServeState {
+    fn default() -> Self {
+        ServeState::with_limits(MAX_CACHED_MODELS, MAX_CACHED_WEIGHT_BYTES)
+    }
 }
 
 impl ServeState {
@@ -209,14 +299,27 @@ impl ServeState {
         ServeState::default()
     }
 
+    /// Fresh state whose model cache holds at most `max_models` networks
+    /// and `max_weight_bytes` of weights.
+    pub(crate) fn with_limits(max_models: usize, max_weight_bytes: usize) -> Self {
+        ServeState {
+            models: Mutex::new(ModelCache {
+                entries: HashMap::new(),
+                uses: 0,
+                max_models,
+                max_weight_bytes,
+            }),
+        }
+    }
+
     /// Takes the cache lock, recovering from poison by clearing both the
     /// flag and the stale entries (a rebuild costs a warm-up; a bricked
     /// cache costs every later request in the session).
-    fn lock_models(&self) -> MutexGuard<'_, HashMap<ModelKey, Arc<Network>>> {
+    fn lock_models(&self) -> MutexGuard<'_, ModelCache> {
         self.models.lock().unwrap_or_else(|poisoned| {
             self.models.clear_poison();
             let mut guard = poisoned.into_inner();
-            guard.clear();
+            guard.entries.clear();
             guard
         })
     }
@@ -224,7 +327,7 @@ impl ServeState {
     /// Number of distinct networks currently cached.
     #[must_use]
     pub fn cached_models(&self) -> usize {
-        self.lock_models().len()
+        self.lock_models().entries.len()
     }
 
     fn model_for(&self, spec: &ModelSpec) -> Arc<Network> {
@@ -234,8 +337,7 @@ impl ServeState {
             scale_bits: spec.scale().to_bits(),
             seed: spec.seed(),
         };
-        let mut cache = self.lock_models();
-        Arc::clone(cache.entry(key).or_insert_with(|| Arc::new(spec.build())))
+        self.lock_models().get_or_build(key, || spec.build())
     }
 }
 
@@ -1060,6 +1162,43 @@ mod tests {
         drop(rebuilt);
         let (out, _) = serve_bytes("{\"op\":\"predict\",\"samples\":2}\n", 1, 1);
         assert!(out.contains("\"ok\":true"), "{out}");
+    }
+
+    #[test]
+    fn model_cache_is_bounded_and_evicts_least_recently_used() {
+        let predict =
+            |seed: u64| format!("{{\"op\":\"predict\",\"samples\":2,\"model_seed\":{seed}}}\n");
+        let serve = |state: &ServeState, input: &str| {
+            let mut out = Vec::new();
+            serve_session(
+                Cursor::new(input.to_string()),
+                &mut out,
+                &ServeOpts::default(),
+                state,
+            )
+            .expect("in-memory serve cannot fail on io");
+            String::from_utf8(out).expect("replies are utf-8")
+        };
+        let lenet = weight_bytes(&ModelSpec::resolve("lenet5", None, None, 1).unwrap().build());
+        // A count bound of two, and a byte bound that holds two LeNet-5s.
+        for (max_models, max_bytes) in [(2, usize::MAX), (usize::MAX, 2 * lenet + lenet / 2)] {
+            let state = ServeState::with_limits(max_models, max_bytes);
+            let first = serve(&state, &predict(1));
+            serve(&state, &predict(2));
+            // Seed 1 is now the more recent, so seed 3 evicts seed 2.
+            assert_eq!(serve(&state, &predict(1)), first);
+            serve(&state, &predict(3));
+            assert_eq!(state.cached_models(), 2);
+            let seeds: Vec<u64> = state.lock_models().entries.keys().map(|k| k.seed).collect();
+            assert!(seeds.contains(&1) && seeds.contains(&3), "{seeds:?}");
+            for seed in 4..8 {
+                serve(&state, &predict(seed));
+                assert_eq!(state.cached_models(), 2);
+            }
+            // Seed 1 was evicted; rebuilt, it replies with the same bytes.
+            assert_eq!(serve(&state, &predict(1)), first);
+            assert_eq!(state.lock_models().weight_bytes(), 2 * lenet);
+        }
     }
 
     #[test]

@@ -267,27 +267,34 @@ pub fn compile_with_style(
     let log_taps = (taps as f64).log2().ceil() as u32;
     let shift = (2 * bits + log_taps).saturating_sub(store_bits + 1).min(31);
 
-    // Memory image: bank l, address b*taps + t holds the packed effective
-    // inputs of that lane's N output slots at tap t.
-    let mut bank_images = vec![Vec::with_capacity(blocks * taps + blocks); sw];
-    for (l, image) in bank_images.iter_mut().enumerate() {
-        for b in 0..blocks {
-            for t in 0..taps {
-                let lanes: Vec<i32> = (0..n)
-                    .map(|s| {
-                        let o = b * slots + l * n + s;
-                        ConvKernel::effective(kernel.inputs()[o + t], bits)
-                    })
-                    .collect();
-                let word = pack_lanes(&lanes, mode).expect("effective values fit lane width");
-                image.push(word);
-            }
-        }
-    }
     let out_base = blocks * taps;
     // Looped style stores the effective weights after the output region
     // (in every bank, so bank 0 has them for the scalar unit).
     let weight_base = out_base + blocks;
+
+    // Memory image: bank l, address b*taps + t holds the packed effective
+    // inputs of that lane's N output slots o = b*SW*N + l*N + s at tap t,
+    // i.e. inputs o0+t .. o0+t+N: one N-wide window of the input signal.
+    // Each image has room for the whole bank, so the processor moves it
+    // into its memory as is.
+    let effective: Vec<i32> = kernel
+        .inputs()
+        .iter()
+        .map(|&x| ConvKernel::effective(x, bits))
+        .collect();
+    let mut bank_images: Vec<Vec<u16>> = (0..sw)
+        .map(|_| Vec::with_capacity(weight_base + taps))
+        .collect();
+    for (l, image) in bank_images.iter_mut().enumerate() {
+        for b in 0..blocks {
+            let o0 = b * slots + l * n;
+            image.extend(
+                effective[o0..o0 + taps + n - 1]
+                    .windows(n)
+                    .map(|lanes| pack_lanes(lanes, mode).expect("effective values fit lane width")),
+            );
+        }
+    }
     if style == KernelStyle::Looped {
         for image in &mut bank_images {
             // Reserve the output region, then append the weights.

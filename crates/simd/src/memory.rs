@@ -26,8 +26,6 @@ use serde::{Deserialize, Serialize};
 pub struct BankedMemory {
     banks: Vec<Vec<u16>>,
     words_per_bank: usize,
-    reads: u64,
-    writes: u64,
 }
 
 impl BankedMemory {
@@ -39,15 +37,33 @@ impl BankedMemory {
     /// Panics if either dimension is zero.
     #[must_use]
     pub fn new(banks: usize, words_per_bank: usize) -> Self {
+        Self::from_images(vec![Vec::new(); banks], words_per_bank)
+    }
+
+    /// Creates one bank per image, each image zero-extended to
+    /// `words_per_bank` words. The images are moved in, not copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are no images, `words_per_bank` is zero, or an image
+    /// is longer than `words_per_bank`.
+    #[must_use]
+    pub fn from_images(mut images: Vec<Vec<u16>>, words_per_bank: usize) -> Self {
         assert!(
-            banks > 0 && words_per_bank > 0,
+            !images.is_empty() && words_per_bank > 0,
             "memory dimensions must be positive"
         );
+        for image in &mut images {
+            assert!(
+                image.len() <= words_per_bank,
+                "a {}-word image does not fit a {words_per_bank}-word bank",
+                image.len()
+            );
+            image.resize(words_per_bank, 0);
+        }
         BankedMemory {
-            banks: vec![vec![0; words_per_bank]; banks],
+            banks: images,
             words_per_bank,
-            reads: 0,
-            writes: 0,
         }
     }
 
@@ -75,16 +91,16 @@ impl BankedMemory {
     ///
     /// Returns [`SimdError::MemoryOutOfBounds`] for an invalid bank or
     /// address.
-    pub fn read(&mut self, bank: usize, addr: usize) -> Result<u16, SimdError> {
-        let v = *self.banks.get(bank).and_then(|b| b.get(addr)).ok_or(
-            SimdError::MemoryOutOfBounds {
+    pub fn read(&self, bank: usize, addr: usize) -> Result<u16, SimdError> {
+        self.banks
+            .get(bank)
+            .and_then(|b| b.get(addr))
+            .copied()
+            .ok_or(SimdError::MemoryOutOfBounds {
                 bank,
                 addr,
                 size: self.words_per_bank,
-            },
-        )?;
-        self.reads += 1;
-        Ok(v)
+            })
     }
 
     /// Writes one word.
@@ -101,38 +117,7 @@ impl BankedMemory {
             .and_then(|b| b.get_mut(addr))
             .ok_or(SimdError::MemoryOutOfBounds { bank, addr, size })?;
         *slot = value;
-        self.writes += 1;
         Ok(())
-    }
-
-    /// Fills bank `bank` starting at `addr` from a slice.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimdError::MemoryOutOfBounds`] if the slice does not fit.
-    pub fn load_bank(&mut self, bank: usize, addr: usize, words: &[u16]) -> Result<(), SimdError> {
-        for (i, &w) in words.iter().enumerate() {
-            self.write(bank, addr + i, w)?;
-        }
-        Ok(())
-    }
-
-    /// Total reads performed (for energy accounting).
-    #[must_use]
-    pub fn read_count(&self) -> u64 {
-        self.reads
-    }
-
-    /// Total writes performed.
-    #[must_use]
-    pub fn write_count(&self) -> u64 {
-        self.writes
-    }
-
-    /// Clears the access counters.
-    pub fn reset_counters(&mut self) {
-        self.reads = 0;
-        self.writes = 0;
     }
 }
 
@@ -163,24 +148,19 @@ mod tests {
     }
 
     #[test]
-    fn counters_track_accesses() {
-        let mut m = BankedMemory::new(1, 8);
-        m.write(0, 0, 1).unwrap();
-        m.write(0, 1, 2).unwrap();
-        let _ = m.read(0, 0).unwrap();
-        assert_eq!(m.write_count(), 2);
-        assert_eq!(m.read_count(), 1);
-        m.reset_counters();
-        assert_eq!(m.write_count(), 0);
+    fn images_are_zero_extended() {
+        let m = BankedMemory::from_images(vec![vec![10, 20, 30], vec![]], 4);
+        assert_eq!(m.bank_count(), 2);
+        assert_eq!(m.read(0, 2).unwrap(), 30);
+        assert_eq!(m.read(0, 3).unwrap(), 0);
+        assert_eq!(m.read(1, 3).unwrap(), 0);
+        assert!(m.read(0, 4).is_err());
     }
 
     #[test]
-    fn load_bank_bulk() {
-        let mut m = BankedMemory::new(1, 8);
-        m.load_bank(0, 2, &[10, 20, 30]).unwrap();
-        assert_eq!(m.read(0, 2).unwrap(), 10);
-        assert_eq!(m.read(0, 4).unwrap(), 30);
-        assert!(m.load_bank(0, 7, &[1, 2]).is_err());
+    #[should_panic(expected = "does not fit")]
+    fn oversized_image_rejected() {
+        let _ = BankedMemory::from_images(vec![vec![0; 5]], 4);
     }
 
     #[test]

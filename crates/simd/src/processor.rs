@@ -1,4 +1,13 @@
 //! The cycle-level processor: execution loop, run reports, Table II rows.
+//!
+//! [`Processor::run`] interprets a program one instruction per cycle over
+//! one flat vector register file of `VECTOR_REGS × SW × N` `i64` slots:
+//! register `r` starts at slot `r·SW·N`, and lane `l` keeps its `N`
+//! subwords at `l·N` within it. Every lane loop walks register slices, and
+//! a simulated access allocates nothing. How subwords sit in a 16-bit
+//! memory word (the lane field rule) lives only in `dvafs_arith::subword`:
+//! `VLoad` and the output read-back unpack through `unpack_lanes`, and
+//! `VStore` packs through `pack_lanes`.
 
 use crate::energy::{EventCounts, SimdEnergyModel};
 use crate::error::SimdError;
@@ -12,6 +21,7 @@ use dvafs_tech::energy::EnergyBreakdown;
 use dvafs_tech::scaling::{OperatingPoint, ScalingMode};
 use dvafs_tech::technology::Technology;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 
 /// Configuration of one processor instantiation + operating point.
 ///
@@ -244,24 +254,31 @@ impl Processor {
 
     /// Executes a program against a memory image.
     ///
+    /// All registers start at zero. Vector register `r` is the slice of
+    /// `SW × N` slots at `r·SW·N` in one flat register file (lane-major,
+    /// subword-minor). A slot holds the full `i64` accumulator; `VStore`
+    /// saturates it to the lane width and packs with
+    /// `dvafs_arith::subword::pack_lanes`, and `VLoad` unpacks with
+    /// `unpack_lanes`.
+    ///
     /// # Errors
     ///
     /// Propagates ISA-level faults ([`SimdError::InvalidRegister`],
     /// [`SimdError::MemoryOutOfBounds`], [`SimdError::InvalidTarget`]) and
     /// [`SimdError::CycleLimitExceeded`].
-    // Lane loops index several vector registers with the same lane/subword
-    // pair (including aliasing reads and writes of one register file), which
-    // iterator chains cannot express without split_at_mut contortions.
-    #[allow(clippy::needless_range_loop)]
     pub fn run(
         &self,
         program: &Program,
         memory: &mut BankedMemory,
     ) -> Result<RunReport, SimdError> {
         let sw = self.config.sw;
-        let n = self.config.mode.lanes();
+        let mode = self.config.mode;
+        let n = mode.lanes();
+        let slots = sw * n;
         let mut scalar = [0i32; SCALAR_REGS];
-        let mut vregs = vec![vec![vec![0i64; n]; sw]; VECTOR_REGS];
+        // Cells, because an instruction may name one register as both a
+        // source and its destination.
+        let vregs = vec![Cell::new(0i64); VECTOR_REGS * slots];
         let mut counts = EventCounts::default();
         let mut pc = 0usize;
         let mut cycles = 0u64;
@@ -278,9 +295,9 @@ impl Processor {
                 })
             }
         };
-        let vreg = |r: usize| -> Result<usize, SimdError> {
+        let vreg = |r: usize| {
             if r < VECTOR_REGS {
-                Ok(r)
+                Ok(&vregs[r * slots..(r + 1) * slots])
             } else {
                 Err(SimdError::InvalidRegister {
                     index: r,
@@ -363,11 +380,10 @@ impl Processor {
                             size: memory.words_per_bank(),
                         }
                     })?;
-                    for lane in 0..sw {
+                    for (lane, subwords) in vd.chunks_exact(n).enumerate() {
                         let word = memory.read(lane, addr)?;
-                        let values = unpack_lanes(word, self.config.mode);
-                        for (s, v) in values.into_iter().enumerate() {
-                            vregs[vd][lane][s] = i64::from(v);
+                        for (slot, v) in subwords.iter().zip(unpack_lanes(word, mode)) {
+                            slot.set(i64::from(v));
                         }
                     }
                     counts.mem_reads += sw as u64;
@@ -383,15 +399,15 @@ impl Processor {
                             size: memory.words_per_bank(),
                         }
                     })?;
-                    let w = self.config.mode.lane_bits();
+                    let w = mode.lane_bits();
                     let lo = -(1i64 << (w - 1));
                     let hi = (1i64 << (w - 1)) - 1;
-                    for lane in 0..sw {
-                        let clamped: Vec<i32> = vregs[vs][lane]
-                            .iter()
-                            .map(|&v| v.clamp(lo, hi) as i32)
-                            .collect();
-                        let word = pack_lanes(&clamped, self.config.mode)
+                    for (lane, subwords) in vs.chunks_exact(n).enumerate() {
+                        let mut clamped = [0i32; SubwordMode::MAX_LANES];
+                        for (c, v) in clamped.iter_mut().zip(subwords) {
+                            *c = v.get().clamp(lo, hi) as i32;
+                        }
+                        let word = pack_lanes(&clamped[..n], mode)
                             .expect("clamped values fit the lane width");
                         memory.write(lane, addr, word)?;
                     }
@@ -401,57 +417,44 @@ impl Processor {
                 Instr::VBroadcast { vd, rs } => {
                     let vd = vreg(vd)?;
                     let v = i64::from(scalar[sreg(rs)?]);
-                    for lane in vregs[vd].iter_mut() {
-                        lane.iter_mut().for_each(|slot| *slot = v);
-                    }
+                    vd.iter().for_each(|slot| slot.set(v));
                     counts.lane_alu += sw as u64;
                     counts.lane_vreg += sw as u64;
                 }
                 Instr::VMac { vacc, vs1, vs2 } => {
                     let (vacc, vs1, vs2) = (vreg(vacc)?, vreg(vs1)?, vreg(vs2)?);
-                    for lane in 0..sw {
-                        for s in 0..n {
-                            let p = vregs[vs1][lane][s] * vregs[vs2][lane][s];
-                            vregs[vacc][lane][s] += p;
-                        }
+                    for ((acc, a), b) in vacc.iter().zip(vs1).zip(vs2) {
+                        acc.set(acc.get() + a.get() * b.get());
                     }
                     counts.lane_macs += sw as u64;
                     counts.lane_vreg += 3 * sw as u64;
                 }
                 Instr::VAdd { vd, vs1, vs2 } => {
                     let (vd, vs1, vs2) = (vreg(vd)?, vreg(vs1)?, vreg(vs2)?);
-                    for lane in 0..sw {
-                        for s in 0..n {
-                            vregs[vd][lane][s] = vregs[vs1][lane][s] + vregs[vs2][lane][s];
-                        }
+                    for ((d, a), b) in vd.iter().zip(vs1).zip(vs2) {
+                        d.set(a.get() + b.get());
                     }
                     counts.lane_alu += sw as u64;
                     counts.lane_vreg += 2 * sw as u64;
                 }
                 Instr::VRelu { vd, vs } => {
                     let (vd, vs) = (vreg(vd)?, vreg(vs)?);
-                    for lane in 0..sw {
-                        for s in 0..n {
-                            vregs[vd][lane][s] = vregs[vs][lane][s].max(0);
-                        }
+                    for (d, s) in vd.iter().zip(vs) {
+                        d.set(s.get().max(0));
                     }
                     counts.lane_alu += sw as u64;
                     counts.lane_vreg += 2 * sw as u64;
                 }
                 Instr::VClear { vd } => {
                     let vd = vreg(vd)?;
-                    for lane in vregs[vd].iter_mut() {
-                        lane.iter_mut().for_each(|slot| *slot = 0);
-                    }
+                    vd.iter().for_each(|slot| slot.set(0));
                     counts.lane_alu += sw as u64;
                     counts.lane_vreg += sw as u64;
                 }
                 Instr::VShr { vd, vs, amount } => {
                     let (vd, vs) = (vreg(vd)?, vreg(vs)?);
-                    for lane in 0..sw {
-                        for s in 0..n {
-                            vregs[vd][lane][s] = vregs[vs][lane][s] >> amount.min(62);
-                        }
+                    for (d, s) in vd.iter().zip(vs) {
+                        d.set(s.get() >> amount.min(62));
                     }
                     counts.lane_alu += sw as u64;
                     counts.lane_vreg += 2 * sw as u64;
@@ -508,7 +511,7 @@ impl Processor {
         kernel: &ConvKernel,
         style: KernelStyle,
     ) -> Result<KernelReport, SimdError> {
-        let compiled: CompiledKernel = compile_with_style(
+        let mut compiled: CompiledKernel = compile_with_style(
             kernel,
             self.config.sw,
             self.config.mode,
@@ -517,17 +520,15 @@ impl Processor {
         )?;
         let words_per_bank = (compiled.out_base + compiled.blocks)
             .max(compiled.bank_images.iter().map(Vec::len).max().unwrap_or(0));
-        let mut memory = BankedMemory::new(self.config.sw, words_per_bank);
-        for (lane, image) in compiled.bank_images.iter().enumerate() {
-            memory.load_bank(lane, 0, image)?;
-        }
+        let mut memory =
+            BankedMemory::from_images(std::mem::take(&mut compiled.bank_images), words_per_bank);
         let run = self.run(&compiled.program, &mut memory)?;
         // Read outputs back in output-index order.
         let mut outputs = vec![0i32; kernel.outputs()];
         for b in 0..compiled.blocks {
             for lane in 0..self.config.sw {
                 let word = memory.read(lane, compiled.out_base + b)?;
-                for (s, v) in unpack_lanes(word, self.config.mode).into_iter().enumerate() {
+                for (s, v) in unpack_lanes(word, self.config.mode).enumerate() {
                     outputs[compiled.output_index(b, lane, s)] = v;
                 }
             }
@@ -720,6 +721,42 @@ mod tests {
             assert!(looped.outputs_match(&kernel));
             // Loops trade cycles for code size.
             assert!(looped.run.cycles > unrolled.run.cycles);
+        }
+    }
+
+    #[test]
+    fn event_counts_match_closed_forms() {
+        // B blocks of SW·N outputs, T taps: each count is exact in B, T, SW.
+        let kernel = ConvKernel::random(5, 512, 3);
+        let model = shared_model();
+        let t = kernel.taps() as u64;
+        for sw in [8usize, 64] {
+            for (scaling, bits) in ScalingMode::precision_grid() {
+                let cfg = ProcConfig::new(sw, scaling, bits).unwrap();
+                let b = (kernel.outputs() / (sw * cfg.mode().lanes())) as u64;
+                let proc = Processor::with_model(cfg, model.clone());
+                let w = sw as u64;
+                for style in [KernelStyle::Unrolled, KernelStyle::Looped] {
+                    let run = proc.run_kernel_styled(&kernel, style).unwrap().run;
+                    let unrolled = style == KernelStyle::Unrolled;
+                    let expected = EventCounts {
+                        instructions: if unrolled {
+                            b * (4 * t + 3) + 1
+                        } else {
+                            5 + b * (8 * t + 9)
+                        },
+                        scalar_ops: if unrolled { b * t } else { 4 + b * (5 * t + 6) },
+                        lane_macs: b * t * w,
+                        lane_alu: b * (t + 2) * w,
+                        lane_vreg: b * (5 * t + 4) * w,
+                        mem_reads: if unrolled { b * t * w } else { b * t * (w + 1) },
+                        mem_writes: b * w,
+                    };
+                    let cell = format!("{style:?} sw={sw} {scaling:?} {bits}b");
+                    assert_eq!(run.counts, expected, "{cell}");
+                    assert_eq!(run.cycles, run.counts.instructions, "{cell}");
+                }
+            }
         }
     }
 

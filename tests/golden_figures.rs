@@ -2,10 +2,11 @@
 //! compared byte-for-byte against checked-in fixtures.
 //!
 //! The fixtures pin the *exact* floating-point values of Fig. 2, Fig. 3a,
-//! Fig. 3b and Table III at the default seed, so any change to the models,
-//! the activity extraction, the Monte-Carlo chunking or the executor that
-//! moves a figure — even in the last bit — fails loudly here instead of
-//! drifting silently.
+//! Fig. 3b, Fig. 4, Table II and Table III (plus the Fig. 6 searches and
+//! the layer-wise flow) at the default seed, so any change to the models,
+//! the activity extraction, the Monte-Carlo chunking, the cycle-level
+//! SIMD processor or the executor that moves a figure — even in the last
+//! bit — fails loudly here instead of drifting silently.
 //!
 //! Since the scenario-registry refactor the JSON comes from the **generic
 //! scenario serializer** (`dvafs::scenario::render`), invoked in-process —
@@ -105,4 +106,19 @@ fn cnn_layerwise_matches_golden() {
     // sparsity measurement all walk 16-sample chunks; the chunking never
     // moves a number (see crates/nn/tests/batch_equivalence.rs).
     assert_matches_golden("cnn_layerwise");
+}
+
+#[test]
+fn fig4_matches_golden() {
+    // Energy per word of every (kernel, regime, precision) cell of the
+    // cycle-level SIMD processor: a function of the cycle count and of
+    // every event count, so any simulator change that moves one shows.
+    assert_matches_golden("fig4");
+}
+
+#[test]
+fn table2_matches_golden() {
+    // Rail voltages, domain shares and power of the simulated processor
+    // at each precision and regime.
+    assert_matches_golden("table2");
 }
