@@ -1,11 +1,9 @@
 //! Fig. 4: energy per word of the SIMD processor (lanes + memory) vs
 //! precision at constant throughput, for SW = 8 and SW = 64.
 
-use super::{DataTable, Scenario, ScenarioCtx, ScenarioResult};
+use super::{simulate_checked, DataTable, Scenario, ScenarioCtx, ScenarioResult};
 use crate::report::{fmt_f, TextTable};
-use dvafs_simd::energy::SimdEnergyModel;
 use dvafs_simd::kernels::ConvKernel;
-use dvafs_simd::processor::{ProcConfig, Processor};
 use dvafs_tech::scaling::ScalingMode;
 
 /// The Fig. 4 scenario (`dvafs run fig4`).
@@ -25,7 +23,6 @@ impl Scenario for Fig4 {
     }
 
     fn run(&self, ctx: &ScenarioCtx) -> ScenarioResult {
-        let model = SimdEnergyModel::new();
         let kernel = ConvKernel::random(25, 2048, ctx.seed);
 
         // The full evaluation grid, row-major as the table prints it. Each
@@ -41,19 +38,10 @@ impl Scenario for Fig4 {
                     .map(move |(mode, b)| (sw, mode, b))
             })
             .collect();
-        let energies = ctx
-            .executor()
-            .par_map_indexed(&grid, |_, &(sw, mode, bits)| {
-                let cfg = ProcConfig::new(sw, mode, bits).expect("valid config");
-                let r = Processor::with_model(cfg, model.clone())
-                    .run_kernel(&kernel)
-                    .expect("kernel runs");
-                assert!(
-                    r.outputs_match_packed(&kernel),
-                    "outputs must stay bit-exact"
-                );
-                r.energy_per_word()
-            });
+        let energies: Vec<f64> = simulate_checked(ctx, &kernel, &grid)
+            .iter()
+            .map(|r| r.energy_per_word())
+            .collect();
 
         let mut r = ScenarioResult::new();
         let mut t = TextTable::new(vec!["SW", "mode", "16b", "12b", "8b", "4b"]);

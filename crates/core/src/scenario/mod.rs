@@ -58,6 +58,10 @@ pub use table3::Table3;
 use dvafs_arith::netlist::Engine;
 use dvafs_executor::Executor;
 use dvafs_nn::SearchStrategy;
+use dvafs_simd::energy::SimdEnergyModel;
+use dvafs_simd::kernels::ConvKernel;
+use dvafs_simd::processor::{KernelReport, ProcConfig, Processor};
+use dvafs_tech::scaling::ScalingMode;
 
 /// Shared root seed of every experiment (full determinism). The
 /// multiplier-level sweeps additionally pin their own
@@ -159,6 +163,48 @@ impl Default for ScenarioCtx {
     fn default() -> Self {
         ScenarioCtx::new()
     }
+}
+
+/// Simulates `kernel` on the SIMD processor at every `(sw, mode, bits)`
+/// cell of `grid`, in parallel, and returns the reports in grid order
+/// (Fig. 4 and Table II). Energy and power numbers are only meaningful if
+/// the machine computed the right outputs, so every cell's outputs are
+/// checked bit for bit against the subword-packed GEMM reference
+/// ([`ConvKernel::expected_outputs_packed`]). A reference depends only on
+/// the cell's (bits, shift, lane width), so each distinct one is computed
+/// once.
+///
+/// # Panics
+///
+/// Panics when a cell's outputs differ from its reference.
+fn simulate_checked(
+    ctx: &ScenarioCtx,
+    kernel: &ConvKernel,
+    grid: &[(usize, ScalingMode, u32)],
+) -> Vec<KernelReport> {
+    let model = SimdEnergyModel::new();
+    let reports = ctx
+        .executor()
+        .par_map_indexed(grid, |_, &(sw, mode, bits)| {
+            let cfg = ProcConfig::new(sw, mode, bits).expect("valid config");
+            Processor::with_model(cfg, model.clone())
+                .run_kernel(kernel)
+                .expect("kernel runs")
+        });
+    let key = |r: &KernelReport| (r.bits, r.shift, r.mode.lane_bits());
+    let mut keys: Vec<(u32, u32, u32)> = reports.iter().map(key).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    let references = ctx
+        .executor()
+        .par_map_indexed(&keys, |_, &(bits, shift, lane_bits)| {
+            kernel.expected_outputs_packed(bits, shift, lane_bits)
+        });
+    for r in &reports {
+        let reference = &references[keys.binary_search(&key(r)).expect("every key listed")];
+        assert!(r.outputs == *reference, "outputs must stay bit-exact");
+    }
+    reports
 }
 
 /// One registered paper experiment.

@@ -1,11 +1,9 @@
 //! Table II: power distribution and consumption of the SIMD processor at
 //! T = SW x N words/cycle x 500/N MHz.
 
-use super::{DataTable, Scenario, ScenarioCtx, ScenarioResult};
+use super::{simulate_checked, DataTable, Scenario, ScenarioCtx, ScenarioResult};
 use crate::report::{fmt_f, TextTable};
-use dvafs_simd::energy::SimdEnergyModel;
 use dvafs_simd::kernels::ConvKernel;
-use dvafs_simd::processor::{ProcConfig, Processor};
 use dvafs_tech::domains::PowerDomain;
 use dvafs_tech::scaling::ScalingMode;
 
@@ -26,7 +24,6 @@ impl Scenario for Table2 {
     }
 
     fn run(&self, ctx: &ScenarioCtx) -> ScenarioResult {
-        let model = SimdEnergyModel::new();
         let kernel = ConvKernel::random(25, 2048, ctx.seed);
 
         // Paper rows for direct comparison: (sw, label, Vnas, Vas, mem, nas, as, P).
@@ -70,21 +67,9 @@ impl Scenario for Table2 {
             .into_iter()
             .flat_map(|sw| configs.iter().map(move |&(l, s, b)| (sw, l, s, b)))
             .collect();
-        let reports = ctx
-            .executor()
-            .par_map_indexed(&grid, |_, &(sw, _, scaling, bits)| {
-                let cfg = ProcConfig::new(sw, scaling, bits).expect("valid config");
-                let r = Processor::with_model(cfg, model.clone())
-                    .run_kernel(&kernel)
-                    .expect("kernel runs");
-                // Power numbers are only meaningful if the machine computed
-                // the right outputs.
-                assert!(
-                    r.outputs_match_packed(&kernel),
-                    "outputs must stay bit-exact"
-                );
-                r
-            });
+        let cells: Vec<(usize, ScalingMode, u32)> =
+            grid.iter().map(|&(sw, _, s, b)| (sw, s, b)).collect();
+        let reports = simulate_checked(ctx, &kernel, &cells);
 
         let mut data = DataTable::new(
             "table2",

@@ -2,8 +2,8 @@
 //!
 //! Every sweep behind the paper's figures is a map over an index space
 //! (designs × precisions, Monte-Carlo chunks, CNN layers, dataset samples).
-//! [`Executor::par_map_indexed`] runs such maps on a scoped-`std::thread`
-//! work pool and merges the results **in index order**, so the output is
+//! [`Executor::par_map_indexed`] runs such maps on a persistent work pool
+//! and merges the results **in index order**, so the output is
 //! bit-identical to a serial run regardless of thread count or scheduling.
 //!
 //! Two rules make that guarantee hold, and every caller in this workspace
@@ -18,22 +18,33 @@
 //!    RMSE, energy totals) happens after the join, in index order, on one
 //!    thread.
 //!
-//! Threads claim items dynamically from a shared atomic cursor (a
-//! single-queue work-stealing discipline), so unequal item costs — a deep
-//! per-layer precision scan next to a shallow one — still balance. The pool
-//! is scoped: workers borrow the caller's data and are joined before
-//! `par_map_indexed` returns, so no `'static` bounds leak into sweep code.
+//! Each executor owns one pool of up to `threads − 1` workers, spawned as
+//! its parallel maps need them (never more than a map has items to share),
+//! shared by its clones and joined when the last clone drops. A map is
+//! published as an indexed job: the caller starts on index 0 at once, idle
+//! workers join in, and every thread claims one index at a time from the
+//! job's atomic cursor, so unequal item costs — a deep per-layer precision
+//! scan next to a shallow one — still balance. A caller whose indices are
+//! all claimed runs other published jobs while it waits for the rest. A
+//! nested map is therefore one more job, with no thread of its own, and a
+//! map that ends before a worker wakes has simply run inline. Idle threads
+//! sleep on a condition variable; none spins.
+//!
+//! Jobs live on the caller's stack and borrow its data, so no `'static`
+//! bounds leak into sweep code. The one lifetime erasure this takes is in
+//! the private `job` module, together with the argument that no other
+//! thread can reach a job once its caller has returned.
 //!
 //! The streaming [`Executor::pipeline_ordered_policy`] behind `dvafs
-//! serve` adds one kind of sharing: a task can split itself into an
-//! indexed map ([`TaskHandle::map_indexed`]) that idle workers of the
-//! same pipeline run beside it, merged in index order like every other
-//! map here. Helpers hold such a job by `Arc`, so it is `'static` and
-//! borrows nothing from the owning task.
+//! serve` runs on scoped threads of its own. A pipeline task can split
+//! itself into an indexed map ([`TaskHandle::map_indexed`]), the same job
+//! type, that idle workers of the same pipeline run beside it, merged in
+//! index order like every other map here.
 //!
 //! There is deliberately no dependency on `rayon` (the build is offline;
-//! see `vendor/`): `std::thread::scope` plus an atomic cursor is all the
-//! machinery the workspace needs.
+//! see `vendor/`): `std` threads, one lock and condition variable per
+//! pool, and an atomic cursor per job are all the machinery the workspace
+//! needs.
 //!
 //! ## Example
 //!
@@ -48,10 +59,13 @@
 
 #![warn(missing_docs)]
 
+mod job;
+
+use job::{JobList, JobRef, Queue};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Environment variable overriding the default worker count.
 pub const THREADS_ENV: &str = "DVAFS_THREADS";
@@ -135,12 +149,15 @@ pub fn threads_from_env_value(value: Option<&str>) -> (usize, Option<String>) {
 
 /// A deterministic parallel map executor over a fixed worker count.
 ///
-/// Cloning is cheap (the worker count is the only state); the scoped pool
-/// is created per call, so an `Executor` can be embedded in any sweep
-/// object without lifetime or poisoning concerns.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Cloning is cheap: clones share one pool of up to `threads − 1`
+/// workers. Workers are spawned as parallel maps need them (a map of `n`
+/// items needs `n − 1`), so an executor that is built and dropped without
+/// one never starts a thread, and they are joined when the last clone
+/// drops.
+#[derive(Clone)]
 pub struct Executor {
     threads: usize,
+    pool: Arc<Pool>,
 }
 
 impl Executor {
@@ -149,6 +166,7 @@ impl Executor {
     pub fn new(threads: usize) -> Self {
         Executor {
             threads: threads.max(1),
+            pool: Arc::default(),
         }
     }
 
@@ -156,7 +174,7 @@ impl Executor {
     /// in-order `map` on the calling thread.
     #[must_use]
     pub fn serial() -> Self {
-        Executor { threads: 1 }
+        Executor::new(1)
     }
 
     /// The default executor: `DVAFS_THREADS` if set and valid, otherwise
@@ -203,79 +221,35 @@ impl Executor {
     /// completion — which is what makes parallel output bit-identical to
     /// serial output for any pure `f`.
     ///
+    /// The calling thread runs index 0 at once and keeps claiming indices
+    /// while idle workers of the pool claim the others. Once none is left
+    /// to claim, it runs indices of other published maps (a nested map's,
+    /// say) until its own have finished. `f` is dropped before this
+    /// returns.
+    ///
     /// # Panics
     ///
-    /// Propagates the first panic raised inside `f` (workers drain the
-    /// remaining items without executing them).
+    /// Re-raises the panic of the lowest index that panicked (on the pool,
+    /// once every index has finished), so the panic is the one a serial
+    /// map would raise.
     pub fn par_map_indexed<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        let n = items.len();
-        if self.threads == 1 || n <= 1 {
-            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        }
-
-        let cursor = AtomicUsize::new(0);
-        let poisoned = AtomicUsize::new(0);
-        let workers = self.threads.min(n);
-        let buckets = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut bucket: Vec<(usize, R)> = Vec::new();
-                        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= n || poisoned.load(Ordering::Relaxed) != 0 {
-                                break;
-                            }
-                            match catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))) {
-                                Ok(r) => bucket.push((i, r)),
-                                Err(p) => {
-                                    poisoned.store(1, Ordering::Relaxed);
-                                    panic = Some(p);
-                                    break;
-                                }
-                            }
-                        }
-                        (bucket, panic)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("executor worker cannot itself panic"))
-                .collect::<Vec<_>>()
-        });
-
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for (bucket, panic) in buckets {
-            if let Some(p) = panic {
-                resume_unwind(p);
-            }
-            for (i, r) in bucket {
-                slots[i] = Some(r);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every index claimed exactly once"))
-            .collect()
+        self.par_map_range(items.len(), |i| f(i, &items[i]))
     }
 
     /// Maps `f` over the index range `0..n`, in parallel, returning results
-    /// in index order. Convenience wrapper over [`par_map_indexed`] for
-    /// sweeps whose items *are* their indices (Monte-Carlo chunk numbers,
-    /// dataset sample positions).
+    /// in index order: [`par_map_indexed`] for sweeps whose items *are*
+    /// their indices (Monte-Carlo chunk numbers, dataset sample positions).
     ///
     /// [`par_map_indexed`]: Self::par_map_indexed
     ///
     /// # Panics
     ///
-    /// Propagates the first panic raised inside `f`.
+    /// Re-raises the panic of the lowest index that panicked.
     pub fn par_map_range<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -284,8 +258,10 @@ impl Executor {
         if self.threads == 1 || n <= 1 {
             return (0..n).map(f).collect();
         }
-        let indices: Vec<usize> = (0..n).collect();
-        self.par_map_indexed(&indices, |_, &i| f(i))
+        self.pool.grow((self.threads - 1).min(n - 1));
+        let board = self.pool.board.as_ref();
+        let key = board.next_key.fetch_add(1, Ordering::Relaxed);
+        job::map_shared(board, key, n, f)
     }
 
     /// Fallibly maps `f` over `items` in parallel. Every item is evaluated
@@ -431,7 +407,7 @@ impl Executor {
         let pipe = Pipe {
             state: Mutex::new(PipeState {
                 items: VecDeque::new(),
-                jobs: BTreeMap::new(),
+                jobs: JobList::default(),
                 running: 0,
                 ready: BTreeMap::new(),
                 consumed: 0,
@@ -441,6 +417,7 @@ impl Executor {
             work: Condvar::new(),
             ready: Condvar::new(),
             space: Condvar::new(),
+            helped: Condvar::new(),
         };
 
         let mut processed = 0usize;
@@ -474,32 +451,35 @@ impl Executor {
             // item; leave once the producer is done and no task runs.
             for _ in 0..self.threads {
                 scope.spawn(|| loop {
-                    let claimed = {
+                    let work = {
                         let mut st = pipe.lock();
                         loop {
-                            if let Some((job, i)) = st.next_help() {
-                                break Claim::Help(job, i);
+                            if let Some(claim) = st.jobs.claim() {
+                                break Work::Help(claim);
                             }
                             if let Some((seq, item)) = st.items.pop_front() {
                                 if st.panic.is_some() {
                                     continue; // drain without executing
                                 }
                                 st.running += 1;
-                                break Claim::Item(seq, item);
+                                break Work::Item(seq, item);
                             }
                             if st.total.is_some() && st.running == 0 {
-                                break Claim::Done;
+                                break Work::Done;
                             }
                             st = pipe.work.wait(st).expect("pipeline state lock");
                         }
                     };
-                    let (seq, item) = match claimed {
-                        Claim::Help(job, i) => {
-                            job.run(i);
+                    let (seq, item) = match work {
+                        Work::Help(claim) => {
+                            if claim.run() {
+                                drop(pipe.lock());
+                                pipe.helped.notify_all();
+                            }
                             continue;
                         }
-                        Claim::Item(seq, item) => (seq, item),
-                        Claim::Done => break,
+                        Work::Item(seq, item) => (seq, item),
+                        Work::Done => break,
                     };
                     let handle = TaskHandle {
                         seq,
@@ -572,9 +552,9 @@ impl Executor {
 }
 
 /// What a pipeline worker took off the shared queue.
-enum Claim<T> {
+enum Work<T> {
     /// One index of a published help job.
-    Help(Arc<dyn Job>, usize),
+    Help(job::Claim),
     /// A new item and its sequence number.
     Item(usize, T),
     /// The stream is finished and no task is running.
@@ -592,13 +572,15 @@ struct Pipe<T, R> {
     ready: Condvar,
     /// The producer waits here for a consumed slot.
     space: Condvar,
+    /// A task waits here for the indices helpers run of its map.
+    helped: Condvar,
 }
 
 struct PipeState<T, R> {
     /// Pulled but unclaimed items, in sequence order.
     items: VecDeque<(usize, T)>,
     /// Help jobs with indices possibly left, keyed by the owning item.
-    jobs: BTreeMap<usize, Arc<dyn Job>>,
+    jobs: JobList,
     /// Items claimed by a worker and not yet finished.
     running: usize,
     /// Finished results waiting for the consumer.
@@ -618,81 +600,20 @@ impl<T, R> Pipe<T, R> {
     }
 }
 
-impl<T, R> PipeState<T, R> {
-    /// Claims an index of the lowest-item help job that has one left,
-    /// dropping jobs whose indices are all claimed.
-    fn next_help(&mut self) -> Option<(Arc<dyn Job>, usize)> {
-        while let Some(entry) = self.jobs.first_entry() {
-            if let Some(i) = entry.get().claim() {
-                return Some((Arc::clone(entry.get()), i));
-            }
-            entry.remove();
-        }
-        None
-    }
-}
-
-/// Where a [`TaskHandle`] publishes its help jobs.
-trait JobQueue: Sync {
-    /// Offers `job` to idle workers on behalf of item `seq`.
-    fn publish(&self, seq: usize, job: Arc<dyn Job>);
-    /// Withdraws item `seq`'s job once the owner has claimed every index.
-    fn retract(&self, seq: usize);
-}
-
-impl<T: Send, R: Send> JobQueue for Pipe<T, R> {
-    fn publish(&self, seq: usize, job: Arc<dyn Job>) {
+impl<T: Send, R: Send> Queue for Pipe<T, R> {
+    fn publish(&self, seq: usize, job: JobRef) {
         self.lock().jobs.insert(seq, job);
         self.work.notify_all();
     }
 
     fn retract(&self, seq: usize) {
-        self.lock().jobs.remove(&seq);
-    }
-}
-
-/// A type-erased indexed map that several threads run one claimed index
-/// at a time.
-trait Job: Send + Sync {
-    /// Claims the next index nobody has claimed yet.
-    fn claim(&self) -> Option<usize>;
-    /// Runs claimed index `i`, recording its result or panic.
-    fn run(&self, i: usize);
-}
-
-/// The job behind [`TaskHandle::map_indexed`]: a claim cursor plus one
-/// result slot per index. It is `Arc`-owned, so a helper never borrows
-/// from the owning task's stack.
-struct MapJob<R, F> {
-    f: F,
-    n: usize,
-    next: AtomicUsize,
-    done: Mutex<MapSlots<R>>,
-    finished: Condvar,
-}
-
-struct MapSlots<R> {
-    slots: Vec<Option<std::thread::Result<R>>>,
-    count: usize,
-}
-
-impl<R, F> Job for MapJob<R, F>
-where
-    R: Send,
-    F: Fn(usize) -> R + Send + Sync,
-{
-    fn claim(&self) -> Option<usize> {
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        (i < self.n).then_some(i)
+        self.lock().jobs.remove(seq);
     }
 
-    fn run(&self, i: usize) {
-        let result = catch_unwind(AssertUnwindSafe(|| (self.f)(i)));
-        let mut done = self.done.lock().expect("map job lock");
-        done.slots[i] = Some(result);
-        done.count += 1;
-        if done.count == self.n {
-            self.finished.notify_all();
+    fn wait(&self, done: &dyn Fn() -> bool) {
+        let mut st = self.lock();
+        while !done() {
+            st = self.helped.wait(st).expect("pipeline state lock");
         }
     }
 }
@@ -707,7 +628,7 @@ where
 pub struct TaskHandle<'a> {
     seq: usize,
     /// `None` on a one-thread pipeline, where maps run inline.
-    queue: Option<&'a dyn JobQueue>,
+    queue: Option<&'a (dyn Queue + Sync)>,
 }
 
 impl TaskHandle<'_> {
@@ -717,10 +638,6 @@ impl TaskHandle<'_> {
     /// until none is left, then waits for the indices helpers are running.
     /// On a one-thread pipeline, or for `n <= 1`, the map runs inline.
     ///
-    /// `f` is `'static` because helpers hold the job by `Arc` and may drop
-    /// it after this call returns: no borrow of the owner's stack crosses
-    /// to another thread, so no `unsafe` is needed.
-    ///
     /// # Panics
     ///
     /// Re-raises the panic of the lowest index that panicked, after every
@@ -729,49 +646,159 @@ impl TaskHandle<'_> {
     /// `Err(TaskPanic)`).
     pub fn map_indexed<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
-        R: Send + 'static,
-        F: Fn(usize) -> R + Send + Sync + 'static,
+        R: Send,
+        F: Fn(usize) -> R + Sync,
     {
-        let Some(queue) = self.queue.filter(|_| n > 1) else {
-            return (0..n).map(f).collect();
-        };
-        let job = Arc::new(MapJob {
-            f,
-            n,
-            next: AtomicUsize::new(0),
-            done: Mutex::new(MapSlots {
-                slots: (0..n).map(|_| None).collect(),
-                count: 0,
-            }),
-            finished: Condvar::new(),
-        });
-        // Index 0 stays on this thread; the rest are up for grabs.
-        let mut claimed = job.claim();
-        queue.publish(self.seq, job.clone());
-        while let Some(i) = claimed {
-            job.run(i);
-            claimed = job.claim();
+        match self.queue {
+            Some(queue) if n > 1 => job::map_shared(queue, self.seq, n, f),
+            _ => (0..n).map(f).collect(),
         }
-        queue.retract(self.seq);
-        let mut done = job.done.lock().expect("map job lock");
-        while done.count < n {
-            done = job.finished.wait(done).expect("map job lock");
-        }
-        let slots = std::mem::take(&mut done.slots);
-        drop(done);
-        slots
-            .into_iter()
-            .map(|slot| match slot.expect("every index ran") {
-                Ok(r) => r,
-                Err(p) => resume_unwind(p),
-            })
-            .collect()
     }
 }
 
 impl Default for Executor {
     fn default() -> Self {
         Executor::from_env()
+    }
+}
+
+impl std::fmt::Debug for Executor {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Executor")
+            .field("threads", &self.threads)
+            .finish_non_exhaustive()
+    }
+}
+
+/// An executor's persistent workers; dropping it (with the last clone of
+/// the executor) stops and joins them.
+#[derive(Default)]
+struct Pool {
+    board: Arc<Board>,
+    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
+}
+
+impl Pool {
+    /// Spawns workers until there are `want`.
+    fn grow(&self, want: usize) {
+        let mut workers = self.workers.lock().expect("executor worker list lock");
+        while workers.len() < want {
+            let board = Arc::clone(&self.board);
+            let worker = std::thread::Builder::new()
+                .name("dvafs-executor".to_string())
+                .spawn(move || board.work())
+                .expect("spawn an executor worker");
+            workers.push(worker);
+        }
+    }
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        // Setting the flag is valid whatever a panic interrupted.
+        let mut st = self
+            .board
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        st.shutdown = true;
+        drop(st);
+        self.board.wake.notify_all();
+        let workers = self
+            .workers
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        for worker in workers.drain(..) {
+            // A worker runs no code of its own that can panic.
+            let _ = worker.join();
+        }
+    }
+}
+
+/// What a pool's threads share: the published maps and the one condition
+/// variable every idle thread sleeps on, whether a worker or a caller
+/// waiting for its map.
+#[derive(Default)]
+struct Board {
+    state: Mutex<BoardState>,
+    wake: Condvar,
+    /// Publish order: lower keys are helped first, so a thread that comes
+    /// free takes an outer map's next item before a nested map's.
+    next_key: AtomicUsize,
+}
+
+#[derive(Default)]
+struct BoardState {
+    jobs: JobList,
+    /// Threads asleep on `wake`; nobody is woken when none sleeps.
+    sleeping: usize,
+    shutdown: bool,
+}
+
+impl Board {
+    fn lock(&self) -> MutexGuard<'_, BoardState> {
+        self.state.lock().expect("executor pool lock")
+    }
+
+    /// Sleeps on `wake` (the guard is handed back re-locked).
+    fn sleep<'a>(&self, mut st: MutexGuard<'a, BoardState>) -> MutexGuard<'a, BoardState> {
+        st.sleeping += 1;
+        st = self.wake.wait(st).expect("executor pool lock");
+        st.sleeping -= 1;
+        st
+    }
+
+    /// Runs a claimed index and, if it finished its map, wakes the map's
+    /// caller.
+    fn run(&self, claim: job::Claim) {
+        if claim.run() && self.lock().sleeping > 0 {
+            self.wake.notify_all();
+        }
+    }
+
+    /// A worker's life: run claimed indices, else sleep until shutdown.
+    fn work(&self) {
+        let mut st = self.lock();
+        loop {
+            if let Some(claim) = st.jobs.claim() {
+                drop(st);
+                self.run(claim);
+                st = self.lock();
+            } else if st.shutdown {
+                return;
+            } else {
+                st = self.sleep(st);
+            }
+        }
+    }
+}
+
+impl Queue for Board {
+    fn publish(&self, key: usize, job: JobRef) {
+        let mut st = self.lock();
+        st.jobs.insert(key, job);
+        if st.sleeping > 0 {
+            self.wake.notify_all();
+        }
+    }
+
+    fn retract(&self, key: usize) {
+        self.lock().jobs.remove(key);
+    }
+
+    /// Helps other maps while `done` is false, and sleeps when there is
+    /// nothing to help with.
+    fn wait(&self, done: &dyn Fn() -> bool) {
+        let mut st = self.lock();
+        while !done() {
+            if let Some(claim) = st.jobs.claim() {
+                drop(st);
+                self.run(claim);
+                st = self.lock();
+            } else {
+                st = self.sleep(st);
+            }
+        }
     }
 }
 
@@ -869,6 +896,238 @@ mod tests {
             }
             i
         });
+    }
+
+    /// Blocks each caller of `arrive` until `parties` threads have
+    /// arrived, so a map whose items all arrive runs each item on its own
+    /// thread. Panics after [`WAIT`] instead of hanging.
+    struct Rendezvous {
+        arrived: Mutex<usize>,
+        all: Condvar,
+        parties: usize,
+    }
+
+    impl Rendezvous {
+        fn new(parties: usize) -> Self {
+            Rendezvous {
+                arrived: Mutex::new(0),
+                all: Condvar::new(),
+                parties,
+            }
+        }
+
+        fn arrive(&self) {
+            let mut arrived = self.arrived.lock().expect("rendezvous lock");
+            *arrived += 1;
+            self.all.notify_all();
+            while *arrived < self.parties {
+                let (guard, timeout) = self
+                    .all
+                    .wait_timeout(arrived, WAIT)
+                    .expect("rendezvous lock");
+                arrived = guard;
+                assert!(
+                    *arrived >= self.parties || !timeout.timed_out(),
+                    "only {} of {} threads arrived",
+                    *arrived,
+                    self.parties
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn nested_maps_complete_while_every_thread_is_busy_in_outer_items() {
+        for threads in 1..=8 {
+            let exec = Executor::new(threads);
+            let meet = Rendezvous::new(threads);
+            let sums = exec.par_map_range(threads, |i| {
+                // Every thread now holds an outer item, so no thread is
+                // idle when the nested maps are published.
+                meet.arrive();
+                exec.par_map_range(50, |j| i * 100 + j)
+                    .into_iter()
+                    .sum::<usize>()
+            });
+            let expected: Vec<usize> = (0..threads)
+                .map(|i| (0..50).map(|j| i * 100 + j).sum())
+                .collect();
+            assert_eq!(sums, expected, "{threads} threads");
+        }
+    }
+
+    /// A nested map whose index 0 blocks until index 1 has run, on the
+    /// thread `nest_on` of two outer items.
+    fn nested_blocking_map(exec: &Executor, nest_on: usize) -> Vec<std::thread::ThreadId> {
+        let (started_tx, started_rx) = mpsc::channel();
+        let started_rx = Mutex::new(started_rx);
+        let (tx, rx) = mpsc::channel();
+        let rx = Mutex::new(rx);
+        let mut ran_on = exec.par_map_range(2, |outer| {
+            if outer != nest_on {
+                if outer == 0 {
+                    // The caller's item ends only once the other has begun.
+                    started_rx
+                        .lock()
+                        .expect("receiver lock")
+                        .recv_timeout(WAIT)
+                        .expect("outer item 1 started on the worker");
+                }
+                return Vec::new();
+            }
+            let _ = started_tx.send(());
+            exec.par_map_range(2, |i| {
+                if i == 0 {
+                    rx.lock()
+                        .expect("receiver lock")
+                        .recv_timeout(WAIT)
+                        .expect("index 1 ran while index 0 waited");
+                } else {
+                    tx.send(()).expect("index 0 is listening");
+                }
+                std::thread::current().id()
+            })
+        });
+        ran_on.swap_remove(nest_on)
+    }
+
+    /// The caller nests the map in outer item 0 and blocks in its index 0,
+    /// so the idle worker has to run index 1.
+    #[test]
+    fn an_idle_worker_helps_a_nested_map() {
+        let caller = std::thread::current().id();
+        let ran_on = nested_blocking_map(&Executor::new(2), 0);
+        assert_eq!(ran_on[0], caller);
+        assert_ne!(ran_on[1], caller, "index 1 ran on the worker");
+    }
+
+    /// The worker nests the map in outer item 1 and blocks in its index 0;
+    /// the caller, done with item 0 and waiting for item 1, has to run
+    /// index 1 while it waits.
+    #[test]
+    fn a_waiting_caller_helps_a_nested_map() {
+        let caller = std::thread::current().id();
+        let ran_on = nested_blocking_map(&Executor::new(2), 1);
+        assert_ne!(ran_on[0], caller);
+        assert_eq!(ran_on[1], caller, "the waiting caller ran index 1");
+    }
+
+    #[test]
+    fn captured_values_drop_before_the_map_returns() {
+        struct Flag(Arc<AtomicBool>);
+        impl Drop for Flag {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        for threads in 1..=8 {
+            let exec = Executor::new(threads);
+            let dropped = Arc::new(AtomicBool::new(false));
+            let flag = Flag(Arc::clone(&dropped));
+            let out = exec.par_map_range(16, move |i| {
+                let _ = &flag;
+                i
+            });
+            assert_eq!(out.len(), 16);
+            assert!(dropped.load(Ordering::SeqCst), "{threads} threads, success");
+
+            let dropped = Arc::new(AtomicBool::new(false));
+            let flag = Flag(Arc::clone(&dropped));
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                exec.par_map_range(16, move |i| {
+                    let _ = &flag;
+                    assert_ne!(i, 9, "boom");
+                    i
+                })
+            }));
+            assert!(result.is_err());
+            assert!(dropped.load(Ordering::SeqCst), "{threads} threads, panic");
+        }
+    }
+
+    #[test]
+    fn the_lowest_index_panic_is_reraised_at_every_thread_count() {
+        for threads in 1..=8 {
+            let (tx, rx) = mpsc::channel();
+            let rx = Mutex::new(rx);
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                Executor::new(threads).par_map_range(32, |i| {
+                    match i {
+                        // On several threads, index 5 panics only once
+                        // index 20 is panicking.
+                        5 => {
+                            if threads > 1 {
+                                rx.lock()
+                                    .expect("receiver lock")
+                                    .recv_timeout(WAIT)
+                                    .expect("index 20 panicked first");
+                            }
+                            panic!("boom at {i}");
+                        }
+                        20 => {
+                            let _ = tx.send(());
+                            panic!("boom at {i}");
+                        }
+                        _ => i,
+                    }
+                })
+            }))
+            .expect_err("two indices panic");
+            assert_eq!(
+                panic_message(payload.as_ref()),
+                "boom at 5",
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn workers_spawn_as_maps_need_them() {
+        let exec = Executor::new(4);
+        let workers = |e: &Executor| e.pool.workers.lock().expect("worker list lock").len();
+        let _ = exec.par_map_range(1, |i| i);
+        let _ = Executor::serial().par_map_range(8, |i| i);
+        assert_eq!(workers(&exec), 0, "a one-item map runs inline");
+        let _ = exec.par_map_range(2, |i| i);
+        assert_eq!(workers(&exec), 1);
+        let _ = exec.par_map_range(100, |i| i);
+        assert_eq!(workers(&exec), 3, "never more than threads − 1");
+        let _ = exec.par_map_range(2, |i| i);
+        assert_eq!(workers(&exec), 3, "workers persist");
+    }
+
+    #[test]
+    fn workers_exit_when_the_last_clone_drops() {
+        thread_local! {
+            static HELD: std::cell::RefCell<Option<Arc<()>>> = const {
+                std::cell::RefCell::new(None)
+            };
+        }
+        // One executor at a time: each one's workers are joined before the
+        // next one spawns its own.
+        for threads in 2..=8 {
+            let token = Arc::new(());
+            let exec = Executor::new(threads);
+            let clone = exec.clone();
+            let caller = std::thread::current().id();
+            let meet = Rendezvous::new(threads);
+            clone.par_map_range(threads, |_| {
+                meet.arrive();
+                // Each worker keeps a token until its thread exits.
+                if std::thread::current().id() != caller {
+                    HELD.with(|held| *held.borrow_mut() = Some(Arc::clone(&token)));
+                }
+            });
+            assert_eq!(Arc::strong_count(&token), threads);
+            drop(clone);
+            assert_eq!(Arc::strong_count(&token), threads, "a clone keeps the pool");
+            drop(exec);
+            assert_eq!(
+                Arc::strong_count(&token),
+                1,
+                "{threads} threads: workers joined"
+            );
+        }
     }
 
     #[test]

@@ -195,13 +195,11 @@ impl PrecisionSearch {
             .predict_all_with(data, &full, exec)
             .expect("full-precision inference must succeed");
         let layers = net.parameterized_layers();
-        // The scans nest a per-sample map inside the per-layer map. Cap the
-        // inner width so outer × inner ≈ exec's worker count instead of
-        // spawning threads² workers; with few layers and few threads the
-        // inner map degenerates to serial. (Determinism is unaffected —
-        // thread counts never change results.)
-        let outer_workers = exec.threads().min(layers.len()).max(1);
-        let inner = Executor::new(exec.threads() / outer_workers);
+        // The scans nest a per-sample map inside the per-layer map, both on
+        // `exec`: a thread that waits on a layer's samples helps with other
+        // published maps meanwhile, so nesting needs no split of the
+        // workers. (Determinism is unaffected — thread counts never change
+        // results.)
         exec.par_map_indexed(&layers, |_, &li| {
             let mut best_bits = self.full_bits;
             let mut best_acc = 1.0;
@@ -211,7 +209,7 @@ impl PrecisionSearch {
                     Operand::Weights => cfg.set_layer(li, bits, self.full_bits),
                     Operand::Activations => cfg.set_layer(li, self.full_bits, bits),
                 }
-                let acc = net.relative_accuracy_vs_with(data, &cfg, &reference, &inner);
+                let acc = net.relative_accuracy_vs_with(data, &cfg, &reference, exec);
                 if acc >= self.target {
                     best_bits = bits;
                     best_acc = acc;
@@ -299,10 +297,8 @@ impl PrecisionSearch {
         // because chunks are contiguous.
         let chunks: Vec<&[(Vec<Tensor>, usize)]> = prefix.chunks(DEFAULT_BATCH_SIZE).collect();
         let layers = net.parameterized_layers();
-        // Same nested-executor split as the rescan oracle (see
-        // `search_rescan`): outer over layers, inner over samples.
-        let outer_workers = exec.threads().min(layers.len()).max(1);
-        let inner = Executor::new(exec.threads() / outer_workers);
+        // Nested like the rescan oracle (see `search_rescan`): outer over
+        // layers, inner over sample chunks, both on `exec`.
         exec.par_map_indexed(&layers, |rank, &li| {
             // One memo per scanned layer: slot = sample, width = abits —
             // the `(sample, layer, abits)` key of the tentpole.
@@ -316,7 +312,7 @@ impl PrecisionSearch {
                     Operand::Activations => (self.full_bits, bits),
                 };
                 cfg.set_layer(li, wbits, abits);
-                let agree: usize = inner
+                let agree: usize = exec
                     .par_map_indexed(&chunks, |ci, chunk| {
                         with_thread_scratch(|scratch| {
                             let qas: Vec<_> = chunk

@@ -2,12 +2,16 @@
 //! precision search must produce **bit-identical** `LayerRequirement`s to
 //! the retained full-forward rescan oracle — layer indices, names, bits,
 //! and the exact f64 relative-accuracy — over random tiny networks x
-//! operands x targets x thread counts 1..=8. Plus the invalidation
-//! contract: mutating weights through `weights_mut` between scans prunes
-//! the memoized state, so a warm network still matches a cold clone.
+//! operands x targets x thread counts 1..=8. Datasets of one
+//! [`DEFAULT_BATCH_SIZE`] chunk and of several are both covered: only the
+//! latter run the search's inner per-chunk map in parallel, nested in its
+//! per-layer map. Plus the invalidation contract: mutating weights through
+//! `weights_mut` between scans prunes the memoized state, so a warm network
+//! still matches a cold clone.
 
 use dvafs_executor::Executor;
 use dvafs_nn::dataset::SyntheticDataset;
+use dvafs_nn::kernel::DEFAULT_BATCH_SIZE;
 use dvafs_nn::layers::{Conv2d, Dense, Layer};
 use dvafs_nn::network::Network;
 use dvafs_nn::precision::{LayerRequirement, Operand, PrecisionSearch, SearchStrategy};
@@ -96,6 +100,78 @@ proptest! {
             .with_strategy(SearchStrategy::Incremental)
             .search_with(&net, &data, operand, &Executor::new(incremental_threads));
         assert_reqs_bit_identical(&oracle, &got);
+    }
+
+    /// The same equivalence on datasets of two to four chunks, so the
+    /// inner per-chunk map has several indices on every thread count.
+    #[test]
+    fn incremental_matches_rescan_over_several_chunks(
+        seed in any::<u64>(),
+        channels in 2usize..=3,
+        pool in any::<bool>(),
+        chunks in 2usize..=4,
+        weights_operand in any::<bool>(),
+        target_i in 0usize..3,
+        rescan_threads in 1usize..=8,
+        incremental_threads in 1usize..=8,
+    ) {
+        let target = [0.7f64, 0.85, 0.99][target_i];
+        let net = tiny_net(seed, channels, 8, pool, 6, 3);
+        // The last chunk is partial.
+        let samples = chunks * DEFAULT_BATCH_SIZE - 5;
+        let data = SyntheticDataset::new(samples, 3, 1, 8, 8, seed ^ 0xda7a);
+        let operand = if weights_operand { Operand::Weights } else { Operand::Activations };
+        let oracle = PrecisionSearch::new()
+            .with_target(target)
+            .with_strategy(SearchStrategy::Rescan)
+            .search_with(&net, &data, operand, &Executor::new(rescan_threads));
+        let got = PrecisionSearch::new()
+            .with_target(target)
+            .with_strategy(SearchStrategy::Incremental)
+            .search_with(&net, &data, operand, &Executor::new(incremental_threads));
+        assert_reqs_bit_identical(&oracle, &got);
+    }
+}
+
+/// A VGG-style stack (VGG16's geometry, scaled down): two blocks of two
+/// 3×3, stride-1, pad-1 convolutions, each block closed by a 2×2 max pool,
+/// then the dense classifier. Three chunks of samples, both strategies, at
+/// every thread count 1..=8 against the serial rescan oracle.
+#[test]
+fn vgg_style_stack_agrees_over_several_chunks_for_every_thread_count() {
+    let conv = |i, o, seed| Layer::Conv2d(Conv2d::random(i, o, 3, 1, 1, seed));
+    let net = Network::new(
+        "vgg-style",
+        vec![
+            conv(3, 4, 70),
+            Layer::ReLU,
+            conv(4, 4, 71),
+            Layer::ReLU,
+            Layer::MaxPool2d { k: 2, stride: 2 },
+            conv(4, 6, 72),
+            Layer::ReLU,
+            conv(6, 6, 73),
+            Layer::ReLU,
+            Layer::MaxPool2d { k: 2, stride: 2 },
+            Layer::Dense(Dense::random(6 * 3 * 3, 12, 74)),
+            Layer::ReLU,
+            Layer::Dense(Dense::random(12, 5, 75)),
+        ],
+    );
+    let data = SyntheticDataset::new(3 * DEFAULT_BATCH_SIZE - 7, 5, 3, 12, 12, 76);
+    for operand in [Operand::Weights, Operand::Activations] {
+        let oracle = PrecisionSearch::new()
+            .with_strategy(SearchStrategy::Rescan)
+            .search(&net, &data, operand);
+        for threads in 1..=8 {
+            let exec = Executor::new(threads);
+            for strategy in [SearchStrategy::Rescan, SearchStrategy::Incremental] {
+                let got = PrecisionSearch::new()
+                    .with_strategy(strategy)
+                    .search_with(&net, &data, operand, &exec);
+                assert_reqs_bit_identical(&oracle, &got);
+            }
+        }
     }
 }
 

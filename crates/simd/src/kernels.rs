@@ -138,7 +138,10 @@ impl ConvKernel {
     /// ([`SubwordMode::for_precision`]). Effective operands span the full
     /// `bits`-wide two's-complement range (`effective` can produce
     /// `-2^(bits-1)`), which the packed panels accept by contract, so the
-    /// result stays bit-identical to the naive reference.
+    /// result stays bit-identical to the naive reference (`kernels` unit
+    /// tests). The fig4 and table2 scenarios check every simulated run
+    /// against it, computing it once per distinct `(bits, shift,
+    /// store_bits)`.
     ///
     /// # Panics
     ///

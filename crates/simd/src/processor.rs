@@ -180,17 +180,6 @@ impl KernelReport {
         expected == self.outputs
     }
 
-    /// Like [`outputs_match`](Self::outputs_match), but recomputes the
-    /// reference through the subword-packed GEMM
-    /// ([`ConvKernel::expected_outputs_packed`]) — the check the fig4 and
-    /// table2 scenarios assert on every simulated run. The two references
-    /// agree bit for bit (`kernels` unit tests).
-    #[must_use]
-    pub fn outputs_match_packed(&self, kernel: &ConvKernel) -> bool {
-        let expected = kernel.expected_outputs_packed(self.bits, self.shift, self.mode.lane_bits());
-        expected == self.outputs
-    }
-
     /// Energy per processed word in joules.
     #[must_use]
     pub fn energy_per_word(&self) -> f64 {

@@ -42,9 +42,9 @@ impl Technology {
     #[must_use]
     pub fn lp40() -> Self {
         // Calibration is a deterministic (vth, alpha) grid search over the
-        // anchor points — a few milliseconds that every sweep and scenario
-        // used to pay per construction. Memoize the search once per
-        // process; the returned descriptor is bit-identical either way.
+        // anchor points, which every sweep and scenario used to pay per
+        // construction. Memoize the search once per process; the returned
+        // descriptor is bit-identical either way.
         static LP40: OnceLock<Technology> = OnceLock::new();
         LP40.get_or_init(|| {
             let delay = DelayModel::calibrate(1.1, &[(0.9, 2.0), (0.75, 8.0)])
