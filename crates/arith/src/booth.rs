@@ -60,7 +60,10 @@ impl BoothDigit {
 /// ```
 #[must_use]
 pub fn booth_digits(y: i32, n: u32) -> Vec<BoothDigit> {
-    assert!(n > 0 && n % 2 == 0 && n <= 32, "n must be even and <= 32");
+    assert!(
+        n > 0 && n.is_multiple_of(2) && n <= 32,
+        "n must be even and <= 32"
+    );
     let bit = |i: i64| -> bool {
         if i < 0 {
             false

@@ -21,7 +21,10 @@ use crate::wallace::ColumnStack;
 /// Panics if `n` is zero, odd or larger than 32.
 #[must_use]
 pub fn build_booth_wallace(n: usize) -> Netlist {
-    assert!(n > 0 && n % 2 == 0 && n <= 32, "n must be even and <= 32");
+    assert!(
+        n > 0 && n.is_multiple_of(2) && n <= 32,
+        "n must be even and <= 32"
+    );
     let mut nl = Netlist::new();
     let x = nl.input_bus(n);
     let y = nl.input_bus(n);
@@ -107,7 +110,10 @@ pub fn build_booth_wallace(n: usize) -> Netlist {
 /// Panics if `n` is zero, odd or larger than 32.
 #[must_use]
 pub fn build_booth_wallace_naive(n: usize) -> Netlist {
-    assert!(n > 0 && n % 2 == 0 && n <= 32, "n must be even and <= 32");
+    assert!(
+        n > 0 && n.is_multiple_of(2) && n <= 32,
+        "n must be even and <= 32"
+    );
     let mut nl = Netlist::new();
     let x = nl.input_bus(n);
     let y = nl.input_bus(n);
@@ -205,7 +211,7 @@ impl ExactMultiplier {
     /// Panics if `n` is zero, odd or larger than 32.
     #[must_use]
     pub fn booth_wallace(n: usize) -> Self {
-        assert!(n > 0 && n % 2 == 0 && n <= 32);
+        assert!(n > 0 && n.is_multiple_of(2) && n <= 32);
         ExactMultiplier {
             netlist_fn: build_booth_wallace,
             n,

@@ -1163,7 +1163,7 @@ mod tests {
     fn pipeline_consumes_in_order_and_matches_serial() {
         let work = |i: usize, x: u64| {
             // Uneven costs so completion order differs from item order.
-            let reps = if i % 7 == 0 { 20_000 } else { 200 };
+            let reps = if i.is_multiple_of(7) { 20_000 } else { 200 };
             let mut acc = x;
             for k in 0..reps {
                 acc = acc.wrapping_mul(31).wrapping_add(k);
@@ -1449,7 +1449,7 @@ mod tests {
         // Uneven index costs so helpers finish out of index order.
         let work = |x: u64, i: usize| {
             let mut acc = x ^ i as u64;
-            for k in 0..if i % 3 == 0 { 5_000 } else { 50 } {
+            for k in 0..if i.is_multiple_of(3) { 5_000 } else { 50 } {
                 acc = acc.wrapping_mul(31).wrapping_add(k);
             }
             acc

@@ -113,7 +113,7 @@ pub fn alexnet(input: usize, scale: f64, seed: u64) -> Network {
 #[must_use]
 pub fn vgg16(input: usize, scale: f64, seed: u64) -> Network {
     assert!(
-        input >= 32 && input % 32 == 0,
+        input >= 32 && input.is_multiple_of(32),
         "VGG16 input must be a multiple of 32"
     );
     let blocks: [(usize, usize); 5] = [(64, 2), (128, 2), (256, 3), (512, 3), (512, 3)];
@@ -253,7 +253,7 @@ impl ModelSpec {
             }
             "vgg16" => {
                 let input = input.unwrap_or(32);
-                if input < 32 || input % 32 != 0 {
+                if input < 32 || !input.is_multiple_of(32) {
                     return Err(format!(
                         "vgg16 input must be a positive multiple of 32, got {input}"
                     ));

@@ -273,13 +273,19 @@ impl Network {
                 entries: config.len(),
             });
         }
-        let mut xs: Vec<Tensor> = inputs.to_vec();
+        if start == self.layers.len() {
+            return Ok(inputs.iter().map(|x| (x.clone(), Vec::new())).collect());
+        }
+        let mut xs: Vec<Tensor> = Vec::with_capacity(inputs.len());
         let mut stats: Vec<Vec<LayerStats>> =
             vec![Vec::with_capacity(self.layers.len() - start); inputs.len()];
         for (i, layer) in self.layers.iter().enumerate().skip(start) {
             let p = config.layer(i);
+            // Layer `start` reads the caller's tensors; later layers read
+            // the outputs of the one before.
+            let src = if i == start { inputs } else { &xs };
             let outs =
-                layer.forward_batch_with(&xs, p.weights, p.activations, self.kernel, scratch)?;
+                layer.forward_batch_with(src, p.weights, p.activations, self.kernel, scratch)?;
             xs.clear();
             for ((out, st), per_sample) in outs.into_iter().zip(stats.iter_mut()) {
                 per_sample.push(st);

@@ -661,7 +661,7 @@ mod avx2 {
             widens += 1;
         }
         let mut out = [[0i64; C]; R];
-        if C == 2 && R % 2 == 0 {
+        if C == 2 && R.is_multiple_of(2) {
             // Two rows of two columns are four consecutive outputs. (`C - 1`
             // is column 1; spelled so the branch also compiles at `C == 1`.)
             for (pair, acc) in out.chunks_exact_mut(2).zip(acc64.chunks_exact(2)) {

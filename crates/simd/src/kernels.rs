@@ -249,7 +249,7 @@ pub fn compile_with_style(
 ) -> Result<CompiledKernel, SimdError> {
     let n = mode.lanes();
     let slots = sw * n;
-    if kernel.outputs() % slots != 0 {
+    if !kernel.outputs().is_multiple_of(slots) {
         return Err(SimdError::InvalidConfig {
             reason: format!(
                 "outputs {} not divisible by sw*lanes = {slots}",

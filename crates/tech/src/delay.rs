@@ -109,15 +109,28 @@ impl DelayModel {
     ///
     /// # Errors
     ///
-    /// Returns [`TechError::InvalidCalibration`] when `anchors` is empty or
-    /// contains non-positive entries.
+    /// Returns [`TechError::InvalidCalibration`] when `anchors` is empty,
+    /// `vnom` or an anchor entry is not finite (NaN included), or an
+    /// anchor is outside `0 < v < vnom` or has a ratio of 1 or less.
     pub fn calibrate(vnom: f64, anchors: &[(f64, f64)]) -> Result<Self, TechError> {
         if anchors.is_empty() {
             return Err(TechError::InvalidCalibration {
                 reason: "at least one anchor point is required".to_string(),
             });
         }
+        if !vnom.is_finite() {
+            return Err(TechError::InvalidCalibration {
+                reason: format!("nominal voltage {vnom} V must be finite"),
+            });
+        }
         for &(v, r) in anchors {
+            // `is_finite` is false for NaN, which every comparison below
+            // would let through (and the `vth` walk would never end).
+            if !(v.is_finite() && r.is_finite()) {
+                return Err(TechError::InvalidCalibration {
+                    reason: format!("anchor ({v} V, {r}x) must be finite"),
+                });
+            }
             if v <= 0.0 || v >= vnom || r <= 1.0 {
                 return Err(TechError::InvalidCalibration {
                     reason: format!("anchor ({v} V, {r}x) must have 0 < v < vnom and ratio > 1"),
@@ -392,6 +405,46 @@ mod tests {
         assert!(DelayModel::calibrate(1.1, &[]).is_err());
         assert!(DelayModel::calibrate(1.1, &[(1.2, 2.0)]).is_err());
         assert!(DelayModel::calibrate(1.1, &[(0.9, 0.5)]).is_err());
+    }
+
+    /// Non-finite inputs are rejected at once. A lone NaN anchor voltage
+    /// used to fold the lowest voltage to +inf, so the `vth` walk never
+    /// ended; beside a finite anchor it was ignored, and NaN or infinite
+    /// ratios and nominal voltages were fitted. The calls run on a helper
+    /// thread so that a hang fails the test.
+    #[test]
+    fn calibration_rejects_non_finite_inputs_promptly() {
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let cases = [
+            (1.1, vec![(nan, 2.0)]),
+            (1.1, vec![(0.75, 8.0), (nan, 2.0)]),
+            (1.1, vec![(0.9, nan)]),
+            (1.1, vec![(0.9, inf)]),
+            (1.1, vec![(-inf, 2.0)]),
+            (1.1, vec![(nan, nan)]),
+            (nan, vec![(0.9, 2.0)]),
+            (inf, vec![(0.9, 2.0)]),
+        ];
+        let count = cases.len();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            for (vnom, anchors) in cases {
+                let result = DelayModel::calibrate(vnom, &anchors);
+                if tx.send((vnom, anchors, result)).is_err() {
+                    return;
+                }
+            }
+        });
+        for _ in 0..count {
+            let (vnom, anchors, result) = rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .expect("calibrate did not return");
+            assert!(
+                matches!(result, Err(TechError::InvalidCalibration { .. })),
+                "{vnom} V, {anchors:?}: {result:?}"
+            );
+        }
+        worker.join().expect("the calibration thread panicked");
     }
 
     #[test]
