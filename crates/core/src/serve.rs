@@ -77,9 +77,10 @@
 //!   (`--idle-timeout-ms`): an idle client is closed cleanly with a
 //!   stderr note instead of stalling the sequential accept loop, and
 //!   `--max-requests N` caps a session the same clean way;
-//! * the model cache keeps at most 32 networks and 1 GiB of weights,
-//!   evicting the least recently used network, so a client varying
-//!   `model_seed` cannot grow the process without limit;
+//! * the model cache keeps at most 32 networks and 1 GiB of weights
+//!   (`f32` weights plus the weight panels packed per width), evicting
+//!   the least recently used network, so a client varying `model_seed`
+//!   or the widths cannot grow the process without limit;
 //! * a panic inside the model cache recovers the poisoned lock and
 //!   rebuilds (see [`ServeState`]).
 //!
@@ -129,10 +130,12 @@ pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
 /// typical predict mix (three models at two weight seeds).
 pub(crate) const MAX_CACHED_MODELS: usize = 32;
 
-/// Most `f32` weight bytes the cached networks hold together: room for a
-/// paper-scale VGG16 (about 0.5 GiB) beside the service-sized defaults
-/// (about 0.25 MiB each). A network larger than this on its own is still
-/// served, and cached until the next network is built.
+/// Most bytes the cached networks hold together: their `f32` weights and
+/// the weight panels they have packed, at every width served so far.
+/// Room for a paper-scale VGG16 (about 0.5 GiB of `f32` weights) beside
+/// the service-sized defaults (about 0.25 MiB each, plus about half that
+/// per 16-bit width). A network larger than this on its own is still
+/// served, and cached until the next network is requested.
 pub(crate) const MAX_CACHED_WEIGHT_BYTES: usize = 1 << 30;
 
 /// Default per-connection read timeout under TCP (`--idle-timeout-ms`):
@@ -205,14 +208,26 @@ struct ModelKey {
 #[derive(Debug)]
 struct CachedModel {
     net: Arc<Network>,
+    /// The network's `f32` weight bytes (fixed once built).
     weight_bytes: usize,
     /// The cache's use counter at this network's last request.
     last_used: u64,
 }
 
+impl CachedModel {
+    /// The bytes this entry holds now: its `f32` weights and the panels
+    /// its network has packed so far (which grow as requests warm new
+    /// widths, so they are re-read at every check).
+    fn bytes(&self) -> usize {
+        self.weight_bytes + self.net.packed_bytes()
+    }
+}
+
 /// Built networks by resolved spec, bounded by a network count and a
-/// total of `f32` weight bytes; over either bound, the least recently
-/// used network is evicted (a linear scan: the cache is small).
+/// total of bytes (`f32` weights plus packed weight panels); over either
+/// bound, the least recently used network is evicted (a linear scan: the
+/// cache is small). The bound is checked at every lookup, hit or miss,
+/// because a cached network grows panels as it serves new widths.
 #[derive(Debug)]
 struct ModelCache {
     entries: HashMap<ModelKey, CachedModel>,
@@ -222,26 +237,28 @@ struct ModelCache {
 }
 
 impl ModelCache {
-    fn weight_bytes(&self) -> usize {
-        self.entries.values().map(|entry| entry.weight_bytes).sum()
+    fn bytes(&self) -> usize {
+        self.entries.values().map(CachedModel::bytes).sum()
     }
 
     fn get_or_build(&mut self, key: ModelKey, build: impl FnOnce() -> Network) -> Arc<Network> {
         self.uses += 1;
-        if let Some(entry) = self.entries.get_mut(&key) {
+        let net = if let Some(entry) = self.entries.get_mut(&key) {
             entry.last_used = self.uses;
-            return Arc::clone(&entry.net);
-        }
-        let net = Arc::new(build());
-        let entry = CachedModel {
-            net: Arc::clone(&net),
-            weight_bytes: weight_bytes(&net),
-            last_used: self.uses,
+            Arc::clone(&entry.net)
+        } else {
+            let net = Arc::new(build());
+            let entry = CachedModel {
+                net: Arc::clone(&net),
+                weight_bytes: weight_bytes(&net),
+                last_used: self.uses,
+            };
+            self.entries.insert(key, entry);
+            net
         };
-        self.entries.insert(key, entry);
-        // The network just built is the most recently used, so it stays.
+        // The network just requested is the most recently used, so it stays.
         while self.entries.len() > 1
-            && (self.entries.len() > self.max_models || self.weight_bytes() > self.max_weight_bytes)
+            && (self.entries.len() > self.max_models || self.bytes() > self.max_weight_bytes)
         {
             let oldest = self
                 .entries
@@ -271,7 +288,8 @@ fn weight_bytes(net: &Network) -> usize {
 
 /// The state that outlives a request — and, under TCP, a connection:
 /// built networks keyed by resolved spec, at most 32 of them and 1 GiB
-/// of `f32` weights, least recently used evicted first. Holding
+/// of `f32` weights and packed weight panels, least recently used
+/// evicted first. Holding
 /// `Arc<Network>` (never cloning the network) is what preserves the
 /// interior weight-panel cache across requests; a `Network` clone would
 /// start cold. An evicted network is rebuilt from its spec on its next
@@ -300,7 +318,7 @@ impl ServeState {
     }
 
     /// Fresh state whose model cache holds at most `max_models` networks
-    /// and `max_weight_bytes` of weights.
+    /// and `max_weight_bytes` of `f32` weights and packed panels.
     pub(crate) fn with_limits(max_models: usize, max_weight_bytes: usize) -> Self {
         ServeState {
             models: Mutex::new(ModelCache {
@@ -1179,7 +1197,12 @@ mod tests {
             .expect("in-memory serve cannot fail on io");
             String::from_utf8(out).expect("replies are utf-8")
         };
-        let lenet = weight_bytes(&ModelSpec::resolve("lenet5", None, None, 1).unwrap().build());
+        // The bytes one LeNet-5 holds after a predict at the default
+        // widths: its `f32` weights and its 16-bit weight panels.
+        let net = ModelSpec::resolve("lenet5", None, None, 1).unwrap().build();
+        net.warm_weights(&QuantConfig::uniform(net.layer_count(), 16, 16))
+            .unwrap();
+        let lenet = weight_bytes(&net) + net.packed_bytes();
         // A count bound of two, and a byte bound that holds two LeNet-5s.
         for (max_models, max_bytes) in [(2, usize::MAX), (usize::MAX, 2 * lenet + lenet / 2)] {
             let state = ServeState::with_limits(max_models, max_bytes);
@@ -1197,7 +1220,57 @@ mod tests {
             }
             // Seed 1 was evicted; rebuilt, it replies with the same bytes.
             assert_eq!(serve(&state, &predict(1)), first);
-            assert_eq!(state.lock_models().weight_bytes(), 2 * lenet);
+            assert_eq!(state.lock_models().bytes(), 2 * lenet);
+        }
+    }
+
+    /// The byte bound counts the weight panels a cached network packs,
+    /// and re-reads them at every lookup: a bound that holds two LeNet-5s'
+    /// `f32` weights, but not their panels at every width, evicts the
+    /// older network once the newer one packs its widths. The evicted
+    /// network, rebuilt, replies with the same bytes.
+    #[test]
+    fn model_cache_bound_counts_packed_panels() {
+        let predict = |seed: u64, bits: u32| {
+            format!(
+                "{{\"op\":\"predict\",\"samples\":2,\"model_seed\":{seed},\
+                 \"wbits\":{bits},\"abits\":{bits}}}\n"
+            )
+        };
+        let serve = |state: &ServeState, input: &str| {
+            let mut out = Vec::new();
+            serve_session(
+                Cursor::new(input.to_string()),
+                &mut out,
+                &ServeOpts::default(),
+                state,
+            )
+            .expect("in-memory serve cannot fail on io");
+            String::from_utf8(out).expect("replies are utf-8")
+        };
+        let net = ModelSpec::resolve("lenet5", None, None, 1).unwrap().build();
+        let f32_bytes = weight_bytes(&net);
+        assert_eq!(net.packed_bytes(), 0, "panels are packed on first use");
+        for bits in 1..=16 {
+            net.warm_weights(&QuantConfig::uniform(net.layer_count(), bits, bits))
+                .unwrap();
+        }
+        let panels = net.packed_bytes();
+        assert!(panels > 2 * f32_bytes, "{panels} panel bytes");
+        let state = ServeState::with_limits(usize::MAX, 2 * f32_bytes + panels + panels / 2);
+        let first: Vec<String> = (1..=16)
+            .map(|bits| serve(&state, &predict(1, bits)))
+            .collect();
+        serve(&state, &predict(2, 1));
+        assert_eq!(state.cached_models(), 2, "both networks' f32 weights fit");
+        for bits in 2..=16 {
+            serve(&state, &predict(2, bits));
+        }
+        let seeds: Vec<u64> = state.lock_models().entries.keys().map(|k| k.seed).collect();
+        assert_eq!(seeds, [2], "the older network is evicted");
+        assert_eq!(state.lock_models().bytes(), f32_bytes + panels);
+        for (bits, reply) in (1..=16).zip(&first) {
+            assert_eq!(&serve(&state, &predict(1, bits)), reply, "wbits {bits}");
         }
     }
 

@@ -20,6 +20,16 @@
 //!   memoized in a `WeightCache` across a precision sweep, conv filters in
 //!   the `(ky, kx, ci)` order the activation rows are cut in.
 //!
+//! The packed GEMM runs on the fastest tier of `dvafs_simd::gemm` the
+//! host has (scalar, AVX2, AVX-512 VNNI; see that module). Per layer, the
+//! weight and activation widths pick the pair:
+//!
+//! | weights × activations | modes | AVX-512 VNNI tier | AVX2 tier |
+//! |---|---|---|---|
+//! | 1–8 × 1–8 bits | `X4`/`X2` × `X4`/`X2` | `vpdpbusd` on bytes, activations biased to `u8` | `vpmaddwd` |
+//! | 9–16 × 1–8, 1–8 × 9–16 | `X1` × `X2`/`X4` and back | `vpdpwssd`, narrow side sign-extended | `vpmaddwd` |
+//! | 9–16 × 9–16 bits | `X1` × `X1` | `vpdpwssd`, activation split into high and low bytes | `vpmaddwd`, widened every step |
+//!
 //! Accumulation is exact in both kernels, so the choice **never moves a
 //! number**: outputs are byte-identical and the `zero_weight`/`zero_act`
 //! guard-skip counters are reproduced exactly from the packed
@@ -183,6 +193,16 @@ impl WeightCache {
         for slot in &mut self.0 {
             let _ = slot.take();
         }
+    }
+
+    /// Heap bytes of every memoized width: each packed panel (lane
+    /// words, byte lanes and row sums) and its zero counts.
+    pub fn heap_bytes(&self) -> usize {
+        self.0
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(|w| w.panel.heap_bytes() + w.zeros_per_tap.capacity() * std::mem::size_of::<u64>())
+            .sum()
     }
 
     /// Number of memoized bit widths (test hook).

@@ -981,6 +981,18 @@ impl Layer {
         matches!(self, Layer::Conv2d(_) | Layer::Dense(_))
     }
 
+    /// Heap bytes of the weight panels this layer has packed so far, at
+    /// every width (zero for non-parameterized layers). Panels are packed
+    /// on first use, so the count grows as new widths run.
+    #[must_use]
+    pub fn packed_bytes(&self) -> usize {
+        match self {
+            Layer::Conv2d(c) => c.cache.heap_bytes(),
+            Layer::Dense(d) => d.cache.heap_bytes(),
+            Layer::ReLU | Layer::MaxPool2d { .. } => 0,
+        }
+    }
+
     /// Quantizes and packs this layer's weights for `wbits` ahead of the
     /// first forward pass (a no-op for non-parameterized layers and for
     /// widths already cached). Long-lived callers — `dvafs serve` keeps

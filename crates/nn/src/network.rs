@@ -371,6 +371,14 @@ impl Network {
         Ok(per_chunk.into_iter().flatten().collect())
     }
 
+    /// Heap bytes of the weight panels every layer has packed so far (see
+    /// [`Layer::packed_bytes`]): the memory a long-lived network grows
+    /// beyond its `f32` weights as it runs at new widths.
+    #[must_use]
+    pub fn packed_bytes(&self) -> usize {
+        self.layers.iter().map(Layer::packed_bytes).sum()
+    }
+
     /// Quantizes and packs every parameterized layer's weights for the
     /// widths in `config`, ahead of the first forward pass. Packing is
     /// memoized per (layer, width) — see

@@ -28,37 +28,79 @@
 //! **exactly** the field rules of `dvafs_arith::subword::pack_lanes`
 //! (lane 0 at the LSBs, two's-complement fields of
 //! [`SubwordMode::lane_bits`] each — the correspondence is pinned by
-//! test). The packed kernels re-expand lanes on the fly and keep the
-//! accumulation exact:
+//! test). A panel packed with [`PackedPanel::pack`] also keeps, for an
+//! `X2` or `X4` mode, each row's lane sum `Σw`, and for `X4` its lanes
+//! one byte each: the weight side of the VNNI byte dot products below,
+//! built once per weight panel instead of once per multiply.
 //!
-//! * every 16-lane step forms pairwise `i32` sums of products (the
-//!   `pmaddwd` shape);
-//! * narrow modes bound the pair sums (`2·2^(wa-1)·2^(wb-1)`), so whole
-//!   blocks accumulate in `i32` before being widened to `i64` — the
-//!   block length per mode pair is chosen so the `i32` partial can never
-//!   wrap (`X1 x X1` pair sums already need 32 bits and widen every
-//!   step);
-//! * the one full-width corner — both pairs of a step summing
-//!   `MIN·MIN + MIN·MIN = 2^31` — is corrected explicitly: panels record
-//!   at pack time whether they contain `-2^(w-1)`, and only when *both*
-//!   operands do does the kernel count the overflowing cross-terms and
-//!   add back `2^32` per occurrence.
+//! ## Tiers
 //!
-//! ## The tile kernel
+//! [`gemm_packed`] runs the fastest of three tiers the host has (a
+//! run-time feature check: the workspace targets baseline x86-64). Every
+//! tier computes the same exact sums, so the choice never moves an
+//! output, and the unit tests run each tier the host has against the
+//! scalar oracle and print which ran.
 //!
-//! On x86-64 hosts with AVX2 (a run-time feature check: the workspace
-//! targets baseline x86-64) [`gemm_packed`] is a register-blocked
-//! microkernel in the sense of Goto & van de Geijn ("Anatomy of
-//! High-Performance Matrix Multiplication", TOMS 2008). Each [`MR`]-row
-//! micro-panel of the left operand sweeps a [`COL_TILE`]-row block of the
-//! right one in [`MR`]` x `[`NR`] tiles. Per step, a tile expands each of
-//! its `MR + NR` lane vectors once and issues `MR * NR` `vpmaddwd`s into
-//! register accumulators. The `i32` blocks are widened into `i64`
-//! accumulators, and every output is reduced horizontally once per tile.
-//! Ragged edges run the same tile at one row or one column (a one-row
-//! panel times a one-row panel is its `1 x 1` case). Everywhere else, and
-//! as the oracle the tiles are tested against, the scalar decode loop of
-//! [`dot_packed`] computes the same exact sums.
+//! * **AVX-512 VNNI** (`avx512bw` + `avx512vl` + `avx512vnni`): register
+//!   tiles over zmm chunks, for all nine mode pairs.
+//! * **AVX2**: `vpmaddwd` register tiles over 16-lane steps, for hosts
+//!   without VNNI, and for a byte pair whose weight panel was filled in
+//!   place (it carries no byte lanes).
+//! * **Scalar**: the decode loop of [`dot_packed`], one output at a time,
+//!   everywhere else; it is the oracle the tiles are tested against.
+//!
+//! Both tile tiers share one blocked sweep in the sense of Goto & van de
+//! Geijn ("Anatomy of High-Performance Matrix Multiplication", TOMS 2008):
+//! each `MR`-row micro-panel of the left operand sweeps a [`COL_TILE`]-row
+//! block of the right one in `MR x NR` tiles, loading each lane vector of
+//! a tile once per step (or chunk) and feeding it to every output it
+//! meets. Ragged edges run the same tile at one row or one column (a
+//! one-row panel times a one-row panel is its `1 x 1` case). The tile
+//! shapes were chosen by measurement on a 2-vCPU Xeon with AVX-512 VNNI:
+//! AVX2 4×2; VNNI 4×3 for `X1 x X1` and 4×4 for every other pair.
+//!
+//! ## Exactness
+//!
+//! Partials accumulate in `i32` lanes for a bounded number of steps or
+//! chunks (the spill cadence) and are then widened into `i64`; each
+//! cadence is derived from the largest magnitude one step or chunk can
+//! add, so no partial can wrap. Integer addition is associative, so any
+//! tiling or unrolling order yields the scalar loop's exact sums.
+//!
+//! * **AVX2.** Every 16-lane step forms pairwise `i32` sums of products
+//!   (`vpmaddwd`), bounded by `2·2^(wa-1)·2^(wb-1)`, so narrow pairs run
+//!   whole blocks before they widen (`spill_steps`). `X1 x X1` pair sums
+//!   already need 32 bits and widen every step, and their one full-width
+//!   corner — a step of `MIN·MIN + MIN·MIN = 2^31` — is corrected
+//!   explicitly: panels record at pack time whether they contain
+//!   `-2^(w-1)`, and only when *both* do does the tile count the
+//!   overflowing cross-terms and add back `2^32` per occurrence.
+//! * **VNNI byte pairs** (`x2x2`, `x2x4`, `x4x2`, `x4x4`, 64 lanes per
+//!   chunk) run on `vpdpbusd`, which multiplies unsigned by signed bytes
+//!   (the `u8`-bias scheme of Rodriguez et al., "Lower Numerical
+//!   Precision Deep Learning Inference and Training", Intel 2018). The
+//!   weights are the signed bytes: an `X2` row as stored, an `X4` row
+//!   from its byte copy. The activations are biased to `u8` in the tile,
+//!   `X2` bytes by `xor 0x80` (`+128`) and `X4` nibbles by `xor 0x88`
+//!   (`+8` each) before they widen to bytes, so every output then
+//!   subtracts the exact correction `β·Σw` (`β` = 128 or 8). A chunk adds
+//!   at most `4·255·128` to an `i32` lane, so partials run 16,448 chunks.
+//!   `vpdpbusd` does not saturate, so no `MIN·MIN` fix-up is needed.
+//! * **VNNI 16-bit pairs** (32 lanes per chunk) run on `vpdpwssd`. The
+//!   mixed pairs sign-extend the narrow side and keep the AVX2 cadences.
+//!   `X1 x X1` splits each activation into a signed high byte and an
+//!   unsigned low byte, `a·b = 256·(a·b_hi) + a·b_lo`: a pair sum of
+//!   `a·b_hi` stays within `2^23` and one of `a·b_lo` below `2^24`, over
+//!   the whole `i16` range, `i16::MIN` included, so the partials run 128
+//!   chunks instead of widening every step.
+//!
+//! The VNNI tiles reduce their outputs four at a time. Up to the chunk
+//! count over which all 16 lanes of a partial still sum within `i32`
+//! (8 chunks, 256 lanes, for split `X1 x X1`; 15 chunks for `X1 x X2`;
+//! more for the narrower pairs), the reduction runs in `i32` and only the
+//! totals widen, which keeps the zmm tiles level with AVX2 at the
+//! smallest `k` (one chunk) and ahead of it from two chunks on. No
+//! step-count crossover between the tiers remains.
 //!
 //! The result is bit-identical to the plain `i16` reference GEMM of the
 //! unit tests for every input `pack_lanes` accepts.
@@ -106,8 +148,22 @@ pub struct PackedPanel {
     /// the buffer, so a fill after a larger one leaves a stale tail
     /// instead of paying a zeroing pass when the larger fill comes back.
     words: Vec<u16>,
+    /// An `X4` panel's lanes one byte each (the field sign-extended to
+    /// `i8`), rows padded like the words: the weight side of the VNNI
+    /// tier's byte dot products. Built by [`repack`](Self::repack), so a
+    /// weight panel pays the expansion once; empty for other modes and
+    /// for filled panels.
+    lane_bytes: Vec<u8>,
+    /// Each row's lane sum `Σw`, for an `X2` or `X4` panel built by
+    /// [`repack`](Self::repack): the VNNI byte dot products read the
+    /// activations biased to `u8` and subtract `bias · Σw` per output.
+    /// Empty for `X1` panels and for filled panels.
+    row_sums: Vec<i64>,
 }
 
+/// Equality compares the packed content; the byte lanes and row sums are
+/// derived from it, so a filled panel equals the packed one with the same
+/// lanes.
 impl PartialEq for PackedPanel {
     fn eq(&self, other: &Self) -> bool {
         self.mode == other.mode
@@ -167,8 +223,17 @@ impl PackedPanel {
         // two's-complement field. Padding lanes are zero. Each mode gets
         // its own tight loop over the full words (the repack runs on the
         // per-forward hot path); the ragged tail word falls back to the
-        // lane-at-a-time rule.
+        // lane-at-a-time rule. An `X2`/`X4` row is then summed, and an
+        // `X4` row copied to bytes, while it is still in cache.
         let full_words = k / lanes;
+        self.lane_bytes.clear();
+        self.row_sums.clear();
+        if mode != SubwordMode::X1 {
+            self.row_sums.reserve_exact(rows);
+        }
+        if mode == SubwordMode::X4 {
+            self.lane_bytes.reserve_exact(rows * padded_k);
+        }
         for row in values
             .chunks_exact(k.max(1))
             .take(if k == 0 { 0 } else { rows })
@@ -215,8 +280,46 @@ impl PackedPanel {
                 }
                 self.words.push(packed as u16);
             }
+            if mode != SubwordMode::X1 {
+                // In `i32` per 2^16 lanes, exact for any `i16`: the
+                // baseline x86-64 target widens `i16` to `i64` slowly.
+                let chunk_sum = |c: &[i16]| i64::from(c.iter().map(|&v| i32::from(v)).sum::<i32>());
+                self.row_sums.push(row.chunks(1 << 16).map(chunk_sum).sum());
+            }
+            if mode == SubwordMode::X4 {
+                self.lane_bytes.extend(row.iter().map(|&v| v as u8));
+                self.lane_bytes
+                    .resize(self.lane_bytes.len() + padded_k - k, 0);
+            }
+        }
+        if mode != SubwordMode::X1 && k == 0 {
+            self.row_sums.resize(rows, 0);
         }
         self.has_min = has_min;
+    }
+
+    /// Whether the panel carries the byte lanes the VNNI tier's weight
+    /// side reads: the row sums of an `X2` or `X4` panel and, for `X4`,
+    /// its lanes one byte each. [`repack`](Self::repack) builds them;
+    /// a filled panel has none.
+    fn has_lane_bytes(&self) -> bool {
+        match self.mode {
+            SubwordMode::X1 => false,
+            SubwordMode::X2 => self.row_sums.len() == self.rows,
+            SubwordMode::X4 => {
+                self.row_sums.len() == self.rows
+                    && self.lane_bytes.len() == self.rows * self.k.next_multiple_of(PACK_STEP_LANES)
+            }
+        }
+    }
+
+    /// Heap bytes the panel holds: its lane words, byte lanes and row
+    /// sums, as allocated.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u16>()
+            + self.lane_bytes.capacity()
+            + self.row_sums.capacity() * std::mem::size_of::<i64>()
     }
 
     /// Resets this panel to a `rows x k` geometry at `mode`, handing the
@@ -250,6 +353,8 @@ impl PackedPanel {
         self.k = k;
         self.words_per_row = words_per_row;
         self.has_min = false;
+        self.lane_bytes.clear();
+        self.row_sums.clear();
         if self.words.len() < need {
             self.words.resize(need, 0);
         }
@@ -404,15 +509,6 @@ pub fn dot_packed(a: &PackedPanel, ai: usize, b: &PackedPanel, bi: usize) -> i64
     acc
 }
 
-/// Rows of the left panel (`a`, the weights) per register tile of
-/// [`gemm_packed`].
-pub const MR: usize = 4;
-
-/// Rows of the right panel (`bt`, the activations) per register tile of
-/// [`gemm_packed`]: an `MR x NR` tile keeps `MR * NR` accumulators in
-/// vector registers, so every decoded lane vector feeds several outputs.
-pub const NR: usize = 2;
-
 /// The scalar oracle of [`gemm_packed`]: one [`dot_packed`] per output
 /// element, in the same [`COL_TILE`] order. Also the whole multiply on
 /// hosts without AVX2.
@@ -428,266 +524,66 @@ fn gemm_packed_scalar(a: &PackedPanel, bt: &PackedPanel, out: &mut [i64]) {
     }
 }
 
-/// The AVX2 tile kernels, dispatched at run time (the workspace builds for
-/// baseline x86-64). `unsafe` is confined to this module: the safe entry
-/// points check for AVX2 and for the panel shapes themselves, and every
-/// pointer walks panel rows whose lengths come from the panels.
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-mod avx2 {
-    use super::{PackedPanel, SubwordMode, COL_TILE, MR, NR};
-    use std::arch::x86_64::{
-        __m128i, __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_and_si256, _mm256_cmpeq_epi16,
-        _mm256_cmpeq_epi32, _mm256_cvtepi8_epi16, _mm256_loadu_si256, _mm256_madd_epi16,
-        _mm256_mullo_epi16, _mm256_permute2x128_si256, _mm256_set1_epi16, _mm256_set1_epi32,
-        _mm256_set1_epi64x, _mm256_setr_epi16, _mm256_setr_epi8, _mm256_setzero_si256,
-        _mm256_shuffle_epi8, _mm256_srai_epi16, _mm256_srli_epi64, _mm256_storeu_si256,
-        _mm256_sub_epi32, _mm256_unpackhi_epi64, _mm256_unpacklo_epi64, _mm256_xor_si256,
-        _mm_loadu_si128,
-    };
-
-    /// One subword mode's lane expander: 16 sign-extended `i16` lanes from
-    /// one step of a packed row, in natural lane order (the inverse of the
-    /// `pack_lanes` field rule, like the scalar `decode_step`).
-    trait Lanes {
-        /// Bits per lane field.
-        const BITS: u32;
-        /// Words one 16-lane step spans.
-        const WORDS: usize;
-        /// Expands the step starting at `p`.
-        ///
-        /// # Safety
-        ///
-        /// AVX2 must be available and `p` readable for `WORDS` `u16`s.
-        unsafe fn load(p: *const u16) -> __m256i;
+/// Steps the `i32` pair-sum partials of an `A x B` `vpmaddwd` (AVX2) or
+/// `vpdpwssd` (VNNI, one pair sum per lane and chunk) tile may run before
+/// they are widened into `i64`. A pair sum is bounded by
+/// `2 * 2^(wa-1) * 2^(wb-1) = 2^(wa+wb-1)`, so `2^(30-(wa+wb-1))` steps
+/// keep a partial under `2^30`, capped at 32768: `X1 x X2` 128, `X1 x X4`
+/// 2048, the narrower pairs 32768. `X1 x X1` pair sums may already need
+/// all 32 bits, so the AVX2 tile widens them every step.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+const fn spill_steps(wa: u32, wb: u32) -> usize {
+    let pair_log2 = wa + wb - 1;
+    if pair_log2 >= 30 {
+        1
+    } else if 30 - pair_log2 >= 15 {
+        32768
+    } else {
+        1 << (30 - pair_log2)
     }
+}
 
-    /// `X1` lanes: the word is the operand.
-    struct Bits16;
-    /// `X2` lanes: two byte fields per word.
-    struct Bits8;
-    /// `X4` lanes: four nibble fields per word.
-    struct Bits4;
+/// The most chunks an `i32` partial can take when each chunk moves it by
+/// at most `per_chunk`: the largest count whose worst case stays within
+/// `i32`, in either sign.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+const fn spill_bound(per_chunk: u64) -> usize {
+    (i32::MAX as u64 / per_chunk) as usize
+}
 
-    impl Lanes for Bits16 {
-        const BITS: u32 = 16;
-        const WORDS: usize = 16;
-        #[inline(always)]
-        unsafe fn load(p: *const u16) -> __m256i {
-            _mm256_loadu_si256(p.cast::<__m256i>())
-        }
-    }
+/// Chunks a `vpdpbusd` byte-lane partial runs before it widens: each
+/// chunk adds 4 products of a biased activation byte (at most 255) and a
+/// weight byte (at least -128) to every `i32` lane, at most
+/// `4·255·128 = 130,560` in magnitude, so 16,448 chunks (1,052,672
+/// lanes).
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+const BYTE_SPILL_CHUNKS: usize = spill_bound(4 * 255 * 128);
 
-    impl Lanes for Bits8 {
-        const BITS: u32 = 8;
-        const WORDS: usize = 8;
-        #[inline(always)]
-        unsafe fn load(p: *const u16) -> __m256i {
-            _mm256_cvtepi8_epi16(_mm_loadu_si128(p.cast::<__m128i>()))
-        }
-    }
+/// Chunks a split `X1 x X1` partial runs before it widens: each chunk
+/// adds one pair of `i16 x u8` products, `2·32768·255 < 2^24`, to every
+/// low-byte lane (the signed high-byte lanes stay within `2^23`), so 128
+/// chunks (4,096 lanes).
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+const SPLIT_SPILL_CHUNKS: usize = spill_bound(2 * 32768 * 255);
 
-    impl Lanes for Bits4 {
-        const BITS: u32 = 4;
-        const WORDS: usize = 4;
-        /// Lane `l` is nibble `l % 2` of byte `l / 2`: broadcast the 8
-        /// bytes, move byte `l / 2` into the high byte of `i16` lane `l`,
-        /// shift even lanes' low nibble up to the top (`x16`), and
-        /// sign-extend the top nibble with an arithmetic shift.
-        #[inline(always)]
-        unsafe fn load(p: *const u16) -> __m256i {
-            let bytes = _mm256_set1_epi64x(p.cast::<i64>().read_unaligned());
-            const Z: i8 = -128; // pshufb: zero this byte
-            let spread = _mm256_setr_epi8(
-                Z, 0, Z, 0, Z, 1, Z, 1, Z, 2, Z, 2, Z, 3, Z, 3, //
-                Z, 4, Z, 4, Z, 5, Z, 5, Z, 6, Z, 6, Z, 7, Z, 7,
-            );
-            let high = _mm256_shuffle_epi8(bytes, spread);
-            let up = _mm256_setr_epi16(16, 1, 16, 1, 16, 1, 16, 1, 16, 1, 16, 1, 16, 1, 16, 1);
-            _mm256_srai_epi16::<12>(_mm256_mullo_epi16(high, up))
-        }
-    }
+/// One tier's register tile on one mode pair: the exact dots of rows
+/// `i0..i0 + R` of the left panel with rows `j0..j0 + C` of the right
+/// one. Implementations check that range before they read.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+trait Tile {
+    fn tile<const R: usize, const C: usize>(&self, i0: usize, j0: usize) -> [[i64; C]; R];
+}
 
-    /// Steps the `i32` pair-sum partials of an `A x B` tile may run before
-    /// they are widened into the `i64` accumulators. A `vpmaddwd` pair sum
-    /// is bounded by `2 * 2^(wa-1) * 2^(wb-1) = 2^(wa+wb-1)`, so
-    /// `2^(30-(wa+wb-1))` steps keep a partial under `2^30`, capped at
-    /// 32768: `X1 x X2` 128, `X1 x X4` 2048, the narrower pairs 32768.
-    /// `X1 x X1` pair sums may already need all 32 bits, so they are
-    /// widened every step.
-    const fn spill_steps(wa: u32, wb: u32) -> usize {
-        let pair_log2 = wa + wb - 1;
-        if pair_log2 >= 30 {
-            1
-        } else if 30 - pair_log2 >= 15 {
-            32768
-        } else {
-            1 << (30 - pair_log2)
-        }
-    }
-
-    /// Widens 8 `i32` partials into 4 `i64` lanes (each the sum of one
-    /// adjacent pair), **biased by `+2^32` per lane**: flipping the sign
-    /// bit maps `x` to the `u32` `x + 2^31`, which zero-extends with a mask
-    /// and a shift. Unlike sign extension (`vpmovsxdq`, a cross-lane
-    /// shuffle) this runs on every vector ALU port, which is what bounds
-    /// the `X1 x X1` tile, whose partials widen every step. The caller
-    /// removes the bias, `4 * 2^32` per call across the four lanes, once
-    /// per output.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 only.
-    #[inline(always)]
-    unsafe fn widen_biased(v: __m256i) -> __m256i {
-        let x = _mm256_xor_si256(v, _mm256_set1_epi32(i32::MIN));
-        let low = _mm256_and_si256(x, _mm256_set1_epi64x(0xFFFF_FFFF));
-        _mm256_add_epi64(low, _mm256_srli_epi64::<32>(x))
-    }
-
-    /// Horizontal sums of four `i64` vectors, as one vector
-    /// `[Σv0, Σv1, Σv2, Σv3]`.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 only.
-    #[inline(always)]
-    unsafe fn hsum4_epi64(v0: __m256i, v1: __m256i, v2: __m256i, v3: __m256i) -> __m256i {
-        // [v0.0+v0.1, v1.0+v1.1, v0.2+v0.3, v1.2+v1.3], likewise v2/v3.
-        let s01 = _mm256_add_epi64(_mm256_unpacklo_epi64(v0, v1), _mm256_unpackhi_epi64(v0, v1));
-        let s23 = _mm256_add_epi64(_mm256_unpacklo_epi64(v2, v3), _mm256_unpackhi_epi64(v2, v3));
-        _mm256_add_epi64(
-            _mm256_permute2x128_si256::<0x20>(s01, s23),
-            _mm256_permute2x128_si256::<0x31>(s01, s23),
-        )
-    }
-
-    /// Horizontal sum of 4 `i64` lanes (wrapping: the exact total fits, so
-    /// the order of the partial sums cannot matter).
-    ///
-    /// # Safety
-    ///
-    /// AVX2 only.
-    #[inline(always)]
-    unsafe fn hsum_epi64(v: __m256i) -> i64 {
-        let mut lanes = [0i64; 4];
-        _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), v);
-        lanes.iter().fold(0i64, |s, &x| s.wrapping_add(x))
-    }
-
-    /// Horizontal sum of 8 `i32` lanes (exact in `i64`).
-    ///
-    /// # Safety
-    ///
-    /// AVX2 only.
-    #[inline(always)]
-    unsafe fn hsum_epi32(v: __m256i) -> i64 {
-        let mut lanes = [0i32; 8];
-        _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), v);
-        lanes.iter().map(|&x| i64::from(x)).sum()
-    }
-
-    /// The register tile: the exact dots of `R` rows of `a` (row stride
-    /// `sa` words) with `C` rows of `b` (stride `sb`) over `steps` steps.
-    /// Each step expands every lane vector of the tile once and feeds it to
-    /// all the outputs it meets; `vpmaddwd` pair sums accumulate in `i32`
-    /// for [`spill_steps`] steps, are widened into `i64`, and each output
-    /// is reduced horizontally once, at the end (where the widening bias
-    /// comes off).
-    ///
-    /// With `MINFIX` (`X1 x X1` when both panels hold `i16::MIN`) the tile
-    /// also counts the `i32` lanes whose two products were both
-    /// `MIN x MIN`: that pair sum is `+2^31`, which wraps to `-2^31`, so
-    /// each occurrence adds back `2^32`. Exact over the full
-    /// two's-complement range.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available; rows `0..R` of `a` and `0..C` of `b` must be
-    /// readable for `steps` steps of their mode.
-    #[target_feature(enable = "avx2")]
-    unsafe fn tile<A: Lanes, B: Lanes, const R: usize, const C: usize, const MINFIX: bool>(
-        a: *const u16,
-        sa: usize,
-        b: *const u16,
-        sb: usize,
-        steps: usize,
-    ) -> [[i64; C]; R] {
-        let spill = spill_steps(A::BITS, B::BITS);
-        let zero = _mm256_setzero_si256();
-        let min = _mm256_set1_epi16(i16::MIN);
-        let ones = _mm256_set1_epi32(-1);
-        let mut acc64 = [[zero; C]; R];
-        let mut fixes = [[zero; C]; R];
-        let mut widens = 0usize;
-        let mut s = 0;
-        while s < steps {
-            let end = steps.min(s + spill);
-            let mut acc32 = [[zero; C]; R];
-            for t in s..end {
-                let mut bv = [zero; C];
-                let mut bmin = [zero; C];
-                for (j, (v, vmin)) in bv.iter_mut().zip(&mut bmin).enumerate() {
-                    *v = B::load(b.add(j * sb + t * B::WORDS));
-                    if MINFIX {
-                        *vmin = _mm256_cmpeq_epi16(*v, min);
-                    }
-                }
-                for (i, (acc_row, fix_row)) in acc32.iter_mut().zip(&mut fixes).enumerate() {
-                    let av = A::load(a.add(i * sa + t * A::WORDS));
-                    let amin = if MINFIX {
-                        _mm256_cmpeq_epi16(av, min)
-                    } else {
-                        zero
-                    };
-                    for (j, (acc, fix)) in acc_row.iter_mut().zip(fix_row).enumerate() {
-                        *acc = _mm256_add_epi32(*acc, _mm256_madd_epi16(av, bv[j]));
-                        if MINFIX {
-                            // Both 16-bit halves MIN on both sides: the
-                            // lane wrapped. The all-ones mask is -1, so
-                            // subtracting it counts the lane.
-                            let both = _mm256_and_si256(amin, bmin[j]);
-                            *fix = _mm256_sub_epi32(*fix, _mm256_cmpeq_epi32(both, ones));
-                        }
-                    }
-                }
-            }
-            for (acc_row, part_row) in acc64.iter_mut().zip(&acc32) {
-                for (acc, &part) in acc_row.iter_mut().zip(part_row) {
-                    *acc = _mm256_add_epi64(*acc, widen_biased(part));
-                }
-            }
-            s = end;
-            widens += 1;
-        }
-        let mut out = [[0i64; C]; R];
-        if C == 2 && R.is_multiple_of(2) {
-            // Two rows of two columns are four consecutive outputs. (`C - 1`
-            // is column 1; spelled so the branch also compiles at `C == 1`.)
-            for (pair, acc) in out.chunks_exact_mut(2).zip(acc64.chunks_exact(2)) {
-                let sums = hsum4_epi64(acc[0][0], acc[0][C - 1], acc[1][0], acc[1][C - 1]);
-                _mm256_storeu_si256(pair.as_mut_ptr().cast::<__m256i>(), sums);
-            }
-        } else {
-            for (out_row, acc_row) in out.iter_mut().zip(&acc64) {
-                for (o, &acc) in out_row.iter_mut().zip(acc_row) {
-                    *o = hsum_epi64(acc);
-                }
-            }
-        }
-        let bias = (widens as i64).wrapping_shl(34);
-        for (out_row, fix_row) in out.iter_mut().zip(&fixes) {
-            for (o, &fix) in out_row.iter_mut().zip(fix_row) {
-                *o = o.wrapping_sub(bias);
-                if MINFIX {
-                    *o = o.wrapping_add(hsum_epi32(fix) << 32);
-                }
-            }
-        }
-        out
-    }
-
-    /// Writes an `R x C` tile into `out` (`n` columns) at `(i0, j0)`.
+/// The blocked sweep every tier runs (Goto & van de Geijn, TOMS 2008):
+/// for each [`COL_TILE`] block of the `n` right-hand rows, every `MR`-row
+/// micro-panel of the `m` left-hand rows sweeps the block in `MR x NR`
+/// tiles. Ragged edges run the same tile at one row or one column, and
+/// each tile is written into `out` (`m x n`) through bounds-checked
+/// slices. Inlined into each tier's feature-enabled entry, so its tiles
+/// inline too.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+#[inline(always)]
+fn sweep<T: Tile, const MR: usize, const NR: usize>(t: &T, m: usize, n: usize, out: &mut [i64]) {
     fn store<const R: usize, const C: usize>(
         out: &mut [i64],
         n: usize,
@@ -699,128 +595,92 @@ mod avx2 {
             out[(i0 + r) * n + j0..][..C].copy_from_slice(row);
         }
     }
-
-    const _: () = assert!(
-        MR == 4 && NR == 2,
-        "the edge dispatch below spells out 4 x 2"
-    );
-
-    /// The whole multiply on one mode pair: for each [`COL_TILE`] block of
-    /// `bt` rows, every `MR`-row micro-panel of `a` sweeps the block in
-    /// `MR x NR` tiles; ragged edges run the same tile at one row or one
-    /// column.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available; `a`/`bt` agree on `k` and their modes are
-    /// `A`/`B`; `out` is `a.rows() x bt.rows()`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn gemm_tiles<A: Lanes, B: Lanes, const MINFIX: bool>(
-        a: &PackedPanel,
-        bt: &PackedPanel,
-        out: &mut [i64],
-    ) {
-        let (m, n, steps) = (a.rows(), bt.rows(), a.steps());
-        let (sa, sb) = (a.words_per_row(), bt.words_per_row());
-        let (pa, pb) = (a.words.as_ptr(), bt.words.as_ptr());
-        for j0 in (0..n).step_by(COL_TILE) {
-            let j1 = (j0 + COL_TILE).min(n);
-            let mut i0 = 0;
-            while i0 < m {
-                let rows = if m - i0 >= MR { MR } else { 1 };
-                let ta = pa.add(i0 * sa);
-                let mut j = j0;
-                while j < j1 {
-                    let tb = pb.add(j * sb);
-                    macro_rules! run {
-                        ($r:literal, $c:literal) => {
-                            store::<$r, $c>(
-                                out,
-                                n,
-                                i0,
-                                j,
-                                &tile::<A, B, $r, $c, MINFIX>(ta, sa, tb, sb, steps),
-                            )
-                        };
-                    }
-                    let cols = NR.min(j1 - j);
-                    match (rows, cols) {
-                        (MR, NR) => run!(4, 2),
-                        (MR, _) => run!(4, 1),
-                        (_, NR) => run!(1, 2),
-                        _ => run!(1, 1),
-                    }
-                    j += cols;
+    for j0 in (0..n).step_by(COL_TILE) {
+        let j1 = (j0 + COL_TILE).min(n);
+        let mut i0 = 0;
+        while i0 < m {
+            let full_rows = m - i0 >= MR;
+            let mut j = j0;
+            while j < j1 {
+                let full_cols = j1 - j >= NR;
+                match (full_rows, full_cols) {
+                    (true, true) => store(out, n, i0, j, &t.tile::<MR, NR>(i0, j)),
+                    (true, false) => store(out, n, i0, j, &t.tile::<MR, 1>(i0, j)),
+                    (false, true) => store(out, n, i0, j, &t.tile::<1, NR>(i0, j)),
+                    (false, false) => store(out, n, i0, j, &t.tile::<1, 1>(i0, j)),
                 }
-                i0 += rows;
+                j += if full_cols { NR } else { 1 };
             }
+            i0 += if full_rows { MR } else { 1 };
         }
     }
+}
 
-    /// [`gemm_packed`](super::gemm_packed) on the tile kernels, or `false`
-    /// (nothing written) when the host lacks AVX2.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the panels disagree on `k` or `out` is not
-    /// `a.rows() x bt.rows()`.
-    pub(super) fn gemm(a: &PackedPanel, bt: &PackedPanel, out: &mut [i64]) -> bool {
-        if !is_x86_feature_detected!("avx2") {
-            return false;
-        }
-        assert_eq!(a.k(), bt.k(), "panels must agree on k");
-        assert_eq!(out.len(), a.rows() * bt.rows(), "out must be m x n");
-        // SAFETY: AVX2 was detected above. The panels agree on `k`, so both
-        // walk `a.steps()` steps, and every row holds exactly the words its
-        // mode consumes over them (`PackedPanel` pads rows to
-        // PACK_STEP_LANES lanes and keeps `words` at least
-        // `rows * words_per_row` long); the tiles only read rows
-        // `0..rows` of either panel. `out` is m x n, and `store` writes
-        // through bounds-checked slices. The `MIN x MIN` correction runs
-        // only where both `X1` panels can produce it.
-        unsafe {
-            use SubwordMode::{X1, X2, X4};
-            match (a.mode(), bt.mode()) {
-                (X1, X1) if a.has_min && bt.has_min => {
-                    gemm_tiles::<Bits16, Bits16, true>(a, bt, out);
-                }
-                (X1, X1) => gemm_tiles::<Bits16, Bits16, false>(a, bt, out),
-                (X1, X2) => gemm_tiles::<Bits16, Bits8, false>(a, bt, out),
-                (X1, X4) => gemm_tiles::<Bits16, Bits4, false>(a, bt, out),
-                (X2, X1) => gemm_tiles::<Bits8, Bits16, false>(a, bt, out),
-                (X2, X2) => gemm_tiles::<Bits8, Bits8, false>(a, bt, out),
-                (X2, X4) => gemm_tiles::<Bits8, Bits4, false>(a, bt, out),
-                (X4, X1) => gemm_tiles::<Bits4, Bits16, false>(a, bt, out),
-                (X4, X2) => gemm_tiles::<Bits4, Bits8, false>(a, bt, out),
-                (X4, X4) => gemm_tiles::<Bits4, Bits4, false>(a, bt, out),
-            }
-        }
-        true
-    }
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod avx2;
 
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod vnni;
+
+/// The implementations of [`gemm_packed`]. Each computes the same exact
+/// sums; [`gemm_packed`] runs the fastest one the host has.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tier {
+    /// The scalar decode loop of [`dot_packed`], per output: every host.
+    Scalar,
+    /// `vpmaddwd` tiles over 16-lane steps (x86-64 with AVX2).
+    Avx2,
+    /// `vpdpbusd`/`vpdpwssd` tiles over zmm chunks (x86-64 with
+    /// AVX-512BW, AVX-512VL and AVX-512 VNNI).
+    Vnni,
+}
+
+impl Tier {
+    /// Every tier, the oracle first.
     #[cfg(test)]
-    mod tests {
-        use super::spill_steps;
+    const ALL: [Tier; 3] = [Tier::Scalar, Tier::Avx2, Tier::Vnni];
 
-        /// The `i32` cadences per pair, and that each keeps the worst-case
-        /// partial under `2^31`.
-        #[test]
-        fn spill_cadences_are_the_documented_ones() {
-            let table = [
-                (16, 16, 1),
-                (16, 8, 128),
-                (16, 4, 2048),
-                (8, 8, 32768),
-                (8, 4, 32768),
-                (4, 4, 32768),
-            ];
-            for (wa, wb, steps) in table {
-                assert_eq!(spill_steps(wa, wb), steps, "{wa} x {wb}");
-                assert_eq!(spill_steps(wb, wa), steps, "{wb} x {wa}");
-                if steps > 1 {
-                    assert!((steps as u64) << (wa + wb - 1) <= 1 << 30);
-                }
+    /// Whether the host has this tier.
+    #[cfg(test)]
+    fn available(self) -> bool {
+        match self {
+            Tier::Scalar => true,
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Tier::Vnni => vnni::detected(),
+            #[cfg(not(target_arch = "x86_64"))]
+            Tier::Avx2 | Tier::Vnni => false,
+        }
+    }
+
+    /// The tier's name in test logs.
+    #[cfg(test)]
+    fn name(self) -> &'static str {
+        match self {
+            Tier::Scalar => "scalar",
+            Tier::Avx2 => "avx2",
+            Tier::Vnni => "avx512-vnni",
+        }
+    }
+
+    /// The multiply on this tier, or `false` (nothing written) when the
+    /// host lacks it, or when the VNNI tier's byte lanes are missing from
+    /// a left panel that was filled in place.
+    fn gemm(self, a: &PackedPanel, bt: &PackedPanel, out: &mut [i64]) -> bool {
+        match self {
+            Tier::Scalar => {
+                gemm_packed_scalar(a, bt, out);
+                true
             }
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => avx2::gemm(a, bt, out),
+            #[cfg(target_arch = "x86_64")]
+            Tier::Vnni => vnni::gemm(a, bt, out),
+            #[cfg(not(target_arch = "x86_64"))]
+            Tier::Avx2 | Tier::Vnni => false,
         }
     }
 }
@@ -830,14 +690,15 @@ mod avx2 {
 /// **transposed** right operand, `n x k` (e.g. one im2col patch per
 /// row), and `out` is `m x n` row-major, fully overwritten.
 ///
-/// On AVX2 hosts the multiply runs as register tiles: each `MR`-row
+/// The multiply runs on the fastest tier the host has (see the module
+/// docs): register tiles on AVX-512 VNNI or AVX2, where each `MR`-row
 /// micro-panel of `a` sweeps a [`COL_TILE`]-row block of `bt` in
-/// [`MR`]` x `[`NR`] tiles, so every weight and activation lane vector is
-/// expanded once per tile and step and feeds `NR` (or `MR`) outputs, and
-/// each output is reduced horizontally once. Edges run the same tile at
-/// one row or one column. Elsewhere the scalar decode loop of
-/// [`dot_packed`] computes the same exact sums, one output at a time; it
-/// is also the oracle the tile kernel is tested against.
+/// `MR x NR` tiles, so every weight and activation lane vector is loaded
+/// once per tile and chunk and feeds several outputs, and each output is
+/// reduced horizontally once. Edges run the same tile at one row or one
+/// column. Elsewhere the scalar decode loop of [`dot_packed`] computes
+/// the same exact sums, one output at a time; it is also the oracle the
+/// tiles are tested against.
 ///
 /// The operand panels may use different [`SubwordMode`]s — a reduced-
 /// precision weight panel (2 or 4 operands per lane word) streams against
@@ -865,11 +726,11 @@ pub fn gemm_packed(a: &PackedPanel, bt: &PackedPanel, out: &mut [i64]) {
         out.fill(0);
         return;
     }
-    #[cfg(target_arch = "x86_64")]
-    if avx2::gemm(a, bt, out) {
-        return;
+    for tier in [Tier::Vnni, Tier::Avx2, Tier::Scalar] {
+        if tier.gemm(a, bt, out) {
+            return;
+        }
     }
-    gemm_packed_scalar(a, bt, out);
 }
 
 #[cfg(test)]
@@ -1090,78 +951,157 @@ mod tests {
         }
     }
 
-    /// Packed dots — the scalar [`dot_packed`] and the dispatched `1 x 1`
-    /// multiply — are bit-identical to [`dot_i16`] on the re-expanded
-    /// lanes, for every mode pair (including mixed precision) and ragged
-    /// lengths, with the full lane range (MIN included) in play.
-    #[test]
-    fn dot_packed_matches_dot_i16_for_every_mode_pair() {
-        for (i, &ma) in SubwordMode::ALL.iter().enumerate() {
-            for (j, &mb) in SubwordMode::ALL.iter().enumerate() {
-                for k in [0usize, 1, 7, 16, 31, 150, 2049] {
-                    let seed = (i * 3 + j) as u64 * 1000 + k as u64;
-                    let a = random_lanes(k, ma, seed);
-                    let b = random_lanes(k, mb, seed ^ 0xDEAD);
-                    let pa = PackedPanel::pack(&a, 1, k, ma);
-                    let pb = PackedPanel::pack(&b, 1, k, mb);
-                    let want = dot_i16(&a, &b);
-                    assert_eq!(dot_packed(&pa, 0, &pb, 0), want, "modes {ma}x{mb} k={k}");
-                    assert_eq!(gemm_1x1(&pa, &pb), want, "gemm modes {ma}x{mb} k={k}");
-                }
+    /// Runs `check` on every tier the host has, each called explicitly,
+    /// and prints which tiers ran and which are absent (so a log from a
+    /// host without AVX-512 VNNI says so instead of passing silently).
+    fn on_every_tier(mut check: impl FnMut(Tier)) {
+        let mut log = Vec::new();
+        for tier in Tier::ALL {
+            if tier.available() {
+                check(tier);
+                log.push(format!("{} ran", tier.name()));
+            } else {
+                log.push(format!("{} absent", tier.name()));
             }
         }
+        println!("gemm tiers: {}", log.join(", "));
     }
 
-    /// The dispatched [`gemm_packed`] of two one-row panels (on AVX2 hosts
-    /// the `1 x 1` tile).
-    fn gemm_1x1(a: &PackedPanel, b: &PackedPanel) -> i64 {
-        let mut out = [i64::MIN];
-        gemm_packed(a, b, &mut out);
-        out[0]
+    /// `a x bt` on `tier`, which the host has; both panels were packed.
+    fn gemm_on(tier: Tier, a: &PackedPanel, bt: &PackedPanel) -> Vec<i64> {
+        let mut out = vec![i64::MIN; a.rows() * bt.rows()]; // poisoned
+        assert!(tier.gemm(a, bt, &mut out), "{} declined", tier.name());
+        out
+    }
+
+    /// Packed dots — the scalar [`dot_packed`] and the `1 x 1` multiply
+    /// on every tier — are bit-identical to [`dot_i16`] on the
+    /// re-expanded lanes, for every mode pair (including mixed
+    /// precision) and ragged lengths, with the full lane range (MIN
+    /// included) in play.
+    #[test]
+    fn dot_packed_matches_dot_i16_for_every_mode_pair() {
+        on_every_tier(|tier| {
+            for (i, &ma) in SubwordMode::ALL.iter().enumerate() {
+                for (j, &mb) in SubwordMode::ALL.iter().enumerate() {
+                    for k in [0usize, 1, 7, 16, 31, 150, 2049] {
+                        let seed = (i * 3 + j) as u64 * 1000 + k as u64;
+                        let a = random_lanes(k, ma, seed);
+                        let b = random_lanes(k, mb, seed ^ 0xDEAD);
+                        let pa = PackedPanel::pack(&a, 1, k, ma);
+                        let pb = PackedPanel::pack(&b, 1, k, mb);
+                        let want = dot_i16(&a, &b);
+                        assert_eq!(dot_packed(&pa, 0, &pb, 0), want, "modes {ma}x{mb} k={k}");
+                        assert_eq!(
+                            gemm_on(tier, &pa, &pb),
+                            [want],
+                            "{} modes {ma}x{mb} k={k}",
+                            tier.name()
+                        );
+                    }
+                }
+            }
+        });
     }
 
     /// The `X1 x X1` cross-term corner: whole rows of `MIN x MIN` force
-    /// every `vpmaddwd` pair sum to `+2^31` (which wraps uncorrected).
-    /// The explicit correction must restore the exact sum for any length,
-    /// on the dispatched kernel and on the scalar oracle.
+    /// every `vpmaddwd` pair sum to `+2^31` (which wraps uncorrected),
+    /// and put the split `vpdpwssd` tile's high-byte partials at their
+    /// bound. Every tier and the scalar oracle must return the exact sum
+    /// for any length.
     #[test]
     fn packed_x1_min_times_min_is_corrected() {
-        for k in [1usize, 8, 16, 17, 160, 2048] {
-            let a = vec![i16::MIN; k];
-            let pa = PackedPanel::pack(&a, 1, k, SubwordMode::X1);
-            assert!(pa.has_min);
-            assert_eq!(gemm_1x1(&pa, &pa), k as i64 * (1i64 << 30), "k={k}");
-            assert_eq!(dot_packed(&pa, 0, &pa, 0), k as i64 * (1i64 << 30), "k={k}");
-            // Mixed MIN/MAX rows exercise partially-overflowing steps.
-            let b: Vec<i16> = (0..k)
-                .map(|t| if t % 3 == 0 { i16::MIN } else { i16::MAX })
-                .collect();
-            let pb = PackedPanel::pack(&b, 1, k, SubwordMode::X1);
-            assert_eq!(gemm_1x1(&pa, &pb), dot_i16(&a, &b), "mixed k={k}");
-            assert_eq!(gemm_1x1(&pb, &pb), dot_i16(&b, &b), "self k={k}");
-        }
+        on_every_tier(|tier| {
+            for k in [1usize, 8, 16, 17, 160, 2048] {
+                let a = vec![i16::MIN; k];
+                let pa = PackedPanel::pack(&a, 1, k, SubwordMode::X1);
+                assert!(pa.has_min);
+                let t = tier.name();
+                assert_eq!(
+                    gemm_on(tier, &pa, &pa),
+                    [k as i64 * (1i64 << 30)],
+                    "{t} k={k}"
+                );
+                assert_eq!(dot_packed(&pa, 0, &pa, 0), k as i64 * (1i64 << 30), "k={k}");
+                // Mixed MIN/MAX rows exercise partially-overflowing steps.
+                let b: Vec<i16> = (0..k)
+                    .map(|t| if t % 3 == 0 { i16::MIN } else { i16::MAX })
+                    .collect();
+                let pb = PackedPanel::pack(&b, 1, k, SubwordMode::X1);
+                assert_eq!(
+                    gemm_on(tier, &pa, &pb),
+                    [dot_i16(&a, &b)],
+                    "{t} mixed k={k}"
+                );
+                assert_eq!(gemm_on(tier, &pb, &pb), [dot_i16(&b, &b)], "{t} self k={k}");
+            }
+        });
     }
 
-    /// The scalar fallback computes the same exact sums as the dispatched
-    /// path (on AVX2 hosts this pits the tile kernel against the decode
-    /// loop; elsewhere both sides are the decode loop).
+    /// Every tier computes the same exact sums as the scalar decode loop,
+    /// and so does the dispatched [`gemm_packed`].
     #[test]
     fn scalar_fallback_agrees_with_dispatch() {
-        for &ma in &SubwordMode::ALL {
-            for &mb in &SubwordMode::ALL {
-                for k in [5usize, 64, 333] {
-                    let a = random_lanes(k, ma, 7 + k as u64);
-                    let b = random_lanes(k, mb, 77 + k as u64);
-                    let pa = PackedPanel::pack(&a, 1, k, ma);
-                    let pb = PackedPanel::pack(&b, 1, k, mb);
-                    assert_eq!(
-                        gemm_1x1(&pa, &pb),
-                        dot_packed(&pa, 0, &pb, 0),
-                        "{ma}x{mb} k={k}"
-                    );
+        on_every_tier(|tier| {
+            for &ma in &SubwordMode::ALL {
+                for &mb in &SubwordMode::ALL {
+                    for k in [5usize, 64, 333] {
+                        let a = random_lanes(k, ma, 7 + k as u64);
+                        let b = random_lanes(k, mb, 77 + k as u64);
+                        let pa = PackedPanel::pack(&a, 1, k, ma);
+                        let pb = PackedPanel::pack(&b, 1, k, mb);
+                        let want = dot_packed(&pa, 0, &pb, 0);
+                        let t = tier.name();
+                        assert_eq!(gemm_on(tier, &pa, &pb), [want], "{t} {ma}x{mb} k={k}");
+                        let mut dispatched = [i64::MIN];
+                        gemm_packed(&pa, &pb, &mut dispatched);
+                        assert_eq!(dispatched, [want], "dispatch {ma}x{mb} k={k}");
+                    }
                 }
             }
-        }
+        });
+    }
+
+    /// Every tier stays exact across its `i32` spill boundaries with the
+    /// extreme operands: for each mode pair, weights at the mode's most
+    /// negative value (`-128` for `X2`, `i16::MIN` for `X1`) against
+    /// activations at the largest and at the most negative value. The
+    /// longest `k` crosses the longest cadence, the VNNI byte lanes'
+    /// 16,448 chunks of 64 lanes, by one chunk and a ragged tail step, so
+    /// it crosses every shorter boundary too (the split `X1 x X1` tile's
+    /// 128 chunks of 32 lanes, the `vpmaddwd` tiles' 32,768 steps of 16).
+    /// The shorter ones sit at each VNNI pair's last chunk count whose
+    /// `i32` reduction tree is exact, and one chunk past it: 8 chunks of
+    /// 32 lanes (split `X1 x X1`), 15 (`X1 x X2`), 255 (`X1 x X4`) and
+    /// 1,028 chunks of 64 lanes (the byte pairs).
+    #[test]
+    fn spill_boundaries_hold_with_extreme_operands() {
+        let mut ks: Vec<usize> = [(8, 32), (15, 32), (255, 32), (1028, 64)]
+            .into_iter()
+            .flat_map(|(chunks, lanes)| [chunks * lanes, (chunks + 1) * lanes])
+            .collect();
+        ks.push((BYTE_SPILL_CHUNKS + 1) * 64 + PACK_STEP_LANES);
+        let lo = |mode: SubwordMode| -(1i64 << (mode.lane_bits() - 1));
+        on_every_tier(|tier| {
+            for &k in &ks {
+                for &ma in &SubwordMode::ALL {
+                    let w = lo(ma);
+                    let pa = PackedPanel::pack(&vec![w as i16; k], 1, k, ma);
+                    for &mb in &SubwordMode::ALL {
+                        for x in [-lo(mb) - 1, lo(mb)] {
+                            let pb = PackedPanel::pack(&vec![x as i16; k], 1, k, mb);
+                            let want = k as i64 * w * x;
+                            let t = tier.name();
+                            assert_eq!(
+                                gemm_on(tier, &pa, &pb),
+                                [want],
+                                "{t} k={k} {ma}x{mb} {w}*{x}"
+                            );
+                        }
+                    }
+                }
+            }
+        });
     }
 
     /// A random `rows x k` panel of `mode` lanes that holds the mode's most
@@ -1190,37 +1130,41 @@ mod tests {
         v
     }
 
-    /// `gemm_packed` is bit-identical to the naive `i64` reference for
-    /// every mode pair across the tile edges — every `m` up to `2·MR+1`
-    /// and `n` up to `2·NR+1` (whole tiles plus each ragged remainder),
-    /// `k` around the 16-lane step, shapes past a [`COL_TILE`] block and
-    /// with a long `k`, and `has_min` on neither, one or both panels —
-    /// and at the `X1 x X2` / `X1 x X4` `i32` spill boundaries ±1 step,
-    /// with worst-magnitude operands. The scalar decode oracle is pinned
-    /// to the dispatched (on AVX2 hosts, tile) kernel on the same grid.
+    /// Every tier is bit-identical to the naive `i64` reference for
+    /// every mode pair across the tile edges — every `m` up to `2·8+1`
+    /// and `n` up to `2·4+1` (whole tiles of every tier's shape plus each
+    /// ragged remainder), `k` around the 16-lane step and the 32- and
+    /// 64-lane chunks, shapes past a [`COL_TILE`] block and with a long
+    /// `k`, and `has_min` on neither, one or both panels — and at the
+    /// `X1 x X2` / `X1 x X4` `i32` spill boundaries ±1 step, with
+    /// worst-magnitude operands. So is the dispatched [`gemm_packed`].
     /// The NN kernel equivalence net rests on this.
     #[test]
     fn gemm_packed_matches_gemm_i16_across_shapes_and_modes() {
+        let mut tiers = Vec::new();
+        on_every_tier(|tier| tiers.push(tier));
         let check = |a: &[i16], bt: &[i16], (m, k, n): (usize, usize, usize), ma, mb| {
             let pa = PackedPanel::pack(a, m, k, ma);
             let pbt = PackedPanel::pack(bt, n, k, mb);
+            let want = naive_gemm(a, bt, m, k, n);
+            for &tier in &tiers {
+                assert_eq!(
+                    gemm_on(tier, &pa, &pbt),
+                    want,
+                    "{} m={m} k={k} n={n} {ma}x{mb} min={}/{}",
+                    tier.name(),
+                    pa.has_min,
+                    pbt.has_min
+                );
+            }
             let mut out = vec![i64::MIN; m * n]; // poisoned: must be overwritten
             gemm_packed(&pa, &pbt, &mut out);
-            assert_eq!(
-                out,
-                naive_gemm(a, bt, m, k, n),
-                "m={m} k={k} n={n} {ma}x{mb} min={}/{}",
-                pa.has_min,
-                pbt.has_min
-            );
-            let mut scalar = vec![i64::MIN; m * n];
-            gemm_packed_scalar(&pa, &pbt, &mut scalar);
-            assert_eq!(out, scalar, "scalar oracle m={m} k={k} n={n} {ma}x{mb}");
+            assert_eq!(out, want, "dispatch m={m} k={k} n={n} {ma}x{mb}");
         };
         let mut shapes = Vec::new();
-        for m in 1..=2 * MR + 1 {
-            for n in 1..=2 * NR + 1 {
-                for k in [0usize, 1, 15, 16, 17, 33] {
+        for m in 1..=2 * 8 + 1 {
+            for n in 1..=2 * 4 + 1 {
+                for k in [0usize, 1, 15, 16, 17, 33, 64, 65, 129] {
                     shapes.push((m, k, n));
                 }
             }
@@ -1242,15 +1186,17 @@ mod tests {
                 }
             }
         }
-        // The spill boundaries: 128 (X1 x X2) and 2048 (X1 x X4) steps of
-        // MIN x MIN products push every i32 partial to exactly 2^30.
+        // The spill boundaries: 128 (X1 x X2) and 2048 (X1 x X4) pair sums
+        // of MIN x MIN products push every i32 partial to exactly 2^30:
+        // that many steps on the AVX2 tier, twice as many on the VNNI one
+        // (a 32-lane chunk is two steps).
         for (wide, narrow, spill) in [
             (SubwordMode::X1, SubwordMode::X2, 128usize),
             (SubwordMode::X1, SubwordMode::X4, 2048),
         ] {
-            for steps in [spill - 1, spill, spill + 1] {
+            for steps in [spill - 1, spill, spill + 1, 2 * spill - 1, 2 * spill + 1] {
                 let k = steps * PACK_STEP_LANES;
-                let (m, n) = (MR + 1, NR + 1);
+                let (m, n) = (5, 3);
                 let lo = |mode: SubwordMode| (-(1i32 << (mode.lane_bits() - 1))) as i16;
                 for extreme in [true, false] {
                     let a = if extreme {
@@ -1350,6 +1296,10 @@ mod tests {
                 }
                 direct.finish_fill();
                 assert_eq!(direct, reference, "mode={mode:?} rows={rows} k={k}");
+                // A filled panel carries no byte lanes, so as a weight
+                // panel its byte pairs run on the AVX2 tier.
+                assert!(!direct.has_lane_bytes());
+                assert_eq!(reference.has_lane_bytes(), mode != SubwordMode::X1);
                 // And it dots identically (exercises the padded tail lanes).
                 let other =
                     PackedPanel::pack(&random_lanes(k, SubwordMode::X2, 7), 1, k, SubwordMode::X2);
@@ -1386,6 +1336,12 @@ mod tests {
         assert_eq!(panel.k(), 3);
         assert!(!panel.has_min, "has_min must reset on repack");
         assert_eq!(panel.unpack_row(0), vec![1i16, -2, 3]);
+        assert_eq!(panel.row_sums, [2]);
+        assert_eq!(panel.lane_bytes.len(), PACK_STEP_LANES);
+        assert_eq!(panel.lane_bytes[..4], [1, 0xFE, 3, 0]);
+        panel.repack(&[5i16, -6], 2, 1, SubwordMode::X1);
+        assert!(!panel.has_lane_bytes(), "X1 panels carry no byte lanes");
+        assert!(panel.row_sums.is_empty() && panel.lane_bytes.is_empty());
     }
 
     #[test]
