@@ -42,7 +42,8 @@ pub struct RunOpts {
 pub struct ServeArgs {
     /// TCP listen address (`--listen ADDR`); `None` serves stdio.
     pub listen: Option<String>,
-    /// Requests executed concurrently (`--threads`, default
+    /// Workers of the session's one pool, which runs the requests and
+    /// their predict chunks and scenarios (`--threads`, default
     /// environment/host). The reply stream is byte-identical for any
     /// value — worker count is an execution choice, like the netlist
     /// engine.
@@ -89,7 +90,7 @@ run options:\n  \
   --fast                     reduced problem sizes (see `dvafs list`)\n\n\
 serve options:\n  \
   --listen ADDR              serve TCP on ADDR (e.g. 127.0.0.1:7017) instead of stdio\n  \
-  --threads N                requests executed concurrently (default: DVAFS_THREADS or host)\n  \
+  --threads N                workers running requests (default: DVAFS_THREADS or host)\n  \
   --queue N                  in-flight request bound / backpressure window (default 32)\n  \
   --deadline-ms N            per-request wall deadline for run/predict; overruns are\n                             discarded and answered with an error reply (default: off)\n  \
   --max-requests N           close the session cleanly after N requests (default: off)\n  \

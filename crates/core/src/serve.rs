@@ -34,20 +34,24 @@
 //!
 //! ## Scheduling and determinism
 //!
-//! A session is [`Executor::pipeline_ordered_policy`]: the connection
-//! reader produces requests, the worker pool executes them concurrently
-//! (`--threads`), and replies are written back **in request order** with
-//! at most `--queue` requests in flight (bounded-queue backpressure — a
-//! slow client stalls the reader, not memory).
+//! A session is one [`Executor::pipeline_ordered`] on one executor of
+//! `--threads` workers: a reader thread parses requests off the
+//! connection, the workers execute them concurrently, and the calling
+//! thread writes the replies back **in request order** with at most
+//! `--queue` requests in flight (bounded-queue backpressure — a slow
+//! client stalls the reader, not memory).
 //!
-//! A `predict` is split into [`DEFAULT_BATCH_SIZE`]-sample chunks (16)
-//! through its request's [`TaskHandle`]: the worker that took
-//! the request runs chunks, and so does every worker that has finished
-//! its own request, before it starts a new one. Spare cores thus go to
-//! the predict at the head of the reply stream, whose reply the requests
-//! behind it would wait for anyway. Each chunk synthesizes only its own
-//! inputs, the chunks are the batches [`Network::predict_all`] walks, and
-//! the predictions merge in chunk order, so no reply byte changes.
+//! Everything a request runs in parallel runs on that same pool. A
+//! `predict` is split into [`DEFAULT_BATCH_SIZE`]-sample chunks (16), one
+//! map over the session's executor: the worker that took the request runs
+//! chunks, and so does every worker that has finished its own request,
+//! before it starts a new one. Spare cores thus go to the requests already
+//! running, whose replies the requests behind them would wait for anyway.
+//! A `run` executes its scenario's sweeps on the same executor; the
+//! request's `threads` field is still validated but sizes nothing. Each
+//! chunk synthesizes only its own inputs, the chunks are the batches
+//! [`Network::predict_all`] walks, and the predictions merge in chunk
+//! order, so no reply byte changes.
 //!
 //! Because every handler is a pure function of its request (every
 //! registered scenario is deterministic), the reply stream is
@@ -61,10 +65,10 @@
 //! serving layer's contract too: **every fault is contained to the
 //! request that caused it.** Concretely:
 //!
-//! * a panicking handler is contained by [`PanicPolicy::Isolate`] and
-//!   answered `{"ok":false,"error":"internal: ..."}` at its position in
-//!   the reply stream; later requests (including ones already in flight)
-//!   are unaffected and keep their exact no-fault reply bytes;
+//! * a panicking handler is caught around its request and answered
+//!   `{"ok":false,"error":"internal: ..."}` at its position in the reply
+//!   stream; later requests (including ones already in flight) are
+//!   unaffected and keep their exact no-fault reply bytes;
 //! * a request line longer than [`MAX_REQUEST_BYTES`] is **drained, not
 //!   buffered**, and answered with an error reply;
 //! * a line that is not valid UTF-8 gets an error reply and the session
@@ -98,7 +102,7 @@
 use crate::faultplan::{FaultKind, FaultPlan};
 use crate::report::json::{self, JsonValue};
 use crate::scenario::{self, Format, ScenarioCtx};
-use dvafs_executor::{Executor, PanicPolicy, TaskHandle};
+use dvafs_executor::{panic_message, Executor};
 use dvafs_nn::layers::Layer;
 use dvafs_nn::models::ModelSpec;
 use dvafs_nn::network::QuantConfig;
@@ -106,8 +110,9 @@ use dvafs_nn::{Network, NnError, DEFAULT_BATCH_SIZE};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Wire-protocol version, reported by `ping`.
@@ -147,7 +152,8 @@ pub const DEFAULT_IDLE_TIMEOUT_MS: u64 = 30_000;
 /// fault-containment knobs of the failure model (module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeOpts {
-    /// Workers executing requests concurrently (1 = fully serial).
+    /// Workers of the session's one pool, which runs the requests and
+    /// everything they run in parallel (1 = fully serial).
     pub threads: usize,
     /// Bounded-queue capacity: at most this many requests are parsed but
     /// not yet replied to (clamped to ≥ 1).
@@ -368,7 +374,6 @@ enum Request {
         scenario: String,
         format: Format,
         fast: bool,
-        threads: usize,
     },
     Predict {
         model: String,
@@ -491,15 +496,15 @@ fn parse_op(doc: &JsonValue) -> Result<Request, String> {
                 Some(f) => Format::parse(f)?,
             };
             let fast = get_bool(doc, "fast", false)?;
-            let threads = get_usize(doc, "threads", 1)?;
-            if threads == 0 {
+            // Accepted and validated, but the session's executor runs
+            // every scenario.
+            if get_usize(doc, "threads", 1)? == 0 {
                 return Err("\"threads\" must be positive".to_string());
             }
             Ok(Request::Run {
                 scenario,
                 format,
                 fast,
-                threads,
             })
         }
         "predict" => {
@@ -545,9 +550,9 @@ fn error_reply(id: u64, message: &str) -> String {
     )
 }
 
-/// Executes one parsed request and renders its one-line reply; `handle`
-/// lets a `predict` share its sample chunks with idle workers.
-fn execute_request(env: &Envelope, state: &ServeState, handle: &TaskHandle<'_>) -> (String, bool) {
+/// Executes one parsed request on `exec`, the session's executor, and
+/// renders its one-line reply.
+fn execute_request(env: &Envelope, state: &ServeState, exec: &Executor) -> (String, bool) {
     let id = env.id;
     let request = match &env.parsed {
         Ok(r) => r,
@@ -582,7 +587,6 @@ fn execute_request(env: &Envelope, state: &ServeState, handle: &TaskHandle<'_>) 
             scenario: sid,
             format,
             fast,
-            threads,
         } => {
             let Some(s) = scenario::find(sid) else {
                 let known: Vec<&str> = scenario::registry().iter().map(|s| s.id()).collect();
@@ -594,7 +598,9 @@ fn execute_request(env: &Envelope, state: &ServeState, handle: &TaskHandle<'_>) 
                     false,
                 );
             };
-            let ctx = ScenarioCtx::new().with_threads(*threads).with_fast(*fast);
+            let ctx = ScenarioCtx::new()
+                .with_executor(exec.clone())
+                .with_fast(*fast);
             let result = s.run(&ctx);
             let rendered = scenario::render(s.label(), s.title(), &result, *format);
             (
@@ -628,7 +634,7 @@ fn execute_request(env: &Envelope, state: &ServeState, handle: &TaskHandle<'_>) 
                 return (error_reply(id, &e.to_string()), false);
             }
             let name = spec.name();
-            match predict_shared(handle, spec, net, config, *samples, *data_seed) {
+            match predict_shared(exec, spec, net, config, *samples, *data_seed) {
                 Ok(preds) => {
                     let rendered: Vec<String> = preds.iter().map(ToString::to_string).collect();
                     (
@@ -649,14 +655,14 @@ fn execute_request(env: &Envelope, state: &ServeState, handle: &TaskHandle<'_>) 
     }
 }
 
-/// `predict_all` over `spec.dataset(samples, data_seed)`, as one
-/// [`TaskHandle::map_indexed`] over [`DEFAULT_BATCH_SIZE`]-sample chunks that
-/// idle workers share: each chunk synthesizes only its own inputs and
-/// runs on its worker's thread-local scratch. The chunks are the batches
-/// `predict_all` walks, so the predictions are its predictions, and the
-/// first failing chunk's error is the one it would return.
+/// `predict_all` over `spec.dataset(samples, data_seed)`, as one map over
+/// [`DEFAULT_BATCH_SIZE`]-sample chunks that idle workers of `exec` share:
+/// each chunk synthesizes only its own inputs and runs on its worker's
+/// thread-local scratch. The chunks are the batches `predict_all` walks,
+/// so the predictions are its predictions, and the first failing chunk's
+/// error is the one it would return.
 fn predict_shared(
-    handle: &TaskHandle<'_>,
+    exec: &Executor,
     spec: ModelSpec,
     net: Arc<Network>,
     config: QuantConfig,
@@ -664,7 +670,7 @@ fn predict_shared(
     data_seed: u64,
 ) -> Result<Vec<usize>, NnError> {
     let chunk = DEFAULT_BATCH_SIZE;
-    let per_chunk = handle.map_indexed(samples.div_ceil(chunk), move |c| {
+    let per_chunk = exec.par_map_range(samples.div_ceil(chunk), move |c| {
         let start = c * chunk;
         let data = spec.dataset_range(start..samples.min(start + chunk), data_seed);
         net.predict_all(&data, &config)
@@ -765,10 +771,6 @@ struct RequestIter<'a, R: BufRead> {
     limit: Option<usize>,
     /// Active fault plan for read-site injection.
     plan: Option<&'a FaultPlan>,
-    /// seq → reply id, recorded for every yielded envelope so the
-    /// consumer can still echo the right id when the worker *task* for
-    /// this envelope panicked away the envelope itself.
-    ids: &'a Mutex<HashMap<usize, u64>>,
     /// Set when the stream ended on a read timeout (idle TCP client).
     timed_out: &'a AtomicBool,
 }
@@ -835,10 +837,6 @@ impl<R: BufRead> Iterator for RequestIter<'_, R> {
             if env.parsed == Ok(Request::Shutdown) {
                 self.fused = true;
             }
-            self.ids
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert(seq, env.id);
             return Some(env);
         }
     }
@@ -846,15 +844,15 @@ impl<R: BufRead> Iterator for RequestIter<'_, R> {
 
 /// Serves one connection: reads newline-delimited JSON requests from
 /// `reader`, writes one reply line per request to `writer` **in request
-/// order**, executing up to `opts.threads` requests concurrently with at
-/// most `opts.queue` in flight. Returns how many requests were answered
-/// and whether a `shutdown` request ended the session.
+/// order**, executing requests on one executor of `opts.threads` workers
+/// with at most `opts.queue` in flight. Returns how many requests were
+/// answered and whether a `shutdown` request ended the session.
 ///
 /// Determinism contract: the written reply bytes are a pure function of
 /// the request bytes — independent of `opts.threads`, `opts.queue`, and
 /// scheduling — because replies are consumed in request order off
-/// [`Executor::pipeline_ordered_policy`], a predict's shared chunks merge
-/// in chunk order, and every handler is deterministic.
+/// [`Executor::pipeline_ordered`], a predict's shared chunks merge in
+/// chunk order, and every handler is deterministic.
 ///
 /// # Errors
 ///
@@ -871,7 +869,6 @@ where
     W: Write,
 {
     let exec = Executor::new(opts.threads);
-    let ids: Mutex<HashMap<usize, u64>> = Mutex::new(HashMap::new());
     let timed_out = AtomicBool::new(false);
     let requests = RequestIter {
         reader,
@@ -879,28 +876,35 @@ where
         fused: false,
         limit: opts.max_requests,
         plan: opts.fault_plan.as_ref(),
-        ids: &ids,
         timed_out: &timed_out,
     };
     let plan = opts.fault_plan.as_ref();
     let mut served = 0usize;
     let mut shutdown = false;
     let mut io_error: Option<std::io::Error> = None;
-    // PanicPolicy::Isolate is the whole point of the serving posture: a
-    // panicking handler costs its own request an "internal:" error reply
-    // — in order, id echoed — and nothing else.
-    exec.pipeline_ordered_policy(
-        PanicPolicy::Isolate,
+    exec.pipeline_ordered(
         opts.queue,
         requests,
-        |seq, env, handle| {
+        |seq, env| {
             let started = Instant::now();
-            match plan.and_then(|p| p.fault(seq)) {
-                Some(FaultKind::Panic) => panic!("injected fault: panic at request {seq}"),
-                Some(FaultKind::Delay(ms)) => std::thread::sleep(Duration::from_millis(ms)),
-                _ => {}
-            }
-            let (reply, is_shutdown) = execute_request(&env, state, handle);
+            // Containment is the whole point of the serving posture: a
+            // panicking handler costs its own request an "internal:" error
+            // reply — in order, id echoed — and nothing else.
+            let executed = catch_unwind(AssertUnwindSafe(|| {
+                match plan.and_then(|p| p.fault(seq)) {
+                    Some(FaultKind::Panic) => panic!("injected fault: panic at request {seq}"),
+                    Some(FaultKind::Delay(ms)) => std::thread::sleep(Duration::from_millis(ms)),
+                    _ => {}
+                }
+                execute_request(&env, state, &exec)
+            }));
+            let (reply, is_shutdown) = match executed {
+                Ok(done) => done,
+                Err(p) => {
+                    let message = format!("internal: {}", panic_message(p.as_ref()));
+                    return (error_reply(env.id, &message), false);
+                }
+            };
             if let Some(deadline) = opts.deadline_ms {
                 // Checked around the expensive ops only; the result of an
                 // overrunning request is discarded *after* it completed,
@@ -921,28 +925,7 @@ where
             }
             (reply, is_shutdown)
         },
-        |seq, result| {
-            let (reply, is_shutdown) = match result {
-                Ok(pair) => {
-                    ids.lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .remove(&seq);
-                    pair
-                }
-                Err(task_panic) => {
-                    // The envelope died with its task; the id survives in
-                    // the side map the reader maintains.
-                    let id = ids
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .remove(&seq)
-                        .unwrap_or(seq as u64);
-                    (
-                        error_reply(id, &format!("internal: {}", task_panic.message)),
-                        false,
-                    )
-                }
-            };
+        |_, (reply, is_shutdown)| {
             if io_error.is_none() {
                 let r = writeln!(writer, "{reply}").and_then(|()| writer.flush());
                 match r {
@@ -1127,8 +1110,8 @@ mod tests {
     }
 
     /// Geometry beyond the paper's networks would abort the process on
-    /// allocation, which `PanicPolicy::Isolate` cannot contain, so it is
-    /// an error reply and the session answers the next request.
+    /// allocation, which catching a panic cannot contain, so it is an
+    /// error reply and the session answers the next request.
     #[test]
     fn oversized_model_geometry_is_rejected_and_the_session_continues() {
         let input = "{\"op\":\"predict\",\"model\":\"alexnet\",\"input\":200000}\n\
@@ -1354,8 +1337,7 @@ mod tests {
         let (out, outcome) = serve_with_opts(input, &opts);
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 3);
-        // The faulted request: ordered error reply, explicit id echoed
-        // even though the envelope died with its task.
+        // The faulted request: ordered error reply, explicit id echoed.
         assert_eq!(
             lines[1],
             "{\"id\":9,\"ok\":false,\"error\":\"internal: injected fault: \

@@ -18,32 +18,33 @@
 //!    RMSE, energy totals) happens after the join, in index order, on one
 //!    thread.
 //!
-//! Each executor owns one pool of up to `threads − 1` workers, spawned as
-//! its parallel maps need them (never more than a map has items to share),
-//! shared by its clones and joined when the last clone drops. A map is
-//! published as an indexed job: the caller starts on index 0 at once, idle
-//! workers join in, and every thread claims one index at a time from the
-//! job's atomic cursor, so unequal item costs — a deep per-layer precision
-//! scan next to a shallow one — still balance. A caller whose indices are
-//! all claimed runs other published jobs while it waits for the rest. A
-//! nested map is therefore one more job, with no thread of its own, and a
-//! map that ends before a worker wakes has simply run inline. Idle threads
-//! sleep on a condition variable; none spins.
+//! Each executor owns one pool of workers, spawned as its parallel maps
+//! and pipelines need them, shared by its clones and joined when the last
+//! clone drops. A map is published as an indexed job: the caller
+//! starts on index 0 at once, idle workers join in, and every thread claims
+//! one index at a time from the job's atomic cursor, so unequal item costs
+//! — a deep per-layer precision scan next to a shallow one — still
+//! balance. A caller whose indices are all claimed runs other published
+//! maps while it waits for the rest. A nested map is therefore one more
+//! job, with no thread of its own, and a map that ends before a worker
+//! wakes has simply run inline. Idle threads sleep on a condition
+//! variable; none spins.
+//!
+//! The streaming [`Executor::pipeline_ordered`] behind `dvafs serve` runs
+//! its items on the same pool: one reader thread pulls the stream, idle
+//! workers take its items only when no map index is left, and the calling
+//! thread hands the results on in item order. An item can split itself
+//! into a map on the same executor, which the other workers help with
+//! before they start a new item.
 //!
 //! Jobs live on the caller's stack and borrow its data, so no `'static`
 //! bounds leak into sweep code. The one lifetime erasure this takes is in
 //! the private `job` module, together with the argument that no other
 //! thread can reach a job once its caller has returned.
 //!
-//! The streaming [`Executor::pipeline_ordered_policy`] behind `dvafs
-//! serve` runs on scoped threads of its own. A pipeline task can split
-//! itself into an indexed map ([`TaskHandle::map_indexed`]), the same job
-//! type, that idle workers of the same pipeline run beside it, merged in
-//! index order like every other map here.
-//!
 //! There is deliberately no dependency on `rayon` (the build is offline;
 //! see `vendor/`): `std` threads, one lock and condition variable per
-//! pool, and an atomic cursor per job are all the machinery the workspace
+//! pool, and an atomic cursor per map are all the machinery the workspace
 //! needs.
 //!
 //! ## Example
@@ -62,58 +63,22 @@
 mod job;
 
 use job::{JobList, JobRef, Queue};
-use std::collections::{BTreeMap, VecDeque};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Environment variable overriding the default worker count.
 pub const THREADS_ENV: &str = "DVAFS_THREADS";
 
-/// What [`Executor::pipeline_ordered_policy`] does when a task panics.
-///
-/// [`Propagate`](PanicPolicy::Propagate) is the default and the retained
-/// oracle: a panicking task tears down the pipeline and the panic resumes
-/// on the caller, exactly as [`Executor::pipeline_ordered`] always
-/// behaved. [`Isolate`](PanicPolicy::Isolate) is the serving posture: the
-/// panic is contained to its task, surfaced to `consume` as
-/// [`Err(TaskPanic)`](TaskPanic) **in item order**, and every other item
-/// — earlier, later, in flight — is processed as if the faulted task had
-/// returned normally. Panics raised by `consume` itself always propagate
-/// under either policy (the consumer runs on the caller's thread and
-/// owns the output stream; nothing can answer for it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PanicPolicy {
-    /// Tear down the pipeline and re-raise the first task panic on the
-    /// caller (the historical behavior, kept as the oracle).
-    #[default]
-    Propagate,
-    /// Contain a task panic to its item: `consume` receives
-    /// `Err(TaskPanic)` at that item's position and the stream continues.
-    Isolate,
+thread_local! {
+    /// Whether this thread is a worker of some executor's pool.
+    static IS_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// A contained task panic, delivered in item order under
-/// [`PanicPolicy::Isolate`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskPanic {
-    /// The item index whose task panicked.
-    pub seq: usize,
-    /// The panic payload, when it was a string (the overwhelmingly common
-    /// case: `panic!`, `assert!`, `expect`); a placeholder otherwise.
-    pub message: String,
-}
-
-impl std::fmt::Display for TaskPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "task {} panicked: {}", self.seq, self.message)
-    }
-}
-
-impl std::error::Error for TaskPanic {}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Best-effort extraction of a panic payload's message: the string of a
+/// `&str` or `String` payload (what `panic!`, `assert!` and `expect`
+/// raise), a placeholder otherwise.
+#[must_use]
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -149,11 +114,11 @@ pub fn threads_from_env_value(value: Option<&str>) -> (usize, Option<String>) {
 
 /// A deterministic parallel map executor over a fixed worker count.
 ///
-/// Cloning is cheap: clones share one pool of up to `threads − 1`
-/// workers. Workers are spawned as parallel maps need them (a map of `n`
-/// items needs `n − 1`), so an executor that is built and dropped without
-/// one never starts a thread, and they are joined when the last clone
-/// drops.
+/// Cloning is cheap: clones share one pool of workers. Workers are
+/// spawned as they are needed — a map of `n` items needs up to
+/// `min(n, threads) − 1`, a pipeline `threads` — so an executor that is
+/// built and dropped without either never starts a thread, and they are
+/// joined when the last clone drops.
 #[derive(Clone)]
 pub struct Executor {
     threads: usize,
@@ -298,21 +263,35 @@ impl Executor {
     /// * **Order.** `consume` sees results in item order — never
     ///   completion order — so for a pure `f` the consumed stream is
     ///   bit-identical to the serial `for` loop.
-    /// * **Backpressure.** The producer stops pulling the iterator while
-    ///   `capacity` items are claimed-or-queued but not yet consumed
-    ///   (capacity is clamped to ≥ 1), so a slow consumer bounds memory
-    ///   and a blocking iterator (a socket) never races ahead.
-    /// * **Liveness.** The iterator is only ever pulled *outside* the
-    ///   internal lock, so an iterator that blocks on I/O stalls neither
-    ///   workers nor the consumer of already-claimed items.
+    /// * **Backpressure.** The reader stops pulling the iterator while
+    ///   `capacity` items are pulled but not yet consumed (capacity is
+    ///   clamped to ≥ 1), so a slow consumer bounds memory and a blocking
+    ///   iterator (a socket) never races ahead.
+    /// * **Liveness.** The iterator is only ever pulled *outside* every
+    ///   lock, on a reader thread of its own, so an iterator that blocks on
+    ///   I/O stalls neither workers nor the consumer of already-pulled
+    ///   items.
     ///
-    /// `consume` runs on the calling thread. Returns the number of items
-    /// processed.
+    /// The items run on this executor's pool, which grows to `threads`
+    /// workers here because the calling thread runs no item: it only runs
+    /// `consume`. A worker takes a new item only when no index of a
+    /// published map is left, and a thread waiting for its own map never
+    /// takes one. So `f` may split its item with
+    /// [`par_map_range`](Self::par_map_range) on this executor, and spare
+    /// workers help the items already running before they start new ones.
+    /// A pipeline started on a pool worker (from inside `f`, say) runs
+    /// inline on that worker, as at one thread: a worker waiting for items
+    /// without running any could leave none to run them.
+    ///
+    /// Returns the number of items processed.
     ///
     /// # Panics
     ///
-    /// Propagates the first panic raised inside `f` or `consume`
-    /// (remaining claimed items are drained without executing `f`).
+    /// Re-raises the panic of the lowest item whose `f` panicked, once
+    /// `consume` has seen every earlier result — the rule
+    /// [`par_map_indexed`](Self::par_map_indexed) follows — and propagates
+    /// a panic raised by `consume`. Items already running finish first;
+    /// items not yet started are dropped without running `f`.
     pub fn pipeline_ordered<T, R, I, F, C>(
         &self,
         capacity: usize,
@@ -327,332 +306,18 @@ impl Executor {
         F: Fn(usize, T) -> R + Sync,
         C: FnMut(usize, R),
     {
-        self.pipeline_ordered_policy(
-            PanicPolicy::Propagate,
-            capacity,
-            items,
-            |i, t, _| f(i, t),
-            |i, r| match r {
-                Ok(r) => consume(i, r),
-                // Propagate never delivers Err: the task panic resumed on
-                // the caller before the consumer could see this item.
-                Err(p) => unreachable!("contained panic under Propagate: {p}"),
-            },
-        )
-    }
-
-    /// [`pipeline_ordered`](Self::pipeline_ordered) with an explicit
-    /// [`PanicPolicy`] and a [`TaskHandle`] per task: `consume` receives
-    /// `Result<R, TaskPanic>` so that under [`PanicPolicy::Isolate`] a
-    /// panicking task becomes an ordered, per-item `Err` instead of
-    /// tearing down the pipeline — the fault containment `dvafs serve` is
-    /// built on. Under [`PanicPolicy::Propagate`] the `Err` arm is never
-    /// entered and the behavior is exactly `pipeline_ordered`.
-    ///
-    /// `f` gets its item's [`TaskHandle`], whose
-    /// [`map_indexed`](TaskHandle::map_indexed) splits the task into
-    /// indexed jobs that idle workers of this pipeline run beside it.
-    /// Workers take such help jobs before new items, lowest item first, so
-    /// spare threads go to the task at the head of the ordered stream
-    /// instead of to items whose results would wait behind it.
-    ///
-    /// All three `pipeline_ordered` properties (order, backpressure,
-    /// liveness) hold unchanged; under `Isolate` a faulted item occupies
-    /// its queue slot like any other and its `Err` is consumed at the
-    /// item's own position.
-    ///
-    /// # Panics
-    ///
-    /// Under `Propagate`, propagates the first panic raised inside `f`.
-    /// Under either policy, propagates a panic raised by `consume`
-    /// (remaining claimed items are drained without executing `f`).
-    pub fn pipeline_ordered_policy<T, R, I, F, C>(
-        &self,
-        policy: PanicPolicy,
-        capacity: usize,
-        items: I,
-        f: F,
-        mut consume: C,
-    ) -> usize
-    where
-        T: Send,
-        R: Send,
-        I: Iterator<Item = T> + Send,
-        F: Fn(usize, T, &TaskHandle<'_>) -> R + Sync,
-        C: FnMut(usize, Result<R, TaskPanic>),
-    {
-        let capacity = capacity.max(1);
-        let contain = |seq: usize, p: Box<dyn std::any::Any + Send>| TaskPanic {
-            seq,
-            message: panic_message(p.as_ref()),
-        };
-        if self.threads == 1 {
-            let mut n = 0usize;
+        if self.threads == 1 || IS_WORKER.get() {
+            let mut n = 0;
             for item in items {
-                let handle = TaskHandle {
-                    seq: n,
-                    queue: None,
-                };
-                let result = match policy {
-                    PanicPolicy::Propagate => Ok(f(n, item, &handle)),
-                    PanicPolicy::Isolate => catch_unwind(AssertUnwindSafe(|| f(n, item, &handle)))
-                        .map_err(|p| contain(n, p)),
-                };
-                consume(n, result);
+                consume(n, f(n, item));
                 n += 1;
             }
             return n;
         }
-
-        let pipe = Pipe {
-            state: Mutex::new(PipeState {
-                items: VecDeque::new(),
-                jobs: JobList::default(),
-                running: 0,
-                ready: BTreeMap::new(),
-                consumed: 0,
-                total: None,
-                panic: None,
-            }),
-            work: Condvar::new(),
-            ready: Condvar::new(),
-            space: Condvar::new(),
-            helped: Condvar::new(),
-        };
-
-        let mut processed = 0usize;
-        std::thread::scope(|scope| {
-            // Producer: pull the iterator outside the lock, gated on
-            // `seq < consumed + capacity`.
-            scope.spawn(|| {
-                let mut items = items;
-                let mut seq = 0usize;
-                loop {
-                    {
-                        let mut st = pipe.lock();
-                        while st.panic.is_none() && seq >= st.consumed + capacity {
-                            st = pipe.space.wait(st).expect("pipeline state lock");
-                        }
-                        if st.panic.is_some() {
-                            break;
-                        }
-                    }
-                    let Some(item) = items.next() else { break };
-                    pipe.lock().items.push_back((seq, item));
-                    pipe.work.notify_all();
-                    seq += 1;
-                }
-                pipe.lock().total = Some(seq);
-                pipe.ready.notify_all();
-                pipe.work.notify_all();
-            });
-
-            // Workers: help the lowest published task, else claim the next
-            // item; leave once the producer is done and no task runs.
-            for _ in 0..self.threads {
-                scope.spawn(|| loop {
-                    let work = {
-                        let mut st = pipe.lock();
-                        loop {
-                            if let Some(claim) = st.jobs.claim() {
-                                break Work::Help(claim);
-                            }
-                            if let Some((seq, item)) = st.items.pop_front() {
-                                if st.panic.is_some() {
-                                    continue; // drain without executing
-                                }
-                                st.running += 1;
-                                break Work::Item(seq, item);
-                            }
-                            if st.total.is_some() && st.running == 0 {
-                                break Work::Done;
-                            }
-                            st = pipe.work.wait(st).expect("pipeline state lock");
-                        }
-                    };
-                    let (seq, item) = match work {
-                        Work::Help(claim) => {
-                            if claim.run() {
-                                drop(pipe.lock());
-                                pipe.helped.notify_all();
-                            }
-                            continue;
-                        }
-                        Work::Item(seq, item) => (seq, item),
-                        Work::Done => break,
-                    };
-                    let handle = TaskHandle {
-                        seq,
-                        queue: Some(&pipe),
-                    };
-                    let result = catch_unwind(AssertUnwindSafe(|| f(seq, item, &handle)));
-                    let mut st = pipe.lock();
-                    st.running -= 1;
-                    match result {
-                        Ok(r) => {
-                            st.ready.insert(seq, Ok(r));
-                        }
-                        Err(p) => match policy {
-                            PanicPolicy::Propagate => {
-                                st.panic.get_or_insert(p);
-                                pipe.space.notify_all();
-                            }
-                            PanicPolicy::Isolate => {
-                                st.ready.insert(seq, Err(contain(seq, p)));
-                            }
-                        },
-                    }
-                    let idle = st.running == 0 && st.total.is_some();
-                    drop(st);
-                    pipe.ready.notify_all();
-                    if idle {
-                        pipe.work.notify_all();
-                    }
-                });
-            }
-
-            // Consumer: the calling thread pops results in sequence order.
-            let mut next = 0usize;
-            loop {
-                let result = {
-                    let mut st = pipe.lock();
-                    loop {
-                        if st.panic.is_some() {
-                            break None;
-                        }
-                        if let Some(r) = st.ready.remove(&next) {
-                            st.consumed += 1;
-                            break Some(r);
-                        }
-                        if st.total == Some(next) {
-                            break None;
-                        }
-                        st = pipe.ready.wait(st).expect("pipeline state lock");
-                    }
-                };
-                let Some(r) = result else { break };
-                pipe.space.notify_all();
-                if let Err(p) = catch_unwind(AssertUnwindSafe(|| consume(next, r))) {
-                    pipe.lock().panic.get_or_insert(p);
-                    pipe.space.notify_all();
-                    pipe.work.notify_all();
-                    break;
-                }
-                next += 1;
-            }
-            processed = next;
-        });
-
-        let panic = pipe.lock().panic.take();
-        if let Some(p) = panic {
-            resume_unwind(p);
-        }
-        processed
-    }
-}
-
-/// What a pipeline worker took off the shared queue.
-enum Work<T> {
-    /// One index of a published help job.
-    Help(job::Claim),
-    /// A new item and its sequence number.
-    Item(usize, T),
-    /// The stream is finished and no task is running.
-    Done,
-}
-
-/// The one queue of [`Executor::pipeline_ordered_policy`]: produced items,
-/// published help jobs and the reorder buffer share a lock, with one
-/// condition variable per kind of waiter.
-struct Pipe<T, R> {
-    state: Mutex<PipeState<T, R>>,
-    /// Workers wait here for an item, a help job or the end of the stream.
-    work: Condvar,
-    /// The consumer waits here for the next result in order.
-    ready: Condvar,
-    /// The producer waits here for a consumed slot.
-    space: Condvar,
-    /// A task waits here for the indices helpers run of its map.
-    helped: Condvar,
-}
-
-struct PipeState<T, R> {
-    /// Pulled but unclaimed items, in sequence order.
-    items: VecDeque<(usize, T)>,
-    /// Help jobs with indices possibly left, keyed by the owning item.
-    jobs: JobList,
-    /// Items claimed by a worker and not yet finished.
-    running: usize,
-    /// Finished results waiting for the consumer.
-    ready: BTreeMap<usize, Result<R, TaskPanic>>,
-    /// Results handed to the consumer so far.
-    consumed: usize,
-    /// The item count, once the producer is done.
-    total: Option<usize>,
-    /// The panic that tears the pipeline down (a consumer panic, or a
-    /// task panic under `Propagate`).
-    panic: Option<Box<dyn std::any::Any + Send>>,
-}
-
-impl<T, R> Pipe<T, R> {
-    fn lock(&self) -> MutexGuard<'_, PipeState<T, R>> {
-        self.state.lock().expect("pipeline state lock")
-    }
-}
-
-impl<T: Send, R: Send> Queue for Pipe<T, R> {
-    fn publish(&self, seq: usize, job: JobRef) {
-        self.lock().jobs.insert(seq, job);
-        self.work.notify_all();
-    }
-
-    fn retract(&self, seq: usize) {
-        self.lock().jobs.remove(seq);
-    }
-
-    fn wait(&self, done: &dyn Fn() -> bool) {
-        let mut st = self.lock();
-        while !done() {
-            st = self.helped.wait(st).expect("pipeline state lock");
-        }
-    }
-}
-
-/// A running pipeline task's access to the idle workers of its pipeline,
-/// handed to `f` by [`Executor::pipeline_ordered_policy`].
-///
-/// [`map_indexed`](Self::map_indexed) is fork-join work sharing: the
-/// task's thread and any idle worker claim the map's indices one at a
-/// time, and the results come back in index order, so the output is the
-/// serial map's for any thread count or timing.
-pub struct TaskHandle<'a> {
-    seq: usize,
-    /// `None` on a one-thread pipeline, where maps run inline.
-    queue: Option<&'a (dyn Queue + Sync)>,
-}
-
-impl TaskHandle<'_> {
-    /// Maps `f` over `0..n`, running indices on the calling thread and on
-    /// any idle worker of the same pipeline, and returns the results in
-    /// index order. The calling thread takes index 0 and keeps claiming
-    /// until none is left, then waits for the indices helpers are running.
-    /// On a one-thread pipeline, or for `n <= 1`, the map runs inline.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the panic of the lowest index that panicked, after every
-    /// index has finished, so the owning task fails as the serial map
-    /// would (and under [`PanicPolicy::Isolate`] becomes that item's
-    /// `Err(TaskPanic)`).
-    pub fn map_indexed<R, F>(&self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        match self.queue {
-            Some(queue) if n > 1 => job::map_shared(queue, self.seq, n, f),
-            _ => (0..n).map(f).collect(),
-        }
+        self.pool.grow(self.threads);
+        let board = self.pool.board.as_ref();
+        let key = board.next_key.fetch_add(1, Ordering::Relaxed);
+        job::stream_ordered(board, key, capacity.max(1), items, f, consume)
     }
 }
 
@@ -715,7 +380,7 @@ impl Drop for Pool {
     }
 }
 
-/// What a pool's threads share: the published maps and the one condition
+/// What a pool's threads share: the published jobs and the one condition
 /// variable every idle thread sleeps on, whether a worker or a caller
 /// waiting for its map.
 #[derive(Default)]
@@ -729,7 +394,10 @@ struct Board {
 
 #[derive(Default)]
 struct BoardState {
-    jobs: JobList,
+    maps: JobList,
+    /// Pipelines: a worker takes their items only when no map index is
+    /// left, and a caller waiting for its map never takes one.
+    streams: JobList,
     /// Threads asleep on `wake`; nobody is woken when none sleeps.
     sleeping: usize,
     shutdown: bool,
@@ -748,19 +416,21 @@ impl Board {
         st
     }
 
-    /// Runs a claimed index and, if it finished its map, wakes the map's
-    /// caller.
+    /// Runs a claimed index and, if its job's owner may be waiting for it,
+    /// wakes that owner.
     fn run(&self, claim: job::Claim) {
-        if claim.run() && self.lock().sleeping > 0 {
-            self.wake.notify_all();
+        if claim.run() {
+            self.wake_idle();
         }
     }
 
-    /// A worker's life: run claimed indices, else sleep until shutdown.
+    /// A worker's life: run map indices, else stream items, else sleep
+    /// until shutdown.
     fn work(&self) {
+        IS_WORKER.set(true);
         let mut st = self.lock();
         loop {
-            if let Some(claim) = st.jobs.claim() {
+            if let Some(claim) = st.maps.claim().or_else(|| st.streams.claim()) {
                 drop(st);
                 self.run(claim);
                 st = self.lock();
@@ -776,22 +446,28 @@ impl Board {
 impl Queue for Board {
     fn publish(&self, key: usize, job: JobRef) {
         let mut st = self.lock();
-        st.jobs.insert(key, job);
+        if job.is_stream() {
+            st.streams.insert(key, job);
+        } else {
+            st.maps.insert(key, job);
+        }
         if st.sleeping > 0 {
             self.wake.notify_all();
         }
     }
 
     fn retract(&self, key: usize) {
-        self.lock().jobs.remove(key);
+        let mut st = self.lock();
+        st.maps.remove(key);
+        st.streams.remove(key);
     }
 
-    /// Helps other maps while `done` is false, and sleeps when there is
-    /// nothing to help with.
+    /// Helps other maps, never a stream, while `done` is false, and sleeps
+    /// when there is nothing to help with.
     fn wait(&self, done: &dyn Fn() -> bool) {
         let mut st = self.lock();
         while !done() {
-            if let Some(claim) = st.jobs.claim() {
+            if let Some(claim) = st.maps.claim() {
                 drop(st);
                 self.run(claim);
                 st = self.lock();
@@ -800,11 +476,19 @@ impl Queue for Board {
             }
         }
     }
+
+    fn wake_idle(&self) {
+        if self.lock().sleeping > 0 {
+            self.wake.notify_all();
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicBool, AtomicU64};
     use std::sync::mpsc;
     use std::time::Duration;
@@ -1262,99 +946,76 @@ mod tests {
         );
     }
 
+    /// A panicking iterator ends the stream: the items pulled before it are
+    /// consumed, and the panic reaches the caller instead of a hang.
     #[test]
-    fn pipeline_isolate_contains_panics_in_order() {
-        // Under Isolate a panicking task becomes an ordered Err; every
-        // other item — before, after, concurrent — is untouched, and the
-        // consumed stream is identical for any thread count.
-        let run = |threads: usize, capacity: usize| {
-            let mut seen: Vec<(usize, Result<u64, String>)> = Vec::new();
-            let n = Executor::new(threads).pipeline_ordered_policy(
-                PanicPolicy::Isolate,
-                capacity,
-                0..64u64,
-                |i, x, _| {
-                    if i % 13 == 5 {
-                        panic!("isolated boom at {i}");
-                    }
-                    x * 3
-                },
-                |i, r| seen.push((i, r.map_err(|p| p.message))),
-            );
-            assert_eq!(n, 64);
-            seen
-        };
-        let serial = run(1, 4);
-        assert_eq!(serial.len(), 64);
-        for (i, r) in &serial {
-            if i % 13 == 5 {
-                assert_eq!(*r, Err(format!("isolated boom at {i}")));
-            } else {
-                assert_eq!(*r, Ok(*i as u64 * 3));
-            }
+    fn pipeline_propagates_iterator_panics() {
+        for threads in [1, 2, 4] {
+            let mut seen = Vec::new();
+            let items = (0..8usize).inspect(|&i| assert_ne!(i, 3, "iterator boom"));
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                Executor::new(threads).pipeline_ordered(4, items, |_, x| x, |i, _| seen.push(i))
+            }));
+            assert!(result.is_err(), "{threads} threads");
+            assert_eq!(seen, [0, 1, 2], "{threads} threads");
         }
-        for (threads, capacity) in [(2, 1), (3, 4), (8, 64)] {
+    }
+
+    #[test]
+    fn pipeline_reraises_the_lowest_item_panic_after_the_earlier_results() {
+        for threads in 1..=8 {
+            let (tx, rx) = mpsc::channel();
+            let rx = Mutex::new(rx);
+            let mut seen = Vec::new();
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                Executor::new(threads).pipeline_ordered(
+                    32,
+                    0..64usize,
+                    |i, _| match i {
+                        // On several threads, item 5 panics only once item
+                        // 20 is panicking.
+                        5 => {
+                            if threads > 1 {
+                                rx.lock()
+                                    .expect("receiver lock")
+                                    .recv_timeout(WAIT)
+                                    .expect("item 20 panicked first");
+                            }
+                            panic!("boom at {i}");
+                        }
+                        20 => {
+                            let _ = tx.send(());
+                            panic!("boom at {i}");
+                        }
+                        _ => i,
+                    },
+                    |i, r| seen.push((i, r)),
+                )
+            }))
+            .expect_err("two items panic");
             assert_eq!(
-                run(threads, capacity),
-                serial,
-                "{threads} threads / capacity {capacity} diverged under Isolate"
+                panic_message(payload.as_ref()),
+                "boom at 5",
+                "{threads} threads"
             );
+            let earlier: Vec<(usize, usize)> = (0..5).map(|i| (i, i)).collect();
+            assert_eq!(seen, earlier, "{threads} threads");
         }
     }
 
     #[test]
-    fn pipeline_isolate_reports_seq_and_placeholder_payloads() {
-        let mut errs: Vec<TaskPanic> = Vec::new();
-        Executor::new(3).pipeline_ordered_policy(
-            PanicPolicy::Isolate,
-            2,
-            0..8usize,
-            |i, _, _| {
-                if i == 2 {
-                    // A String payload (panic! with formatting).
-                    panic!("string payload {i}");
-                }
-                if i == 5 {
-                    // A non-string payload must not poison the stream.
-                    std::panic::panic_any(42u32);
-                }
-                i
-            },
-            |_, r| {
-                if let Err(p) = r {
-                    errs.push(p);
-                }
-            },
+    fn panic_message_reads_string_payloads_and_names_the_rest() {
+        let payload = |f: fn()| catch_unwind(f).expect_err("the closure panics");
+        let message = |f: fn()| panic_message(payload(f).as_ref());
+        assert_eq!(message(|| panic!("a str payload")), "a str payload");
+        assert_eq!(
+            message(|| panic!("a String payload {}", 2)),
+            "a String payload 2"
         );
-        assert_eq!(errs.len(), 2);
-        assert_eq!(errs[0].seq, 2);
-        assert_eq!(errs[0].message, "string payload 2");
-        assert_eq!(errs[1].seq, 5);
-        assert_eq!(errs[1].message, "non-string panic payload");
-        assert_eq!(errs[0].to_string(), "task 2 panicked: string payload 2");
-    }
-
-    #[test]
-    #[should_panic(expected = "consumer boom under isolate")]
-    fn pipeline_isolate_still_propagates_consumer_panics() {
-        // Isolate contains *task* panics only: the consumer owns the
-        // output stream and nothing can answer for it.
-        Executor::new(4).pipeline_ordered_policy(
-            PanicPolicy::Isolate,
-            4,
-            0..64usize,
-            |_, x, _| x,
-            |i, _| {
-                if i == 3 {
-                    panic!("consumer boom under isolate");
-                }
-            },
+        assert_eq!(
+            message(|| std::panic::panic_any(42u32)),
+            "non-string panic payload"
         );
-    }
-
-    #[test]
-    fn panic_policy_defaults_to_propagate() {
-        assert_eq!(PanicPolicy::default(), PanicPolicy::Propagate);
     }
 
     /// A map whose index 0 blocks until index 1 has run: it completes
@@ -1362,16 +1023,16 @@ mod tests {
     /// index 0 (a serial map would time out in index 0).
     #[test]
     fn task_map_runs_on_the_idle_worker_beside_its_owner() {
+        let exec = Executor::new(2);
         let mut seen = Vec::new();
-        Executor::new(2).pipeline_ordered_policy(
-            PanicPolicy::Propagate,
+        exec.pipeline_ordered(
             1,
             std::iter::once(()),
-            |_, (), handle| {
+            |_, ()| {
                 let owner = std::thread::current().id();
                 let (tx, rx) = mpsc::channel();
                 let rx = Mutex::new(rx);
-                let ran_on = handle.map_indexed(2, move |i| {
+                let ran_on = exec.par_map_range(2, move |i| {
                     if i == 0 {
                         rx.lock()
                             .expect("receiver lock")
@@ -1384,7 +1045,7 @@ mod tests {
                 });
                 (owner, ran_on)
             },
-            |_, r| seen.push(r.expect("no task panics")),
+            |_, r| seen.push(r),
         );
         let (owner, ran_on) = &seen[0];
         assert_eq!(ran_on[0], *owner, "index 0 stays on the owning worker");
@@ -1397,21 +1058,21 @@ mod tests {
     /// worker comes free, and item 2 must find the map's index 1 done.
     #[test]
     fn idle_workers_help_before_taking_new_items() {
+        let exec = Executor::new(2);
         let (published_tx, published_rx) = mpsc::channel();
         let published_rx = Mutex::new(published_rx);
         let helped = Arc::new(AtomicBool::new(false));
         let mut seen = Vec::new();
-        Executor::new(2).pipeline_ordered_policy(
-            PanicPolicy::Propagate,
+        exec.pipeline_ordered(
             8,
             0..3usize,
-            |seq, _, handle| match seq {
+            |seq, _| match seq {
                 0 => {
                     let (tx, rx) = mpsc::channel();
                     let rx = Mutex::new(rx);
                     let published = published_tx.clone();
                     let helped = Arc::clone(&helped);
-                    handle.map_indexed(2, move |i| {
+                    exec.par_map_range(2, move |i| {
                         if i == 0 {
                             published.send(()).expect("item 1 is listening");
                             rx.lock()
@@ -1435,13 +1096,124 @@ mod tests {
                 }
                 _ => helped.load(Ordering::SeqCst),
             },
-            |_, r| seen.push(r.expect("no task panics")),
+            |_, r| seen.push(r),
         );
         assert_eq!(
             seen,
             [true, true, true],
             "item 2 started before the help job"
         );
+    }
+
+    /// Item 0's map holds index 1 on the other worker until item 1 has
+    /// been pulled, and 50 ms more. Item 0's thread, waiting for that index,
+    /// must not start item 1 meanwhile: a waiting owner runs only maps.
+    #[test]
+    fn a_task_waiting_for_its_map_never_starts_a_new_item() {
+        let exec = Executor::new(2);
+        // Index 0 and index 1 of item 0's map, and the reader about to
+        // pull item 1: index 1 is then running on the other worker.
+        let meet = Rendezvous::new(3);
+        let owner = Mutex::new(None);
+        let returned = AtomicBool::new(false);
+        let mut early = Vec::new();
+        let items = (0..2usize).inspect(|&i| {
+            if i == 1 {
+                meet.arrive();
+            }
+        });
+        exec.pipeline_ordered(
+            8,
+            items,
+            |seq, _| {
+                let me = std::thread::current().id();
+                if seq == 1 {
+                    let owner = *owner.lock().expect("owner lock");
+                    return owner == Some(me) && !returned.load(Ordering::SeqCst);
+                }
+                *owner.lock().expect("owner lock") = Some(me);
+                exec.par_map_range(2, |i| {
+                    meet.arrive();
+                    if i == 1 {
+                        std::thread::sleep(Duration::from_millis(50));
+                    }
+                });
+                returned.store(true, Ordering::SeqCst);
+                false
+            },
+            |_, r| early.push(r),
+        );
+        assert_eq!(early, [false, false], "item 1 started on the waiting owner");
+    }
+
+    #[test]
+    fn a_pipeline_and_its_nested_maps_share_threads_workers() {
+        let consumer = std::thread::current().id();
+        for threads in 2..=4 {
+            let exec = Executor::new(threads);
+            let ran_on = Mutex::new(HashSet::new());
+            let record = |spin: u64| {
+                let mut acc = spin;
+                for k in 0..spin {
+                    acc = std::hint::black_box(acc.wrapping_mul(31).wrapping_add(k));
+                }
+                let id = std::thread::current().id();
+                ran_on.lock().expect("thread set lock").insert(id);
+                acc
+            };
+            exec.pipeline_ordered(
+                8,
+                0..64u64,
+                |_, x| {
+                    record(100);
+                    exec.par_map_range(8, |i| record(x * 8 + i as u64))
+                },
+                |_, _| {},
+            );
+            let ran_on = ran_on.into_inner().expect("thread set lock");
+            assert!(
+                !ran_on.contains(&consumer),
+                "{threads} threads: the consumer ran work"
+            );
+            assert!(
+                ran_on.len() <= threads,
+                "{threads} threads: {} threads ran work",
+                ran_on.len()
+            );
+        }
+    }
+
+    /// Nested pipelines would leave no worker to run the inner items if
+    /// every worker waited as an inner consumer; a worker runs its inner
+    /// pipeline inline instead.
+    #[test]
+    fn a_pipeline_inside_a_pipeline_item_runs_inline() {
+        for threads in 1..=4 {
+            let exec = Executor::new(threads);
+            let mut sums = Vec::new();
+            exec.pipeline_ordered(
+                4,
+                0..8u64,
+                |_, x| {
+                    let item_thread = std::thread::current().id();
+                    let mut inline = true;
+                    let mut sum = 0;
+                    exec.pipeline_ordered(
+                        4,
+                        0..8u64,
+                        |_, y| (x * 8 + y, std::thread::current().id()),
+                        |_, (r, id)| {
+                            sum += r;
+                            inline &= id == item_thread;
+                        },
+                    );
+                    (sum, inline)
+                },
+                |_, r| sums.push(r),
+            );
+            let expected: Vec<(u64, bool)> = (0..8).map(|x| (64 * x + 28, true)).collect();
+            assert_eq!(sums, expected, "{threads} threads");
+        }
     }
 
     #[test]
@@ -1456,13 +1228,13 @@ mod tests {
         };
         for threads in 1..=4 {
             for n in 0..=20 {
+                let exec = Executor::new(threads);
                 let mut got = Vec::new();
-                Executor::new(threads).pipeline_ordered_policy(
-                    PanicPolicy::Propagate,
+                exec.pipeline_ordered(
                     3,
                     0..4u64,
-                    |_, x, handle| handle.map_indexed(n, move |i| work(x, i)),
-                    |_, r| got.push(r.expect("no task panics")),
+                    |_, x| exec.par_map_range(n, move |i| work(x, i)),
+                    |_, r| got.push(r),
                 );
                 let serial: Vec<Vec<u64>> = (0..4)
                     .map(|x| (0..n).map(|i| work(x, i)).collect())
@@ -1474,20 +1246,22 @@ mod tests {
 
     /// Item 1's map panics in index 1, which runs on the idle worker
     /// (index 0 waits for it); the other items map without panicking.
-    fn shared_index_panic(policy: PanicPolicy) -> Vec<(usize, Result<usize, String>)> {
+    /// With `contain`, each item catches its own panic, as `dvafs serve`
+    /// does.
+    fn shared_index_panic(contain: bool) -> Vec<(usize, Result<usize, String>)> {
+        let exec = Executor::new(2);
         let mut seen = Vec::new();
-        Executor::new(2).pipeline_ordered_policy(
-            policy,
+        exec.pipeline_ordered(
             2,
             0..4usize,
-            |seq, _, handle| {
-                if seq != 1 {
-                    return handle.map_indexed(2, |i| i).len();
-                }
-                let (tx, rx) = mpsc::channel();
-                let rx = Mutex::new(rx);
-                handle
-                    .map_indexed(2, move |i| {
+            |seq, _| {
+                let item = || {
+                    if seq != 1 {
+                        return exec.par_map_range(2, |i| i).len();
+                    }
+                    let (tx, rx) = mpsc::channel();
+                    let rx = Mutex::new(rx);
+                    exec.par_map_range(2, move |i| {
                         if i == 0 {
                             rx.lock()
                                 .expect("receiver lock")
@@ -1500,8 +1274,14 @@ mod tests {
                         i
                     })
                     .len()
+                };
+                if contain {
+                    catch_unwind(AssertUnwindSafe(item)).map_err(|p| panic_message(p.as_ref()))
+                } else {
+                    Ok(item())
+                }
             },
-            |seq, r| seen.push((seq, r.map_err(|p| p.message))),
+            |seq, r| seen.push((seq, r)),
         );
         seen
     }
@@ -1509,7 +1289,7 @@ mod tests {
     #[test]
     fn shared_index_panic_is_the_owning_items_err_under_isolate() {
         assert_eq!(
-            shared_index_panic(PanicPolicy::Isolate),
+            shared_index_panic(true),
             [
                 (0, Ok(2)),
                 (1, Err("shared boom at index 1".to_string())),
@@ -1522,26 +1302,29 @@ mod tests {
     #[test]
     #[should_panic(expected = "shared boom at index 1")]
     fn shared_index_panic_propagates_under_propagate() {
-        shared_index_panic(PanicPolicy::Propagate);
+        shared_index_panic(false);
     }
 
     #[test]
     fn task_map_reraises_the_lowest_index_panic() {
         for threads in 1..=4 {
+            let exec = Executor::new(threads);
             let mut errs = Vec::new();
-            Executor::new(threads).pipeline_ordered_policy(
-                PanicPolicy::Isolate,
+            exec.pipeline_ordered(
                 2,
                 0..3usize,
-                |_, _, handle| {
-                    handle.map_indexed(6, |i| {
-                        if i == 2 || i == 4 {
-                            panic!("boom at index {i}");
-                        }
-                        i
-                    })
+                |_, _| {
+                    let map = || {
+                        exec.par_map_range(6, |i| {
+                            if i == 2 || i == 4 {
+                                panic!("boom at index {i}");
+                            }
+                            i
+                        })
+                    };
+                    catch_unwind(AssertUnwindSafe(map)).map_err(|p| panic_message(p.as_ref()))
                 },
-                |_, r| errs.push(r.expect_err("index 2 panics").message),
+                |_, r| errs.push(r.expect_err("index 2 panics")),
             );
             assert_eq!(errs, ["boom at index 2"; 3], "{threads} threads");
         }
@@ -1550,13 +1333,13 @@ mod tests {
     #[test]
     fn task_map_runs_inline_at_one_thread() {
         let caller = std::thread::current().id();
+        let exec = Executor::serial();
         let mut ran_on = Vec::new();
-        Executor::serial().pipeline_ordered_policy(
-            PanicPolicy::Propagate,
+        exec.pipeline_ordered(
             4,
             0..3usize,
-            |_, _, handle| handle.map_indexed(5, |_| std::thread::current().id()),
-            |_, r| ran_on.extend(r.expect("no task panics")),
+            |_, _| exec.par_map_range(5, |_| std::thread::current().id()),
+            |_, r| ran_on.extend(r),
         );
         assert_eq!(ran_on.len(), 15);
         assert!(ran_on.iter().all(|&id| id == caller));
