@@ -149,13 +149,16 @@ impl Executor {
     /// hard-errors on in the CLI) is **rejected, not coerced**: the
     /// executor falls back to host parallelism and says so on stderr, so
     /// a typo in the environment never silently serializes a sweep or
-    /// silently picks a worker count the caller did not ask for.
+    /// silently picks a worker count the caller did not ask for. The
+    /// warning is printed at most once per process, however many
+    /// executors are built from the environment.
     #[must_use]
     pub fn from_env() -> Self {
+        static WARNED: std::sync::Once = std::sync::Once::new();
         let var = std::env::var(THREADS_ENV).ok();
         let (threads, warning) = threads_from_env_value(var.as_deref());
         if let Some(w) = warning {
-            eprintln!("dvafs-executor: {w}");
+            WARNED.call_once(|| eprintln!("dvafs-executor: {w}"));
         }
         Executor::new(threads)
     }

@@ -7,10 +7,12 @@
 //!
 //! * [`NnKernel::Naive`] — the original 7-deep convolution loop (and the
 //!   2-deep dense loop), retained verbatim as the **reference oracle**;
-//! * [`NnKernel::GemmPacked`] — the default: each sample's quantized
-//!   activations are copied once into a zero-bordered, channel-interleaved
-//!   buffer of lanes ([`Scratch`]), and every im2col row is cut from it
-//!   with `k` contiguous copies into a panel that is *subword-packed* (the
+//! * [`NnKernel::GemmPacked`] — the default: each sample is quantized
+//!   straight from its `f32` planes into a zero-bordered,
+//!   channel-interleaved buffer of lanes ([`Scratch`]; the rounding
+//!   kernel and its tiers are in [`crate::quant`]), and every im2col row
+//!   is cut from it with `k` contiguous copies into a panel that is
+//!   *subword-packed* (the
 //!   paper's Section II-C move in software) and consumed by the packed
 //!   GEMM of [`dvafs_simd::gemm`] with exact accumulation. Each side
 //!   independently selects the most-parallel [`SubwordMode`] its bit
@@ -36,11 +38,10 @@
 //! representation (the `Naive == GemmPacked` property tests pin both).
 //! Only wall time changes.
 
-use crate::quant::QuantizedTensor;
 use dvafs_arith::{Precision, SubwordMode};
 use dvafs_simd::gemm::PackedPanel;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Selects the MAC kernel conv/dense layers execute on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -102,8 +103,9 @@ pub struct Scratch {
     pub(crate) packed: PackedPanel,
     /// One sample's quantized input as lanes at the activation mode's
     /// width, zero-bordered by the layer's padding and channel-interleaved
-    /// (a pixel's channels adjacent), that the conv fill cuts its rows
-    /// from.
+    /// (a pixel's channels adjacent), written by the rounding kernel
+    /// straight from the sample's `f32` planes; the conv fill cuts its
+    /// rows from it.
     pub(crate) padded: Vec<u8>,
     /// `X4` activations staged one lane per byte (one conv sample's
     /// block of rows, or one dense row) before they are packed two lanes
@@ -225,95 +227,6 @@ impl fmt::Debug for WeightCache {
     }
 }
 
-/// Memoized activation quantizations keyed by `(slot, bits)` — the
-/// activation-side mirror of [`WeightCache`].
-///
-/// A precision scan re-quantizes the *same* input activation at the same
-/// bit width many times (the weight-operand scan of one layer holds
-/// `abits` at full precision across every candidate weight width);
-/// quantization is a pure function of `(input, bits)`
-/// (property-tested in [`crate::quant`]), so it is computed once per key.
-/// The caller maps `slot` to a sample index for a fixed layer — the
-/// incremental precision search creates one cache per layer scan, so the
-/// effective key is `(sample, layer, abits)`.
-///
-/// The same discipline as [`WeightCache`]: bit widths are bounded
-/// (`1..=16`), so each slot is one `OnceLock` per width — hits on the
-/// parallel scan path are lock-free reads, a cold quantization runs
-/// `get_or_init` (racing duplicates are pure and harmless, one winner is
-/// kept) — and staleness is handled by ownership: the cache lives no
-/// longer than the scan of one layer over one immutable network, and
-/// [`invalidate`](Self::invalidate) (requiring `&mut self`, like
-/// `WeightCache::invalidate`) drops every memo when the cached inputs are
-/// replaced.
-#[derive(Default)]
-pub struct ActivationCache {
-    slots: Vec<[OnceLock<Arc<QuantizedTensor>>; 16]>,
-}
-
-impl ActivationCache {
-    /// A cache with `slots` entries (one per sample of the scanned set),
-    /// all cold.
-    #[must_use]
-    pub fn new(slots: usize) -> Self {
-        ActivationCache {
-            slots: (0..slots)
-                .map(|_| std::array::from_fn(|_| OnceLock::new()))
-                .collect(),
-        }
-    }
-
-    /// The memoized quantization for `(slot, bits)` (`bits` in `1..=16`),
-    /// quantizing on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `slot` is out of range or `bits` outside `1..=16`.
-    pub fn get_or_quantize(
-        &self,
-        slot: usize,
-        bits: u32,
-        quantize: impl FnOnce() -> QuantizedTensor,
-    ) -> Arc<QuantizedTensor> {
-        assert!((1..=16).contains(&bits), "bits {bits} outside 1..=16");
-        self.slots[slot][bits as usize - 1]
-            .get_or_init(|| Arc::new(quantize()))
-            .clone()
-    }
-
-    /// Drops every memoized quantization (the cached inputs changed).
-    /// Requires `&mut self`, so no reader can observe a half-cleared cache.
-    pub fn invalidate(&mut self) {
-        for slot in &mut self.slots {
-            for cell in slot {
-                let _ = cell.take();
-            }
-        }
-    }
-
-    /// Number of memoized `(slot, bits)` entries (test hook).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.slots
-            .iter()
-            .flat_map(|s| s.iter())
-            .filter(|cell| cell.get().is_some())
-            .count()
-    }
-
-    /// Whether nothing is memoized yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl fmt::Debug for ActivationCache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ActivationCache({} slots)", self.slots.len())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,63 +260,6 @@ mod tests {
         assert_eq!(mode_for_bits(4), SubwordMode::X4);
         assert_eq!(mode_for_bits(8), SubwordMode::X2);
         assert_eq!(mode_for_bits(16), SubwordMode::X1);
-    }
-
-    #[test]
-    fn activation_cache_quantizes_once_per_key_and_invalidates() {
-        use crate::tensor::Tensor;
-        let mut cache = ActivationCache::new(2);
-        let t = Tensor::random(1, 3, 3, 5);
-        let mut quantizations = 0;
-        for (slot, bits) in [(0usize, 8u32), (0, 8), (1, 8), (0, 4), (1, 8)] {
-            let q = cache.get_or_quantize(slot, bits, || {
-                quantizations += 1;
-                QuantizedTensor::quantize(&t, bits).expect("valid bits")
-            });
-            assert_eq!(q.bits, bits);
-        }
-        assert_eq!(quantizations, 3, "one quantization per distinct key");
-        assert_eq!(cache.len(), 3);
-        cache.invalidate();
-        assert!(cache.is_empty());
-        assert!(format!("{cache:?}").contains("ActivationCache"));
-    }
-
-    /// Parallel-path hits are lock-free `OnceLock` reads: eight workers
-    /// hammering the same `(slot, bits)` keys must agree bit-for-bit with
-    /// a serial fill (no result drift), and every hit after the first
-    /// returns the same memoized allocation (no re-quantization).
-    #[test]
-    fn activation_cache_hits_are_lock_free_under_parallel_scan() {
-        use crate::tensor::Tensor;
-        use dvafs_executor::Executor;
-        let samples: Vec<Tensor> = (0..6).map(|s| Tensor::random(1, 4, 4, s)).collect();
-        let cache = ActivationCache::new(samples.len());
-        // 8 workers × (sample × bits) grid, every key claimed many times.
-        let work: Vec<(usize, u32)> = (0..samples.len())
-            .flat_map(|s| (1u32..=16).map(move |b| (s, b)))
-            .cycle()
-            .take(6 * 16 * 4)
-            .collect();
-        let parallel = Executor::new(8).par_map_indexed(&work, |_, &(slot, bits)| {
-            let q = cache.get_or_quantize(slot, bits, || {
-                QuantizedTensor::quantize(&samples[slot], bits).expect("valid bits")
-            });
-            (q.data.clone(), q.scale.to_bits())
-        });
-        for (&(slot, bits), (data, scale)) in work.iter().zip(&parallel) {
-            let oracle = QuantizedTensor::quantize(&samples[slot], bits).expect("valid bits");
-            assert_eq!(data, &oracle.data, "slot {slot} bits {bits} drifted");
-            assert_eq!(*scale, oracle.scale.to_bits());
-        }
-        assert_eq!(cache.len(), 6 * 16, "every key memoized exactly once");
-    }
-
-    #[test]
-    #[should_panic(expected = "outside 1..=16")]
-    fn activation_cache_rejects_invalid_bits() {
-        let cache = ActivationCache::new(1);
-        let _ = cache.get_or_quantize(0, 17, || unreachable!("validated first"));
     }
 
     #[test]

@@ -13,19 +13,35 @@
 //! sample ([`NnKernel::Naive`], the reference oracle), or the default
 //! subword-packed GEMM ([`NnKernel::GemmPacked`]), which fills one packed
 //! activation panel for the whole batch in place, whole row by whole row,
-//! and multiplies it once. A conv sample is first copied into a
-//! zero-bordered, channel-interleaved (HWC) buffer of lanes at the
-//! activation width, so each row — its window in `(ky, kx, ci)` order,
-//! the order the weight panel is packed in — is `k` contiguous runs of
-//! `k*c` lanes. Accumulation is exact in `i64`, and an exact dot product
-//! does not depend on the order of its terms, so both kernels produce
-//! byte-identical outputs and statistics.
+//! and multiplies it once. A conv sample is quantized straight from its
+//! `f32` planes into a zero-bordered, channel-interleaved (HWC) buffer of
+//! lanes at the activation width, in one call of the crate's rounding
+//! kernel ([`crate::quant`]) that reads each row's `w*c` values in HWC
+//! order (2 to 4 planes interleaved in registers, more through a gather
+//! table) and counts the zero activations as it writes them. Each im2col
+//! row — its window in `(ky, kx, ci)` order, the order the weight panel
+//! is packed in — is then `k` contiguous runs of `k*c` lanes. A dense
+//! sample is quantized straight into its panel row. No per-sample
+//! [`QuantizedTensor`] is built on this path; the naive kernel still
+//! quantizes with [`QuantizedTensor::quantize`]. Accumulation is exact in
+//! `i64`, and an exact dot product does not depend on the order of its
+//! terms, so both kernels produce byte-identical outputs and statistics.
+//!
+//! The passes around the GEMM have vector tiers too, picked at run time
+//! on AVX-512 (`avx512f`, `avx512dq`, `avx512vl`) hosts: the slice-back
+//! `(acc as f64 * scale + bias) as f32` (`vcvtqq2pd`, then the same
+//! multiply, add and narrowing as the scalar expression), max pooling
+//! (16 outputs at a time across rows and planes, one gather per tap,
+//! with the NaN and signed-zero rule of the per-tap `f32::max` fold), and
+//! ReLU (the same clamp compiled for AVX-512). Elsewhere they run the
+//! scalar loops, which stay the oracles.
+//! Within a network forward, ReLU clamps the chunk in place.
 
 use crate::error::NnError;
 use crate::kernel::{
     mode_for_bits, with_thread_scratch, NnKernel, PackedWeights, Scratch, WeightCache,
 };
-use crate::quant::QuantizedTensor;
+use crate::quant::{self, Gather, Lanes, Out, QuantizedTensor, Tier};
 use crate::tensor::Tensor;
 use dvafs_arith::SubwordMode;
 use dvafs_simd::gemm;
@@ -47,16 +63,6 @@ fn lane_bytes(mode: SubwordMode) -> usize {
     } else {
         1
     }
-}
-
-/// Writes grid values as `L`-byte lanes ([`lane_bytes`]) to the front of
-/// `dst` and zeros to its end.
-fn put_lanes<const L: usize>(src: &[i16], dst: &mut [u8]) {
-    let (lanes, tail) = dst.split_at_mut(src.len() * L);
-    for (lane, &q) in lanes.chunks_exact_mut(L).zip(src) {
-        lane.copy_from_slice(&q.to_le_bytes()[..L]);
-    }
-    tail.fill(0);
 }
 
 /// Copies `src` to the front of `dst`. Runs up to 64 bytes, the window
@@ -423,43 +429,66 @@ impl Conv2d {
         cover
     }
 
-    /// Copies one sample's CHW grid into `padded` as zero-bordered,
-    /// channel-interleaved (HWC) lanes of `L` bytes ([`lane_bytes`]): the
-    /// `c` channels of pixel `(y, x)` of the bordered input are adjacent,
-    /// at lanes `(y*wp + x)*c ..`, written pixel by pixel as one run read
-    /// a plane apart. Returns the sample's zero-activation count: `cover`
-    /// is the per-axis tap coverage ([`axis_cover`](Self::axis_cover)),
-    /// so a zero feeding `cover_y[y] * cover_x[x]` slots counts that many
-    /// guarded MACs — the same total the naive loop reaches tap by tap (a
-    /// padding tap is a skipped MAC, not a zero operand).
-    fn fill_padded<const L: usize>(
+    /// The plan of one batch's fused activation fill
+    /// ([`fill_padded`](Self::fill_padded)) for `(c, h, w)` inputs.
+    fn fill_plan(&self, (c, h, w): (usize, usize, usize)) -> FillPlan {
+        let (oh, ow) = self.out_hw(h, w);
+        let cover_x = self.axis_cover(ow, w);
+        FillPlan {
+            gather: (c > 1).then(|| Gather::interleave(c, h * w, w)),
+            weight: (0..w * c).map(|j| cover_x[j / c]).collect(),
+            cover_y: self.axis_cover(oh, h),
+        }
+    }
+
+    /// Quantizes one CHW sample straight into `padded` as zero-bordered,
+    /// channel-interleaved (HWC) lanes of `lane` bytes ([`lane_bytes`]):
+    /// the `c` channels of pixel `(y, x)` of the bordered input are
+    /// adjacent, at lanes `(y*wp + x)*c ..`. The whole sample is one call
+    /// of the rounding kernel on `tier`, at the sample's `scale`: each
+    /// input row reads its `w*c` values through the plan's interleaving
+    /// gather table (in place for one channel) and lands between its
+    /// row's margins; only the border is zeroed besides. Returns the
+    /// sample's zero-activation count: a zero at `(y, x)` feeds
+    /// `cover_y[y] * cover_x[x]` im2col slots
+    /// ([`axis_cover`](Self::axis_cover)), so it counts that many guarded
+    /// MACs — the same total the naive loop reaches tap by tap (a padding
+    /// tap is a skipped MAC, not a zero operand).
+    fn fill_padded(
         &self,
-        qa: &QuantizedTensor,
-        (cover_y, cover_x): (&[u64], &[u64]),
+        tier: Tier,
+        x: &Tensor,
+        (scale, qmax): (f64, i32),
+        plan: &FillPlan,
+        lane: usize,
         padded: &mut Vec<u8>,
     ) -> u64 {
-        let (c, h, w) = qa.shape;
+        let (c, h, w) = x.shape();
         let p = self.padding;
-        let wp = w + 2 * p;
-        let pixel = c * L;
-        padded.clear();
-        padded.resize((h + 2 * p) * wp * pixel, 0);
-        let mut zero_acts = 0u64;
-        for (y, &cy) in cover_y.iter().enumerate() {
-            let dst = &mut padded[((y + p) * wp + p) * pixel..][..w * pixel];
-            let mut zeros = 0u64;
-            for (x, (px, &cx)) in dst.chunks_exact_mut(pixel).zip(cover_x).enumerate() {
-                let column = qa.data[y * w + x..].iter().step_by(h * w);
-                let mut pixel_zeros = 0u64;
-                for (lane, &q) in px.chunks_exact_mut(L).zip(column) {
-                    lane.copy_from_slice(&q.to_le_bytes()[..L]);
-                    pixel_zeros += u64::from(q == 0);
-                }
-                zeros += pixel_zeros * cx;
-            }
-            zero_acts += zeros * cy;
+        let pixel = c * lane;
+        let row_bytes = (w + 2 * p) * pixel;
+        padded.resize((h + 2 * p) * row_bytes, 0);
+        let (top, rest) = padded.split_at_mut(p * row_bytes);
+        let (rows, bottom) = rest.split_at_mut(h * row_bytes);
+        top.fill(0);
+        bottom.fill(0);
+        for row in rows.chunks_exact_mut(row_bytes) {
+            row[..p * pixel].fill(0);
+            row[(p + w) * pixel..].fill(0);
         }
-        zero_acts
+        if h == 0 {
+            return 0;
+        }
+        let src = x.as_slice();
+        let values = match &plan.gather {
+            None => Lanes::prefix(src, w),
+            Some(g) => Lanes::gathered(src, g),
+        };
+        let values = values
+            .weighted(&plan.weight)
+            .rows((w, row_bytes / lane), &plan.cover_y);
+        let out = Out::Lanes(&mut rows[p * pixel..], lane);
+        quant::round_lanes(tier, values, scale, qmax, out)
     }
 
     /// Cuts one sample's im2col rows from its HWC lanes `padded`
@@ -537,63 +566,62 @@ impl Conv2d {
         )
     }
 
-    /// Executes the convolution on a batch of already-quantized inputs —
-    /// the one conv entry point of every forward. The naive kernel runs
-    /// its scalar loop sample by sample; the packed kernel runs **one
-    /// wide GEMM** ([`forward_packed`](Self::forward_packed)). Both are
-    /// exact, so outputs and statistics are bit-identical across kernels
-    /// and batch sizes. A batch of mixed grid geometry runs as batches of
-    /// one.
-    ///
-    /// # Errors
-    ///
-    /// [`NnError::ShapeMismatch`] for the first input that does not fit,
-    /// and [`NnError::InvalidBits`] for `wbits` outside `1..=16`.
-    pub(crate) fn forward_quant_batch(
+    /// The packed kernel on a batch of inputs that passed the shape check
+    /// and pass 1 of the quantizer (`scales`, one per sample): one wide
+    /// GEMM ([`forward_packed`](Self::forward_packed)), or batches of one
+    /// when the samples differ in geometry.
+    fn forward_packed_batch(
         &self,
-        qas: &[&QuantizedTensor],
-        wbits: u32,
-        kernel: NnKernel,
+        inputs: &[Tensor],
+        scales: &[f64],
+        (wbits, abits): (u32, u32),
         scratch: &mut Scratch,
     ) -> Result<Vec<(Tensor, LayerStats)>, NnError> {
-        for qa in qas {
-            self.check_shape(qa.shape)?;
+        let tier = Tier::best();
+        if inputs.iter().all(|x| x.shape() == inputs[0].shape()) {
+            return self.forward_packed(inputs, scales, (wbits, abits), tier, scratch);
         }
-        let uniform = qas
+        inputs
             .iter()
-            .all(|qa| qa.shape == qas[0].shape && qa.bits == qas[0].bits);
-        match kernel {
-            NnKernel::Naive => qas.iter().map(|qa| self.forward_naive(qa, wbits)).collect(),
-            NnKernel::GemmPacked if uniform => self.forward_packed(qas, wbits, scratch),
-            NnKernel::GemmPacked => qas
-                .iter()
-                .map(|qa| single(self.forward_packed(&[qa], wbits, scratch)))
-                .collect(),
-        }
+            .zip(scales)
+            .map(|(x, &scale)| {
+                single(self.forward_packed(
+                    std::slice::from_ref(x),
+                    &[scale],
+                    (wbits, abits),
+                    tier,
+                    scratch,
+                ))
+            })
+            .collect()
     }
 
-    /// The packed kernel on a batch of same-geometry inputs: each
-    /// sample's im2col panel becomes `n` extra rows of a shared
-    /// `(B·n) x k` activation panel, so the packed weight panel streams
-    /// through cache once per batch instead of once per sample. Every
-    /// output element is still an independent exact-`i64` dot product
-    /// over the same operands as [`forward_naive`](Self::forward_naive).
+    /// The packed kernel on a batch of same-geometry inputs, with the
+    /// activation passes on `tier`: each sample is quantized at `abits`
+    /// (with its pass-1 scale) straight into its lanes, and its im2col
+    /// panel becomes `n` extra rows of a shared `(B·n) x k` activation
+    /// panel, so the packed weight panel streams through cache once per
+    /// batch instead of once per sample. Every output element is still an
+    /// independent exact-`i64` dot product over the same operands as
+    /// [`forward_naive`](Self::forward_naive).
     fn forward_packed(
         &self,
-        qas: &[&QuantizedTensor],
-        wbits: u32,
+        inputs: &[Tensor],
+        scales: &[f64],
+        (wbits, abits): (u32, u32),
+        tier: Tier,
         scratch: &mut Scratch,
     ) -> Result<Vec<(Tensor, LayerStats)>, NnError> {
-        let Some(first) = qas.first() else {
+        let Some(first) = inputs.first() else {
             return Ok(Vec::new());
         };
         let pw = self.packed_weights(wbits)?;
-        let (_, h, w) = first.shape;
+        let (_, h, w) = first.shape();
         let (oh, ow) = self.out_hw(h, w);
         let f = self.out_channels;
         let klen = self.in_channels * self.kernel * self.kernel;
         let n = oh * ow;
-        let b = qas.len();
+        let b = inputs.len();
         let total = b * n;
 
         // One concatenated panel: sample `si` owns rows `si*n..(si+1)*n`.
@@ -612,18 +640,19 @@ impl Conv2d {
         // im2col writes the wide panel directly at the activation mode's
         // lane geometry, every byte of every row — no i16 staging panel
         // and no repack pass.
-        let cover = (self.axis_cover(oh, h), self.axis_cover(ow, w));
-        let cover = (cover.0.as_slice(), cover.1.as_slice());
-        let mode = mode_for_bits(first.bits);
+        let plan = self.fill_plan(first.shape());
+        let mode = mode_for_bits(abits);
+        let grid = quant::grid_max(abits);
         let (bytes, row_bytes) = packed.begin_fill(total, klen, mode);
         let mut zero_acts = Vec::with_capacity(b);
-        for (qa, block) in qas.iter().zip(bytes.chunks_exact_mut(n * row_bytes)) {
-            zero_acts.push(if mode == SubwordMode::X1 {
-                self.fill_padded::<2>(qa, cover, padded)
-            } else {
-                self.fill_padded::<1>(qa, cover, padded)
-            });
-            self.cut_rows(mode, qa.shape, (padded, stage), block, row_bytes);
+        for ((x, &scale), block) in inputs
+            .iter()
+            .zip(scales)
+            .zip(bytes.chunks_exact_mut(n * row_bytes))
+        {
+            let lane = lane_bytes(mode);
+            zero_acts.push(self.fill_padded(tier, x, (scale, grid), &plan, lane, padded));
+            self.cut_rows(mode, x.shape(), (padded, stage), block, row_bytes);
         }
         // Symmetric grids stop at `±(2^(b-1) - 1)`, inside every lane
         // range, so no activation lane holds the mode's most negative
@@ -636,17 +665,12 @@ impl Conv2d {
         // sample `si` lives at `acc[fi*total + si*n ..][..n]`. The scale
         // stays per-sample (per-tensor quantization grids).
         let mut results = Vec::with_capacity(b);
-        for (si, qa) in qas.iter().enumerate() {
-            let scale = qa.scale * pw.scale;
-            let mut data = Vec::with_capacity(f * n);
-            for fi in 0..f {
+        for (si, &scale) in scales.iter().enumerate() {
+            let scale = scale * pw.scale;
+            let mut data = vec![0f32; f * n];
+            for (fi, out) in data.chunks_exact_mut(n.max(1)).enumerate().take(f) {
                 let bias = f64::from(self.bias[fi]);
-                let acc_row = &acc[fi * total + si * n..][..n];
-                data.extend(
-                    acc_row
-                        .iter()
-                        .map(|&acc| (acc as f64 * scale + bias) as f32),
-                );
+                slice_back(tier, &acc[fi * total + si * n..][..n], scale, bias, out);
             }
             let stats = LayerStats {
                 macs,
@@ -822,51 +846,27 @@ impl Dense {
         }))
     }
 
-    /// Executes the layer on a batch of already-quantized inputs (see
-    /// [`Conv2d::forward_quant_batch`]). The packed kernel runs one
-    /// `outputs x inputs x B` GEMM: each sample's activation vector is
-    /// one row of a shared `B x inputs` right-hand panel, so the packed
-    /// weight rows stream once per batch.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Conv2d::forward_quant_batch`].
-    pub(crate) fn forward_quant_batch(
-        &self,
-        qas: &[&QuantizedTensor],
-        wbits: u32,
-        kernel: NnKernel,
-        scratch: &mut Scratch,
-    ) -> Result<Vec<(Tensor, LayerStats)>, NnError> {
-        for qa in qas {
-            self.check_shape(qa.shape)?;
-        }
-        let uniform = qas.iter().all(|qa| qa.bits == qas[0].bits);
-        match kernel {
-            NnKernel::Naive => qas.iter().map(|qa| self.forward_naive(qa, wbits)).collect(),
-            NnKernel::GemmPacked if uniform => self.forward_packed(qas, wbits, scratch),
-            NnKernel::GemmPacked => qas
-                .iter()
-                .map(|qa| single(self.forward_packed(&[qa], wbits, scratch)))
-                .collect(),
-        }
-    }
-
-    /// The packed kernel on a batch of inputs sharing one activation
-    /// width. Every weight is consumed exactly once per sample and every
-    /// activation once per output row, so the guard-skip counters are the
-    /// packed zero counts directly.
+    /// The packed kernel on a batch of inputs that passed the shape check
+    /// and pass 1 of the quantizer (`scales`, one per sample), with the
+    /// activation passes on `tier`. It runs one `outputs x inputs x B`
+    /// GEMM: each sample is quantized at `abits` straight into one row of
+    /// a shared `B x inputs` right-hand panel, so the packed weight rows
+    /// stream once per batch. Every weight is consumed exactly once per
+    /// sample and every activation once per output row, so the guard-skip
+    /// counters are the packed zero counts directly.
     fn forward_packed(
         &self,
-        qas: &[&QuantizedTensor],
-        wbits: u32,
+        inputs: &[Tensor],
+        scales: &[f64],
+        (wbits, abits): (u32, u32),
+        tier: Tier,
         scratch: &mut Scratch,
     ) -> Result<Vec<(Tensor, LayerStats)>, NnError> {
-        let Some(first) = qas.first() else {
+        if inputs.is_empty() {
             return Ok(Vec::new());
-        };
+        }
         let pw = self.packed_weights(wbits)?;
-        let b = qas.len();
+        let b = inputs.len();
         let Scratch {
             acc, packed, stage, ..
         } = scratch;
@@ -877,20 +877,36 @@ impl Dense {
         }
         let acc = &mut acc[..self.outputs * b];
         // Direct panel fill at the activation mode's lane geometry: each
-        // sample's vector is one whole panel row.
-        let mode = mode_for_bits(first.bits);
+        // sample's vector is one whole panel row, its lanes written by the
+        // rounding kernel and its padding lanes zeroed.
+        let mode = mode_for_bits(abits);
+        let grid = quant::grid_max(abits);
         let (bytes, row_bytes) = packed.begin_fill(b, self.inputs, mode);
-        stage.resize(2 * row_bytes, 0);
         let mut zero_counts = Vec::with_capacity(b);
-        for (qa, row) in qas.iter().zip(bytes.chunks_exact_mut(row_bytes)) {
-            zero_counts.push(qa.data.iter().filter(|&&q| q == 0).count() as u64);
-            match mode {
-                SubwordMode::X1 => put_lanes::<2>(&qa.data, row),
-                SubwordMode::X2 => put_lanes::<1>(&qa.data, row),
-                SubwordMode::X4 => {
-                    put_lanes::<1>(&qa.data, stage);
-                    pack_nibbles(stage, row);
-                }
+        for ((x, &scale), row) in inputs
+            .iter()
+            .zip(scales)
+            .zip(bytes.chunks_exact_mut(row_bytes))
+        {
+            let values = Lanes::contiguous(x.as_slice());
+            let lane = lane_bytes(mode);
+            let lanes = if mode == SubwordMode::X4 {
+                stage.resize(2 * row_bytes, 0);
+                &mut stage[..]
+            } else {
+                &mut *row
+            };
+            let (head, tail) = lanes.split_at_mut(self.inputs * lane);
+            tail.fill(0);
+            zero_counts.push(quant::round_lanes(
+                tier,
+                values,
+                scale,
+                grid,
+                Out::Lanes(head, lane),
+            ));
+            if mode == SubwordMode::X4 {
+                pack_nibbles(stage, row);
             }
         }
         packed.finish_fill(); // no lane minimum, as in `Conv2d::forward_packed`
@@ -898,11 +914,9 @@ impl Dense {
 
         // Sample `si` of output row `z` lives at `acc[z*b + si]`.
         let mut results = Vec::with_capacity(b);
-        for (si, qa) in qas.iter().enumerate() {
-            let scale = qa.scale * pw.scale;
-            let data: Vec<f32> = (0..self.outputs)
-                .map(|z| (acc[z * b + si] as f64 * scale + f64::from(self.bias[z])) as f32)
-                .collect();
+        for (si, &scale) in scales.iter().enumerate() {
+            let mut data = vec![0f32; self.outputs];
+            slice_back_strided(tier, &acc[si..], b, scale * pw.scale, &self.bias, &mut data);
             let stats = LayerStats {
                 macs: (self.outputs * self.inputs) as u64,
                 zero_weight_macs: pw.zeros_total,
@@ -914,19 +928,114 @@ impl Dense {
     }
 }
 
+/// The per-batch plan of a conv layer's fused activation fill
+/// ([`Conv2d::fill_padded`]), shared by the batch's samples.
+struct FillPlan {
+    /// The offsets of one input row's `w*c` HWC lanes from the row's
+    /// first value: lane `x*c + ci` reads plane `ci` at column `x`.
+    /// `None` for one channel, whose rows are read in place.
+    gather: Option<Gather>,
+    /// Each lane's zero weight: the tap coverage `cover_x[x]` of its
+    /// column ([`Conv2d::axis_cover`]).
+    weight: Vec<u64>,
+    /// The tap coverage of each input row.
+    cover_y: Vec<u64>,
+}
+
+/// The slice-back of one run of accumulators on `tier`:
+/// `out[i] = (acc[i] as f64 * scale + bias) as f32`.
+fn slice_back(tier: Tier, acc: &[i64], scale: f64, bias: f64, out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if tier == Tier::Avx512 {
+        return x86::slice_back(acc, scale, bias, out);
+    }
+    let _ = tier;
+    for (o, &a) in out.iter_mut().zip(acc) {
+        *o = (a as f64 * scale + bias) as f32;
+    }
+}
+
+/// The slice-back of one dense sample on `tier`: output `z` reads
+/// `acc[z * stride]`, with its own bias:
+/// `out[z] = (acc[z * stride] as f64 * scale + bias[z]) as f32`.
+fn slice_back_strided(
+    tier: Tier,
+    acc: &[i64],
+    stride: usize,
+    scale: f64,
+    bias: &[f32],
+    out: &mut [f32],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if tier == Tier::Avx512 {
+        return x86::slice_back_strided(acc, stride, scale, bias, out);
+    }
+    let _ = tier;
+    for (z, (o, &bias)) in out.iter_mut().zip(bias).enumerate() {
+        *o = (acc[z * stride] as f64 * scale + f64::from(bias)) as f32;
+    }
+}
+
+/// ReLU in place on `tier`: `v.max(0.0)`, which returns `+0.0` for `-0.0`
+/// and for NaN. The AVX-512 tier is the same loop compiled for AVX-512.
+fn relu(tier: Tier, values: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if tier == Tier::Avx512 {
+        return x86::relu(values);
+    }
+    let _ = tier;
+    relu_loop(values);
+}
+
+/// The ReLU loop every tier runs.
+#[inline(always)]
+fn relu_loop(values: &mut [f32]) {
+    for v in values {
+        *v = v.max(0.0);
+    }
+}
+
 /// `k x k` max pooling with stride `stride` over an input of at least
-/// `k x k`. Each output row is built from slices of the `k` input rows
-/// it covers, one kernel tap at a time across the whole row, so the
-/// outputs' `max` chains are independent and overlap instead of each
-/// waiting on its own. Every output folds its taps in `(ky, kx)` order
+/// `k x k`, on `tier` (see [`pool_on`]).
+#[cfg(test)]
+fn max_pool(tier: Tier, input: &Tensor, k: usize, stride: usize) -> Tensor {
+    pool_on(tier, input, (k, stride), &mut None)
+}
+
+/// `k x k` max pooling with stride `stride` over an input of at least
+/// `k x k`, on `tier`. Every output folds its taps in `(ky, kx)` order
 /// starting from `-inf`, the order of the per-output reference loop in
 /// the tests, so the result is bit-identical to it (`f32::max` of `+0`
-/// and `-0` may return either, so the fold order is kept).
-fn max_pool(input: &Tensor, k: usize, stride: usize) -> Tensor {
+/// and `-0` may return either, so the fold order is kept). The scalar
+/// loop builds each output row from slices of the `k` input rows it
+/// covers, one kernel tap at a time across the whole row, so the
+/// outputs' `max` chains are independent and overlap instead of each
+/// waiting on its own. The AVX-512 tier folds 16 outputs at a time, in
+/// output order across rows and planes, each tap one gather through the
+/// window plan `plan` (built here on first use, and kept while the
+/// geometry holds, so a batch builds it once).
+fn pool_on(
+    tier: Tier,
+    input: &Tensor,
+    (k, stride): (usize, usize),
+    plan: &mut Option<PoolPlan>,
+) -> Tensor {
     let (c, h, w) = input.shape();
     let oh = (h - k) / stride + 1;
     let ow = (w - k) / stride + 1;
     let mut out = vec![f32::NEG_INFINITY; c * oh * ow];
+    #[cfg(target_arch = "x86_64")]
+    if tier == Tier::Avx512 {
+        let key = (input.shape(), k, stride);
+        if plan.as_ref().is_none_or(|p| p.key != key) {
+            *plan = PoolPlan::new(key);
+        }
+        if let Some(plan) = plan {
+            x86::pool(input.as_slice(), plan, &mut out);
+            return Tensor::from_vec(c, oh, ow, out);
+        }
+    }
+    let _ = (tier, plan);
     let planes = input.as_slice().chunks_exact(h * w);
     for (plane, out_plane) in planes.zip(out.chunks_exact_mut(oh * ow)) {
         for (oy, out_row) in out_plane.chunks_exact_mut(ow).enumerate() {
@@ -942,6 +1051,50 @@ fn max_pool(input: &Tensor, k: usize, stride: usize) -> Tensor {
         }
     }
     Tensor::from_vec(c, oh, ow, out)
+}
+
+/// The window plan of the AVX-512 pooling tier for one geometry: the
+/// offset of every output's window in the input (in output order), and
+/// the offset of every tap from its window's origin (in `(ky, kx)`
+/// order).
+#[derive(Debug)]
+struct PoolPlan {
+    /// `((c, h, w), k, stride)` the plan was built for.
+    key: ((usize, usize, usize), usize, usize),
+    windows: Vec<i32>,
+    taps: Vec<i32>,
+    /// One past the largest offset a tap reads.
+    span: usize,
+}
+
+impl PoolPlan {
+    /// The plan of `key`, or `None` when an input of that shape is too
+    /// large for `i32` gather offsets.
+    fn new(key: ((usize, usize, usize), usize, usize)) -> Option<Self> {
+        let ((c, h, w), k, stride) = key;
+        if c * h * w > i32::MAX as usize || c * h * w == 0 {
+            return None;
+        }
+        let oh = (h - k) / stride + 1;
+        let ow = (w - k) / stride + 1;
+        let at = |i: usize| i as i32;
+        let mut windows = Vec::with_capacity(c * oh * ow);
+        for ci in 0..c {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    windows.push(at((ci * h + oy * stride) * w + ox * stride));
+                }
+            }
+        }
+        let taps = (0..k * k).map(|t| at(t / k * w + t % k)).collect();
+        let last = (c - 1) * h * w + ((oh - 1) * stride + k - 1) * w + (ow - 1) * stride + k - 1;
+        Some(PoolPlan {
+            key,
+            windows,
+            taps,
+            span: last + 1,
+        })
+    }
 }
 
 /// One stage of a CNN (Fig. 5): convolution, non-linearity, pooling or
@@ -1037,16 +1190,20 @@ impl Layer {
 
     /// Executes the layer on a whole chunk of samples — the step every
     /// forward takes: parameterized layers quantize each input at `abits`
-    /// (in sample order; quantization is per-sample, so grids and scales
-    /// do not depend on the chunk) and run the chunk on `kernel` — one
-    /// wide GEMM on the packed kernel; ReLU/pooling layers run per
-    /// sample.
+    /// (quantization is per-sample, so grids and scales do not depend on
+    /// the chunk) and run the chunk on `kernel` — one wide GEMM on the
+    /// packed kernel, each sample quantized straight into its lanes;
+    /// ReLU/pooling layers run per sample. Every pass runs on the fastest
+    /// tier the host has.
     ///
     /// # Errors
     ///
-    /// [`NnError::ShapeMismatch`] when an input does not fit and
-    /// [`NnError::InvalidBits`] for bit widths outside `1..=16`; the first
-    /// failing sample (in sample order) of this layer wins.
+    /// [`NnError::ShapeMismatch`] when an input does not fit,
+    /// [`NnError::InvalidBits`] for bit widths outside `1..=16` and
+    /// [`NnError::NonFiniteInput`] for an input holding NaN or ±inf. Each
+    /// sample's shape is checked before its values; the first failing
+    /// sample (in sample order) of this layer wins, and an invalid
+    /// `wbits` shows only after every sample passed.
     pub(crate) fn forward_batch_with(
         &self,
         inputs: &[Tensor],
@@ -1055,72 +1212,97 @@ impl Layer {
         kernel: NnKernel,
         scratch: &mut Scratch,
     ) -> Result<Vec<(Tensor, LayerStats)>, NnError> {
+        let tier = Tier::best();
         match self {
             Layer::Conv2d(_) | Layer::Dense(_) => {
-                // Validate-then-quantize per sample, in sample order, so a
-                // bad shape surfaces as a shape error, not a quantization
-                // one.
-                let mut qas = Vec::with_capacity(inputs.len());
+                // Validate, then run pass 1 of the quantizer, per sample in
+                // sample order, so a bad shape surfaces as a shape error,
+                // not a quantization one.
+                let mut scales = Vec::with_capacity(inputs.len());
                 for input in inputs {
                     self.validate_input(input)?;
-                    qas.push(QuantizedTensor::quantize(input, abits)?);
+                    scales.push(quant::grid_scale(input.as_slice(), abits)?);
                 }
-                let refs: Vec<&QuantizedTensor> = qas.iter().collect();
-                self.forward_prequantized_batch(&refs, wbits, kernel, scratch)
+                let bits = (wbits, abits);
+                match (self, kernel) {
+                    (Layer::Conv2d(c), NnKernel::GemmPacked) => {
+                        c.forward_packed_batch(inputs, &scales, bits, scratch)
+                    }
+                    (Layer::Dense(d), NnKernel::GemmPacked) => {
+                        d.forward_packed(inputs, &scales, bits, tier, scratch)
+                    }
+                    (_, NnKernel::Naive) => inputs
+                        .iter()
+                        .map(|input| {
+                            let qa = QuantizedTensor::quantize(input, abits)?;
+                            match self {
+                                Layer::Conv2d(c) => c.forward_naive(&qa, wbits),
+                                Layer::Dense(d) => d.forward_naive(&qa, wbits),
+                                Layer::ReLU | Layer::MaxPool2d { .. } => unreachable!(),
+                            }
+                        })
+                        .collect(),
+                    (Layer::ReLU | Layer::MaxPool2d { .. }, _) => unreachable!(),
+                }
             }
             Layer::ReLU => Ok(inputs
                 .iter()
                 .map(|input| {
                     let mut out = input.clone();
-                    for v in out.as_mut_slice() {
-                        *v = v.max(0.0);
-                    }
+                    relu(tier, out.as_mut_slice());
                     (out, LayerStats::default())
                 })
                 .collect()),
-            Layer::MaxPool2d { k, stride } => inputs
-                .iter()
-                .map(|input| {
-                    let (c, h, w) = input.shape();
-                    if h < *k || w < *k {
-                        return Err(NnError::ShapeMismatch {
-                            expected: (c, *k, *k),
-                            actual: (c, h, w),
-                        });
-                    }
-                    Ok((max_pool(input, *k, *stride), LayerStats::default()))
-                })
-                .collect(),
+            Layer::MaxPool2d { k, stride } => {
+                let mut plan = None;
+                inputs
+                    .iter()
+                    .map(|input| {
+                        let (c, h, w) = input.shape();
+                        if h < *k || w < *k {
+                            return Err(NnError::ShapeMismatch {
+                                expected: (c, *k, *k),
+                                actual: (c, h, w),
+                            });
+                        }
+                        let out = pool_on(tier, input, (*k, *stride), &mut plan);
+                        Ok((out, LayerStats::default()))
+                    })
+                    .collect()
+            }
         }
     }
 
-    /// A whole chunk of already-quantized inputs through one
-    /// **parameterized** layer — the incremental-search fast path, fed
-    /// from the per-`(sample, layer, abits)`
-    /// [`crate::kernel::ActivationCache`]. Bit-identical to
-    /// [`forward_batch_with`](Self::forward_batch_with) because
-    /// quantization is a pure function of `(input, abits)`.
+    /// Executes the layer on a chunk the caller owns, replacing `xs` with
+    /// the outputs: a ReLU clamps the tensors in place, every other layer
+    /// runs [`forward_batch_with`](Self::forward_batch_with). Returns
+    /// each sample's statistics.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::ShapeMismatch`] when an input does not fit or
-    /// when called on a non-parameterized layer (ReLU / pooling layers
-    /// take no quantized operands).
-    pub(crate) fn forward_prequantized_batch(
+    /// As [`forward_batch_with`](Self::forward_batch_with); `xs` is left
+    /// unchanged.
+    pub(crate) fn forward_owned(
         &self,
-        qas: &[&QuantizedTensor],
+        xs: &mut Vec<Tensor>,
         wbits: u32,
+        abits: u32,
         kernel: NnKernel,
         scratch: &mut Scratch,
-    ) -> Result<Vec<(Tensor, LayerStats)>, NnError> {
-        match self {
-            Layer::Conv2d(c) => c.forward_quant_batch(qas, wbits, kernel, scratch),
-            Layer::Dense(d) => d.forward_quant_batch(qas, wbits, kernel, scratch),
-            Layer::ReLU | Layer::MaxPool2d { .. } => Err(NnError::ShapeMismatch {
-                expected: (0, 0, 0),
-                actual: qas.first().map_or((0, 0, 0), |qa| qa.shape),
-            }),
+    ) -> Result<Vec<LayerStats>, NnError> {
+        if let Layer::ReLU = self {
+            let tier = Tier::best();
+            for x in xs.iter_mut() {
+                relu(tier, x.as_mut_slice());
+            }
+            return Ok(vec![LayerStats::default(); xs.len()]);
         }
+        let (outs, stats) = self
+            .forward_batch_with(xs, wbits, abits, kernel, scratch)?
+            .into_iter()
+            .unzip();
+        *xs = outs;
+        Ok(stats)
     }
 
     /// The shape check parameterized layers run on a raw input before
@@ -1130,6 +1312,169 @@ impl Layer {
             Layer::Conv2d(c) => c.check_shape(input.shape()),
             Layer::Dense(d) => d.check_shape(input.shape()),
             Layer::ReLU | Layer::MaxPool2d { .. } => Ok(()),
+        }
+    }
+}
+
+/// The AVX-512 tier of the passes around the GEMM (`avx512f`,
+/// `avx512dq`, `avx512vl`: [`Tier::Avx512`]). `unsafe` is confined to
+/// this module: callers pick the tier only where [`Tier::available`]
+/// holds, and every entry point checks the slice bounds its loads,
+/// gathers and stores rely on before it enters the vector loop, whose
+/// ragged tail is masked.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod x86 {
+    use std::arch::x86_64::{
+        __mmask16, __mmask8, _mm256_mask_storeu_ps, _mm256_maskz_loadu_ps, _mm256_mullo_epi32,
+        _mm256_set1_epi32, _mm256_setr_epi32, _mm512_add_pd, _mm512_cmp_ps_mask,
+        _mm512_cvtepi64_pd, _mm512_cvtpd_ps, _mm512_cvtps_pd, _mm512_mask_i32gather_epi64,
+        _mm512_mask_i32gather_ps, _mm512_mask_mov_ps, _mm512_mask_storeu_ps,
+        _mm512_maskz_loadu_epi32, _mm512_maskz_loadu_epi64, _mm512_maskz_loadu_ps, _mm512_max_ps,
+        _mm512_mul_pd, _mm512_set1_pd, _mm512_setzero_ps, _mm512_setzero_si512, _CMP_UNORD_Q,
+    };
+
+    /// The live-lane mask of a step of `width` lanes with `left` to go.
+    #[inline(always)]
+    fn live(left: usize, width: usize) -> u32 {
+        if left >= width {
+            (1u32 << width) - 1
+        } else {
+            (1u32 << left) - 1
+        }
+    }
+
+    /// [`super::slice_back`] eight accumulators at a time:
+    /// `vcvtqq2pd`, then the scalar expression's multiply, add and
+    /// narrowing (`vcvtpd2ps` rounds to nearest, as `as f32` does).
+    pub(super) fn slice_back(acc: &[i64], scale: f64, bias: f64, out: &mut [f32]) {
+        assert!(acc.len() >= out.len(), "one accumulator per output");
+        // SAFETY: the tier's features were checked by the caller; the
+        // loop reads and writes the live lanes below `out.len()`.
+        unsafe { slice_back_avx512(acc, scale, bias, out) }
+    }
+
+    /// # Safety
+    ///
+    /// AVX-512F/DQ/VL only; `acc` holds at least `out.len()` values.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+    unsafe fn slice_back_avx512(acc: &[i64], scale: f64, bias: f64, out: &mut [f32]) {
+        let (s, b) = (_mm512_set1_pd(scale), _mm512_set1_pd(bias));
+        let n = out.len();
+        for i in (0..n).step_by(8) {
+            let live = live(n - i, 8) as __mmask8;
+            let a = _mm512_cvtepi64_pd(_mm512_maskz_loadu_epi64(live, acc.as_ptr().add(i)));
+            let v = _mm512_cvtpd_ps(_mm512_add_pd(_mm512_mul_pd(a, s), b));
+            _mm256_mask_storeu_ps(out.as_mut_ptr().add(i), live, v);
+        }
+    }
+
+    /// [`super::slice_back_strided`] eight outputs at a time, the
+    /// accumulators gathered `stride` apart.
+    pub(super) fn slice_back_strided(
+        acc: &[i64],
+        stride: usize,
+        scale: f64,
+        bias: &[f32],
+        out: &mut [f32],
+    ) {
+        let n = out.len();
+        assert!(bias.len() >= n, "one bias per output");
+        if n == 0 {
+            return;
+        }
+        assert!(
+            (n - 1) * stride < acc.len(),
+            "accumulators outside the slice"
+        );
+        assert!(
+            (n + 7) * stride <= i32::MAX as usize,
+            "gather offsets must fit i32"
+        );
+        // SAFETY: the tier's features were checked by the caller; the
+        // live lanes gather `acc[z * stride]` for `z < n`, checked above to
+        // lie inside `acc`, and the offsets of a step fit `i32`.
+        unsafe { slice_back_strided_avx512(acc, stride, scale, bias, out) }
+    }
+
+    /// # Safety
+    ///
+    /// AVX-512F/DQ/VL only; `acc[z * stride]` and `bias[z]` exist for every
+    /// `z < out.len()`, and `(out.len() + 7) * stride` fits `i32`.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+    unsafe fn slice_back_strided_avx512(
+        acc: &[i64],
+        stride: usize,
+        scale: f64,
+        bias: &[f32],
+        out: &mut [f32],
+    ) {
+        let s = _mm512_set1_pd(scale);
+        let at = _mm256_mullo_epi32(
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+            _mm256_set1_epi32(stride as i32),
+        );
+        let n = out.len();
+        for z in (0..n).step_by(8) {
+            let live = live(n - z, 8) as __mmask8;
+            let base = acc.as_ptr().add(z * stride);
+            let a = _mm512_mask_i32gather_epi64::<8>(_mm512_setzero_si512(), live, at, base);
+            let b = _mm512_cvtps_pd(_mm256_maskz_loadu_ps(live, bias.as_ptr().add(z)));
+            let v = _mm512_cvtpd_ps(_mm512_add_pd(_mm512_mul_pd(_mm512_cvtepi64_pd(a), s), b));
+            _mm256_mask_storeu_ps(out.as_mut_ptr().add(z), live, v);
+        }
+    }
+
+    /// [`super::relu`] compiled for AVX-512: the same `f32::max` clamp,
+    /// so the same bits.
+    pub(super) fn relu(values: &mut [f32]) {
+        // SAFETY: the tier's features were checked by the caller; the
+        // body is safe code.
+        unsafe { relu_avx512(values) }
+    }
+
+    /// # Safety
+    ///
+    /// AVX-512F/DQ/VL only.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+    unsafe fn relu_avx512(values: &mut [f32]) {
+        super::relu_loop(values);
+    }
+
+    /// The AVX-512 tier of [`super::pool_on`], 16 outputs at a time:
+    /// output `o` folds `input[windows[o] + taps[t]]` over the taps in
+    /// order onto its current value with `f32::max`'s rule — the tap when
+    /// the running maximum is NaN, else `vmaxps(tap, max)`, which is the
+    /// tap when it is greater and the running maximum otherwise (NaN taps
+    /// and equal zeros included). Each tap is one gather.
+    pub(super) fn pool(input: &[f32], plan: &super::PoolPlan, out: &mut [f32]) {
+        assert_eq!(out.len(), plan.windows.len(), "one output per window");
+        assert!(plan.span <= input.len(), "pool windows outside the input");
+        // SAFETY: the tier's features were checked by the caller; every
+        // offset a live lane gathers, `windows[o] + taps[t]`, is below
+        // the plan's `span` (built from the same geometry), checked above
+        // to lie inside `input`, and only live lanes load, gather or store.
+        unsafe { pool_avx512(input, plan, out) }
+    }
+
+    /// # Safety
+    ///
+    /// AVX-512F/DQ/VL only; every `windows[o] + taps[t]` indexes `input`,
+    /// and `out` holds one value per window.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+    unsafe fn pool_avx512(input: &[f32], plan: &super::PoolPlan, out: &mut [f32]) {
+        let n = out.len();
+        for o in (0..n).step_by(16) {
+            let live = live(n - o, 16) as __mmask16;
+            let windows = _mm512_maskz_loadu_epi32(live, plan.windows.as_ptr().add(o));
+            let mut m = _mm512_maskz_loadu_ps(live, out.as_ptr().add(o));
+            for &tap in &plan.taps {
+                let base = input.as_ptr().add(tap as usize);
+                let t = _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), live, windows, base);
+                let nan = _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(m, m);
+                m = _mm512_mask_mov_ps(_mm512_max_ps(t, m), nan, t);
+            }
+            _mm512_mask_storeu_ps(out.as_mut_ptr().add(o), live, m);
         }
     }
 }
@@ -1221,63 +1566,263 @@ mod tests {
         zero_acts
     }
 
-    /// The packed fill writes every byte of every panel row: over panel,
-    /// bordered-input and stage buffers dirtied by a larger fill, its
-    /// panel equals `PackedPanel::pack` of the `pack_im2col` reference
+    /// Runs `check` on every activation tier this host has, each called
+    /// explicitly, and prints which ran and which are absent (so a log
+    /// from a host without AVX-512 says so instead of passing silently).
+    fn on_every_tier(mut check: impl FnMut(Tier)) {
+        let mut log = Vec::new();
+        for tier in Tier::ALL {
+            if tier.available() {
+                check(tier);
+                log.push(format!("{} ran", tier.name()));
+            } else {
+                log.push(format!("{} absent", tier.name()));
+            }
+        }
+        println!("activation tiers: {}", log.join(", "));
+    }
+
+    /// Bit patterns of a tensor, for bitwise comparisons.
+    fn bits_of(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The samples of one fused-fill case at `bits`: random values with a
+    /// run of zeros, exact ties, an all-zero sample and a sample whose
+    /// only nonzero value is its maximum. In the tie sample the maximum is
+    /// `qmax·2^-3`, so the scale is exactly `2^-3` and every value
+    /// `(m ± ½)·2^-3` stays a tie after the divide.
+    fn fill_samples((c, h, w): (usize, usize, usize), bits: u32, seed: u64) -> Vec<Tensor> {
+        let len = c * h * w;
+        let qmax = crate::quant::grid_max(bits);
+        let step = 0.125f32;
+        let mut random = Tensor::random(c, h, w, seed);
+        random.as_mut_slice()[..len.min(20)].fill(0.0);
+        let mut ties = Tensor::zeros(c, h, w);
+        for (i, v) in ties.as_mut_slice().iter_mut().enumerate() {
+            let m = (i as i32 * 7) % qmax.max(1);
+            let tie = (m as f32 + 0.5) * step;
+            *v = match i % 4 {
+                0 => tie,
+                1 => -tie,
+                2 => (m as f32 - 0.5) * step,
+                _ => -(m as f32) * step,
+            };
+        }
+        ties.as_mut_slice()[len / 2] = qmax as f32 * step;
+        let mut only_max = Tensor::zeros(c, h, w);
+        only_max.as_mut_slice()[(len * 2) / 3] = -0.75;
+        vec![random, ties, Tensor::zeros(c, h, w), only_max]
+    }
+
+    /// The fused activation fill — each sample quantized straight from its
+    /// `f32` planes into HWC lanes, then cut into whole im2col rows —
+    /// equals the reference on every tier the host has, each called
+    /// explicitly. Over panel, bordered-input and stage buffers dirtied by
+    /// a larger fill, its panel equals `PackedPanel::pack` of the
+    /// `pack_im2col` reference on `QuantizedTensor::quantize` grids
     /// (in-bounds operands in `(ky, kx, ci)` order, zeros for padding taps
-    /// and for the lanes up to the 16-lane step), and its per-sample
-    /// zero-activation counts equal the reference walk's — for 1, 3, 4 and
-    /// 12 channels (odd and even `k*c` runs, and more channels than the
-    /// 11-wide rows have pixels), kernel sizes 1 to 11 with strides and
-    /// padding around them, at every activation mode.
+    /// and for the lanes up to the 16-lane step); its per-sample
+    /// zero-activation counts equal the reference walk's; and its outputs,
+    /// slice-back included, equal the naive kernel's bit for bit, as do a
+    /// dense layer's on the same samples. The grid covers
+    /// c ∈ {1, 2, 3, 4, 5, 8, 12, 16, 17, 33} and widths around the 8- and
+    /// 16-lane steps (1, 15, 16, 17, 63, 64, 65, 67) on non-square inputs,
+    /// every activation width 1–16, kernel sizes 1 to 11 with strides and
+    /// padding around them, and samples with exact ties (which round away
+    /// from zero), all zeros (scale 1.0) and a lone maximum.
     #[test]
     fn fused_fill_writes_whole_rows() {
-        let (h, w) = (13usize, 11usize);
-        for c in [1usize, 3, 4, 12] {
-            for (k, stride, padding) in [
-                (1usize, 1usize, 0usize),
-                (2, 1, 2),
-                (3, 1, 1),
-                (3, 2, 0),
-                (3, 5, 3),
-                (5, 1, 2),
-                (11, 4, 0),
-            ] {
-                for bits in [3u32, 8, 16] {
-                    let conv = Conv2d::random(c, 3, k, stride, padding, 5);
-                    let mut inputs: Vec<Tensor> =
-                        (0..2).map(|i| Tensor::random(c, h, w, 40 + i)).collect();
-                    inputs[1].as_mut_slice()[..20].fill(0.0);
-                    let qas: Vec<QuantizedTensor> = inputs
-                        .iter()
-                        .map(|t| QuantizedTensor::quantize(t, bits).unwrap())
-                        .collect();
-                    let refs: Vec<&QuantizedTensor> = qas.iter().collect();
-                    let mut scratch = Scratch::new();
-                    let (dirty, _) = scratch.packed.begin_fill(4096, 100, SubwordMode::X1);
-                    dirty.fill(0xBE);
-                    scratch.padded = vec![0xEF; 65536];
-                    scratch.stage = vec![0xEF; 4096];
-                    let results = conv
-                        .forward_quant_batch(&refs, 16, NnKernel::GemmPacked, &mut scratch)
-                        .unwrap();
-                    let (oh, ow) = conv.out_hw(h, w);
-                    let (n, klen) = (oh * ow, c * k * k);
-                    let mut patches = vec![0i16; 2 * n * klen];
-                    let mut zeros = Vec::new();
-                    for (qa, block) in qas.iter().zip(patches.chunks_exact_mut(n * klen)) {
-                        zeros.push(pack_im2col(&conv, qa, block));
+        let kernels = [
+            (1usize, 1usize, 0usize),
+            (2, 1, 2),
+            (3, 1, 1),
+            (3, 2, 0),
+            (3, 5, 3),
+            (5, 1, 2),
+            (11, 4, 5),
+        ];
+        let mut case = 0usize;
+        let mut widths_seen = [false; 16];
+        on_every_tier(|tier| {
+            for c in [1usize, 2, 3, 4, 5, 8, 12, 16, 17, 33] {
+                for w in [1usize, 15, 16, 17, 63, 64, 65, 67] {
+                    case += 1;
+                    let (k, stride, padding) = kernels[case % kernels.len()];
+                    let h = [2usize, 3, 5][case % 3];
+                    if h + 2 * padding < k || w + 2 * padding < k {
+                        continue;
                     }
-                    let reference =
-                        gemm::PackedPanel::pack(&patches, 2 * n, klen, mode_for_bits(bits));
-                    let what = format!("c={c} k={k} s={stride} p={padding} bits={bits}");
-                    assert_eq!(scratch.packed, reference, "{what}");
-                    for ((_, stats), z) in results.iter().zip(zeros) {
-                        assert_eq!(stats.zero_act_macs, 3 * z, "{what}");
+                    // One width of each activation mode per case, cycling
+                    // through 1..=4, 5..=8 and 9..=16.
+                    for bits in [1 + case % 4, 5 + case % 4, 9 + case % 8] {
+                        let bits = bits as u32;
+                        widths_seen[bits as usize - 1] = true;
+                        check_fill(tier, (c, h, w), (k, stride, padding), bits, case as u64);
                     }
                 }
             }
+        });
+        assert!(widths_seen.iter().all(|&s| s), "every activation width ran");
+    }
+
+    /// One case of [`fused_fill_writes_whole_rows`].
+    fn check_fill(
+        tier: Tier,
+        (c, h, w): (usize, usize, usize),
+        (k, stride, padding): (usize, usize, usize),
+        bits: u32,
+        seed: u64,
+    ) {
+        let what = format!(
+            "{} c={c} h={h} w={w} k={k} s={stride} p={padding} bits={bits}",
+            tier.name()
+        );
+        let conv = Conv2d::random(c, 3, k, stride, padding, 5 + seed);
+        let inputs = fill_samples((c, h, w), bits, 40 + seed);
+        let scales: Vec<f64> = inputs
+            .iter()
+            .map(|x| crate::quant::grid_scale(x.as_slice(), bits).unwrap())
+            .collect();
+        let qas: Vec<QuantizedTensor> = inputs
+            .iter()
+            .map(|t| QuantizedTensor::quantize(t, bits).unwrap())
+            .collect();
+        assert_eq!(scales[1], 0.125, "{what}: the tie sample's scale is 2^-3");
+        assert_eq!(scales[2], 1.0, "{what}: an all-zero sample's scale is 1");
+        let tie = inputs[1].as_slice()[0];
+        let away = ((f64::from(tie) / 0.125).abs() + 0.5) as i16;
+        if i32::from(away) <= crate::quant::grid_max(bits) {
+            assert_eq!(qas[1].data[0], away, "{what}: ties round away from zero");
         }
+        let mut scratch = Scratch::new();
+        let (dirty, _) = scratch.packed.begin_fill(4096, 100, SubwordMode::X1);
+        dirty.fill(0xBE);
+        scratch.padded = vec![0xEF; 65536];
+        scratch.stage = vec![0xEF; 4096];
+        let results = conv
+            .forward_packed(&inputs, &scales, (16, bits), tier, &mut scratch)
+            .unwrap();
+        let (oh, ow) = conv.out_hw(h, w);
+        let (n, klen) = (oh * ow, c * k * k);
+        let mut patches = vec![0i16; inputs.len() * n * klen];
+        let mut zeros = Vec::new();
+        for (qa, block) in qas.iter().zip(patches.chunks_exact_mut(n * klen)) {
+            zeros.push(pack_im2col(&conv, qa, block));
+        }
+        let reference =
+            gemm::PackedPanel::pack(&patches, inputs.len() * n, klen, mode_for_bits(bits));
+        assert_eq!(scratch.packed, reference, "{what}");
+        for ((qa, (out, stats)), z) in qas.iter().zip(&results).zip(zeros) {
+            assert_eq!(stats.zero_act_macs, 3 * z, "{what}");
+            let (want, want_stats) = conv.forward_naive(qa, 16).unwrap();
+            assert_eq!(bits_of(out), bits_of(&want), "{what}");
+            assert_eq!(*stats, want_stats, "{what}");
+        }
+        let dense = Dense::random(c * h * w, 3, 7 + seed);
+        let results = dense
+            .forward_packed(&inputs, &scales, (bits, bits), tier, &mut scratch)
+            .unwrap();
+        for (qa, (out, stats)) in qas.iter().zip(&results) {
+            let (want, want_stats) = dense.forward_naive(qa, bits).unwrap();
+            assert_eq!(bits_of(out), bits_of(&want), "dense {what}");
+            assert_eq!(*stats, want_stats, "dense {what}");
+        }
+    }
+
+    /// Errors come out of the fused batch step as they did out of
+    /// per-sample quantization, on both kernels: NaN or ±inf anywhere in
+    /// sample `j` is `NonFiniteInput`, a bad shape in a sample is a shape
+    /// error even when the sample also holds NaN, the first failing sample
+    /// wins, an invalid activation width is `InvalidBits`, and an invalid
+    /// weight width shows only once every sample passed.
+    #[test]
+    fn fused_batch_errors_keep_their_order() {
+        let conv = Layer::Conv2d(Conv2d::random(3, 4, 3, 1, 1, 3));
+        let dense = Layer::Dense(Dense::random(3 * 5 * 6, 4, 4));
+        let mut scratch = Scratch::new();
+        let good = |seed| Tensor::random(3, 5, 6, seed);
+        let bad_shape = Tensor::random(2, 5, 6, 9);
+        for layer in [&conv, &dense] {
+            for kernel in NnKernel::ALL {
+                let mut run = |xs: &[Tensor], wbits: u32, abits: u32| {
+                    layer
+                        .forward_batch_with(xs, wbits, abits, kernel, &mut scratch)
+                        .map(|_| ())
+                };
+                for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                    for j in 0..3 {
+                        for at in [0usize, 37, 89] {
+                            let mut xs: Vec<Tensor> = (0..3).map(good).collect();
+                            xs[j].as_mut_slice()[at] = poison;
+                            let what =
+                                format!("{} {kernel} poison={poison} j={j} at={at}", layer.name());
+                            assert_eq!(run(&xs, 8, 8), Err(NnError::NonFiniteInput), "{what}");
+                            assert_eq!(run(&xs, 99, 8), Err(NnError::NonFiniteInput), "{what}");
+                            // A later bad shape loses to the poisoned sample;
+                            // a bad shape in the same or an earlier sample wins.
+                            if j < 2 {
+                                xs[2] = bad_shape.clone();
+                                assert_eq!(run(&xs, 8, 8), Err(NnError::NonFiniteInput), "{what}");
+                            }
+                            xs[j] = {
+                                let mut t = bad_shape.clone();
+                                t.as_mut_slice()[0] = poison;
+                                t
+                            };
+                            assert!(
+                                matches!(run(&xs, 8, 8), Err(NnError::ShapeMismatch { .. })),
+                                "{what}"
+                            );
+                        }
+                    }
+                }
+                let xs: Vec<Tensor> = (0..3).map(good).collect();
+                assert_eq!(run(&xs, 8, 0), Err(NnError::InvalidBits { bits: 0 }));
+                assert_eq!(run(&xs, 8, 17), Err(NnError::InvalidBits { bits: 17 }));
+                assert_eq!(run(&xs, 17, 8), Err(NnError::InvalidBits { bits: 17 }));
+                assert!(run(&xs, 8, 8).is_ok());
+            }
+        }
+    }
+
+    /// ReLU on every tier equals the scalar clamp bit for bit, signed
+    /// zeros, NaNs, infinities and subnormals included, in place and
+    /// through the borrowing batch step.
+    #[test]
+    fn relu_tiers_match_the_scalar_clamp() {
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE / 4.0,
+            -f32::MIN_POSITIVE / 4.0,
+            1.5,
+            -1.5,
+        ];
+        let values: Vec<f32> = (0..67)
+            .map(|i| specials[(i * 7) % specials.len()])
+            .collect();
+        let want: Vec<u32> = values.iter().map(|v| v.max(0.0).to_bits()).collect();
+        on_every_tier(|tier| {
+            for len in 0..=values.len() {
+                let mut got = values[..len].to_vec();
+                relu(tier, &mut got);
+                let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want[..len], "{} len={len}", tier.name());
+            }
+        });
+        let x = Tensor::from_vec(1, 1, values.len(), values.clone());
+        let mut owned = vec![x.clone()];
+        let stats = Layer::ReLU
+            .forward_owned(&mut owned, 16, 16, NnKernel::default(), &mut Scratch::new())
+            .unwrap();
+        assert_eq!(stats, vec![LayerStats::default()]);
+        assert_eq!(bits_of(&owned[0]), want);
+        assert_eq!(bits_of(&Layer::ReLU.forward(&x, 16, 16).unwrap().0), want);
     }
 
     #[test]
@@ -1324,10 +1869,11 @@ mod tests {
         out
     }
 
-    /// `max_pool` equals the per-tap loop bit for bit over random shapes:
-    /// the models' pools, overlapping windows (k3s2), strides that do not
-    /// divide the size, strides wider than the window, and inputs with
-    /// runs of signed zeros (ReLU outputs) and NaNs.
+    /// `max_pool` on every tier the host has equals the per-tap loop bit
+    /// for bit over random shapes: the models' pools, overlapping windows
+    /// (k3s2), strides that do not divide the size, strides wider than the
+    /// window, rows wider than one 16-output vector, and inputs with runs
+    /// of signed zeros (ReLU outputs) and NaNs.
     #[test]
     fn max_pool_matches_the_per_tap_loop_bitwise() {
         use rand::{Rng, SeedableRng};
@@ -1342,6 +1888,9 @@ mod tests {
             (1, 5, 9, 2, 3),
             (3, 4, 4, 4, 1),
             (1, 1, 1, 1, 1),
+            (2, 5, 67, 3, 2),
+            (1, 3, 40, 2, 1),
+            (1, 4, 97, 3, 3),
         ];
         for _ in 0..200 {
             let k = rng.gen_range(1..=4);
@@ -1354,23 +1903,33 @@ mod tests {
                 stride,
             ));
         }
-        for (i, &(c, h, w, k, stride)) in shapes.iter().enumerate() {
-            let mut input = Tensor::random(c, h, w, i as u64);
-            for v in input.as_mut_slice() {
-                match rng.gen_range(0..8) {
-                    0 => *v = 0.0,
-                    1 => *v = -0.0,
-                    2 if rng.gen_range(0..16) == 0 => *v = f32::NAN,
-                    _ => {}
+        let cases: Vec<(Tensor, usize, usize)> = shapes
+            .iter()
+            .enumerate()
+            .map(|(i, &(c, h, w, k, stride))| {
+                let mut input = Tensor::random(c, h, w, i as u64);
+                for v in input.as_mut_slice() {
+                    match rng.gen_range(0..8) {
+                        0 => *v = 0.0,
+                        1 => *v = -0.0,
+                        2 if rng.gen_range(0..16) == 0 => *v = f32::NAN,
+                        _ => {}
+                    }
                 }
+                (input, k, stride)
+            })
+            .collect();
+        on_every_tier(|tier| {
+            for (input, k, stride) in &cases {
+                let (k, stride) = (*k, *stride);
+                let want = max_pool_reference(input, k, stride);
+                let got = max_pool(tier, input, k, stride);
+                let (c, h, w) = input.shape();
+                let what = format!("{} c={c} h={h} w={w} k={k} s={stride}", tier.name());
+                assert_eq!(got.shape(), want.shape(), "{what}");
+                assert_eq!(bits_of(&got), bits_of(&want), "{what}");
             }
-            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            let want = max_pool_reference(&input, k, stride);
-            let got = max_pool(&input, k, stride);
-            let what = format!("c={c} h={h} w={w} k={k} s={stride}");
-            assert_eq!(got.shape(), want.shape(), "{what}");
-            assert_eq!(bits(&got), bits(&want), "{what}");
-        }
+        });
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod sparsity;
 pub mod tensor;
 
 pub use error::NnError;
-pub use kernel::{ActivationCache, NnKernel, Scratch, DEFAULT_BATCH_SIZE};
+pub use kernel::{NnKernel, Scratch, DEFAULT_BATCH_SIZE};
 pub use network::{Network, QuantConfig};
 pub use precision::SearchStrategy;
 pub use tensor::Tensor;

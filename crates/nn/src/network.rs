@@ -241,7 +241,9 @@ impl Network {
 
     /// Resumes a whole chunk at layer `start` from cached intermediate
     /// activations — the one forward every other entry point runs, and
-    /// the suffix entry point of the incremental precision search.
+    /// the candidate-plus-suffix entry point of the incremental precision
+    /// search. The inputs are only read: layer `start` builds the chunk's
+    /// next tensors, and from there on ReLU layers clamp them in place.
     /// `inputs` must be the tensors that entered layer `start` in a full
     /// run; since layers are a pure function of their input and
     /// precision, the suffix outputs are bit-identical to the tail of
@@ -276,20 +278,24 @@ impl Network {
         if start == self.layers.len() {
             return Ok(inputs.iter().map(|x| (x.clone(), Vec::new())).collect());
         }
-        let mut xs: Vec<Tensor> = Vec::with_capacity(inputs.len());
+        let mut xs: Vec<Tensor> = Vec::new();
         let mut stats: Vec<Vec<LayerStats>> =
             vec![Vec::with_capacity(self.layers.len() - start); inputs.len()];
         for (i, layer) in self.layers.iter().enumerate().skip(start) {
             let p = config.layer(i);
-            // Layer `start` reads the caller's tensors; later layers read
-            // the outputs of the one before.
-            let src = if i == start { inputs } else { &xs };
-            let outs =
-                layer.forward_batch_with(src, p.weights, p.activations, self.kernel, scratch)?;
-            xs.clear();
-            for ((out, st), per_sample) in outs.into_iter().zip(stats.iter_mut()) {
+            let (wbits, abits) = (p.weights, p.activations);
+            // Layer `start` reads the caller's tensors; later layers run on
+            // the chunk this call owns, so a ReLU clamps it in place.
+            let layer_stats = if i == start {
+                let outs = layer.forward_batch_with(inputs, wbits, abits, self.kernel, scratch)?;
+                let (outs, layer_stats) = outs.into_iter().unzip();
+                xs = outs;
+                layer_stats
+            } else {
+                layer.forward_owned(&mut xs, wbits, abits, self.kernel, scratch)?
+            };
+            for (per_sample, st) in stats.iter_mut().zip(layer_stats) {
                 per_sample.push(st);
-                xs.push(out);
             }
         }
         Ok(xs.into_iter().zip(stats).collect())

@@ -20,9 +20,8 @@
 //! `tests/batch_equivalence.rs` pin the forward it runs on).
 
 use crate::dataset::SyntheticDataset;
-use crate::kernel::{with_thread_scratch, ActivationCache, DEFAULT_BATCH_SIZE};
+use crate::kernel::{with_thread_scratch, DEFAULT_BATCH_SIZE};
 use crate::network::{Network, QuantConfig};
-use crate::quant::QuantizedTensor;
 use crate::tensor::Tensor;
 use dvafs_executor::Executor;
 use serde::{Deserialize, Serialize};
@@ -41,10 +40,10 @@ pub enum SearchStrategy {
     Rescan,
     /// The default: the full-precision prefix of each scanned layer is
     /// computed once per `(sample, layer)` and reused across all candidate
-    /// widths, and activation quantization is memoized per
-    /// `(sample, layer, abits)` in an [`ActivationCache`] — turning the
-    /// search from O(layers x widths x full-forward) into
-    /// O(layers x widths x suffix-forward).
+    /// widths — turning the search from O(layers x widths x full-forward)
+    /// into O(layers x widths x suffix-forward). Each candidate runs the
+    /// network's one forward from the scanned layer on, which quantizes
+    /// that layer's input again (nothing is memoized across widths).
     #[default]
     Incremental,
 }
@@ -235,15 +234,10 @@ impl PrecisionSearch {
     /// parameterized layer and (b) the final argmax — which doubles as the
     /// reference prediction the rescan oracle computes via
     /// `predict_all_with`, on the same per-layer code path and therefore
-    /// bit-identical. Each candidate width then costs one prequantized
-    /// layer execution plus a suffix forward from `li + 1`, chunk by
-    /// chunk.
-    ///
-    /// Within one layer's scan the quantized input activation only depends
-    /// on `(sample, abits)`, so it is memoized in a per-layer
-    /// [`ActivationCache`] (quantization is a pure function of
-    /// `(input, bits)` — property-tested in `crate::quant`); cache hits on
-    /// the inner parallel path are lock-free reads.
+    /// bit-identical. The inputs are kept layer-major (one sample-ordered
+    /// list per parameterized layer), so a chunk of them is one contiguous
+    /// slice, and each candidate width costs one
+    /// [`Network::forward_batch_from`] from `li`, chunk by chunk.
     fn search_incremental(
         &self,
         net: &Network,
@@ -252,98 +246,73 @@ impl PrecisionSearch {
         exec: &Executor,
     ) -> Vec<LayerRequirement> {
         let full = QuantConfig::uniform(net.layer_count(), self.full_bits, self.full_bits);
+        let layers = net.parameterized_layers();
         // Prefix pass: one full-precision forward over the data, walking
         // the same layer calls `Network::forward_batch` makes, keeping each
         // parameterized layer's input instead of dropping it. Workers claim
         // whole chunks and carry them layer-by-layer (one wide GEMM per
         // layer).
         let images: Vec<&[Tensor]> = data.images().chunks(DEFAULT_BATCH_SIZE).collect();
-        let per_chunk: Vec<Vec<(Vec<Tensor>, usize)>> =
+        let per_chunk: Vec<(Vec<Vec<Tensor>>, Vec<usize>)> =
             exec.par_map_indexed(&images, |_, chunk| {
                 with_thread_scratch(|scratch| {
                     let mut xs: Vec<Tensor> = chunk.to_vec();
-                    let mut inputs: Vec<Vec<Tensor>> = vec![Vec::new(); chunk.len()];
+                    let mut inputs = Vec::with_capacity(layers.len());
                     for (i, layer) in net.layers().iter().enumerate() {
                         let p = full.layer(i);
-                        let outs = layer
-                            .forward_batch_with(
-                                &xs,
-                                p.weights,
-                                p.activations,
-                                net.kernel(),
-                                scratch,
-                            )
-                            .expect("full-precision inference must succeed");
-                        let consumed = std::mem::replace(
-                            &mut xs,
-                            outs.into_iter().map(|(out, _)| out).collect(),
-                        );
+                        let (wbits, abits, kernel) = (p.weights, p.activations, net.kernel());
                         if layer.is_parameterized() {
-                            for (per_sample, x) in inputs.iter_mut().zip(consumed) {
-                                per_sample.push(x);
-                            }
+                            let outs = layer
+                                .forward_batch_with(&xs, wbits, abits, kernel, scratch)
+                                .expect("full-precision inference must succeed");
+                            let outs = outs.into_iter().map(|(out, _)| out).collect();
+                            inputs.push(std::mem::replace(&mut xs, outs));
+                        } else {
+                            layer
+                                .forward_owned(&mut xs, wbits, abits, kernel, scratch)
+                                .expect("full-precision inference must succeed");
                         }
                     }
-                    inputs
-                        .into_iter()
-                        .zip(xs)
-                        .map(|(ins, x)| (ins, x.argmax()))
-                        .collect()
+                    (inputs, xs.iter().map(Tensor::argmax).collect())
                 })
             });
-        let prefix: Vec<(Vec<Tensor>, usize)> = per_chunk.into_iter().flatten().collect();
-        // The candidate layer and the suffix run a chunk at a time; the
-        // memo slot is the global sample index `ci * DEFAULT_BATCH_SIZE + j`
-        // because chunks are contiguous.
-        let chunks: Vec<&[(Vec<Tensor>, usize)]> = prefix.chunks(DEFAULT_BATCH_SIZE).collect();
-        let layers = net.parameterized_layers();
+        let mut prefix: Vec<Vec<Tensor>> = vec![Vec::with_capacity(data.len()); layers.len()];
+        let mut reference = Vec::with_capacity(data.len());
+        for (inputs, argmaxes) in per_chunk {
+            for (layer_inputs, chunk_inputs) in prefix.iter_mut().zip(inputs) {
+                layer_inputs.extend(chunk_inputs);
+            }
+            reference.extend(argmaxes);
+        }
         // Nested like the rescan oracle (see `search_rescan`): outer over
         // layers, inner over sample chunks, both on `exec`.
         exec.par_map_indexed(&layers, |rank, &li| {
-            // One memo per scanned layer: slot = sample, width = abits —
-            // the `(sample, layer, abits)` key of the tentpole.
-            let acts = ActivationCache::new(prefix.len());
+            let chunks: Vec<(&[Tensor], &[usize])> = prefix[rank]
+                .chunks(DEFAULT_BATCH_SIZE)
+                .zip(reference.chunks(DEFAULT_BATCH_SIZE))
+                .collect();
             let mut best_bits = self.full_bits;
             let mut best_acc = 1.0;
             for bits in (1..self.full_bits).rev() {
                 let mut cfg = full.clone();
-                let (wbits, abits) = match operand {
-                    Operand::Weights => (bits, self.full_bits),
-                    Operand::Activations => (self.full_bits, bits),
-                };
-                cfg.set_layer(li, wbits, abits);
+                match operand {
+                    Operand::Weights => cfg.set_layer(li, bits, self.full_bits),
+                    Operand::Activations => cfg.set_layer(li, self.full_bits, bits),
+                }
                 let agree: usize = exec
-                    .par_map_indexed(&chunks, |ci, chunk| {
+                    .par_map_indexed(&chunks, |_, &(inputs, want)| {
                         with_thread_scratch(|scratch| {
-                            let qas: Vec<_> = chunk
+                            net.forward_batch_from(li, inputs, &cfg, scratch)
+                                .expect("scan inference must succeed")
                                 .iter()
-                                .enumerate()
-                                .map(|(j, (inputs, _))| {
-                                    acts.get_or_quantize(ci * DEFAULT_BATCH_SIZE + j, abits, || {
-                                        QuantizedTensor::quantize(&inputs[rank], abits)
-                                            .expect("bit widths validated by the scan")
-                                    })
-                                })
-                                .collect();
-                            let refs: Vec<&QuantizedTensor> =
-                                qas.iter().map(|qa| qa.as_ref()).collect();
-                            let outs = net.layers()[li]
-                                .forward_prequantized_batch(&refs, wbits, net.kernel(), scratch)
-                                .expect("scan inference must succeed");
-                            let mids: Vec<Tensor> = outs.into_iter().map(|(out, _)| out).collect();
-                            let logits = net
-                                .forward_batch_from(li + 1, &mids, &cfg, scratch)
-                                .expect("suffix inference must succeed");
-                            logits
-                                .into_iter()
-                                .zip(chunk.iter())
-                                .filter(|((out, _), (_, reference))| out.argmax() == *reference)
+                                .zip(want)
+                                .filter(|((out, _), &want)| out.argmax() == want)
                                 .count()
                         })
                     })
                     .into_iter()
                     .sum();
-                let acc = agree as f64 / prefix.len() as f64;
+                let acc = agree as f64 / reference.len() as f64;
                 if acc >= self.target {
                     best_bits = bits;
                     best_acc = acc;

@@ -161,8 +161,8 @@ proptest! {
         assert_same("fused conv", &oracle, &fused);
     }
 
-    /// The incremental precision search (chunked prefix pass, chunked
-    /// candidate layer, chunked suffix, memo slot `chunk * 16 + j`)
+    /// The incremental precision search (chunked prefix pass kept
+    /// layer-major, chunked forward from the candidate layer on)
     /// reproduces the rescan oracle's `LayerRequirement`s exactly on
     /// datasets of two and three chunks, at thread counts 1..=4.
     #[test]

@@ -193,7 +193,13 @@ impl PackedPanel {
     }
 
     /// Re-packs this panel in place (same contract as
-    /// [`pack`](Self::pack)), reusing the word buffer's capacity.
+    /// [`pack`](Self::pack)), reusing the buffers' capacity.
+    ///
+    /// The word buffer is sized once and written in place, row by row:
+    /// an `X1` row is one bulk copy of its full words plus a scan for
+    /// `i16::MIN`, and an `X2`/`X4` row has its full words written
+    /// straight into their slots after a range check of the row. Only the
+    /// ragged last word of a row runs the lane-at-a-time field rule.
     pub fn repack(&mut self, values: &[i16], rows: usize, k: usize, mode: SubwordMode) {
         assert_eq!(values.len(), rows * k, "panel must be rows x k");
         let lanes = mode.lanes();
@@ -207,25 +213,8 @@ impl PackedPanel {
         self.rows = rows;
         self.k = k;
         self.words_per_row = words_per_row;
-        self.has_min = false;
         self.words.clear();
-        self.words.reserve(rows * words_per_row);
-        let mut has_min = false;
-        let check = |v: i16| {
-            let v = i32::from(v);
-            assert!(
-                (lo..=hi).contains(&v),
-                "operand {v} does not fit a {wbits}-bit lane"
-            );
-        };
-        // The pack_lanes field rule: lane l of word w is row lane
-        // `w*lanes + l`, stored at bits `l*wbits..`, masked to its
-        // two's-complement field. Padding lanes are zero. Each mode gets
-        // its own tight loop over the full words (the repack runs on the
-        // per-forward hot path); the ragged tail word falls back to the
-        // lane-at-a-time rule. An `X2`/`X4` row is then summed, and an
-        // `X4` row copied to bytes, while it is still in cache.
-        let full_words = k / lanes;
+        self.words.resize(rows * words_per_row, 0);
         self.lane_bytes.clear();
         self.row_sums.clear();
         if mode != SubwordMode::X1 {
@@ -234,39 +223,53 @@ impl PackedPanel {
         if mode == SubwordMode::X4 {
             self.lane_bytes.reserve_exact(rows * padded_k);
         }
-        for row in values
-            .chunks_exact(k.max(1))
-            .take(if k == 0 { 0 } else { rows })
+        let fits = |row: &[i16]| {
+            if let Some(&v) = row.iter().find(|&&v| !(lo..=hi).contains(&i32::from(v))) {
+                panic!("operand {v} does not fit a {wbits}-bit lane");
+            }
+        };
+        // The pack_lanes field rule: lane l of word w is row lane
+        // `w*lanes + l`, stored at bits `l*wbits..`, masked to its
+        // two's-complement field. Padding lanes are zero. An `X2`/`X4` row
+        // is then summed, and an `X4` row copied to bytes, while it is
+        // still in cache.
+        let full_words = k / lanes;
+        let mut has_min = false;
+        let out_rows = self.words.chunks_exact_mut(words_per_row.max(1));
+        for (row, out) in
+            values
+                .chunks_exact(k.max(1))
+                .zip(out_rows)
+                .take(if k == 0 { 0 } else { rows })
         {
+            let (full, tail) = out.split_at_mut(full_words);
+            let body = &row[..full_words * lanes];
             match mode {
                 SubwordMode::X1 => {
-                    for &v in &row[..full_words] {
-                        has_min |= v == i16::MIN;
-                        self.words.push(v as u16);
+                    has_min |= body.contains(&i16::MIN);
+                    for (w, &v) in full.iter_mut().zip(body) {
+                        *w = v as u16;
                     }
                 }
                 SubwordMode::X2 => {
-                    for pair in row[..full_words * 2].chunks_exact(2) {
-                        check(pair[0]);
-                        check(pair[1]);
-                        has_min |= pair[0] == -128 || pair[1] == -128;
-                        self.words
-                            .push(u16::from(pair[0] as u8) | (u16::from(pair[1] as u8) << 8));
+                    fits(body);
+                    has_min |= body.contains(&-128);
+                    for (w, pair) in full.iter_mut().zip(body.chunks_exact(2)) {
+                        *w = u16::from(pair[0] as u8) | (u16::from(pair[1] as u8) << 8);
                     }
                 }
                 SubwordMode::X4 => {
-                    for quad in row[..full_words * 4].chunks_exact(4) {
-                        let mut packed = 0u16;
-                        for (l, &v) in quad.iter().enumerate() {
-                            check(v);
-                            has_min |= v == -8;
-                            packed |= ((v as u16) & 0xF) << (4 * l);
-                        }
-                        self.words.push(packed);
+                    fits(body);
+                    has_min |= body.contains(&-8);
+                    for (w, quad) in full.iter_mut().zip(body.chunks_exact(4)) {
+                        *w = (quad[0] as u16 & 0xF)
+                            | ((quad[1] as u16 & 0xF) << 4)
+                            | ((quad[2] as u16 & 0xF) << 8)
+                            | ((quad[3] as u16 & 0xF) << 12);
                     }
                 }
             }
-            for word_idx in full_words..words_per_row {
+            for (word_idx, word) in (full_words..).zip(tail.iter_mut()) {
                 let mut packed = 0u32;
                 for l in 0..lanes {
                     let idx = word_idx * lanes + l;
@@ -278,7 +281,7 @@ impl PackedPanel {
                     has_min |= v == lo;
                     packed |= ((v as u32) & mask) << (l as u32 * wbits);
                 }
-                self.words.push(packed as u16);
+                *word = packed as u16;
             }
             if mode != SubwordMode::X1 {
                 // In `i32` per 2^16 lanes, exact for any `i16`: the
@@ -919,34 +922,83 @@ mod tests {
 
     /// The panel's word stream follows the `pack_lanes` field rules
     /// verbatim: word `w` of a row is `pack_lanes` of row lanes
-    /// `w*lanes..`, zero-padded past `k`.
+    /// `w*lanes..`, zero-padded past `k` — for every mode, at `k` on and
+    /// around the 16-lane step (0, 1, 15, 16, 17, 21, 864) and up to 96
+    /// rows, with each mode's lane extremes in play. `has_min` is set
+    /// exactly when a lane holds the mode's most negative value, an
+    /// `X2`/`X4` panel keeps each row's lane sum, and an `X4` panel its
+    /// lanes one byte each (zero-padded like the words); a fresh panel's
+    /// `heap_bytes` is its words, byte lanes and row sums as sized here.
     #[test]
     fn packed_panel_words_match_pack_lanes() {
         for mode in SubwordMode::ALL {
-            let (rows, k) = (3usize, 21usize); // ragged: padding in play
-            let values = random_lanes(rows * k, mode, 42);
-            let panel = PackedPanel::pack(&values, rows, k, mode);
-            let lanes = mode.lanes();
-            for r in 0..rows {
-                let row = &values[r * k..(r + 1) * k];
-                for (w, &word) in panel.row_words(r).iter().enumerate() {
-                    let fields: Vec<i32> = (0..lanes)
-                        .map(|l| {
-                            let idx = w * lanes + l;
-                            if idx < k {
-                                i32::from(row[idx])
-                            } else {
-                                0
-                            }
-                        })
+            let w = mode.lane_bits();
+            let (lo, hi) = (-(1i32 << (w - 1)) as i16, ((1i32 << (w - 1)) - 1) as i16);
+            for k in [0usize, 1, 15, 16, 17, 21, 864] {
+                for rows in [1usize, 3, 96] {
+                    let seed = k as u64 * 131 + rows as u64;
+                    let mut values = random_lanes(rows * k, mode, seed);
+                    // Lane extremes, and a panel without its minimum.
+                    for (i, v) in values.iter_mut().enumerate() {
+                        match i % 7 {
+                            0 => *v = hi,
+                            3 if seed.is_multiple_of(2) => *v = lo,
+                            _ if seed % 2 == 1 => *v = (*v).max(lo + 1),
+                            _ => {}
+                        }
+                    }
+                    let panel = PackedPanel::pack(&values, rows, k, mode);
+                    let what = format!("mode {mode} rows {rows} k {k}");
+                    let lanes = mode.lanes();
+                    for r in 0..rows {
+                        let row = &values[r * k..(r + 1) * k];
+                        for (wi, &word) in panel.row_words(r).iter().enumerate() {
+                            let fields: Vec<i32> = (0..lanes)
+                                .map(|l| row.get(wi * lanes + l).map_or(0, |&v| i32::from(v)))
+                                .collect();
+                            let expected = pack_lanes(&fields, mode).expect("lanes are in range");
+                            assert_eq!(word, expected, "{what} row {r} word {wi}");
+                        }
+                        // And the re-expansion inverts the packing.
+                        assert_eq!(panel.unpack_row(r), row, "{what} row {r}");
+                    }
+                    assert_eq!(panel.has_min, values.contains(&lo), "{what}");
+                    let padded_k = k.next_multiple_of(PACK_STEP_LANES);
+                    let sums: Vec<i64> = values
+                        .chunks(k.max(1))
+                        .take(if k == 0 { 0 } else { rows })
+                        .map(|row| row.iter().map(|&v| i64::from(v)).sum())
+                        .chain(std::iter::repeat(0))
+                        .take(rows)
                         .collect();
-                    let expected = pack_lanes(&fields, mode).expect("lanes are in range");
-                    assert_eq!(word, expected, "mode {mode} row {r} word {w}");
+                    let mut bytes = Vec::new();
+                    for row in values.chunks(k.max(1)).take(if k == 0 { 0 } else { rows }) {
+                        bytes.extend(row.iter().map(|&v| v as u8));
+                        bytes.resize(bytes.len() + padded_k - k, 0);
+                    }
+                    let words = rows * (padded_k / lanes);
+                    match mode {
+                        SubwordMode::X1 => {
+                            assert!(panel.row_sums.is_empty() && panel.lane_bytes.is_empty());
+                            assert_eq!(
+                                panel.heap_bytes(),
+                                2 * words.max(if words > 0 { 4 } else { 0 })
+                            );
+                        }
+                        SubwordMode::X2 => {
+                            assert_eq!(panel.row_sums, sums, "{what}");
+                            assert!(panel.lane_bytes.is_empty(), "{what}");
+                            assert_eq!(
+                                panel.heap_bytes(),
+                                2 * words.max(if words > 0 { 4 } else { 0 }) + 8 * rows
+                            );
+                        }
+                        SubwordMode::X4 => {
+                            assert_eq!(panel.row_sums, sums, "{what}");
+                            assert_eq!(panel.lane_bytes, bytes, "{what}");
+                        }
+                    }
                 }
-            }
-            // And the re-expansion inverts the packing.
-            for r in 0..rows {
-                assert_eq!(panel.unpack_row(r), values[r * k..(r + 1) * k]);
             }
         }
     }

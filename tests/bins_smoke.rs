@@ -15,13 +15,15 @@
 //! release cache. Output is captured and only shown on failure.
 
 use dvafs::scenario::{self, Format, ScenarioCtx};
+use std::io::Write;
 use std::path::Path;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
-/// Runs the `dvafs` binary with `args`, returning its captured output.
-fn dvafs(args: &[&str]) -> Output {
+/// The `cargo run` command that runs the `dvafs` binary with `args`.
+fn dvafs_command(args: &[&str]) -> Command {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
-    Command::new(cargo)
+    let mut command = Command::new(cargo);
+    command
         .args([
             "run",
             "--quiet",
@@ -33,7 +35,13 @@ fn dvafs(args: &[&str]) -> Output {
             "--",
         ])
         .args(args)
-        .current_dir(Path::new(env!("CARGO_MANIFEST_DIR")))
+        .current_dir(Path::new(env!("CARGO_MANIFEST_DIR")));
+    command
+}
+
+/// Runs the `dvafs` binary with `args`, returning its captured output.
+fn dvafs(args: &[&str]) -> Output {
+    dvafs_command(args)
         .output()
         .unwrap_or_else(|e| panic!("failed to spawn dvafs {args:?}: {e}"))
 }
@@ -134,6 +142,46 @@ fn dvafs_cli_rejects_bad_invocations() {
             "dvafs {args:?}: stderr {stderr:?} missing {needle:?}"
         );
     }
+}
+
+/// An invalid `DVAFS_THREADS` is reported once per process: a serve
+/// session whose `run` requests each build executors from the
+/// environment prints exactly one warning line on stderr, and still
+/// answers every request.
+#[test]
+fn invalid_threads_env_warns_once_per_serve_session() {
+    let requests = [
+        r#"{"op":"run","scenario":"fig2","format":"json","fast":true,"threads":1}"#,
+        r#"{"op":"run","scenario":"table3","format":"json","fast":true,"threads":1}"#,
+        r#"{"op":"run","scenario":"fig2","format":"json","fast":true,"threads":1}"#,
+    ];
+    let mut child = dvafs_command(&["serve", "--threads", "2"])
+        .env("DVAFS_THREADS", "abc")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn dvafs serve");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(format!("{}\n", requests.join("\n")).as_bytes())
+        .expect("write requests");
+    let output = child.wait_with_output().expect("dvafs serve exits");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "dvafs serve failed: {stderr}");
+    let replies = String::from_utf8_lossy(&output.stdout);
+    assert_eq!(replies.lines().count(), requests.len(), "{replies}");
+    let warnings: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.contains("DVAFS_THREADS"))
+        .collect();
+    assert_eq!(
+        warnings,
+        ["dvafs-executor: ignoring invalid DVAFS_THREADS=\"abc\" (want a positive integer); using host parallelism"],
+        "stderr: {stderr}"
+    );
 }
 
 #[test]
