@@ -61,8 +61,7 @@ pub struct ServeArgs {
     /// (`--idle-timeout-ms`, 0 disables; default
     /// [`dvafs::serve::DEFAULT_IDLE_TIMEOUT_MS`]).
     pub idle_timeout_ms: Option<u64>,
-    /// Deterministic fault injection (`--fault-plan SPEC`, test-only;
-    /// falls back to the `DVAFS_FAULT_PLAN` environment variable).
+    /// Deterministic fault injection (`--fault-plan SPEC`, test-only).
     pub fault_plan: Option<dvafs::faultplan::FaultPlan>,
 }
 
@@ -95,7 +94,7 @@ serve options:\n  \
   --deadline-ms N            per-request wall deadline for run/predict; overruns are\n                             discarded and answered with an error reply (default: off)\n  \
   --max-requests N           close the session cleanly after N requests (default: off)\n  \
   --idle-timeout-ms N        TCP read timeout per connection, 0 disables (default 30000)\n  \
-  --fault-plan SPEC          testing only: deterministic fault injection, e.g.\n                             panic@3,delay@5:40,oversize@7 (env: DVAFS_FAULT_PLAN)\n\n\
+  --fault-plan SPEC          testing only: deterministic fault injection, e.g.\n                             panic@3,delay@5:40,oversize@7\n\n\
 any --flag VALUE may also be written --flag=VALUE (required when the\n\
 value itself begins with \"--\")";
 
@@ -346,20 +345,9 @@ fn run_one(s: &'static dyn Scenario, opts: &RunOpts) -> Result<String, String> {
 /// socket error. Replies stream directly to stdout (stdio mode) or the
 /// client socket (TCP mode), so the returned stdout text is empty.
 fn run_serve(args: &ServeArgs) -> Result<String, String> {
-    // The test-only injection hook: the explicit flag wins; otherwise the
-    // environment variable (so chaos harnesses can wrap an unmodified
-    // invocation). A plan that fails to parse is a hard error — silently
-    // serving *without* the faults a test asked for would pass vacuously.
-    let fault_plan = match &args.fault_plan {
-        Some(plan) => Some(plan.clone()),
-        None => match std::env::var(dvafs::faultplan::FAULT_PLAN_ENV) {
-            Ok(raw) if !raw.trim().is_empty() => Some(
-                dvafs::faultplan::FaultPlan::parse(&raw)
-                    .map_err(|e| format!("{}: {e}", dvafs::faultplan::FAULT_PLAN_ENV))?,
-            ),
-            _ => None,
-        },
-    };
+    // The test-only injection hook (`--fault-plan`, parsed with the other
+    // flags, so a plan that fails to parse is already a hard error).
+    let fault_plan = args.fault_plan.clone();
     if let Some(plan) = &fault_plan {
         eprintln!("dvafs: serve: FAULT INJECTION ACTIVE ({plan}) — testing only");
     }

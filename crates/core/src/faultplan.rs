@@ -34,9 +34,8 @@
 //!
 //! ## Spelling
 //!
-//! Plans round-trip through a compact text form, usable both in the
-//! [`DVAFS_FAULT_PLAN`] environment variable and the test-only
-//! `dvafs serve --fault-plan` flag:
+//! Plans round-trip through a compact text form, the value of the
+//! test-only `dvafs serve --fault-plan` flag:
 //!
 //! ```text
 //! panic@3,delay@5:40,oversize@7,garble@2
@@ -48,11 +47,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// Environment variable carrying a serialized [`FaultPlan`] for
-/// `dvafs serve` (the `--fault-plan` flag takes precedence). Test-only:
-/// production deployments leave it unset and no injection code runs.
-pub const FAULT_PLAN_ENV: &str = "DVAFS_FAULT_PLAN";
 
 /// Upper bound on an injected delay, so a seeded plan cannot stall a
 /// chaos run into a CI timeout (parse rejects larger values).
@@ -69,16 +63,6 @@ pub enum FaultKind {
     Oversize,
     /// Replace the request line with truncated (unparseable) JSON.
     Garble,
-}
-
-impl FaultKind {
-    /// Whether this fault changes the faulted request's *reply* (as
-    /// opposed to only its timing). `Delay` is reply-preserving unless a
-    /// deadline is configured — the caller owns that qualifier.
-    #[must_use]
-    pub fn faults_reply(&self) -> bool {
-        !matches!(self, FaultKind::Delay(_))
-    }
 }
 
 impl fmt::Display for FaultKind {

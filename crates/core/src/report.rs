@@ -4,7 +4,8 @@
 //! The scenario registry ([`crate::scenario`]) prints the paper's tables
 //! and figure series as aligned text; this module holds the small
 //! formatter they share, plus [`json`] — the low-level escaping/number
-//! helpers the generic serializer ([`crate::scenario::render`]) builds
+//! helpers the generic serializer
+//! ([`crate::scenario::render`](mod@crate::scenario::render)) builds
 //! JSON from. (The offline `serde` stub under `vendor/` has no
 //! serializer, so the JSON here is hand-rendered; swap to `serde_json`
 //! when a registry is available.)
@@ -108,7 +109,8 @@ pub mod json {
     //! values — which is what lets `tests/golden_figures.rs` assert strict
     //! equality and lets the determinism guarantee extend to the JSON
     //! artefacts. The per-figure serialization itself lives in the generic
-    //! scenario serializer, [`crate::scenario::render`].
+    //! scenario serializer,
+    //! [`crate::scenario::render`](mod@crate::scenario::render).
 
     /// Escapes a string for a JSON string literal.
     #[must_use]

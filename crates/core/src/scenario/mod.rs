@@ -11,7 +11,7 @@
 //!   the oracle selectors, and the deterministic parallel [`Executor`];
 //! * [`ScenarioResult`] — structured tables plus the legacy presentation
 //!   text, rendered to text/JSON/CSV by the one generic serializer in
-//!   [`render`];
+//!   [`render`](mod@render);
 //! * [`registry`] — the static table of all scenarios, in paper order.
 //!
 //! The `dvafs` CLI in `crates/bench` (`dvafs list`, `dvafs run <id>`) is a

@@ -4,9 +4,10 @@
 //! A [`ScenarioResult`] separates *data* from *presentation*:
 //!
 //! * [`DataTable`]s are the machine-readable record — typed columns and
-//!   rows that the generic serializer in [`super::render`] turns into
-//!   JSON, CSV or a plain text table, all three agreeing on shape and
-//!   values (a property the test suite asserts);
+//!   rows that the generic serializer in
+//!   [`super::render`](mod@super::render) turns into JSON, CSV or a plain
+//!   text table, all three agreeing on shape and values (a property the
+//!   test suite asserts);
 //! * the *text body* is the human presentation the original figure
 //!   binaries printed (pivoted tables, paper anchors, custom decimal
 //!   counts) and is kept byte-identical so the smoke tests never move.

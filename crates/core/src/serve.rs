@@ -2,7 +2,7 @@
 //!
 //! The paper's Envision processor is an always-on inference engine; this
 //! module is the workspace's equivalent: a std-only service that keeps
-//! networks — and with them the per-(layer, bits) [`WeightCache`] panels
+//! networks — and with them the per-(layer, bits) packed weight panels
 //! and thread-local im2col scratch — alive across requests instead of
 //! rebuilding them per CLI invocation.
 //!
@@ -24,8 +24,9 @@
 //!
 //! A `run` reply's `"output"` field carries **exactly** the bytes
 //! `dvafs run <id> --format <f> --out DIR` would write to
-//! `DIR/<id>.<ext>` (the rendering shared via [`scenario::render`]), so
-//! served scenario output is byte-comparable to the golden fixtures. A
+//! `DIR/<id>.<ext>` (the rendering shared via
+//! [`scenario::render`](fn@scenario::render)), so served scenario output
+//! is byte-comparable to the golden fixtures. A
 //! `predict` reply carries the argmax predictions of
 //! [`Network::predict_all`] over a [`ModelSpec`]-resolved network and
 //! dataset. Failures — unparseable lines, unknown ops or scenarios,
@@ -89,13 +90,11 @@
 //!   rebuilds (see [`ServeState`]).
 //!
 //! All of this is provable because faults are injectable: a seeded
-//! [`FaultPlan`](crate::faultplan::FaultPlan) (`--fault-plan`, test-only,
-//! or the `DVAFS_FAULT_PLAN` environment variable) deterministically
+//! [`FaultPlan`] (`--fault-plan`, test-only) deterministically
 //! panics, delays, oversizes or garbles chosen requests, and the chaos
 //! tests assert the process survives with every non-faulted reply
 //! byte-identical to the fault-free transcript.
 //!
-//! [`WeightCache`]: dvafs_nn::kernel::WeightCache
 //! [`Network::predict_all`]: dvafs_nn::Network::predict_all
 //! [`ModelSpec`]: dvafs_nn::models::ModelSpec
 
@@ -170,8 +169,8 @@ pub struct ServeOpts {
     /// milliseconds): an idle connection is closed cleanly with a stderr
     /// note. `None` disables the timeout; stdio sessions ignore it.
     pub idle_timeout_ms: Option<u64>,
-    /// Deterministic fault injection (`--fault-plan` /
-    /// `DVAFS_FAULT_PLAN`) — test-only; `None` in production.
+    /// Deterministic fault injection (`--fault-plan`) — test-only; `None`
+    /// in production.
     pub fault_plan: Option<FaultPlan>,
 }
 

@@ -210,16 +210,10 @@ pub struct NetworkSummary {
     pub fps: f64,
 }
 
-/// Computes a network's Table III block on a chip model (serial).
-#[must_use]
-pub fn summarize(chip: &EnvisionChip, name: &str, layers: &[LayerRun]) -> NetworkSummary {
-    summarize_with(chip, name, layers, &Executor::serial())
-}
-
 /// Computes a network's Table III block on a chip model, evaluating the
 /// per-layer rows in parallel on `exec`. Rows merge in layer order and the
-/// frame totals fold in layer order, so the summary is bit-identical to
-/// [`summarize`].
+/// frame totals fold in layer order, so the summary is bit-identical for
+/// any thread count.
 #[must_use]
 pub fn summarize_with(
     chip: &EnvisionChip,

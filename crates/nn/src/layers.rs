@@ -7,10 +7,11 @@
 //! accumulation — the arithmetic a DVAFS MAC array performs — and report
 //! the MAC/sparsity statistics that drive the Envision power model.
 //!
-//! Every layer runs on a batch of samples ([`Layer::forward`] is a batch
-//! of one). Conv and dense layers execute that batch on one of two MAC
-//! kernels (see [`crate::kernel`]): the original scalar loops, sample by
-//! sample ([`NnKernel::Naive`], the reference oracle), or the default
+//! Every layer runs on a batch of samples, one chunk of the network's
+//! layer walk ([`Network::forward_layers`]). Conv and dense layers
+//! execute that batch on one of two MAC kernels (see [`crate::kernel`]):
+//! the original scalar loops, sample by sample ([`NnKernel::Naive`], the
+//! reference oracle), or the default
 //! subword-packed GEMM ([`NnKernel::GemmPacked`]), which fills one packed
 //! activation panel for the whole batch in place, whole row by whole row,
 //! and multiplies it once. A conv sample is quantized straight from its
@@ -36,22 +37,17 @@
 //! ReLU (the same clamp compiled for AVX-512). Elsewhere they run the
 //! scalar loops, which stay the oracles.
 //! Within a network forward, ReLU clamps the chunk in place.
+//!
+//! [`Network::forward_layers`]: crate::network::Network::forward_layers
 
 use crate::error::NnError;
-use crate::kernel::{
-    mode_for_bits, with_thread_scratch, NnKernel, PackedWeights, Scratch, WeightCache,
-};
+use crate::kernel::{mode_for_bits, NnKernel, PackedWeights, Scratch, WeightCache};
 use crate::quant::{self, Gather, Lanes, Out, QuantizedTensor, Tier};
 use crate::tensor::Tensor;
 use dvafs_arith::SubwordMode;
 use dvafs_simd::gemm;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-
-/// The one result of a batch-of-one forward.
-pub(crate) fn single<T>(results: Result<Vec<T>, NnError>) -> Result<T, NnError> {
-    results.map(|mut r| r.pop().expect("one result per sample"))
-}
 
 /// Bytes one operand takes in an activation fill at `mode`, the layout of
 /// a `PackedPanel::begin_fill` row: an `X1` lane is a little-endian
@@ -581,19 +577,12 @@ impl Conv2d {
         if inputs.iter().all(|x| x.shape() == inputs[0].shape()) {
             return self.forward_packed(inputs, scales, (wbits, abits), tier, scratch);
         }
-        inputs
-            .iter()
-            .zip(scales)
-            .map(|(x, &scale)| {
-                single(self.forward_packed(
-                    std::slice::from_ref(x),
-                    &[scale],
-                    (wbits, abits),
-                    tier,
-                    scratch,
-                ))
-            })
-            .collect()
+        let mut results = Vec::with_capacity(inputs.len());
+        for (x, &scale) in inputs.iter().zip(scales) {
+            let one = std::slice::from_ref(x);
+            results.extend(self.forward_packed(one, &[scale], (wbits, abits), tier, scratch)?);
+        }
+        Ok(results)
     }
 
     /// The packed kernel on a batch of same-geometry inputs, with the
@@ -1163,31 +1152,6 @@ impl Layer {
         }
     }
 
-    /// Executes the layer on one sample — a batch of one through the
-    /// layer's batch step, on the default MAC kernel and this thread's
-    /// [`Scratch`]. `wbits`/`abits` only affect parameterized layers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when the input does not fit and
-    /// [`NnError::InvalidBits`] for bit widths outside `1..=16`.
-    pub fn forward(
-        &self,
-        input: &Tensor,
-        wbits: u32,
-        abits: u32,
-    ) -> Result<(Tensor, LayerStats), NnError> {
-        with_thread_scratch(|scratch| {
-            single(self.forward_batch_with(
-                std::slice::from_ref(input),
-                wbits,
-                abits,
-                NnKernel::default(),
-                scratch,
-            ))
-        })
-    }
-
     /// Executes the layer on a whole chunk of samples — the step every
     /// forward takes: parameterized layers quantize each input at `abits`
     /// (quantization is per-sample, so grids and scales do not depend on
@@ -1483,13 +1447,32 @@ mod x86 {
 mod tests {
     use super::*;
 
+    /// One sample through the layer's batch step, on the default kernel:
+    /// the chunk of one a network forward would run.
+    fn forward_one(
+        layer: &Layer,
+        input: &Tensor,
+        wbits: u32,
+        abits: u32,
+    ) -> Result<(Tensor, LayerStats), NnError> {
+        let one = std::slice::from_ref(input);
+        let mut outs = layer.forward_batch_with(
+            one,
+            wbits,
+            abits,
+            NnKernel::default(),
+            &mut Scratch::new(),
+        )?;
+        Ok(outs.remove(0))
+    }
+
     #[test]
     fn conv_identity_filter_passes_input_through() {
         // A 1x1 kernel with weight snapped exactly on the quant grid.
         let mut conv = Conv2d::random(1, 1, 1, 1, 0, 1);
         conv.weights_mut()[0] = 1.0;
         let input = Tensor::from_fn(1, 3, 3, |_, y, x| (y * 3 + x) as f32 / 10.0);
-        let (out, stats) = Layer::Conv2d(conv).forward(&input, 16, 16).unwrap();
+        let (out, stats) = forward_one(&Layer::Conv2d(conv), &input, 16, 16).unwrap();
         assert_eq!(out.shape(), (1, 3, 3));
         assert_eq!(stats.macs, 9);
         // out = in + bias: the offset must be the same everywhere.
@@ -1506,7 +1489,7 @@ mod tests {
     fn conv_shapes_follow_stride_and_padding() {
         let conv = Conv2d::random(3, 8, 3, 2, 1, 2);
         let input = Tensor::random(3, 9, 9, 3);
-        let (out, _) = Layer::Conv2d(conv).forward(&input, 8, 8).unwrap();
+        let (out, _) = forward_one(&Layer::Conv2d(conv), &input, 8, 8).unwrap();
         // (9 + 2 - 3)/2 + 1 = 5.
         assert_eq!(out.shape(), (8, 5, 5));
     }
@@ -1516,7 +1499,7 @@ mod tests {
         let conv = Conv2d::random(3, 4, 3, 1, 0, 4);
         let input = Tensor::random(2, 8, 8, 5);
         assert!(matches!(
-            Layer::Conv2d(conv).forward(&input, 8, 8),
+            forward_one(&Layer::Conv2d(conv), &input, 8, 8),
             Err(NnError::ShapeMismatch { .. })
         ));
     }
@@ -1525,7 +1508,7 @@ mod tests {
     fn conv_mac_count_matches_dense_interior() {
         let conv = Conv2d::random(2, 4, 3, 1, 0, 6);
         let input = Tensor::random(2, 6, 6, 7);
-        let (_, stats) = Layer::Conv2d(conv.clone()).forward(&input, 8, 8).unwrap();
+        let (_, stats) = forward_one(&Layer::Conv2d(conv.clone()), &input, 8, 8).unwrap();
         // No padding: executed MACs equal the analytic count.
         assert_eq!(stats.macs, conv.mac_count(6, 6));
         assert_eq!(stats.macs, 4 * 4 * 4 * 2 * 9);
@@ -1822,7 +1805,10 @@ mod tests {
             .unwrap();
         assert_eq!(stats, vec![LayerStats::default()]);
         assert_eq!(bits_of(&owned[0]), want);
-        assert_eq!(bits_of(&Layer::ReLU.forward(&x, 16, 16).unwrap().0), want);
+        assert_eq!(
+            bits_of(&forward_one(&Layer::ReLU, &x, 16, 16).unwrap().0),
+            want
+        );
     }
 
     #[test]
@@ -1830,7 +1816,7 @@ mod tests {
         let mut t = Tensor::zeros(1, 1, 3);
         t.set(0, 0, 0, -1.0);
         t.set(0, 0, 1, 2.0);
-        let (out, _) = Layer::ReLU.forward(&t, 16, 16).unwrap();
+        let (out, _) = forward_one(&Layer::ReLU, &t, 16, 16).unwrap();
         assert_eq!(out.get(0, 0, 0), 0.0);
         assert_eq!(out.get(0, 0, 1), 2.0);
     }
@@ -1838,9 +1824,7 @@ mod tests {
     #[test]
     fn maxpool_takes_patch_maximum() {
         let t = Tensor::from_fn(1, 4, 4, |_, y, x| (y * 4 + x) as f32);
-        let (out, _) = Layer::MaxPool2d { k: 2, stride: 2 }
-            .forward(&t, 16, 16)
-            .unwrap();
+        let (out, _) = forward_one(&Layer::MaxPool2d { k: 2, stride: 2 }, &t, 16, 16).unwrap();
         assert_eq!(out.shape(), (1, 2, 2));
         assert_eq!(out.get(0, 0, 0), 5.0);
         assert_eq!(out.get(0, 1, 1), 15.0);
@@ -1936,9 +1920,7 @@ mod tests {
     fn overlapping_pool_shape() {
         // AlexNet-style 3x3 stride-2 pooling.
         let t = Tensor::random(2, 13, 13, 8);
-        let (out, _) = Layer::MaxPool2d { k: 3, stride: 2 }
-            .forward(&t, 16, 16)
-            .unwrap();
+        let (out, _) = forward_one(&Layer::MaxPool2d { k: 3, stride: 2 }, &t, 16, 16).unwrap();
         assert_eq!(out.shape(), (2, 6, 6));
     }
 
@@ -1949,7 +1931,7 @@ mod tests {
         let mut input = Tensor::zeros(1, 1, 2);
         input.set(0, 0, 0, 1.0);
         input.set(0, 0, 1, 1.0);
-        let (out, stats) = Layer::Dense(d).forward(&input, 16, 16).unwrap();
+        let (out, stats) = forward_one(&Layer::Dense(d), &input, 16, 16).unwrap();
         assert_eq!(stats.macs, 2);
         let bias = out.get(0, 0, 0) - 0.25;
         assert!(bias.abs() < 0.06, "residual {bias}");
@@ -1959,7 +1941,7 @@ mod tests {
     fn dense_flattens_multi_channel_input() {
         let d = Dense::random(2 * 3 * 3, 5, 10);
         let input = Tensor::random(2, 3, 3, 11);
-        let (out, _) = Layer::Dense(d).forward(&input, 8, 8).unwrap();
+        let (out, _) = forward_one(&Layer::Dense(d), &input, 8, 8).unwrap();
         assert_eq!(out.shape(), (1, 1, 5));
     }
 
@@ -1967,8 +1949,8 @@ mod tests {
     fn coarse_quantization_changes_conv_output() {
         let conv = Layer::Conv2d(Conv2d::random(1, 4, 3, 1, 0, 12));
         let input = Tensor::random(1, 8, 8, 13);
-        let (fine, _) = conv.forward(&input, 16, 16).unwrap();
-        let (coarse, _) = conv.forward(&input, 2, 2).unwrap();
+        let (fine, _) = forward_one(&conv, &input, 16, 16).unwrap();
+        let (coarse, _) = forward_one(&conv, &input, 2, 2).unwrap();
         let diff: f32 = fine
             .as_slice()
             .iter()
@@ -1990,7 +1972,7 @@ mod tests {
         for v in input.as_mut_slice().iter_mut().take(10) {
             *v = 0.0;
         }
-        let (_, stats) = Layer::Conv2d(conv).forward(&input, 8, 8).unwrap();
+        let (_, stats) = forward_one(&Layer::Conv2d(conv), &input, 8, 8).unwrap();
         assert!(stats.weight_sparsity() > 0.3);
         assert!(stats.input_sparsity() > 0.1);
     }

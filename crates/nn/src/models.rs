@@ -442,6 +442,7 @@ pub fn lenet5_conv_macs() -> Vec<LayerMacs> {
 mod tests {
     use super::*;
     use crate::dataset::SyntheticDataset;
+    use crate::kernel::Scratch;
     use crate::network::QuantConfig;
     use crate::tensor::Tensor;
 
@@ -450,7 +451,10 @@ mod tests {
         let net = lenet5(1);
         let cfg = QuantConfig::uniform(net.layer_count(), 16, 16);
         let input = Tensor::random(1, 28, 28, 2);
-        let (out, _) = net.forward(&input, &cfg).unwrap();
+        let (out, _) = net
+            .forward_batch(&[input], &cfg, &mut Scratch::new())
+            .unwrap()
+            .remove(0);
         assert_eq!(out.shape(), (1, 1, 10));
     }
 
@@ -464,7 +468,10 @@ mod tests {
         let net = alexnet(67, 0.125, 3);
         let cfg = QuantConfig::uniform(net.layer_count(), 16, 16);
         let input = Tensor::random(3, 67, 67, 4);
-        let (out, _) = net.forward(&input, &cfg).unwrap();
+        let (out, _) = net
+            .forward_batch(&[input], &cfg, &mut Scratch::new())
+            .unwrap()
+            .remove(0);
         assert_eq!(out.shape(), (1, 1, 10));
         assert_eq!(net.parameterized_layers().len(), 8);
     }
@@ -474,7 +481,10 @@ mod tests {
         let net = vgg16(32, 0.0625, 5);
         let cfg = QuantConfig::uniform(net.layer_count(), 16, 16);
         let input = Tensor::random(3, 32, 32, 6);
-        let (out, _) = net.forward(&input, &cfg).unwrap();
+        let (out, _) = net
+            .forward_batch(&[input], &cfg, &mut Scratch::new())
+            .unwrap()
+            .remove(0);
         assert_eq!(out.shape(), (1, 1, 10));
         assert_eq!(net.parameterized_layers().len(), 16);
     }
@@ -518,8 +528,8 @@ mod tests {
         let data = SyntheticDataset::digits(2, 1);
         let cfg = QuantConfig::uniform(a.layer_count(), 8, 8);
         assert_eq!(
-            a.predict(&data.images()[0], &cfg).unwrap(),
-            b.predict(&data.images()[0], &cfg).unwrap()
+            a.predict_all(&data, &cfg).unwrap(),
+            b.predict_all(&data, &cfg).unwrap()
         );
     }
 
@@ -538,8 +548,8 @@ mod tests {
         let cfg = QuantConfig::uniform(spec.build().layer_count(), 8, 8);
         // Spec-built networks are the same networks: identical predictions.
         assert_eq!(
-            spec.build().predict(&data.images()[0], &cfg).unwrap(),
-            lenet5(9).predict(&data.images()[0], &cfg).unwrap()
+            spec.build().predict_all(&data, &cfg).unwrap(),
+            lenet5(9).predict_all(&data, &cfg).unwrap()
         );
         let alex = ModelSpec::resolve("alexnet", None, None, 3).unwrap();
         assert_eq!(alex.input(), 67);

@@ -6,18 +6,22 @@
 //! [`Network::forward_batch`] runs the whole cascade on the integer MAC
 //! path at that mixed precision.
 //!
-//! There is one forward: a chunk of samples carried layer by layer
-//! ([`Network::forward_batch_from`]), each conv/dense layer fusing the
-//! chunk into one wide GEMM. The single-sample calls are batches of one,
-//! and the dataset-level calls walk [`DEFAULT_BATCH_SIZE`]-sample chunks.
+//! There is one layer walk: [`Network::forward_layers`] carries a chunk of
+//! samples through a range of layers, each conv/dense layer fusing the
+//! chunk into one wide GEMM. [`Network::forward_batch`] is its
+//! whole-network case, the precision search runs it from the scanned
+//! layer on (and its prefix pass one segment at a time), and the
+//! dataset-level calls walk [`DEFAULT_BATCH_SIZE`]-sample chunks of it on
+//! an [`Executor`].
 
 use crate::dataset::SyntheticDataset;
 use crate::error::NnError;
 use crate::kernel::{with_thread_scratch, NnKernel, Scratch, DEFAULT_BATCH_SIZE};
-use crate::layers::{single, Layer, LayerStats};
+use crate::layers::{Layer, LayerStats};
 use crate::tensor::Tensor;
 use dvafs_executor::Executor;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Bit widths for one layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -147,17 +151,6 @@ impl Network {
         self
     }
 
-    /// Switches the MAC kernel every forward pass executes on.
-    pub fn set_kernel(&mut self, kernel: NnKernel) {
-        self.kernel = kernel;
-    }
-
-    /// The MAC kernel forward passes execute on.
-    #[must_use]
-    pub fn kernel(&self) -> NnKernel {
-        self.kernel
-    }
-
     /// The network's name (e.g. `"LeNet-5"`).
     #[must_use]
     pub fn name(&self) -> &str {
@@ -194,28 +187,9 @@ impl Network {
             .collect()
     }
 
-    /// Runs the cascade at a mixed per-layer precision on one input,
-    /// returning the output tensor and per-layer statistics — a batch of
-    /// one through [`forward_batch_from`](Self::forward_batch_from) on
-    /// the thread-local [`Scratch`], so repeated convenience calls reuse
-    /// the same im2col buffers instead of allocating fresh ones.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ConfigLengthMismatch`] when `config` does not
-    /// have one entry per layer, and propagates layer errors.
-    pub fn forward(
-        &self,
-        input: &Tensor,
-        config: &QuantConfig,
-    ) -> Result<(Tensor, Vec<LayerStats>), NnError> {
-        with_thread_scratch(|scratch| {
-            single(self.forward_batch_from(0, std::slice::from_ref(input), config, scratch))
-        })
-    }
-
     /// Runs a whole chunk of samples through the cascade, returning each
-    /// sample's output tensor and per-layer statistics in input order.
+    /// sample's output tensor and per-layer statistics in input order:
+    /// [`forward_layers`](Self::forward_layers) over every layer.
     ///
     /// The chunk is carried layer-by-layer: each parameterized layer
     /// fuses every sample's im2col panel into **one wide GEMM**, so the
@@ -223,7 +197,7 @@ impl Network {
     /// per chunk instead of once per sample. Every output element is still
     /// an independent exact-`i64` dot over the same operands — outputs,
     /// guard-skip counters and argmaxes are **bit-identical** to running
-    /// each sample as a batch of one, and to the naive kernel.
+    /// each sample as a chunk of one, and to the naive kernel.
     ///
     /// # Errors
     ///
@@ -236,19 +210,19 @@ impl Network {
         config: &QuantConfig,
         scratch: &mut Scratch,
     ) -> Result<Vec<(Tensor, Vec<LayerStats>)>, NnError> {
-        self.forward_batch_from(0, inputs, config, scratch)
+        self.forward_layers(0..self.layers.len(), inputs, config, scratch)
     }
 
-    /// Resumes a whole chunk at layer `start` from cached intermediate
-    /// activations — the one forward every other entry point runs, and
-    /// the candidate-plus-suffix entry point of the incremental precision
-    /// search. The inputs are only read: layer `start` builds the chunk's
-    /// next tensors, and from there on ReLU layers clamp them in place.
-    /// `inputs` must be the tensors that entered layer `start` in a full
-    /// run; since layers are a pure function of their input and
-    /// precision, the suffix outputs are bit-identical to the tail of
-    /// [`forward_batch`](Self::forward_batch) under the same `config`.
-    /// `start == layer_count()` returns the inputs unchanged.
+    /// Carries a whole chunk through the layers with indices in `layers`,
+    /// returning each sample's output and the statistics of every layer
+    /// in the range — the crate's one layer walk. The inputs are only
+    /// read: the range's first layer builds the chunk's next tensors, and
+    /// from there on ReLU layers clamp them in place. `inputs` must be the
+    /// tensors that entered `layers.start` in a full run; since layers are
+    /// a pure function of their input and precision, running `0..k` and
+    /// then `k..n` on its outputs is bit-identical to `0..n` under the
+    /// same `config`, which is how the precision search resumes from
+    /// cached activations. An empty range returns the inputs unchanged.
     ///
     /// # Errors
     ///
@@ -256,17 +230,17 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics when `start > layer_count()`.
-    pub fn forward_batch_from(
+    /// Panics when `layers` is not a range within `0..=layer_count()`.
+    pub fn forward_layers(
         &self,
-        start: usize,
+        layers: Range<usize>,
         inputs: &[Tensor],
         config: &QuantConfig,
         scratch: &mut Scratch,
     ) -> Result<Vec<(Tensor, Vec<LayerStats>)>, NnError> {
         assert!(
-            start <= self.layers.len(),
-            "suffix start {start} beyond layer count {}",
+            layers.start <= layers.end && layers.end <= self.layers.len(),
+            "layer range {layers:?} outside 0..{}",
             self.layers.len()
         );
         if config.len() != self.layers.len() {
@@ -275,18 +249,17 @@ impl Network {
                 entries: config.len(),
             });
         }
-        if start == self.layers.len() {
+        if layers.is_empty() {
             return Ok(inputs.iter().map(|x| (x.clone(), Vec::new())).collect());
         }
         let mut xs: Vec<Tensor> = Vec::new();
-        let mut stats: Vec<Vec<LayerStats>> =
-            vec![Vec::with_capacity(self.layers.len() - start); inputs.len()];
-        for (i, layer) in self.layers.iter().enumerate().skip(start) {
-            let p = config.layer(i);
+        let mut stats: Vec<Vec<LayerStats>> = vec![Vec::with_capacity(layers.len()); inputs.len()];
+        for i in layers.clone() {
+            let (layer, p) = (&self.layers[i], config.layer(i));
             let (wbits, abits) = (p.weights, p.activations);
-            // Layer `start` reads the caller's tensors; later layers run on
-            // the chunk this call owns, so a ReLU clamps it in place.
-            let layer_stats = if i == start {
+            // The first layer reads the caller's tensors; later layers run
+            // on the chunk this call owns, so a ReLU clamps it in place.
+            let layer_stats = if i == layers.start {
                 let outs = layer.forward_batch_with(inputs, wbits, abits, self.kernel, scratch)?;
                 let (outs, layer_stats) = outs.into_iter().unzip();
                 xs = outs;
@@ -301,69 +274,35 @@ impl Network {
         Ok(xs.into_iter().zip(stats).collect())
     }
 
-    /// Classifies one input (argmax of the final layer).
+    /// Predictions over a whole dataset: [`predict_all_with`] on a serial
+    /// executor.
+    ///
+    /// [`predict_all_with`]: Self::predict_all_with
     ///
     /// # Errors
     ///
-    /// Propagates [`forward`](Self::forward) errors.
-    pub fn predict(&self, input: &Tensor, config: &QuantConfig) -> Result<usize, NnError> {
-        Ok(self.forward(input, config)?.0.argmax())
-    }
-
-    /// Batch evaluation: classifies every image with **one** scratch, so
-    /// the im2col buffers of the GEMM kernel are allocated once and reused
-    /// across all samples (the serial building block `predict_all`
-    /// stands on). Walks the images in [`DEFAULT_BATCH_SIZE`]-sample
-    /// chunks through [`forward_batch`](Self::forward_batch).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`forward`](Self::forward) errors.
-    pub fn evaluate_batch(
-        &self,
-        images: &[Tensor],
-        config: &QuantConfig,
-        scratch: &mut Scratch,
-    ) -> Result<Vec<usize>, NnError> {
-        let mut preds = Vec::with_capacity(images.len());
-        for chunk in images.chunks(DEFAULT_BATCH_SIZE) {
-            for (out, _) in self.forward_batch(chunk, config, scratch)? {
-                preds.push(out.argmax());
-            }
-        }
-        Ok(preds)
-    }
-
-    /// Predictions over a whole dataset. Routes through the thread-local
-    /// [`Scratch`] shared with the parallel entry points, so repeated
-    /// convenience calls reuse the same im2col buffers instead of
-    /// allocating fresh ones per invocation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`forward`](Self::forward) errors.
+    /// Propagates [`forward_batch`](Self::forward_batch) errors (lowest
+    /// chunk first).
     pub fn predict_all(
         &self,
         data: &SyntheticDataset,
         config: &QuantConfig,
     ) -> Result<Vec<usize>, NnError> {
-        with_thread_scratch(|scratch| self.evaluate_batch(data.images(), config, scratch))
+        self.predict_all_with(data, config, &Executor::serial())
     }
 
     /// Predictions over a whole dataset, run in parallel on `exec`:
-    /// workers claim whole [`DEFAULT_BATCH_SIZE`]-sample chunks — the
-    /// chunks [`predict_all`](Self::predict_all) walks — and carry each
-    /// chunk layer-by-layer through the fused wide GEMM. Results merge in
-    /// sample order, so every prediction is bit-identical to
-    /// [`predict_all`](Self::predict_all) for any thread count. Each
-    /// worker reuses one thread-local [`Scratch`] across everything it
-    /// claims (buffer contents never outlive a single pass, so reuse
-    /// cannot affect results).
+    /// workers claim whole [`DEFAULT_BATCH_SIZE`]-sample chunks and carry
+    /// each through [`forward_batch`](Self::forward_batch). Results merge
+    /// in sample order, so every prediction is bit-identical for any
+    /// thread count. Each worker reuses one thread-local [`Scratch`]
+    /// across everything it claims (buffer contents never outlive a single
+    /// pass, so reuse cannot affect results).
     ///
     /// # Errors
     ///
-    /// Propagates [`forward`](Self::forward) errors (lowest chunk index
-    /// first, matching serial semantics).
+    /// Propagates [`forward_batch`](Self::forward_batch) errors (lowest
+    /// chunk first, matching serial semantics).
     pub fn predict_all_with(
         &self,
         data: &SyntheticDataset,
@@ -372,7 +311,10 @@ impl Network {
     ) -> Result<Vec<usize>, NnError> {
         let chunks: Vec<&[Tensor]> = data.images().chunks(DEFAULT_BATCH_SIZE).collect();
         let per_chunk = exec.try_par_map_indexed(&chunks, |_, chunk| {
-            with_thread_scratch(|scratch| self.evaluate_batch(chunk, config, scratch))
+            with_thread_scratch(|scratch| {
+                let outs = self.forward_batch(chunk, config, scratch)?;
+                Ok::<Vec<usize>, NnError>(outs.iter().map(|(out, _)| out.argmax()).collect())
+            })
         })?;
         Ok(per_chunk.into_iter().flatten().collect())
     }
@@ -476,29 +418,14 @@ impl Network {
         let reference = self
             .predict_all(data, reference_config)
             .expect("reference inference must succeed");
-        self.relative_accuracy_vs(data, config, &reference)
+        self.relative_accuracy_vs_with(data, config, &reference, &Executor::serial())
     }
 
-    /// Like [`relative_accuracy`](Self::relative_accuracy) but against
-    /// precomputed reference predictions (avoids re-running the reference).
-    ///
-    /// # Panics
-    ///
-    /// Panics if inference fails or lengths mismatch.
-    #[must_use]
-    pub fn relative_accuracy_vs(
-        &self,
-        data: &SyntheticDataset,
-        config: &QuantConfig,
-        reference: &[usize],
-    ) -> f64 {
-        self.relative_accuracy_vs_with(data, config, reference, &Executor::serial())
-    }
-
-    /// Like [`relative_accuracy_vs`](Self::relative_accuracy_vs) with the
-    /// quantized inference parallelized over samples on `exec`; agreement
-    /// counting is order-independent, so the score is bit-identical for
-    /// any thread count.
+    /// Like [`relative_accuracy`](Self::relative_accuracy), but against
+    /// precomputed reference predictions (avoids re-running the reference)
+    /// and with the quantized inference parallelized over samples on
+    /// `exec`; agreement counting is order-independent, so the score is
+    /// bit-identical for any thread count.
     ///
     /// # Panics
     ///
@@ -546,7 +473,10 @@ mod tests {
         let net = tiny_net();
         let cfg = QuantConfig::uniform(net.layer_count(), 16, 16);
         let input = Tensor::random(1, 8, 8, 1);
-        let (out, stats) = net.forward(&input, &cfg).unwrap();
+        let (out, stats) = net
+            .forward_batch(&[input], &cfg, &mut Scratch::new())
+            .unwrap()
+            .remove(0);
         assert_eq!(out.shape(), (1, 1, 4));
         assert_eq!(stats.len(), 4);
         assert!(stats[0].macs > 0);
@@ -559,7 +489,7 @@ mod tests {
         let cfg = QuantConfig::uniform(2, 16, 16);
         let input = Tensor::random(1, 8, 8, 1);
         assert!(matches!(
-            net.forward(&input, &cfg),
+            net.forward_batch(&[input], &cfg, &mut Scratch::new()),
             Err(NnError::ConfigLengthMismatch {
                 layers: 4,
                 entries: 2
@@ -628,8 +558,10 @@ mod tests {
         net.calibrate_logits(&data);
         let cfg = QuantConfig::uniform(net.layer_count(), 16, 16);
         let mut sums = vec![0.0f64; 4];
-        for img in data.images() {
-            let (out, _) = net.forward(img, &cfg).unwrap();
+        let outs = net
+            .forward_batch(data.images(), &cfg, &mut Scratch::new())
+            .unwrap();
+        for (out, _) in outs {
             for (s, &v) in sums.iter_mut().zip(out.as_slice()) {
                 *s += f64::from(v);
             }

@@ -11,11 +11,13 @@
 //! (`dvafs::scenario`): `dvafs run fig6` (add `--fast` for the CI-sized
 //! configuration) from `crates/bench`.
 //!
-//! The search's inference hot path runs on the network's MAC kernel
+//! The search runs the network's one layer walk,
+//! [`Network::forward_layers`], in [`DEFAULT_BATCH_SIZE`]-sample chunks:
+//! the prefix pass one segment at a time, each candidate width from the
+//! scanned layer on. That walk runs on the network's MAC kernel
 //! ([`crate::kernel::NnKernel`], the subword-packed GEMM by default with
 //! per-layer weight panels memoized across the scan; `Network::with_kernel`
-//! selects the naive oracle), in [`DEFAULT_BATCH_SIZE`]-sample chunks
-//! carried layer by layer. The kernel never changes a search result —
+//! selects the naive oracle). The kernel never changes a search result —
 //! only wall time (`tests/kernel_equivalence.rs` and
 //! `tests/batch_equivalence.rs` pin the forward it runs on).
 
@@ -150,22 +152,13 @@ impl PrecisionSearch {
     /// Accuracy is not perfectly monotone in bits, so the scan walks down
     /// from full precision and stops at the last width that still meets
     /// the target.
-    #[must_use]
-    pub fn search(
-        &self,
-        net: &Network,
-        data: &SyntheticDataset,
-        operand: Operand,
-    ) -> Vec<LayerRequirement> {
-        self.search_with(net, data, operand, &Executor::serial())
-    }
-
-    /// Like [`search`](Self::search), with the per-layer scans distributed
-    /// over `exec`'s workers (layers are independent: each scans with the
-    /// rest of the network at full precision) and the reference inference
-    /// parallelized over samples. Scan depth varies per layer, so workers
-    /// claim layers dynamically; results merge in layer order and are
-    /// bit-identical to a serial search for any thread count.
+    ///
+    /// The per-layer scans are distributed over `exec`'s workers (layers
+    /// are independent: each scans with the rest of the network at full
+    /// precision) and the reference inference is parallelized over
+    /// samples. Scan depth varies per layer, so workers claim layers
+    /// dynamically; results merge in layer order and are bit-identical to
+    /// a search on [`Executor::serial`] for any thread count.
     #[must_use]
     pub fn search_with(
         &self,
@@ -237,7 +230,7 @@ impl PrecisionSearch {
     /// bit-identical. The inputs are kept layer-major (one sample-ordered
     /// list per parameterized layer), so a chunk of them is one contiguous
     /// slice, and each candidate width costs one
-    /// [`Network::forward_batch_from`] from `li`, chunk by chunk.
+    /// [`Network::forward_layers`] from `li` on, chunk by chunk.
     fn search_incremental(
         &self,
         net: &Network,
@@ -247,33 +240,28 @@ impl PrecisionSearch {
     ) -> Vec<LayerRequirement> {
         let full = QuantConfig::uniform(net.layer_count(), self.full_bits, self.full_bits);
         let layers = net.parameterized_layers();
-        // Prefix pass: one full-precision forward over the data, walking
-        // the same layer calls `Network::forward_batch` makes, keeping each
-        // parameterized layer's input instead of dropping it. Workers claim
-        // whole chunks and carry them layer-by-layer (one wide GEMM per
-        // layer).
+        // Prefix pass: one full-precision forward over the data, run one
+        // segment at a time. Each segment ends just before a parameterized
+        // layer, so its output is that layer's input, kept instead of
+        // dropped; the last segment ends at the network's output. Workers
+        // claim whole chunks and carry them layer-by-layer (one wide GEMM
+        // per layer).
         let images: Vec<&[Tensor]> = data.images().chunks(DEFAULT_BATCH_SIZE).collect();
         let per_chunk: Vec<(Vec<Vec<Tensor>>, Vec<usize>)> =
             exec.par_map_indexed(&images, |_, chunk| {
                 with_thread_scratch(|scratch| {
-                    let mut xs: Vec<Tensor> = chunk.to_vec();
-                    let mut inputs = Vec::with_capacity(layers.len());
-                    for (i, layer) in net.layers().iter().enumerate() {
-                        let p = full.layer(i);
-                        let (wbits, abits, kernel) = (p.weights, p.activations, net.kernel());
-                        if layer.is_parameterized() {
-                            let outs = layer
-                                .forward_batch_with(&xs, wbits, abits, kernel, scratch)
-                                .expect("full-precision inference must succeed");
-                            let outs = outs.into_iter().map(|(out, _)| out).collect();
-                            inputs.push(std::mem::replace(&mut xs, outs));
-                        } else {
-                            layer
-                                .forward_owned(&mut xs, wbits, abits, kernel, scratch)
-                                .expect("full-precision inference must succeed");
-                        }
+                    let mut segments: Vec<Vec<Tensor>> = Vec::with_capacity(layers.len() + 1);
+                    let mut start = 0;
+                    for end in layers.iter().copied().chain([net.layer_count()]) {
+                        let xs = segments.last().map_or(*chunk, Vec::as_slice);
+                        let outs = net
+                            .forward_layers(start..end, xs, &full, scratch)
+                            .expect("full-precision inference must succeed");
+                        segments.push(outs.into_iter().map(|(out, _)| out).collect());
+                        start = end;
                     }
-                    (inputs, xs.iter().map(Tensor::argmax).collect())
+                    let outputs = segments.pop().expect("the last segment ends the network");
+                    (segments, outputs.iter().map(Tensor::argmax).collect())
                 })
             });
         let mut prefix: Vec<Vec<Tensor>> = vec![Vec::with_capacity(data.len()); layers.len()];
@@ -302,7 +290,7 @@ impl PrecisionSearch {
                 let agree: usize = exec
                     .par_map_indexed(&chunks, |_, &(inputs, want)| {
                         with_thread_scratch(|scratch| {
-                            net.forward_batch_from(li, inputs, &cfg, scratch)
+                            net.forward_layers(li..net.layer_count(), inputs, &cfg, scratch)
                                 .expect("scan inference must succeed")
                                 .iter()
                                 .zip(want)
@@ -383,7 +371,12 @@ mod tests {
     #[test]
     fn search_returns_one_entry_per_parameterized_layer() {
         let net = tiny_net();
-        let reqs = PrecisionSearch::new().search(&net, &data(), Operand::Weights);
+        let reqs = PrecisionSearch::new().search_with(
+            &net,
+            &data(),
+            Operand::Weights,
+            &Executor::serial(),
+        );
         assert_eq!(reqs.len(), 3);
         assert_eq!(reqs[0].layer_index, 0);
         assert!(reqs.iter().all(|r| (1..=16).contains(&r.bits)));
@@ -395,7 +388,7 @@ mod tests {
         let d = data();
         let search = PrecisionSearch::new().with_target(0.9);
         for op in [Operand::Weights, Operand::Activations] {
-            for r in search.search(&net, &d, op) {
+            for r in search.search_with(&net, &d, op, &Executor::serial()) {
                 assert!(
                     r.relative_accuracy >= 0.9,
                     "{} at {} bits only reaches {}",
@@ -411,12 +404,18 @@ mod tests {
     fn looser_target_never_needs_more_bits() {
         let net = tiny_net();
         let d = data();
-        let strict = PrecisionSearch::new()
-            .with_target(0.99)
-            .search(&net, &d, Operand::Weights);
-        let loose = PrecisionSearch::new()
-            .with_target(0.75)
-            .search(&net, &d, Operand::Weights);
+        let strict = PrecisionSearch::new().with_target(0.99).search_with(
+            &net,
+            &d,
+            Operand::Weights,
+            &Executor::serial(),
+        );
+        let loose = PrecisionSearch::new().with_target(0.75).search_with(
+            &net,
+            &d,
+            Operand::Weights,
+            &Executor::serial(),
+        );
         for (s, l) in strict.iter().zip(loose.iter()) {
             assert!(
                 l.bits <= s.bits,
@@ -434,7 +433,7 @@ mod tests {
         let d = data();
         let search = PrecisionSearch::new().with_target(0.9);
         for op in [Operand::Weights, Operand::Activations] {
-            let serial = search.search(&net, &d, op);
+            let serial = search.search_with(&net, &d, op, &Executor::serial());
             let parallel = search.search_with(&net, &d, op, &Executor::new(4));
             assert_eq!(serial, parallel);
         }
@@ -445,8 +444,8 @@ mod tests {
         let net = tiny_net();
         let d = data();
         let search = PrecisionSearch::new().with_target(0.8);
-        let w = search.search(&net, &d, Operand::Weights);
-        let a = search.search(&net, &d, Operand::Activations);
+        let w = search.search_with(&net, &d, Operand::Weights, &Executor::serial());
+        let a = search.search_with(&net, &d, Operand::Activations, &Executor::serial());
         let cfg = search.to_config(&net, &w, &a);
         assert_eq!(cfg.len(), net.layer_count());
         for r in &w {
@@ -474,11 +473,11 @@ mod tests {
             let rescan = PrecisionSearch::new()
                 .with_target(0.9)
                 .with_strategy(SearchStrategy::Rescan)
-                .search(&net, &d, op);
+                .search_with(&net, &d, op, &Executor::serial());
             let incremental = PrecisionSearch::new()
                 .with_target(0.9)
                 .with_strategy(SearchStrategy::Incremental)
-                .search(&net, &d, op);
+                .search_with(&net, &d, op, &Executor::serial());
             assert_eq!(rescan, incremental);
         }
     }

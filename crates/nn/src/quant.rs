@@ -13,9 +13,9 @@
 //!    same pass rejects NaN and ±inf: a value is finite exactly when
 //!    `bits & 0x7fff_ffff < 0x7f80_0000`;
 //! 2. every element divided by the scale and rounded half away from zero
-//!    onto the grid ([`round_to_grid`]).
+//!    onto the grid (`round_to_grid`).
 //!
-//! Pass 2 is the one rounding kernel of the crate ([`round_lanes`]). It
+//! Pass 2 is the one rounding kernel of the crate (`round_lanes`). It
 //! reads its values in place, through a gather table or as 2 to 4
 //! interleaved planes, row by row, writes each grid value as `i16` or as
 //! the 1- or 2-byte lane of an activation fill, and counts the zeros it
@@ -25,7 +25,7 @@
 //! Its tiers are picked at run time by CPU features (the workspace builds
 //! for baseline x86-64):
 //!
-//! * **vector** (AVX2, and the [`Tier::Avx512`] hosts): 8 lanes per step
+//! * **vector** (AVX2, and the `Tier::Avx512` hosts): 8 lanes per step
 //!   in `ymm` registers — a load, a `vgatherdps` for a gather table, or,
 //!   for 2 to 4 interleaved planes, one load per plane and a permute and
 //!   blend per plane for each whole block of 8 columns — and each row's
@@ -33,7 +33,7 @@
 //!   tails) measured slower on a 2-vCPU Xeon with AVX-512: the `f64`
 //!   divide sets the pace (about 0.85 ns per value for `ymm` and `zmm`
 //!   alike), and 512-bit operations share the divider's port;
-//! * **scalar**: the [`round_to_grid`] loop, everywhere else, and the
+//! * **scalar**: the `round_to_grid` loop, everywhere else, and the
 //!   oracle the vector kernel is tested against.
 //!
 //! Both do the same IEEE divide (`f64`) and clamp; the vector kernel then

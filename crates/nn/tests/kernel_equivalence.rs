@@ -27,7 +27,10 @@ fn run_layer(
     abits: u32,
 ) -> Result<(Tensor, LayerStats), NnError> {
     let net = Network::new("one", vec![layer.clone()]).with_kernel(kernel);
-    let (out, stats) = net.forward(input, &QuantConfig::uniform(1, wbits, abits))?;
+    let cfg = QuantConfig::uniform(1, wbits, abits);
+    let (out, stats) = net
+        .forward_batch(std::slice::from_ref(input), &cfg, &mut Scratch::new())?
+        .remove(0);
     Ok((out, stats[0]))
 }
 
@@ -128,7 +131,7 @@ proptest! {
         let cfg = QuantConfig::uniform(naive.layer_count(), bits, bits);
         let serial = naive.predict_all(&data, &cfg).expect("naive inference");
         let packed_batched = packed
-            .evaluate_batch(data.images(), &cfg, &mut Scratch::new())
+            .predict_all(&data, &cfg)
             .expect("batched packed inference");
         let packed_parallel = packed
             .predict_all_with(&data, &cfg, &Executor::new(threads))
@@ -210,10 +213,16 @@ fn pruning_invalidates_weight_memoization() {
         "conv",
         vec![Layer::Conv2d(Conv2d::random(2, 4, 3, 1, 1, 7))],
     );
-    assert_eq!(net.kernel(), NnKernel::GemmPacked);
+    // `Network::new` runs the default kernel: the memoized packed one.
+    assert_eq!(NnKernel::default(), NnKernel::GemmPacked);
     let input = Tensor::random(2, 8, 8, 8);
     let cfg = QuantConfig::uniform(1, 8, 8);
-    let fwd = |n: &Network| n.forward(&input, &cfg).expect("forward succeeds").1[0];
+    let fwd = |n: &Network| {
+        n.forward_batch(std::slice::from_ref(&input), &cfg, &mut Scratch::new())
+            .expect("forward succeeds")
+            .remove(0)
+            .1[0]
+    };
     // Warm the cache at 8 bits; the second pass is the memoized hit.
     let before = fwd(&net);
     let again = fwd(&net);
@@ -244,9 +253,16 @@ fn dense_pruning_reflected_after_memoization() {
     let mut net = models::lenet5(11);
     let data = SyntheticDataset::digits(2, 12);
     let cfg = QuantConfig::uniform(net.layer_count(), 8, 8);
+    let stats = |net: &Network| {
+        let first = &data.images()[..1];
+        net.forward_batch(first, &cfg, &mut Scratch::new())
+            .expect("forward")
+            .remove(0)
+            .1
+    };
     // Two passes warm every layer's 8-bit pack.
-    let (_, stats_a) = net.forward(&data.images()[0], &cfg).expect("forward");
-    let (_, stats_b) = net.forward(&data.images()[0], &cfg).expect("forward");
+    let stats_a = stats(&net);
+    let stats_b = stats(&net);
     assert_eq!(stats_a, stats_b);
     // Prune the first dense layer and re-run: its zero counters move.
     let dense_idx = 6; // LeNet-5 fc120
@@ -256,7 +272,7 @@ fn dense_pruning_reflected_after_memoization() {
     for w in d.weights_mut().iter_mut().take(100) {
         *w = 0.0;
     }
-    let (_, stats_c) = net.forward(&data.images()[0], &cfg).expect("forward");
+    let stats_c = stats(&net);
     assert!(
         stats_c[dense_idx].zero_weight_macs > stats_a[dense_idx].zero_weight_macs,
         "pruning must be visible through the memoized path"

@@ -1,10 +1,28 @@
 //! Property-based tests of the CNN substrate's quantization invariants.
 
-use dvafs_nn::layers::{Conv2d, Dense, Layer};
+use dvafs_nn::kernel::Scratch;
+use dvafs_nn::layers::{Conv2d, Dense, Layer, LayerStats};
 use dvafs_nn::network::{Network, QuantConfig};
 use dvafs_nn::quant::QuantizedTensor;
 use dvafs_nn::tensor::Tensor;
 use proptest::prelude::*;
+
+/// One input through `net` as a chunk of one.
+fn forward_one(net: &Network, input: &Tensor, cfg: &QuantConfig) -> (Tensor, Vec<LayerStats>) {
+    net.forward_batch(std::slice::from_ref(input), cfg, &mut Scratch::new())
+        .expect("works")
+        .remove(0)
+}
+
+/// One input through `layer` alone, at `bits` on both operands.
+fn forward_layer(layer: Layer, input: &Tensor, bits: u32) -> (Tensor, LayerStats) {
+    let (out, stats) = forward_one(
+        &Network::new("one", vec![layer]),
+        input,
+        &QuantConfig::uniform(1, bits, bits),
+    );
+    (out, stats[0])
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -48,8 +66,8 @@ proptest! {
     #[test]
     fn relu_idempotent(seed in any::<u64>()) {
         let t = Tensor::random(2, 4, 4, seed);
-        let (once, _) = Layer::ReLU.forward(&t, 16, 16).expect("works");
-        let (twice, _) = Layer::ReLU.forward(&once, 16, 16).expect("works");
+        let (once, _) = forward_layer(Layer::ReLU, &t, 16);
+        let (twice, _) = forward_layer(Layer::ReLU, &once, 16);
         prop_assert_eq!(&once, &twice);
         prop_assert!(once.as_slice().iter().all(|&v| v >= 0.0));
     }
@@ -59,7 +77,7 @@ proptest! {
     #[test]
     fn maxpool_preserves_values(seed in any::<u64>()) {
         let t = Tensor::random(1, 6, 6, seed);
-        let (out, _) = Layer::MaxPool2d { k: 2, stride: 2 }.forward(&t, 16, 16).expect("works");
+        let (out, _) = forward_layer(Layer::MaxPool2d { k: 2, stride: 2 }, &t, 16);
         prop_assert!((out.max_abs() <= t.max_abs() + 1e-12) || out.as_slice().iter().any(|v| *v < 0.0));
         for &v in out.as_slice() {
             prop_assert!(t.as_slice().contains(&v));
@@ -80,8 +98,8 @@ proptest! {
         );
         let cfg = QuantConfig::uniform(net.layer_count(), bits, bits);
         let input = Tensor::random(1, 6, 6, seed);
-        let (a, _) = net.forward(&input, &cfg).expect("works");
-        let (b, _) = net.forward(&input, &cfg).expect("works");
+        let (a, _) = forward_one(&net, &input, &cfg);
+        let (b, _) = forward_one(&net, &input, &cfg);
         prop_assert_eq!(a, b);
     }
 
@@ -93,7 +111,7 @@ proptest! {
         let analytic = conv.mac_count(7, 7);
         let layer = Layer::Conv2d(conv);
         let input = Tensor::random(2, 7, 7, seed);
-        let (_, stats) = layer.forward(&input, bits, bits).expect("works");
+        let (_, stats) = forward_layer(layer, &input, bits);
         prop_assert_eq!(stats.macs, analytic);
         prop_assert!(stats.zero_weight_macs <= stats.macs);
         prop_assert!(stats.zero_act_macs <= stats.macs);

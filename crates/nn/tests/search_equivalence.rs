@@ -162,7 +162,7 @@ fn vgg_style_stack_agrees_over_several_chunks_for_every_thread_count() {
     for operand in [Operand::Weights, Operand::Activations] {
         let oracle = PrecisionSearch::new()
             .with_strategy(SearchStrategy::Rescan)
-            .search(&net, &data, operand);
+            .search_with(&net, &data, operand, &Executor::serial());
         for threads in 1..=8 {
             let exec = Executor::new(threads);
             for strategy in [SearchStrategy::Rescan, SearchStrategy::Incremental] {
@@ -196,7 +196,7 @@ fn deep_cascade_agrees_for_every_thread_count() {
     for operand in [Operand::Weights, Operand::Activations] {
         let oracle = PrecisionSearch::new()
             .with_strategy(SearchStrategy::Rescan)
-            .search(&net, &data, operand);
+            .search_with(&net, &data, operand, &Executor::serial());
         for threads in 1..=8 {
             let got = PrecisionSearch::new()
                 .with_strategy(SearchStrategy::Incremental)
@@ -217,14 +217,15 @@ fn weight_mutation_between_scans_prunes_the_memo() {
     let search = PrecisionSearch::new().with_target(0.8);
 
     // Warm every per-layer cache with one search per strategy.
-    let before_rescan =
-        search
-            .with_strategy(SearchStrategy::Rescan)
-            .search(&net, &data, Operand::Weights);
-    let before_incremental =
-        search
-            .with_strategy(SearchStrategy::Incremental)
-            .search(&net, &data, Operand::Weights);
+    let before_rescan = search.with_strategy(SearchStrategy::Rescan).search_with(
+        &net,
+        &data,
+        Operand::Weights,
+        &Executor::serial(),
+    );
+    let before_incremental = search
+        .with_strategy(SearchStrategy::Incremental)
+        .search_with(&net, &data, Operand::Weights, &Executor::serial());
     assert_reqs_bit_identical(&before_rescan, &before_incremental);
 
     // Prune half of the first conv's weights in place (weights_mut is the
@@ -241,15 +242,21 @@ fn weight_mutation_between_scans_prunes_the_memo() {
     // stale memo cannot match.
     let cold = net.clone();
     for operand in [Operand::Weights, Operand::Activations] {
-        let oracle = search
-            .with_strategy(SearchStrategy::Rescan)
-            .search(&cold, &data, operand);
+        let oracle = search.with_strategy(SearchStrategy::Rescan).search_with(
+            &cold,
+            &data,
+            operand,
+            &Executor::serial(),
+        );
         let warm_incremental = search
             .with_strategy(SearchStrategy::Incremental)
             .search_with(&net, &data, operand, &Executor::new(4));
-        let warm_rescan = search
-            .with_strategy(SearchStrategy::Rescan)
-            .search(&net, &data, operand);
+        let warm_rescan = search.with_strategy(SearchStrategy::Rescan).search_with(
+            &net,
+            &data,
+            operand,
+            &Executor::serial(),
+        );
         assert_reqs_bit_identical(&oracle, &warm_incremental);
         assert_reqs_bit_identical(&oracle, &warm_rescan);
     }

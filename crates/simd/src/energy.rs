@@ -107,17 +107,6 @@ impl SimdEnergyModel {
         }
     }
 
-    /// Creates the model from existing profiles (avoids re-simulating the
-    /// multiplier netlist).
-    #[must_use]
-    pub fn with_profiles(das: ActivityProfile, dvafs: ActivityProfile) -> Self {
-        SimdEnergyModel {
-            coefficients: EnergyCoefficients::default(),
-            das_profile: das,
-            dvafs_profile: dvafs,
-        }
-    }
-
     /// The calibration constants in use.
     #[must_use]
     pub fn coefficients(&self) -> &EnergyCoefficients {
@@ -134,11 +123,6 @@ impl SimdEnergyModel {
     #[must_use]
     pub fn dvafs_profile(&self) -> &ActivityProfile {
         &self.dvafs_profile
-    }
-
-    /// Overrides the calibration constants.
-    pub fn set_coefficients(&mut self, coefficients: EnergyCoefficients) {
-        self.coefficients = coefficients;
     }
 
     /// Relative MAC activity factor for a scaling regime at a per-word

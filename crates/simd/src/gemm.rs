@@ -742,78 +742,10 @@ mod tests {
     use dvafs_arith::subword::pack_lanes;
     use rand::{Rng, SeedableRng};
 
-    /// Exact dot product of two `i16` slices with 64-bit accumulation —
-    /// the plain reference the packed kernels are checked against.
-    ///
-    /// Every `i16 x i16` product fits `i32` (even `MIN x MIN = 2^30`); each
-    /// product is widened to `i64` before summation — a *pair* of extreme
-    /// products would overflow a pairwise `i32` sum by exactly one, the
-    /// classic `pmaddwd` saturation corner — and folded into two independent
-    /// `i64` accumulators. The result is the exact mathematical dot product
-    /// regardless of length or unrolling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    fn dot_i16(a: &[i16], b: &[i16]) -> i64 {
-        assert_eq!(a.len(), b.len(), "dot operands must have equal length");
-        let mut acc0 = 0i64;
-        let mut acc1 = 0i64;
-        let mut ca = a.chunks_exact(8);
-        let mut cb = b.chunks_exact(8);
-        for (x, y) in (&mut ca).zip(&mut cb) {
-            let p0 = i64::from(i32::from(x[0]) * i32::from(y[0]))
-                + i64::from(i32::from(x[1]) * i32::from(y[1]));
-            let p1 = i64::from(i32::from(x[2]) * i32::from(y[2]))
-                + i64::from(i32::from(x[3]) * i32::from(y[3]));
-            let p2 = i64::from(i32::from(x[4]) * i32::from(y[4]))
-                + i64::from(i32::from(x[5]) * i32::from(y[5]));
-            let p3 = i64::from(i32::from(x[6]) * i32::from(y[6]))
-                + i64::from(i32::from(x[7]) * i32::from(y[7]));
-            acc0 += p0 + p1;
-            acc1 += p2 + p3;
-        }
-        for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
-            acc0 += i64::from(x) * i64::from(y);
-        }
-        acc0 + acc1
-    }
-
-    /// Blocked plain `i16` GEMM: `out[i][j] = Σ_t a[i][t] * bt[j][t]`,
-    /// exact in `i64` — the reference [`gemm_packed`] is checked against.
-    ///
-    /// * `a` is `m x k` row-major (e.g. one quantized filter per row);
-    /// * `bt` is the **transposed** right operand, `n x k` row-major (e.g. one
-    ///   im2col patch per row);
-    /// * `out` is `m x n` row-major and is fully overwritten.
-    ///
-    /// Columns are processed in [`COL_TILE`]-wide tiles so the active slice of
-    /// `bt` stays cache-hot while all `m` rows of `a` stream against it. The
-    /// accumulation is exact, so the tiling never changes a value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a slice length disagrees with the given dimensions.
-    fn gemm_i16(a: &[i16], bt: &[i16], m: usize, k: usize, n: usize, out: &mut [i64]) {
-        assert_eq!(a.len(), m * k, "A must be m x k");
-        assert_eq!(bt.len(), n * k, "Bt must be n x k");
-        assert_eq!(out.len(), m * n, "out must be m x n");
-        if k == 0 {
-            out.fill(0);
-            return;
-        }
-        for (tile, bt_tile) in bt.chunks(COL_TILE * k).enumerate() {
-            let j0 = tile * COL_TILE;
-            for i in 0..m {
-                let a_row = &a[i * k..(i + 1) * k];
-                let out_row = &mut out[i * n + j0..];
-                for (jj, b_row) in bt_tile.chunks_exact(k).enumerate() {
-                    out_row[jj] = dot_i16(a_row, b_row);
-                }
-            }
-        }
-    }
-
+    /// Plain `i16` GEMM, `out[i][j] = Σ_t a[i][t] * bt[j][t]` with every
+    /// product widened to `i64` before it is summed: the reference every
+    /// tier is checked against (`a` is `m x k`, `bt` the transposed right
+    /// operand, `n x k`, both row-major).
     fn naive_gemm(a: &[i16], bt: &[i16], m: usize, k: usize, n: usize) -> Vec<i64> {
         let mut out = vec![0i64; m * n];
         for i in 0..m {
@@ -828,13 +760,6 @@ mod tests {
         out
     }
 
-    fn random_panel(len: usize, seed: u64) -> Vec<i16> {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        (0..len)
-            .map(|_| rng.gen_range(-32768..=32767) as i16)
-            .collect()
-    }
-
     /// Random values spanning the full two's-complement lane range of a
     /// mode (MIN included — the packed kernels must stay exact there).
     fn random_lanes(len: usize, mode: SubwordMode, seed: u64) -> Vec<i16> {
@@ -843,81 +768,6 @@ mod tests {
         let lo = -(1i32 << (w - 1));
         let hi = (1i32 << (w - 1)) - 1;
         (0..len).map(|_| rng.gen_range(lo..=hi) as i16).collect()
-    }
-
-    #[test]
-    fn dot_matches_reference_for_every_remainder_length() {
-        for len in 0..40 {
-            let a = random_panel(len, 1 + len as u64);
-            let b = random_panel(len, 100 + len as u64);
-            let expected: i64 = a
-                .iter()
-                .zip(&b)
-                .map(|(&x, &y)| i64::from(x) * i64::from(y))
-                .sum();
-            assert_eq!(dot_i16(&a, &b), expected, "len={len}");
-        }
-    }
-
-    #[test]
-    fn dot_extremes_do_not_overflow() {
-        // Worst case: every pair product is the maximal magnitude.
-        let a = vec![i16::MIN; 1024];
-        let b = vec![i16::MIN; 1024];
-        assert_eq!(dot_i16(&a, &b), 1024 * (i64::from(i16::MIN)).pow(2));
-        let c = vec![i16::MAX; 1024];
-        assert_eq!(
-            dot_i16(&c, &a),
-            1024 * i64::from(i16::MAX) * i64::from(i16::MIN)
-        );
-    }
-
-    /// Full 8-lane unrolled blocks of `MIN x MIN`: every *pair* of
-    /// products sums to exactly `2^31`, one past `i32::MAX` — the
-    /// `pmaddwd` saturation corner the docs cite. The per-product `i64`
-    /// widening must come through exact for whole blocks of them (no
-    /// remainder loop involved).
-    #[test]
-    fn dot_i16_full_min_blocks_are_exact() {
-        for blocks in [1usize, 2, 5, 16] {
-            let n = 8 * blocks;
-            let a = vec![i16::MIN; n];
-            assert_eq!(dot_i16(&a, &a), n as i64 * (1i64 << 30), "blocks={blocks}");
-        }
-    }
-
-    #[test]
-    fn gemm_matches_naive_across_shapes() {
-        for (s, &(m, k, n)) in [
-            (1usize, 1usize, 1usize),
-            (3, 7, 5),
-            (8, 25, 33),  // n spills one past a COL_TILE boundary
-            (4, 9, 32),   // n exactly one tile
-            (2, 150, 70), // k longer than any unroll
-        ]
-        .iter()
-        .enumerate()
-        {
-            let a = random_panel(m * k, 7 + s as u64);
-            let bt = random_panel(n * k, 70 + s as u64);
-            let mut out = vec![i64::MIN; m * n]; // poisoned: must be overwritten
-            gemm_i16(&a, &bt, m, k, n, &mut out);
-            assert_eq!(out, naive_gemm(&a, &bt, m, k, n), "m={m} k={k} n={n}");
-        }
-    }
-
-    #[test]
-    fn gemm_zero_k_clears_output() {
-        let mut out = vec![5i64; 6];
-        gemm_i16(&[], &[], 2, 0, 3, &mut out);
-        assert_eq!(out, vec![0i64; 6]);
-    }
-
-    #[test]
-    #[should_panic(expected = "A must be m x k")]
-    fn gemm_rejects_bad_dimensions() {
-        let mut out = vec![0i64; 4];
-        gemm_i16(&[0; 3], &[0; 4], 2, 2, 2, &mut out);
     }
 
     /// The panel's word stream follows the `pack_lanes` field rules
@@ -1027,7 +877,7 @@ mod tests {
     }
 
     /// Packed dots — the scalar [`dot_packed`] and the `1 x 1` multiply
-    /// on every tier — are bit-identical to [`dot_i16`] on the
+    /// on every tier — are bit-identical to `naive_gemm` on the
     /// re-expanded lanes, for every mode pair (including mixed
     /// precision) and ragged lengths, with the full lane range (MIN
     /// included) in play.
@@ -1042,7 +892,7 @@ mod tests {
                         let b = random_lanes(k, mb, seed ^ 0xDEAD);
                         let pa = PackedPanel::pack(&a, 1, k, ma);
                         let pb = PackedPanel::pack(&b, 1, k, mb);
-                        let want = dot_i16(&a, &b);
+                        let want = naive_gemm(&a, &b, 1, k, 1)[0];
                         assert_eq!(dot_packed(&pa, 0, &pb, 0), want, "modes {ma}x{mb} k={k}");
                         assert_eq!(
                             gemm_on(tier, &pa, &pb),
@@ -1082,10 +932,14 @@ mod tests {
                 let pb = PackedPanel::pack(&b, 1, k, SubwordMode::X1);
                 assert_eq!(
                     gemm_on(tier, &pa, &pb),
-                    [dot_i16(&a, &b)],
+                    naive_gemm(&a, &b, 1, k, 1),
                     "{t} mixed k={k}"
                 );
-                assert_eq!(gemm_on(tier, &pb, &pb), [dot_i16(&b, &b)], "{t} self k={k}");
+                assert_eq!(
+                    gemm_on(tier, &pb, &pb),
+                    naive_gemm(&b, &b, 1, k, 1),
+                    "{t} self k={k}"
+                );
             }
         });
     }
@@ -1270,10 +1124,9 @@ mod tests {
 
     /// The wide-panel batch entry: one fused multiply over `B` samples'
     /// concatenated right-hand panels is bit-identical, slice by slice,
-    /// to `B` separate per-sample multiplies — for both the packed and
-    /// unpacked GEMMs, across mode pairs and a non-multiple-of-tile
-    /// total width. This is the property `dvafs-nn`'s batch forward
-    /// stands on.
+    /// to `B` separate per-sample multiplies and to the plain reference,
+    /// across mode pairs and a non-multiple-of-tile total width. This is
+    /// the property `dvafs-nn`'s batch forward stands on.
     #[test]
     fn concatenated_wide_panel_matches_per_sample_gemms() {
         let (m, k, n, batches) = (5usize, 23usize, 13usize, 3usize);
@@ -1290,8 +1143,7 @@ mod tests {
                 let pwide = PackedPanel::pack(&wide, total, k, mb);
                 let mut fused_packed = vec![i64::MIN; m * total];
                 gemm_packed(&pa, &pwide, &mut fused_packed);
-                let mut fused_plain = vec![i64::MIN; m * total];
-                gemm_i16(&a, &wide, m, k, total, &mut fused_plain);
+                let fused_plain = naive_gemm(&a, &wide, m, k, total);
                 // Per sample: B separate m x n multiplies.
                 for (s, bt) in samples.iter().enumerate() {
                     let pbt = PackedPanel::pack(bt, n, k, mb);
@@ -1302,7 +1154,7 @@ mod tests {
                         let plain_row = &fused_plain[i * total + s * n..][..n];
                         let solo_row = &solo[i * n..][..n];
                         assert_eq!(fused_row, solo_row, "{ma}x{mb} sample {s} row {i}");
-                        assert_eq!(plain_row, solo_row, "{ma}x{mb} gemm_i16 sample {s}");
+                        assert_eq!(plain_row, solo_row, "{ma}x{mb} naive_gemm sample {s}");
                     }
                 }
             }
