@@ -70,12 +70,6 @@ impl Precision {
     pub fn max_value(self) -> i32 {
         (i32::from(i16::MAX) >> self.dropped_bits()) << self.dropped_bits()
     }
-
-    /// Smallest representable value of a signed word at this precision.
-    #[must_use]
-    pub fn min_value(self) -> i32 {
-        i32::from(i16::MIN)
-    }
 }
 
 impl Default for Precision {

@@ -277,39 +277,6 @@ pub fn precision_relative_rmse(bits: u32, pairs: &[(u16, u16)]) -> f64 {
     rmse(&errors) / FULL_SCALE
 }
 
-/// Signal-to-noise ratio in dB between a reference and a degraded signal.
-///
-/// Used by the JPEG-DCT fault-tolerance demonstration from the paper's
-/// introduction (ref \[7\]: 4-bit DCT at ~2 dB SNR loss).
-///
-/// # Example
-///
-/// ```
-/// use dvafs_arith::metrics::snr_db;
-///
-/// let reference = vec![1.0, -2.0, 3.0];
-/// assert!(snr_db(&reference, &reference).is_infinite());
-/// ```
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[must_use]
-pub fn snr_db(reference: &[f64], degraded: &[f64]) -> f64 {
-    assert_eq!(reference.len(), degraded.len(), "signal lengths must match");
-    let signal: f64 = reference.iter().map(|x| x * x).sum();
-    let noise: f64 = reference
-        .iter()
-        .zip(degraded.iter())
-        .map(|(r, d)| (r - d) * (r - d))
-        .sum();
-    if noise == 0.0 {
-        f64::INFINITY
-    } else {
-        10.0 * (signal / noise).log10()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,19 +410,5 @@ mod tests {
             let whole = precision_relative_rmse(bits, &flat);
             assert!((merged - whole).abs() < whole * 1e-12 + 1e-18, "{bits}b");
         }
-    }
-
-    #[test]
-    fn snr_decreases_with_noise() {
-        let reference: Vec<f64> = (0..64).map(f64::from).collect();
-        let slightly: Vec<f64> = reference.iter().map(|x| x + 0.1).collect();
-        let very: Vec<f64> = reference.iter().map(|x| x + 5.0).collect();
-        assert!(snr_db(&reference, &slightly) > snr_db(&reference, &very));
-    }
-
-    #[test]
-    #[should_panic(expected = "lengths must match")]
-    fn snr_rejects_length_mismatch() {
-        let _ = snr_db(&[1.0], &[1.0, 2.0]);
     }
 }

@@ -240,12 +240,6 @@ impl ExactMultiplier {
         self.n
     }
 
-    /// Whether operands are interpreted as signed two's complement.
-    #[must_use]
-    pub fn is_signed(&self) -> bool {
-        self.signed
-    }
-
     /// Behavioral product (reference semantics).
     #[must_use]
     pub fn mul(&self, x: i64, y: i64) -> i64 {

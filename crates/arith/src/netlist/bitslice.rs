@@ -116,12 +116,6 @@ impl BitSimulator {
         &self.netlist
     }
 
-    /// Consumes the simulator and returns the netlist.
-    #[must_use]
-    pub fn into_netlist(self) -> Netlist {
-        self.netlist
-    }
-
     /// Applies one word of stimulus — `inputs[i]` packs samples of primary
     /// input `i`, lane `s` = sample `s`, only the low `valid` lanes
     /// meaningful — and returns one lane word per primary output.

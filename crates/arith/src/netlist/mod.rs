@@ -442,12 +442,6 @@ impl Simulator {
         &self.netlist
     }
 
-    /// Consumes the simulator and returns the netlist.
-    #[must_use]
-    pub fn into_netlist(self) -> Netlist {
-        self.netlist
-    }
-
     /// Applies one input vector and returns the primary-output values.
     ///
     /// The first evaluation primes node state without counting toggles;

@@ -68,12 +68,6 @@ impl SubwordMode {
         self.lanes()
     }
 
-    /// The lane precision as a [`Precision`].
-    #[must_use]
-    pub fn lane_precision(self) -> Precision {
-        Precision::new(self.lane_bits()).expect("lane width is always 4, 8 or 16")
-    }
-
     /// Picks the *narrowest-lane, most-parallel* mode whose lanes still
     /// hold `bits`-wide operands — the mode a DVAFS controller selects for
     /// a precision requirement, since more lanes per cycle is the entire

@@ -13,11 +13,12 @@
 //! one `<id>.<ext>` file per scenario. A JSON file written this way is
 //! byte-comparable to the golden fixtures under `tests/golden/`.
 //!
-//! The CLI **warns on stderr about flags it does not recognize** and
-//! hard-errors when a flag is missing its value or the value does not
-//! parse.
+//! `run` **warns on stderr about flags it does not recognize**; `serve`
+//! rejects them. Both print the usage for `--help`, and hard-error when a
+//! flag is missing its value or the value does not parse.
 
 use dvafs::scenario::{self, Format, Scenario, ScenarioCtx};
+use dvafs::serve::ServeOpts;
 use dvafs::Executor;
 use std::path::Path;
 
@@ -37,34 +38,6 @@ pub struct RunOpts {
     pub fast: bool,
 }
 
-/// A parsed `dvafs serve` invocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServeArgs {
-    /// TCP listen address (`--listen ADDR`); `None` serves stdio.
-    pub listen: Option<String>,
-    /// Workers of the session's one pool, which runs the requests and
-    /// their predict chunks and scenarios (`--threads`, default
-    /// environment/host). The reply stream is byte-identical for any
-    /// value — worker count is an execution choice, like the netlist
-    /// engine.
-    pub threads: usize,
-    /// In-flight request bound (`--queue`, default
-    /// [`dvafs::serve::DEFAULT_QUEUE`]).
-    pub queue: usize,
-    /// Per-request wall deadline for run/predict in milliseconds
-    /// (`--deadline-ms`); `None` disables the check.
-    pub deadline_ms: Option<u64>,
-    /// Session request cap (`--max-requests`); `None` serves until
-    /// EOF/shutdown.
-    pub max_requests: Option<usize>,
-    /// TCP per-connection read timeout in milliseconds
-    /// (`--idle-timeout-ms`, 0 disables; default
-    /// [`dvafs::serve::DEFAULT_IDLE_TIMEOUT_MS`]).
-    pub idle_timeout_ms: Option<u64>,
-    /// Deterministic fault injection (`--fault-plan SPEC`, test-only).
-    pub fault_plan: Option<dvafs::faultplan::FaultPlan>,
-}
-
 /// A parsed top-level CLI command.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
@@ -73,7 +46,13 @@ pub enum Command {
     /// `dvafs run ...`.
     Run(RunOpts),
     /// `dvafs serve ...`.
-    Serve(ServeArgs),
+    Serve {
+        /// The session options ([`ServeOpts::default`] for every flag
+        /// not given).
+        opts: ServeOpts,
+        /// TCP listen address (`--listen ADDR`); `None` serves stdio.
+        listen: Option<String>,
+    },
 }
 
 const USAGE: &str = "usage: dvafs <command>\n\n\
@@ -124,6 +103,24 @@ fn take_value(
     }
 }
 
+/// Fetches a flag's value ([`take_value`]) and parses it as a positive
+/// integer.
+fn take_positive<T>(
+    args: &[String],
+    i: &mut usize,
+    inline: Option<&str>,
+    flag: &str,
+) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd + Default,
+{
+    let v = take_value(args, i, inline, flag)?;
+    v.parse::<T>()
+        .ok()
+        .filter(|n| *n > T::default())
+        .ok_or_else(|| format!("{flag} requires a positive integer, got {v:?}"))
+}
+
 /// Splits `--flag=VALUE` into the flag and its inline value; anything
 /// else (including positionals containing `=`) passes through unchanged.
 fn split_flag(arg: &str) -> (&str, Option<&str>) {
@@ -134,13 +131,15 @@ fn split_flag(arg: &str) -> (&str, Option<&str>) {
 }
 
 /// Parses the arguments after the program name. Returns the command plus
-/// any unknown-flag warnings (the caller decides where to surface them).
+/// any warnings about flags `run` does not know (the caller decides where
+/// to surface them).
 ///
 /// # Errors
 ///
-/// Returns a user-facing message for an unknown command, an unknown
-/// scenario id, a missing flag value, an unparseable `--threads`, or an
-/// unknown `--format`.
+/// Returns the usage for `--help`, and a user-facing message for an
+/// unknown command, an unknown scenario id, a flag `serve` does not know,
+/// a missing flag value, a value that does not parse, or an unknown
+/// `--format`.
 pub fn parse(args: &[String]) -> Result<(Command, Vec<String>), String> {
     match args.first().map(String::as_str) {
         None | Some("--help" | "help") => Err(USAGE.to_string()),
@@ -172,13 +171,8 @@ pub fn parse(args: &[String]) -> Result<(Command, Vec<String>), String> {
                             Format::parse(&take_value(args, &mut i, inline, "--format")?)?;
                     }
                     "--out" => opts.out = Some(take_value(args, &mut i, inline, "--out")?),
-                    "--threads" => {
-                        let v = take_value(args, &mut i, inline, "--threads")?;
-                        opts.threads =
-                            v.parse::<usize>().ok().filter(|&t| t > 0).ok_or_else(|| {
-                                format!("--threads requires a positive integer, got {v:?}")
-                            })?;
-                    }
+                    "--threads" => opts.threads = take_positive(args, &mut i, inline, flag)?,
+                    "--help" => return Err(USAGE.to_string()),
                     flag if flag.starts_with("--") => {
                         warnings.push(format!("warning: ignoring unrecognized flag {flag}"));
                     }
@@ -218,68 +212,40 @@ pub fn parse(args: &[String]) -> Result<(Command, Vec<String>), String> {
             Ok((Command::Run(opts), warnings))
         }
         Some("serve") => {
-            let mut serve = ServeArgs {
-                listen: None,
-                threads: Executor::from_env().threads(),
-                queue: dvafs::serve::DEFAULT_QUEUE,
-                deadline_ms: None,
-                max_requests: None,
-                idle_timeout_ms: Some(dvafs::serve::DEFAULT_IDLE_TIMEOUT_MS),
-                fault_plan: None,
-            };
-            let mut warnings = Vec::new();
+            let (mut opts, mut listen) = (ServeOpts::default(), None);
             let mut i = 1;
             while i < args.len() {
                 let (flag, inline) = split_flag(args[i].as_str());
                 match flag {
-                    "--listen" => {
-                        serve.listen = Some(take_value(args, &mut i, inline, "--listen")?);
-                    }
-                    "--threads" => {
-                        let v = take_value(args, &mut i, inline, "--threads")?;
-                        serve.threads =
-                            v.parse::<usize>().ok().filter(|&t| t > 0).ok_or_else(|| {
-                                format!("--threads requires a positive integer, got {v:?}")
-                            })?;
-                    }
-                    "--queue" => {
-                        let v = take_value(args, &mut i, inline, "--queue")?;
-                        serve.queue =
-                            v.parse::<usize>().ok().filter(|&n| n > 0).ok_or_else(|| {
-                                format!("--queue requires a positive integer, got {v:?}")
-                            })?;
-                    }
+                    "--listen" => listen = Some(take_value(args, &mut i, inline, flag)?),
+                    "--threads" => opts.threads = take_positive(args, &mut i, inline, flag)?,
+                    "--queue" => opts.queue = take_positive(args, &mut i, inline, flag)?,
                     "--deadline-ms" => {
-                        let v = take_value(args, &mut i, inline, "--deadline-ms")?;
-                        serve.deadline_ms =
-                            Some(v.parse::<u64>().ok().filter(|&n| n > 0).ok_or_else(|| {
-                                format!("--deadline-ms requires a positive integer, got {v:?}")
-                            })?);
+                        opts.deadline_ms = Some(take_positive(args, &mut i, inline, flag)?);
                     }
                     "--max-requests" => {
-                        let v = take_value(args, &mut i, inline, "--max-requests")?;
-                        serve.max_requests =
-                            Some(v.parse::<usize>().ok().filter(|&n| n > 0).ok_or_else(|| {
-                                format!("--max-requests requires a positive integer, got {v:?}")
-                            })?);
+                        opts.max_requests = Some(take_positive(args, &mut i, inline, flag)?);
                     }
                     "--idle-timeout-ms" => {
                         // 0 is meaningful here: it disables the timeout.
-                        let v = take_value(args, &mut i, inline, "--idle-timeout-ms")?;
+                        let v = take_value(args, &mut i, inline, flag)?;
                         let ms = v.parse::<u64>().map_err(|_| {
                             format!(
                                 "--idle-timeout-ms requires a non-negative integer \
                                  (0 disables), got {v:?}"
                             )
                         })?;
-                        serve.idle_timeout_ms = (ms > 0).then_some(ms);
+                        opts.idle_timeout_ms = (ms > 0).then_some(ms);
                     }
                     "--fault-plan" => {
-                        let v = take_value(args, &mut i, inline, "--fault-plan")?;
-                        serve.fault_plan = Some(dvafs::faultplan::FaultPlan::parse(&v)?);
+                        let v = take_value(args, &mut i, inline, flag)?;
+                        opts.fault_plan = Some(dvafs::faultplan::FaultPlan::parse(&v)?);
                     }
+                    "--help" => return Err(USAGE.to_string()),
                     flag if flag.starts_with("--") => {
-                        warnings.push(format!("warning: ignoring unrecognized flag {flag}"));
+                        return Err(format!(
+                            "serve: unrecognized flag {flag} (see `dvafs --help`)"
+                        ));
                     }
                     other => {
                         return Err(format!(
@@ -290,7 +256,7 @@ pub fn parse(args: &[String]) -> Result<(Command, Vec<String>), String> {
                 }
                 i += 1;
             }
-            Ok((Command::Serve(serve), warnings))
+            Ok((Command::Serve { opts, listen }, Vec::new()))
         }
         Some(other) => Err(format!("unknown command {other:?}\n\n{USAGE}")),
     }
@@ -342,29 +308,21 @@ fn run_one(s: &'static dyn Scenario, opts: &RunOpts) -> Result<String, String> {
 }
 
 /// Runs the `serve` command until EOF, a `shutdown` request, or a fatal
-/// socket error. Replies stream directly to stdout (stdio mode) or the
-/// client socket (TCP mode), so the returned stdout text is empty.
-fn run_serve(args: &ServeArgs) -> Result<String, String> {
+/// socket error, on TCP at `listen` or else over stdio. Replies stream
+/// directly to stdout (stdio mode) or the client socket (TCP mode), so the
+/// returned stdout text is empty.
+fn run_serve(opts: &ServeOpts, listen: Option<&str>) -> Result<String, String> {
     // The test-only injection hook (`--fault-plan`, parsed with the other
     // flags, so a plan that fails to parse is already a hard error).
-    let fault_plan = args.fault_plan.clone();
-    if let Some(plan) = &fault_plan {
+    if let Some(plan) = &opts.fault_plan {
         eprintln!("dvafs: serve: FAULT INJECTION ACTIVE ({plan}) — testing only");
     }
-    let opts = dvafs::serve::ServeOpts {
-        threads: args.threads,
-        queue: args.queue,
-        deadline_ms: args.deadline_ms,
-        max_requests: args.max_requests,
-        idle_timeout_ms: args.idle_timeout_ms,
-        fault_plan,
-    };
-    match &args.listen {
+    match listen {
         None => {
             let state = dvafs::serve::ServeState::new();
             let reader = std::io::BufReader::new(std::io::stdin());
             let mut writer = std::io::stdout();
-            let outcome = dvafs::serve::serve_session(reader, &mut writer, &opts, &state)
+            let outcome = dvafs::serve::serve_session(reader, &mut writer, opts, &state)
                 .map_err(|e| format!("serve: {e}"))?;
             eprintln!("dvafs: serve: answered {} request(s)", outcome.served);
             Ok(String::new())
@@ -377,7 +335,7 @@ fn run_serve(args: &ServeArgs) -> Result<String, String> {
             // in stdio mode; keeping stderr for logs in both modes lets
             // scripts bind port 0 and scrape the ephemeral port).
             eprintln!("dvafs: serving on {local}");
-            dvafs::serve::serve_tcp(&listener, &opts).map_err(|e| format!("serve: {e}"))?;
+            dvafs::serve::serve_tcp(&listener, opts).map_err(|e| format!("serve: {e}"))?;
             Ok(String::new())
         }
     }
@@ -400,7 +358,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             }
             Ok(stdout)
         }
-        Command::Serve(args) => run_serve(args),
+        Command::Serve { opts, listen } => run_serve(opts, listen.as_deref()),
     }
 }
 
@@ -443,6 +401,16 @@ mod tests {
     fn parse_list_and_help() {
         assert_eq!(parse(&argv(&["list"])).unwrap().0, Command::List);
         assert!(parse(&argv(&[])).is_err());
+        for args in [
+            &["--help"][..],
+            &["help"],
+            &["run", "fig2", "--help"],
+            &["run", "--help"],
+            &["serve", "--help"],
+            &["serve", "--threads", "2", "--help=x"],
+        ] {
+            assert_eq!(parse(&argv(args)), Err(USAGE.to_string()), "{args:?}");
+        }
         assert!(parse(&argv(&["bogus"]))
             .unwrap_err()
             .contains("unknown command"));
@@ -582,11 +550,12 @@ mod tests {
     #[test]
     fn parse_serve_flags_and_defaults() {
         let (cmd, warnings) = parse(&argv(&["serve"])).unwrap();
-        let Command::Serve(opts) = cmd else {
+        let Command::Serve { opts, listen } = cmd else {
             panic!("expected serve")
         };
         assert!(warnings.is_empty());
-        assert!(opts.listen.is_none());
+        assert!(listen.is_none());
+        assert_eq!(opts, ServeOpts::default());
         assert!(opts.threads >= 1);
         assert_eq!(opts.queue, dvafs::serve::DEFAULT_QUEUE);
         assert_eq!(opts.deadline_ms, None);
@@ -613,10 +582,10 @@ mod tests {
             "panic@2,delay@4:10",
         ]))
         .unwrap();
-        let Command::Serve(opts) = cmd else {
+        let Command::Serve { opts, listen } = cmd else {
             panic!("expected serve")
         };
-        assert_eq!(opts.listen.as_deref(), Some("127.0.0.1:0"));
+        assert_eq!(listen.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(opts.threads, 3);
         assert_eq!(opts.queue, 8);
         assert_eq!(opts.deadline_ms, Some(250));
@@ -626,7 +595,8 @@ mod tests {
         assert_eq!(plan.to_string(), "panic@2,delay@4:10");
 
         // 0 disables the idle timeout (it is the one zero-meaningful knob).
-        let (Command::Serve(opts), _) = parse(&argv(&["serve", "--idle-timeout-ms", "0"])).unwrap()
+        let (Command::Serve { opts, .. }, _) =
+            parse(&argv(&["serve", "--idle-timeout-ms", "0"])).unwrap()
         else {
             panic!("expected serve")
         };
@@ -659,8 +629,17 @@ mod tests {
         assert!(parse(&argv(&["serve", "fig2"]))
             .unwrap_err()
             .contains("no positional arguments"));
-        let (_, warnings) = parse(&argv(&["serve", "--bogus"])).unwrap();
-        assert_eq!(warnings, ["warning: ignoring unrecognized flag --bogus"]);
+        // Unknown flags are errors that name the flag, a misspelled
+        // limit and a misspelled flag before its value included.
+        for (args, flag) in [
+            (&["serve", "--bogus"][..], "--bogus"),
+            (&["serve", "--deadline_ms", "250"], "--deadline_ms"),
+            (&["serve", "--listne", "127.0.0.1:0"], "--listne"),
+            (&["serve", "--bogus=1"], "--bogus"),
+        ] {
+            let err = parse(&argv(args)).unwrap_err();
+            assert!(err.contains(&format!("unrecognized flag {flag}")), "{err}");
+        }
     }
 
     #[test]

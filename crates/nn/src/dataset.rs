@@ -13,6 +13,7 @@
 //! has a bit-identical AVX-512 tier (see [`SyntheticDataset::range`]).
 
 use crate::tensor::Tensor;
+use dvafs_simd::host::Tier;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -66,9 +67,9 @@ impl SyntheticDataset {
     /// Each image is a Gabor grating: per pixel, in CHW order,
     /// `sin((x·cos θ + y·sin θ)·f + φ + 0.7·ch) · envelope(y, x) + noise`,
     /// where `noise` is one uniform `[-0.12, 0.12)` draw of the image's
-    /// own SplitMix64 stream. A per-pixel closure computes it, except on
-    /// hosts with AVX-512 (F, DQ, VL) and FMA, where a vector kernel
-    /// computes 8 pixels at a time with the same bits:
+    /// own SplitMix64 stream. A per-pixel closure computes it, except from
+    /// the `avx512` tier of `dvafs_simd::host::Tier` up, where a vector
+    /// kernel computes 8 pixels at a time with the same bits:
     /// - the phase argument is the closure's `f32` expression, in its
     ///   order and without fused operations;
     /// - the sine is glibc's binary32 `sinf` (glibc 2.28 and later, from
@@ -96,21 +97,19 @@ impl SyntheticDataset {
         width: usize,
         seed: u64,
     ) -> Self {
-        SyntheticDataset::synthesize(samples, classes, channels, height, width, seed, |g| {
-            g.render()
-        })
+        let tier = Tier::best();
+        SyntheticDataset::synthesize(tier, samples, classes, channels, height, width, seed)
     }
 
-    /// [`range`](Self::range) with each image drawn by `render`: the
-    /// dispatched [`Grating::render`], or in tests the per-pixel oracle.
+    /// [`range`](Self::range) on `tier`.
     fn synthesize(
+        tier: Tier,
         samples: Range<usize>,
         classes: usize,
         channels: usize,
         height: usize,
         width: usize,
         seed: u64,
-        render: fn(&Grating<'_>) -> Tensor,
     ) -> Self {
         assert!(
             !samples.is_empty() && classes > 0,
@@ -143,7 +142,7 @@ impl SyntheticDataset {
             let angle = std::f32::consts::PI * class as f32 / classes as f32;
             let freq = (0.15 + 0.55 * (class as f32 / classes as f32)) * jitter;
             let (sin, cos) = angle.sin_cos();
-            images.push(render(&Grating {
+            let grating = Grating {
                 channels,
                 height,
                 width,
@@ -153,7 +152,8 @@ impl SyntheticDataset {
                 sin,
                 cos,
                 noise_seed,
-            }));
+            };
+            images.push(grating.render(tier));
             labels.push(class);
         }
         SyntheticDataset {
@@ -226,18 +226,14 @@ struct Grating<'a> {
 }
 
 impl Grating<'_> {
-    /// The image, on the AVX-512 kernel where the host has it.
-    fn render(&self) -> Tensor {
+    /// The image on `tier`: the AVX-512 kernel where the tier has it,
+    /// else pixel by pixel, the oracle the kernel is tested against.
+    fn render(&self, tier: Tier) -> Tensor {
         #[cfg(target_arch = "x86_64")]
-        if let Some(image) = avx512::render(self) {
-            return image;
+        if tier.has_avx512() {
+            return avx512::render(tier, self);
         }
-        self.render_scalar()
-    }
-
-    /// The image pixel by pixel: the fallback on other hosts, and the
-    /// oracle the kernel is tested against.
-    fn render_scalar(&self) -> Tensor {
+        let _ = tier;
         let &Grating {
             envelope,
             phase,
@@ -256,15 +252,14 @@ impl Grating<'_> {
     }
 }
 
-/// The AVX-512 tier of [`Grating::render`], dispatched at run time (the
-/// workspace builds for baseline x86-64). `unsafe` is confined to this
-/// module: each safe entry point checks the CPU features itself, and every
-/// memory access is a load or store of the live lanes of one row, whose
-/// bounds come from checked slices.
+/// The AVX-512 tier of [`Grating::render`]. `unsafe` is confined to this
+/// module: each safe entry point takes the host's [`Tier`] and asserts
+/// that it has AVX-512, and every memory access is a load or store of the
+/// live lanes of one row, whose bounds come from checked slices.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx512 {
-    use super::{Grating, Tensor};
+    use super::{Grating, Tensor, Tier};
     use std::arch::x86_64::{
         __m256, __m512i, __mmask8, _mm256_add_epi32, _mm256_add_ps, _mm256_and_si256,
         _mm256_castps_si256, _mm256_cmp_ps_mask, _mm256_cmpge_epu32_mask, _mm256_cmple_epu32_mask,
@@ -308,31 +303,22 @@ mod avx512 {
         f64::from_bits(0xBF29_94EB_3774_CF24),
     ];
 
-    /// Whether this host runs the kernel.
-    pub(super) fn available() -> bool {
-        is_x86_feature_detected!("avx512f")
-            && is_x86_feature_detected!("avx512dq")
-            && is_x86_feature_detected!("avx512vl")
-            && is_x86_feature_detected!("fma")
-    }
-
-    /// [`Grating::render`] on the kernel, or `None` without the features.
-    pub(super) fn render(g: &Grating<'_>) -> Option<Tensor> {
-        if !available() {
-            return None;
-        }
+    /// [`Grating::render`] on the kernel.
+    pub(super) fn render(tier: Tier, g: &Grating<'_>) -> Tensor {
+        assert!(tier.has_avx512(), "an AVX-512 kernel on {tier:?}");
         let mut image = Tensor::zeros(g.channels, g.height, g.width);
         assert_eq!(
             g.envelope.len(),
             g.height * g.width,
             "one envelope value per pixel"
         );
-        // SAFETY: the features were detected above. `image` holds
+        // SAFETY: a `Tier` that has AVX-512 proves the host has the
+        // kernel's features (the `host::Tier` invariant). `image` holds
         // `channels · height` rows of `width` pixels and `envelope` one such
         // row per `y`; the kernel reads and writes only the live lanes of
         // blocks inside one row.
         unsafe { render_rows(g, image.as_mut_slice()) };
-        Some(image)
+        image
     }
 
     /// Row by row in CHW order, 8 pixels per block; a ragged last block
@@ -468,16 +454,14 @@ mod avx512 {
         _mm256_mask_blend_ps(at_hi, v, _mm256_set1_ps(NOISE_LO))
     }
 
-    /// `dst[i] = sin(src[i])` through [`sin8`], or `false` (nothing
-    /// written) without the features.
+    /// `dst[i] = sin(src[i])` through [`sin8`].
     #[cfg(test)]
-    pub(super) fn sin_all(src: &[f32], dst: &mut [f32]) -> bool {
-        if !available() {
-            return false;
-        }
+    pub(super) fn sin_all(tier: Tier, src: &[f32], dst: &mut [f32]) {
+        assert!(tier.has_avx512(), "an AVX-512 kernel on {tier:?}");
         assert_eq!(src.len(), dst.len(), "one output per input");
-        // SAFETY: the features were detected above; each block reads and
-        // writes only its live lanes, which lie inside both slices.
+        // SAFETY: a `Tier` that has AVX-512 proves the host has the
+        // kernel's features (the `host::Tier` invariant); each block reads
+        // and writes only its live lanes, which lie inside both slices.
         unsafe {
             for (d, s) in dst.chunks_mut(8).zip(src.chunks(8)) {
                 let live = u8::MAX >> (8 - s.len());
@@ -485,19 +469,16 @@ mod avx512 {
                 _mm256_mask_storeu_ps(d.as_mut_ptr(), live, v);
             }
         }
-        true
     }
 
     /// Draws `first..first + dst.len()` of the noise stream seeded with
-    /// `seed` through [`noise8`], or `false` (nothing written) without the
-    /// features.
+    /// `seed` through [`noise8`].
     #[cfg(test)]
-    pub(super) fn noise_all(seed: u64, first: u64, dst: &mut [f32]) -> bool {
-        if !available() {
-            return false;
-        }
-        // SAFETY: the features were detected above; each block writes only
-        // its live lanes, which lie inside `dst`.
+    pub(super) fn noise_all(tier: Tier, seed: u64, first: u64, dst: &mut [f32]) {
+        assert!(tier.has_avx512(), "an AVX-512 kernel on {tier:?}");
+        // SAFETY: a `Tier` that has AVX-512 proves the host has the
+        // kernel's features (the `host::Tier` invariant); each block
+        // writes only its live lanes, which lie inside `dst`.
         unsafe {
             for (b, d) in dst.chunks_mut(8).enumerate() {
                 let live = u8::MAX >> (8 - d.len());
@@ -512,7 +493,6 @@ mod avx512 {
                 _mm256_mask_storeu_ps(d.as_mut_ptr(), live, noise8(state));
             }
         }
-        true
     }
 }
 
@@ -527,15 +507,6 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The tier the dispatched synthesis runs on this host.
-    fn tier() -> &'static str {
-        #[cfg(target_arch = "x86_64")]
-        if avx512::available() {
-            return "avx512";
-        }
-        "scalar only"
-    }
-
     /// The bit patterns of a set's pixels, image after image.
     fn bits(images: &[Tensor]) -> Vec<u32> {
         images
@@ -544,17 +515,23 @@ mod tests {
             .collect()
     }
 
-    /// Any partition of `0..n` into ranges — single samples, ragged
-    /// tails, the `DEFAULT_BATCH_SIZE` chunks `dvafs serve` uses —
-    /// concatenates to `new`'s set bit for bit, labels included, at a
-    /// geometry narrower than one 8-pixel block, one with a ragged block
-    /// per row, and AlexNet's default input.
+    /// On every tier the host has, any partition of `0..n` into ranges —
+    /// single samples, ragged tails, the `DEFAULT_BATCH_SIZE` chunks
+    /// `dvafs serve` uses — concatenates to the whole set bit for bit,
+    /// labels included, at a geometry narrower than one 8-pixel block,
+    /// one with a ragged block per row, and AlexNet's default input.
     #[test]
     fn ranges_concatenate_to_the_whole_set() {
-        println!("synthesis tier: {}", tier());
+        println!("{}", dvafs_simd::host::tiers_line());
         let (n, classes, seed) = (23, 10, 11);
-        for (channels, h, w) in [(3, 9, 7), (3, 13, 13), (3, 67, 67)] {
-            let whole = SyntheticDataset::new(n, classes, channels, h, w, seed);
+        for (tier, (channels, h, w)) in Tier::all()
+            .iter()
+            .flat_map(|&tier| [(3, 9, 7), (3, 13, 13), (3, 67, 67)].map(|shape| (tier, shape)))
+        {
+            let set = |samples| {
+                SyntheticDataset::synthesize(tier, samples, classes, channels, h, w, seed)
+            };
+            let whole = set(0..n);
             let partitions: [Vec<usize>; 6] = [
                 vec![n],
                 vec![1, n],
@@ -567,34 +544,31 @@ mod tests {
                 let (mut images, mut labels) = (Vec::new(), Vec::new());
                 let mut start = 0;
                 for &end in &ends {
-                    let part = SyntheticDataset::range(start..end, classes, channels, h, w, seed);
+                    let part = set(start..end);
                     assert_eq!(part.len(), end - start);
                     assert_eq!(part.classes(), classes);
                     images.extend_from_slice(part.images());
                     labels.extend_from_slice(part.labels());
                     start = end;
                 }
-                let shape = (channels, h, w);
-                assert_eq!(
-                    bits(&images),
-                    bits(whole.images()),
-                    "{shape:?} ends {ends:?}"
-                );
-                assert_eq!(labels, whole.labels(), "{shape:?} ends {ends:?}");
+                let case = format!("{tier:?} {channels}x{h}x{w} ends {ends:?}");
+                assert_eq!(bits(&images), bits(whole.images()), "{case}");
+                assert_eq!(labels, whole.labels(), "{case}");
             }
         }
     }
 
-    /// The oracle net: the dispatched synthesis (the AVX-512 kernel where
-    /// the host has it) equals the per-pixel closure bit for bit, labels
-    /// included. Shapes cover 1–3 channels; widths below, at and around
-    /// one 8-pixel block, ragged blocks, non-square images, the LeNet-5,
-    /// VGG16 and AlexNet serve inputs and the 227×227 AlexNet geometry,
-    /// whose arguments reach the `|y| >= 120` lanes; ranges start past
-    /// zero as serve chunks do, over many seeds.
+    /// The oracle net: synthesis on every tier the host has (the AVX-512
+    /// kernel from the `avx512` tier up) equals the per-pixel closure (the
+    /// `scalar` tier) bit for bit, labels included. Shapes cover 1–3
+    /// channels; widths below, at and around one 8-pixel block, ragged
+    /// blocks, non-square images, the LeNet-5, VGG16 and AlexNet serve
+    /// inputs and the 227×227 AlexNet geometry, whose arguments reach the
+    /// `|y| >= 120` lanes; ranges start past zero as serve chunks do, over
+    /// many seeds.
     #[test]
     fn kernel_matches_the_pixel_closure() {
-        println!("synthesis tier: {}", tier());
+        println!("{}", dvafs_simd::host::tiers_line());
         let shapes: [((usize, usize, usize), u64); 16] = [
             ((1, 1, 1), 24),
             ((3, 1, 1), 24),
@@ -620,19 +594,25 @@ mod tests {
                 let classes = 1 + (seed % 12) as usize;
                 let start = (seed % 5) as usize;
                 let samples = start..start + 1 + (seed % 3) as usize;
-                let fast = SyntheticDataset::range(samples.clone(), classes, channels, h, w, seed);
-                let oracle = SyntheticDataset::synthesize(
-                    samples.clone(),
-                    classes,
-                    channels,
-                    h,
-                    w,
-                    seed,
-                    |g| g.render_scalar(),
-                );
-                let case = format!("{channels}x{h}x{w} seed {seed} samples {samples:?}");
-                assert_eq!(bits(fast.images()), bits(oracle.images()), "{case}");
-                assert_eq!(fast.labels(), oracle.labels(), "{case}");
+                let on = |tier| {
+                    SyntheticDataset::synthesize(
+                        tier,
+                        samples.clone(),
+                        classes,
+                        channels,
+                        h,
+                        w,
+                        seed,
+                    )
+                };
+                let oracle = on(Tier::all()[0]);
+                for &tier in Tier::all() {
+                    let fast = on(tier);
+                    let case =
+                        format!("{tier:?} {channels}x{h}x{w} seed {seed} samples {samples:?}");
+                    assert_eq!(bits(fast.images()), bits(oracle.images()), "{case}");
+                    assert_eq!(fast.labels(), oracle.labels(), "{case}");
+                }
                 pixels += samples.len() * channels * h * w;
             }
         }
@@ -645,9 +625,9 @@ mod tests {
     /// the 8-lane block.
     #[test]
     fn closed_form_noise_draws_match_the_stream() {
-        println!("synthesis tier: {}", tier());
+        println!("{}", dvafs_simd::host::tiers_line());
         #[cfg(target_arch = "x86_64")]
-        {
+        if Tier::best().has_avx512() {
             let mut seeds = vec![0, 1, u64::MAX, u64::MAX - 0x9E37_79B9_7F4A_7C15, 1 << 63];
             let mut rng = rand::rngs::StdRng::seed_from_u64(0xD1CE);
             seeds.extend((0..16).map(|_| rng.gen::<u64>()));
@@ -656,9 +636,7 @@ mod tests {
                 let draws: Vec<f32> = (0..4099).map(|_| stream.gen_range(-0.12..0.12)).collect();
                 for first in [0, 1, 7, 8, 13, 1000] {
                     let mut kernel = vec![f32::NAN; draws.len() - first];
-                    if !avx512::noise_all(seed, first as u64, &mut kernel) {
-                        return;
-                    }
+                    avx512::noise_all(Tier::best(), seed, first as u64, &mut kernel);
                     let want: Vec<u32> = draws[first..].iter().map(|v| v.to_bits()).collect();
                     let got: Vec<u32> = kernel.iter().map(|v| v.to_bits()).collect();
                     assert_eq!(got, want, "seed {seed:#x} first {first}");
@@ -709,12 +687,10 @@ mod tests {
     /// `false` when the host has no vector tier.
     fn vector_sinf_matches_libm(patterns: &[u32]) -> bool {
         #[cfg(target_arch = "x86_64")]
-        {
+        if Tier::best().has_avx512() {
             let src: Vec<f32> = patterns.iter().map(|&b| f32::from_bits(b)).collect();
             let mut dst = vec![0.0f32; src.len()];
-            if !avx512::sin_all(&src, &mut dst) {
-                return false;
-            }
+            avx512::sin_all(Tier::best(), &src, &mut dst);
             for (y, v) in src.iter().zip(&dst) {
                 assert_eq!(
                     v.to_bits(),
@@ -723,13 +699,10 @@ mod tests {
                     y.to_bits()
                 );
             }
-            true
+            return true;
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = patterns;
-            false
-        }
+        let _ = patterns;
+        false
     }
 
     /// The vector `sinf` equals `f32::sin` bit for bit on every 1021st
@@ -737,7 +710,7 @@ mod tests {
     /// and on the edge patterns.
     #[test]
     fn vector_sinf_matches_libm_on_a_strided_subset() {
-        println!("synthesis tier: {}", tier());
+        println!("{}", dvafs_simd::host::tiers_line());
         let edges = sin_edge_patterns();
         if !vector_sinf_matches_libm(&edges) {
             return;
@@ -761,7 +734,7 @@ mod tests {
     #[test]
     #[ignore = "exhaustive: run with --release -- --ignored"]
     fn vector_sinf_matches_libm_exhaustively_below_120() {
-        println!("synthesis tier: {}", tier());
+        println!("{}", dvafs_simd::host::tiers_line());
         const END: u32 = 0x42f << 20;
         let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(4)) as u32;
         let ran = std::thread::scope(|scope| {

@@ -28,8 +28,8 @@
 //! `i64`, and an exact dot product does not depend on the order of its
 //! terms, so both kernels produce byte-identical outputs and statistics.
 //!
-//! The passes around the GEMM have vector tiers too, picked at run time
-//! on AVX-512 (`avx512f`, `avx512dq`, `avx512vl`) hosts: the slice-back
+//! The passes around the GEMM run on the host's `dvafs_simd::host::Tier`
+//! too, with vector kernels from the `avx512` tier up: the slice-back
 //! `(acc as f64 * scale + bias) as f32` (`vcvtqq2pd`, then the same
 //! multiply, add and narrowing as the scalar expression), max pooling
 //! (16 outputs at a time across rows and planes, one gather per tap,
@@ -42,10 +42,11 @@
 
 use crate::error::NnError;
 use crate::kernel::{mode_for_bits, NnKernel, PackedWeights, Scratch, WeightCache};
-use crate::quant::{self, Gather, Lanes, Out, QuantizedTensor, Tier};
+use crate::quant::{self, Gather, Lanes, Out, QuantizedTensor};
 use crate::tensor::Tensor;
 use dvafs_arith::SubwordMode;
 use dvafs_simd::gemm;
+use dvafs_simd::host::Tier;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
@@ -563,17 +564,17 @@ impl Conv2d {
     }
 
     /// The packed kernel on a batch of inputs that passed the shape check
-    /// and pass 1 of the quantizer (`scales`, one per sample): one wide
-    /// GEMM ([`forward_packed`](Self::forward_packed)), or batches of one
-    /// when the samples differ in geometry.
+    /// and pass 1 of the quantizer (`scales`, one per sample), on `tier`:
+    /// one wide GEMM ([`forward_packed`](Self::forward_packed)), or
+    /// batches of one when the samples differ in geometry.
     fn forward_packed_batch(
         &self,
         inputs: &[Tensor],
         scales: &[f64],
         (wbits, abits): (u32, u32),
+        tier: Tier,
         scratch: &mut Scratch,
     ) -> Result<Vec<(Tensor, LayerStats)>, NnError> {
-        let tier = Tier::best();
         if inputs.iter().all(|x| x.shape() == inputs[0].shape()) {
             return self.forward_packed(inputs, scales, (wbits, abits), tier, scratch);
         }
@@ -935,8 +936,8 @@ struct FillPlan {
 /// `out[i] = (acc[i] as f64 * scale + bias) as f32`.
 fn slice_back(tier: Tier, acc: &[i64], scale: f64, bias: f64, out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if tier == Tier::Avx512 {
-        return x86::slice_back(acc, scale, bias, out);
+    if tier.has_avx512() {
+        return x86::slice_back(tier, acc, scale, bias, out);
     }
     let _ = tier;
     for (o, &a) in out.iter_mut().zip(acc) {
@@ -956,8 +957,8 @@ fn slice_back_strided(
     out: &mut [f32],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if tier == Tier::Avx512 {
-        return x86::slice_back_strided(acc, stride, scale, bias, out);
+    if tier.has_avx512() {
+        return x86::slice_back_strided(tier, acc, stride, scale, bias, out);
     }
     let _ = tier;
     for (z, (o, &bias)) in out.iter_mut().zip(bias).enumerate() {
@@ -969,8 +970,8 @@ fn slice_back_strided(
 /// and for NaN. The AVX-512 tier is the same loop compiled for AVX-512.
 fn relu(tier: Tier, values: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if tier == Tier::Avx512 {
-        return x86::relu(values);
+    if tier.has_avx512() {
+        return x86::relu(tier, values);
     }
     let _ = tier;
     relu_loop(values);
@@ -982,13 +983,6 @@ fn relu_loop(values: &mut [f32]) {
     for v in values {
         *v = v.max(0.0);
     }
-}
-
-/// `k x k` max pooling with stride `stride` over an input of at least
-/// `k x k`, on `tier` (see [`pool_on`]).
-#[cfg(test)]
-fn max_pool(tier: Tier, input: &Tensor, k: usize, stride: usize) -> Tensor {
-    pool_on(tier, input, (k, stride), &mut None)
 }
 
 /// `k x k` max pooling with stride `stride` over an input of at least
@@ -1014,13 +1008,13 @@ fn pool_on(
     let ow = (w - k) / stride + 1;
     let mut out = vec![f32::NEG_INFINITY; c * oh * ow];
     #[cfg(target_arch = "x86_64")]
-    if tier == Tier::Avx512 {
+    if tier.has_avx512() {
         let key = (input.shape(), k, stride);
         if plan.as_ref().is_none_or(|p| p.key != key) {
             *plan = PoolPlan::new(key);
         }
         if let Some(plan) = plan {
-            x86::pool(input.as_slice(), plan, &mut out);
+            x86::pool(tier, input.as_slice(), plan, &mut out);
             return Tensor::from_vec(c, oh, ow, out);
         }
     }
@@ -1185,12 +1179,12 @@ impl Layer {
                 let mut scales = Vec::with_capacity(inputs.len());
                 for input in inputs {
                     self.validate_input(input)?;
-                    scales.push(quant::grid_scale(input.as_slice(), abits)?);
+                    scales.push(quant::grid_scale(tier, input.as_slice(), abits)?);
                 }
                 let bits = (wbits, abits);
                 match (self, kernel) {
                     (Layer::Conv2d(c), NnKernel::GemmPacked) => {
-                        c.forward_packed_batch(inputs, &scales, bits, scratch)
+                        c.forward_packed_batch(inputs, &scales, bits, tier, scratch)
                     }
                     (Layer::Dense(d), NnKernel::GemmPacked) => {
                         d.forward_packed(inputs, &scales, bits, tier, scratch)
@@ -1280,15 +1274,15 @@ impl Layer {
     }
 }
 
-/// The AVX-512 tier of the passes around the GEMM (`avx512f`,
-/// `avx512dq`, `avx512vl`: [`Tier::Avx512`]). `unsafe` is confined to
-/// this module: callers pick the tier only where [`Tier::available`]
-/// holds, and every entry point checks the slice bounds its loads,
+/// The AVX-512 kernels of the passes around the GEMM. `unsafe` is
+/// confined to this module: every entry point takes the host's [`Tier`],
+/// asserts that it has AVX-512, and checks the slice bounds its loads,
 /// gathers and stores rely on before it enters the vector loop, whose
 /// ragged tail is masked.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86 {
+    use super::{PoolPlan, Tier};
     use std::arch::x86_64::{
         __mmask16, __mmask8, _mm256_mask_storeu_ps, _mm256_maskz_loadu_ps, _mm256_mullo_epi32,
         _mm256_set1_epi32, _mm256_setr_epi32, _mm512_add_pd, _mm512_cmp_ps_mask,
@@ -1311,10 +1305,12 @@ mod x86 {
     /// [`super::slice_back`] eight accumulators at a time:
     /// `vcvtqq2pd`, then the scalar expression's multiply, add and
     /// narrowing (`vcvtpd2ps` rounds to nearest, as `as f32` does).
-    pub(super) fn slice_back(acc: &[i64], scale: f64, bias: f64, out: &mut [f32]) {
+    pub(super) fn slice_back(tier: Tier, acc: &[i64], scale: f64, bias: f64, out: &mut [f32]) {
+        assert!(tier.has_avx512(), "an AVX-512 kernel on {tier:?}");
         assert!(acc.len() >= out.len(), "one accumulator per output");
-        // SAFETY: the tier's features were checked by the caller; the
-        // loop reads and writes the live lanes below `out.len()`.
+        // SAFETY: a `Tier` that has AVX-512 proves the host has its
+        // features (the `host::Tier` invariant); the loop reads and
+        // writes the live lanes below `out.len()`.
         unsafe { slice_back_avx512(acc, scale, bias, out) }
     }
 
@@ -1336,12 +1332,14 @@ mod x86 {
     /// [`super::slice_back_strided`] eight outputs at a time, the
     /// accumulators gathered `stride` apart.
     pub(super) fn slice_back_strided(
+        tier: Tier,
         acc: &[i64],
         stride: usize,
         scale: f64,
         bias: &[f32],
         out: &mut [f32],
     ) {
+        assert!(tier.has_avx512(), "an AVX-512 kernel on {tier:?}");
         let n = out.len();
         assert!(bias.len() >= n, "one bias per output");
         if n == 0 {
@@ -1355,9 +1353,10 @@ mod x86 {
             (n + 7) * stride <= i32::MAX as usize,
             "gather offsets must fit i32"
         );
-        // SAFETY: the tier's features were checked by the caller; the
-        // live lanes gather `acc[z * stride]` for `z < n`, checked above to
-        // lie inside `acc`, and the offsets of a step fit `i32`.
+        // SAFETY: a `Tier` that has AVX-512 proves the host has its
+        // features (the `host::Tier` invariant); the live lanes gather
+        // `acc[z * stride]` for `z < n`, checked above to lie inside
+        // `acc`, and the offsets of a step fit `i32`.
         unsafe { slice_back_strided_avx512(acc, stride, scale, bias, out) }
     }
 
@@ -1391,9 +1390,10 @@ mod x86 {
 
     /// [`super::relu`] compiled for AVX-512: the same `f32::max` clamp,
     /// so the same bits.
-    pub(super) fn relu(values: &mut [f32]) {
-        // SAFETY: the tier's features were checked by the caller; the
-        // body is safe code.
+    pub(super) fn relu(tier: Tier, values: &mut [f32]) {
+        assert!(tier.has_avx512(), "an AVX-512 kernel on {tier:?}");
+        // SAFETY: a `Tier` that has AVX-512 proves the host has its
+        // features (the `host::Tier` invariant); the body is safe code.
         unsafe { relu_avx512(values) }
     }
 
@@ -1411,13 +1411,15 @@ mod x86 {
     /// the running maximum is NaN, else `vmaxps(tap, max)`, which is the
     /// tap when it is greater and the running maximum otherwise (NaN taps
     /// and equal zeros included). Each tap is one gather.
-    pub(super) fn pool(input: &[f32], plan: &super::PoolPlan, out: &mut [f32]) {
+    pub(super) fn pool(tier: Tier, input: &[f32], plan: &PoolPlan, out: &mut [f32]) {
+        assert!(tier.has_avx512(), "an AVX-512 kernel on {tier:?}");
         assert_eq!(out.len(), plan.windows.len(), "one output per window");
         assert!(plan.span <= input.len(), "pool windows outside the input");
-        // SAFETY: the tier's features were checked by the caller; every
-        // offset a live lane gathers, `windows[o] + taps[t]`, is below
-        // the plan's `span` (built from the same geometry), checked above
-        // to lie inside `input`, and only live lanes load, gather or store.
+        // SAFETY: a `Tier` that has AVX-512 proves the host has its
+        // features (the `host::Tier` invariant); every offset a live lane
+        // gathers, `windows[o] + taps[t]`, is below the plan's `span`
+        // (built from the same geometry), checked above to lie inside
+        // `input`, and only live lanes load, gather or store.
         unsafe { pool_avx512(input, plan, out) }
     }
 
@@ -1426,7 +1428,7 @@ mod x86 {
     /// AVX-512F/DQ/VL only; every `windows[o] + taps[t]` indexes `input`,
     /// and `out` holds one value per window.
     #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    unsafe fn pool_avx512(input: &[f32], plan: &super::PoolPlan, out: &mut [f32]) {
+    unsafe fn pool_avx512(input: &[f32], plan: &PoolPlan, out: &mut [f32]) {
         let n = out.len();
         for o in (0..n).step_by(16) {
             let live = live(n - o, 16) as __mmask16;
@@ -1549,22 +1551,6 @@ mod tests {
         zero_acts
     }
 
-    /// Runs `check` on every activation tier this host has, each called
-    /// explicitly, and prints which ran and which are absent (so a log
-    /// from a host without AVX-512 says so instead of passing silently).
-    fn on_every_tier(mut check: impl FnMut(Tier)) {
-        let mut log = Vec::new();
-        for tier in Tier::ALL {
-            if tier.available() {
-                check(tier);
-                log.push(format!("{} ran", tier.name()));
-            } else {
-                log.push(format!("{} absent", tier.name()));
-            }
-        }
-        println!("activation tiers: {}", log.join(", "));
-    }
-
     /// Bit patterns of a tensor, for bitwise comparisons.
     fn bits_of(t: &Tensor) -> Vec<u32> {
         t.as_slice().iter().map(|v| v.to_bits()).collect()
@@ -1627,7 +1613,7 @@ mod tests {
         ];
         let mut case = 0usize;
         let mut widths_seen = [false; 16];
-        on_every_tier(|tier| {
+        for &tier in Tier::all() {
             for c in [1usize, 2, 3, 4, 5, 8, 12, 16, 17, 33] {
                 for w in [1usize, 15, 16, 17, 63, 64, 65, 67] {
                     case += 1;
@@ -1645,8 +1631,9 @@ mod tests {
                     }
                 }
             }
-        });
+        }
         assert!(widths_seen.iter().all(|&s| s), "every activation width ran");
+        println!("{}", dvafs_simd::host::tiers_line());
     }
 
     /// One case of [`fused_fill_writes_whole_rows`].
@@ -1657,15 +1644,12 @@ mod tests {
         bits: u32,
         seed: u64,
     ) {
-        let what = format!(
-            "{} c={c} h={h} w={w} k={k} s={stride} p={padding} bits={bits}",
-            tier.name()
-        );
+        let what = format!("{tier:?} c={c} h={h} w={w} k={k} s={stride} p={padding} bits={bits}");
         let conv = Conv2d::random(c, 3, k, stride, padding, 5 + seed);
         let inputs = fill_samples((c, h, w), bits, 40 + seed);
         let scales: Vec<f64> = inputs
             .iter()
-            .map(|x| crate::quant::grid_scale(x.as_slice(), bits).unwrap())
+            .map(|x| crate::quant::grid_scale(tier, x.as_slice(), bits).unwrap())
             .collect();
         let qas: Vec<QuantizedTensor> = inputs
             .iter()
@@ -1790,14 +1774,14 @@ mod tests {
             .map(|i| specials[(i * 7) % specials.len()])
             .collect();
         let want: Vec<u32> = values.iter().map(|v| v.max(0.0).to_bits()).collect();
-        on_every_tier(|tier| {
+        for &tier in Tier::all() {
             for len in 0..=values.len() {
                 let mut got = values[..len].to_vec();
                 relu(tier, &mut got);
                 let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(got, want[..len], "{} len={len}", tier.name());
+                assert_eq!(got, want[..len], "{tier:?} len={len}");
             }
-        });
+        }
         let x = Tensor::from_vec(1, 1, values.len(), values.clone());
         let mut owned = vec![x.clone()];
         let stats = Layer::ReLU
@@ -1831,7 +1815,7 @@ mod tests {
     }
 
     /// Max pooling one output and one tap at a time: the oracle
-    /// `max_pool` is compared against.
+    /// `pool_on` is compared against.
     fn max_pool_reference(input: &Tensor, k: usize, stride: usize) -> Tensor {
         let (c, h, w) = input.shape();
         let oh = (h - k) / stride + 1;
@@ -1853,7 +1837,7 @@ mod tests {
         out
     }
 
-    /// `max_pool` on every tier the host has equals the per-tap loop bit
+    /// `pool_on` on every tier the host has equals the per-tap loop bit
     /// for bit over random shapes: the models' pools, overlapping windows
     /// (k3s2), strides that do not divide the size, strides wider than the
     /// window, rows wider than one 16-output vector, and inputs with runs
@@ -1903,17 +1887,17 @@ mod tests {
                 (input, k, stride)
             })
             .collect();
-        on_every_tier(|tier| {
+        for &tier in Tier::all() {
             for (input, k, stride) in &cases {
                 let (k, stride) = (*k, *stride);
                 let want = max_pool_reference(input, k, stride);
-                let got = max_pool(tier, input, k, stride);
+                let got = pool_on(tier, input, (k, stride), &mut None);
                 let (c, h, w) = input.shape();
-                let what = format!("{} c={c} h={h} w={w} k={k} s={stride}", tier.name());
+                let what = format!("{tier:?} c={c} h={h} w={w} k={k} s={stride}");
                 assert_eq!(got.shape(), want.shape(), "{what}");
                 assert_eq!(bits_of(&got), bits_of(&want), "{what}");
             }
-        });
+        }
     }
 
     #[test]

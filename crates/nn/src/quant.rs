@@ -22,10 +22,9 @@
 //! writes, each with a weight. [`QuantizedTensor`], weight packing and
 //! the packed layers' fused activation fill (which writes a conv sample's
 //! channel-interleaved lanes straight from its `f32` planes) all run it.
-//! Its tiers are picked at run time by CPU features (the workspace builds
-//! for baseline x86-64):
+//! Both passes run on the host's `dvafs_simd::host::Tier`:
 //!
-//! * **vector** (AVX2, and the `Tier::Avx512` hosts): 8 lanes per step
+//! * **vector** (every tier from `avx2` up): 8 lanes per step
 //!   in `ymm` registers — a load, a `vgatherdps` for a gather table, or,
 //!   for 2 to 4 interleaved planes, one load per plane and a permute and
 //!   blend per plane for each whole block of 8 columns — and each row's
@@ -33,7 +32,7 @@
 //!   tails) measured slower on a 2-vCPU Xeon with AVX-512: the `f64`
 //!   divide sets the pace (about 0.85 ns per value for `ymm` and `zmm`
 //!   alike), and 512-bit operations share the divider's port;
-//! * **scalar**: the `round_to_grid` loop, everywhere else, and the
+//! * **scalar**: the `round_to_grid` loop, on the `scalar` tier, and the
 //!   oracle the vector kernel is tested against.
 //!
 //! Both do the same IEEE divide (`f64`) and clamp; the vector kernel then
@@ -42,6 +41,7 @@
 
 use crate::error::NnError;
 use crate::tensor::Tensor;
+use dvafs_simd::host::Tier;
 use serde::{Deserialize, Serialize};
 
 /// A tensor snapped to a `bits`-wide symmetric integer grid.
@@ -69,10 +69,11 @@ impl QuantizedTensor {
     /// and silently collapse the whole grid to zero.
     pub fn quantize(t: &Tensor, bits: u32) -> Result<Self, NnError> {
         let src = t.as_slice();
-        let scale = grid_scale(src, bits)?;
+        let tier = Tier::best();
+        let scale = grid_scale(tier, src, bits)?;
         let mut data = vec![0i16; src.len()];
         round_lanes(
-            Tier::best(),
+            tier,
             Lanes::contiguous(src),
             scale,
             grid_max(bits),
@@ -123,18 +124,18 @@ pub(crate) fn grid_max(bits: u32) -> i32 {
     }
 }
 
-/// Pass 1: the per-tensor scale of `src` on a `bits`-wide grid (`1.0` for
-/// an all-zero input).
+/// Pass 1 on `tier`: the per-tensor scale of `src` on a `bits`-wide grid
+/// (`1.0` for an all-zero input).
 ///
 /// # Errors
 ///
 /// [`NnError::InvalidBits`] for `bits` outside `1..=16`, then
 /// [`NnError::NonFiniteInput`] when any element is NaN or ±inf.
-pub(crate) fn grid_scale(src: &[f32], bits: u32) -> Result<f64, NnError> {
+pub(crate) fn grid_scale(tier: Tier, src: &[f32], bits: u32) -> Result<f64, NnError> {
     if bits == 0 || bits > 16 {
         return Err(NnError::InvalidBits { bits });
     }
-    let max_bits = max_abs_bits(src);
+    let max_bits = max_abs_bits(tier, src);
     if max_bits >= f32::INFINITY.to_bits() {
         return Err(NnError::NonFiniteInput);
     }
@@ -146,14 +147,15 @@ pub(crate) fn grid_scale(src: &[f32], bits: u32) -> Result<f64, NnError> {
     })
 }
 
-/// The largest `bits & 0x7fff_ffff` over `src` (`0` when empty): the bit
-/// pattern of the largest `|x|` when every element is finite, and at
-/// least `0x7f80_0000` (+inf) when any is not.
-fn max_abs_bits(src: &[f32]) -> u32 {
+/// The largest `bits & 0x7fff_ffff` over `src` (`0` when empty), on
+/// `tier`: the bit pattern of the largest `|x|` when every element is
+/// finite, and at least `0x7f80_0000` (+inf) when any is not.
+fn max_abs_bits(tier: Tier, src: &[f32]) -> u32 {
     #[cfg(target_arch = "x86_64")]
-    if let Some(max) = x86::max_abs_bits(src) {
-        return max;
+    if tier.has_avx2() {
+        return x86::max_abs_bits(tier, src);
     }
+    let _ = tier;
     max_abs_bits_scalar(src)
 }
 
@@ -162,61 +164,6 @@ fn max_abs_bits(src: &[f32]) -> u32 {
 fn max_abs_bits_scalar(src: &[f32]) -> u32 {
     src.iter()
         .fold(0u32, |max, v| max.max(v.to_bits() & 0x7fff_ffff))
-}
-
-/// A pass-2 tier ([`round_lanes`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Tier {
-    /// The [`round_to_grid`] loop: the fallback and the oracle.
-    Scalar,
-    /// The vector kernel of pass 2, 8 lanes per step on AVX2.
-    Avx2,
-    /// AVX-512 (`avx512f`, `avx512dq`, `avx512vl`): the layers' vector
-    /// slice-back, pooling and ReLU; pass 2 runs the AVX2 kernel.
-    Avx512,
-}
-
-impl Tier {
-    /// Every tier, the oracle first.
-    #[cfg(test)]
-    pub(crate) const ALL: [Tier; 3] = [Tier::Scalar, Tier::Avx2, Tier::Avx512];
-
-    /// Whether this host runs the tier.
-    pub(crate) fn available(self) -> bool {
-        match self {
-            Tier::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 => is_x86_feature_detected!("avx2"),
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx512 => {
-                is_x86_feature_detected!("avx512f")
-                    && is_x86_feature_detected!("avx512dq")
-                    && is_x86_feature_detected!("avx512vl")
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            Tier::Avx2 | Tier::Avx512 => false,
-        }
-    }
-
-    /// The fastest tier this host runs.
-    pub(crate) fn best() -> Tier {
-        if Tier::Avx512.available() {
-            Tier::Avx512
-        } else if Tier::Avx2.available() {
-            Tier::Avx2
-        } else {
-            Tier::Scalar
-        }
-    }
-
-    /// The tier's name in test logs.
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            Tier::Scalar => "scalar",
-            Tier::Avx2 => "avx2",
-            Tier::Avx512 => "avx512",
-        }
-    }
 }
 
 /// A gather table for [`Lanes::gathered`]: lane `j` reads offset `at[j]`.
@@ -443,13 +390,13 @@ pub(crate) enum Out<'a> {
 }
 
 /// Pass 2: every lane of `lanes` becomes `round_to_grid(v / scale,
-/// qmax)`, written to `out`, on `tier` (which the host must have).
-/// Returns the zero grid values, each counted with its weight.
+/// qmax)`, written to `out`, on `tier`. Returns the zero grid values,
+/// each counted with its weight.
 ///
 /// # Panics
 ///
-/// Panics when `out` holds fewer lanes than the rows span, when 1-byte
-/// lanes are asked of a grid wider than 8 bits, or when `tier` is absent.
+/// Panics when `out` holds fewer lanes than the rows span, or when 1-byte
+/// lanes are asked of a grid wider than 8 bits.
 pub(crate) fn round_lanes(
     tier: Tier,
     lanes: Lanes<'_>,
@@ -468,15 +415,13 @@ pub(crate) fn round_lanes(
             assert!(d.len() >= n * width, "one lane per value");
         }
     }
-    assert!(tier.available(), "{} is not available", tier.name());
     let qmax = f64::from(qmax);
-    match tier {
-        Tier::Scalar => round_scalar(lanes, scale, qmax, out),
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx2 | Tier::Avx512 => x86::round_avx2(lanes, scale, qmax, out),
-        #[cfg(not(target_arch = "x86_64"))]
-        Tier::Avx2 | Tier::Avx512 => unreachable!("checked available above"),
+    #[cfg(target_arch = "x86_64")]
+    if tier.has_avx2() {
+        return x86::round_avx2(tier, lanes, scale, qmax, out);
     }
+    let _ = tier;
+    round_scalar(lanes, scale, qmax, out)
 }
 
 /// Pass 2 lane by lane: the scalar tier and the oracle. A gathered row
@@ -581,15 +526,14 @@ fn round_to_grid(x: f64, qmax: f64) -> i32 {
     t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5)
 }
 
-/// The vector kernel of both passes, dispatched at run time. `unsafe` is
-/// confined to this module: each entry point runs only on a host with
-/// its features ([`Tier::available`], checked by [`round_lanes`]), and
-/// every load, gather and store covers whole 8-lane steps of slices whose
-/// lengths `round_lanes` and [`Lanes`] checked.
+/// The vector kernel of both passes. `unsafe` is confined to this module:
+/// each entry point takes the host's [`Tier`] and asserts that it has
+/// AVX2, and every load, gather and store covers whole 8-lane steps of
+/// slices whose lengths `round_lanes` and [`Lanes`] checked.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86 {
-    use super::{Lanes, Out};
+    use super::{Lanes, Out, Tier};
     use std::arch::x86_64::{
         __m128i, __m256, __m256d, __m256i, _mm256_add_epi64, _mm256_add_pd, _mm256_and_pd,
         _mm256_and_si256, _mm256_blendv_ps, _mm256_castps256_ps128, _mm256_castsi256_ps,
@@ -602,10 +546,12 @@ mod x86 {
         _mm_unpackhi_epi64,
     };
 
-    /// Pass 1 compiled for AVX2 (`vpmaxud`), or `None` without AVX2.
-    pub(super) fn max_abs_bits(src: &[f32]) -> Option<u32> {
-        // SAFETY: AVX2 is checked first; the body is safe code.
-        is_x86_feature_detected!("avx2").then(|| unsafe { max_abs_bits_avx2(src) })
+    /// Pass 1 compiled for AVX2 (`vpmaxud`).
+    pub(super) fn max_abs_bits(tier: Tier, src: &[f32]) -> u32 {
+        assert!(tier.has_avx2(), "an AVX2 kernel on {tier:?}");
+        // SAFETY: a `Tier` that has AVX2 proves the host has it (the
+        // `host::Tier` invariant); the body is safe code.
+        unsafe { max_abs_bits_avx2(src) }
     }
 
     /// # Safety
@@ -618,9 +564,15 @@ mod x86 {
 
     /// Pass 2 on the vector kernel, row by row: whole blocks of 8
     /// columns of 2 to 4 interleaved planes first, then 8-lane steps,
-    /// then the row's tail on the scalar loop. The caller checked that the
-    /// host has AVX2.
-    pub(super) fn round_avx2(lanes: Lanes<'_>, scale: f64, qmax: f64, mut out: Out<'_>) -> u64 {
+    /// then the row's tail on the scalar loop.
+    pub(super) fn round_avx2(
+        tier: Tier,
+        lanes: Lanes<'_>,
+        scale: f64,
+        qmax: f64,
+        mut out: Out<'_>,
+    ) -> u64 {
+        assert!(tier.has_avx2(), "an AVX2 kernel on {tier:?}");
         let (dst, width) = match &mut out {
             Out::Grid(d) => (d.as_mut_ptr().cast::<u8>(), 2),
             Out::Lanes(d, width) => (d.as_mut_ptr(), *width),
@@ -640,8 +592,9 @@ mod x86 {
             Some((c @ 2..=4, _)) => c,
             _ => 0,
         };
-        // SAFETY: the caller checked AVX2 and that `out` holds the rows'
-        // lanes of `width` bytes (`Out::Grid`'s `i16`s are 2-byte
+        // SAFETY: a `Tier` that has AVX2 proves the host has it (the
+        // `host::Tier` invariant). `round_lanes` checked that `out` holds
+        // the rows' lanes of `width` bytes (`Out::Grid`'s `i16`s are 2-byte
         // little-endian lanes on x86-64); `Lanes` checked that every row's
         // gather offsets lie inside the source (and fit `i32`) and that
         // the weights cover every lane. `rows` reads whole blocks and
@@ -975,9 +928,9 @@ mod tests {
         Ok((data, scale.to_bits()))
     }
 
-    /// Both passes on `src`, with pass 2 on `tier`.
+    /// Both passes on `src`, on `tier`.
     fn two_pass(src: &[f32], bits: u32, tier: Tier) -> Result<(Vec<i16>, u64), NnError> {
-        let scale = grid_scale(src, bits)?;
+        let scale = grid_scale(tier, src, bits)?;
         let mut data = vec![i16::MIN; src.len()];
         round_lanes(
             tier,
@@ -989,8 +942,8 @@ mod tests {
         Ok((data, scale.to_bits()))
     }
 
-    /// Pass 2 on every tier the host has (the test prints which ran)
-    /// equals the oracle bit for bit — grid values and `scale.to_bits()` —
+    /// Both passes on every tier the host has (the test prints which ran)
+    /// equal the oracle bit for bit — grid values and `scale.to_bits()` —
     /// and so does `QuantizedTensor::quantize` with its shape, at every
     /// width 1..=16 and every length 0..=67, which covers every tail of the
     /// 8- and 16-lane loops. The inputs: each
@@ -1053,9 +1006,9 @@ mod tests {
                     src.len(),
                     &src[..src.len().min(6)]
                 );
-                for tier in Tier::ALL.into_iter().filter(|t| t.available()) {
+                for &tier in Tier::all() {
                     let got = two_pass(src, bits, tier);
-                    assert_eq!(got.as_ref(), Ok(&want), "{} {what}", tier.name());
+                    assert_eq!(got.as_ref(), Ok(&want), "{tier:?} {what}");
                 }
                 if !src.is_empty() {
                     let t = Tensor::from_vec(1, 1, src.len(), src.clone());
@@ -1065,19 +1018,7 @@ mod tests {
                 }
             }
         }
-        println!("quantize tiers: {}", tier_log());
-    }
-
-    /// Every tier and whether it ran on this host.
-    pub(crate) fn tier_log() -> String {
-        Tier::ALL
-            .iter()
-            .map(|t| {
-                let ran = if t.available() { "ran" } else { "absent" };
-                format!("{} {ran}", t.name())
-            })
-            .collect::<Vec<_>>()
-            .join(", ")
+        println!("{}", dvafs_simd::host::tiers_line());
     }
 
     /// The lane outputs of pass 2 — 1- and 2-byte little-endian lanes,
@@ -1101,7 +1042,7 @@ mod tests {
             let gather = Gather::new((0..len).map(|_| rng.gen_range(0..span as u32)).collect());
             let weight: Vec<u64> = (0..len).map(|_| rng.gen_range(0..1000)).collect();
             for bits in [1u32, 4, 8, 16] {
-                let scale = grid_scale(&src, bits).unwrap();
+                let scale = grid_scale(Tier::best(), &src, bits).unwrap();
                 let qmax = grid_max(bits);
                 let widths: &[usize] = if bits <= 8 { &[1, 2] } else { &[2] };
                 for &width in widths {
@@ -1128,7 +1069,7 @@ mod tests {
                                 .map(|(j, _)| w.get(j).copied().unwrap_or(1))
                                 .sum()
                         };
-                        for tier in Tier::ALL.into_iter().filter(|t| t.available()) {
+                        for &tier in Tier::all() {
                             for w in [&[][..], &weight[..]] {
                                 let mut got = vec![0xA5u8; len * width + 7];
                                 let lanes = if w.is_empty() {
@@ -1144,9 +1085,8 @@ mod tests {
                                     Out::Lanes(&mut got, width),
                                 );
                                 let what = format!(
-                                    "{} len={len} bits={bits} width={width} gathered={gathered} \
-                                     weighted={}",
-                                    tier.name(),
+                                    "{tier:?} len={len} bits={bits} width={width} \
+                                     gathered={gathered} weighted={}",
                                     !w.is_empty()
                                 );
                                 assert_eq!(got, want, "{what}");
@@ -1176,7 +1116,7 @@ mod tests {
                     let weight: Vec<u64> = (0..w * c).map(|j| 1 + j as u64 % 5).collect();
                     let row_weight: Vec<u64> = (0..h).map(|r| 2 + r as u64).collect();
                     let step = w * c + 5;
-                    let scale = grid_scale(&src, 8).unwrap();
+                    let scale = grid_scale(Tier::best(), &src, 8).unwrap();
                     let at = |r: usize, j: usize| {
                         if c == 1 {
                             r * w + j
@@ -1198,7 +1138,7 @@ mod tests {
                                 }
                             }
                         }
-                        for tier in Tier::ALL.into_iter().filter(|t| t.available()) {
+                        for &tier in Tier::all() {
                             let lanes = if c == 1 {
                                 Lanes::prefix(&src, w)
                             } else {
@@ -1208,7 +1148,7 @@ mod tests {
                             let mut got = vec![0xA5u8; want.len()];
                             let z =
                                 round_lanes(tier, lanes, scale, 127, Out::Lanes(&mut got, width));
-                            let what = format!("{} c={c} w={w} h={h} width={width}", tier.name());
+                            let what = format!("{tier:?} c={c} w={w} h={h} width={width}");
                             assert_eq!(got, want, "{what}");
                             assert_eq!(z, zeros, "{what}");
                         }
@@ -1216,7 +1156,6 @@ mod tests {
                 }
             }
         }
-        println!("lane tiers: {}", tier_log());
     }
 
     #[test]

@@ -35,17 +35,15 @@
 //!
 //! ## Tiers
 //!
-//! [`gemm_packed`] runs the fastest of three tiers the host has (a
-//! run-time feature check: the workspace targets baseline x86-64). Every
-//! tier computes the same exact sums, so the choice never moves an
-//! output, and the unit tests run each tier the host has against the
-//! scalar oracle and print which ran.
+//! [`gemm_packed`] runs on the host's [`Tier`]. Every tier computes the
+//! same exact sums, so the choice never moves an output, and the unit
+//! tests run each tier the host has against the scalar oracle.
 //!
-//! * **AVX-512 VNNI** (`avx512bw` + `avx512vl` + `avx512vnni`): register
-//!   tiles over zmm chunks, for all nine mode pairs.
-//! * **AVX2**: `vpmaddwd` register tiles over 16-lane steps, for hosts
-//!   without VNNI, and for a byte pair whose weight panel was filled in
-//!   place (it carries no byte lanes).
+//! * **AVX-512 VNNI** (the `avx512-vnni` tier): register tiles over zmm
+//!   chunks, for all nine mode pairs.
+//! * **AVX2** (the `avx2` and `avx512` tiers): `vpmaddwd` register tiles
+//!   over 16-lane steps, also for a byte pair whose weight panel was
+//!   filled in place (it carries no byte lanes).
 //! * **Scalar**: the decode loop of [`dot_packed`], one output at a time,
 //!   everywhere else; it is the oracle the tiles are tested against.
 //!
@@ -105,6 +103,7 @@
 //! The result is bit-identical to the plain `i16` reference GEMM of the
 //! unit tests for every input `pack_lanes` accepts.
 
+use crate::host::Tier;
 use dvafs_arith::SubwordMode;
 
 /// Rows of `Bᵗ` per block of [`gemm_packed`]'s tile kernel: one block of
@@ -627,74 +626,13 @@ mod avx2;
 #[allow(unsafe_code)]
 mod vnni;
 
-/// The implementations of [`gemm_packed`]. Each computes the same exact
-/// sums; [`gemm_packed`] runs the fastest one the host has.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tier {
-    /// The scalar decode loop of [`dot_packed`], per output: every host.
-    Scalar,
-    /// `vpmaddwd` tiles over 16-lane steps (x86-64 with AVX2).
-    Avx2,
-    /// `vpdpbusd`/`vpdpwssd` tiles over zmm chunks (x86-64 with
-    /// AVX-512BW, AVX-512VL and AVX-512 VNNI).
-    Vnni,
-}
-
-impl Tier {
-    /// Every tier, the oracle first.
-    #[cfg(test)]
-    const ALL: [Tier; 3] = [Tier::Scalar, Tier::Avx2, Tier::Vnni];
-
-    /// Whether the host has this tier.
-    #[cfg(test)]
-    fn available(self) -> bool {
-        match self {
-            Tier::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 => is_x86_feature_detected!("avx2"),
-            #[cfg(target_arch = "x86_64")]
-            Tier::Vnni => vnni::detected(),
-            #[cfg(not(target_arch = "x86_64"))]
-            Tier::Avx2 | Tier::Vnni => false,
-        }
-    }
-
-    /// The tier's name in test logs.
-    #[cfg(test)]
-    fn name(self) -> &'static str {
-        match self {
-            Tier::Scalar => "scalar",
-            Tier::Avx2 => "avx2",
-            Tier::Vnni => "avx512-vnni",
-        }
-    }
-
-    /// The multiply on this tier, or `false` (nothing written) when the
-    /// host lacks it, or when the VNNI tier's byte lanes are missing from
-    /// a left panel that was filled in place.
-    fn gemm(self, a: &PackedPanel, bt: &PackedPanel, out: &mut [i64]) -> bool {
-        match self {
-            Tier::Scalar => {
-                gemm_packed_scalar(a, bt, out);
-                true
-            }
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 => avx2::gemm(a, bt, out),
-            #[cfg(target_arch = "x86_64")]
-            Tier::Vnni => vnni::gemm(a, bt, out),
-            #[cfg(not(target_arch = "x86_64"))]
-            Tier::Avx2 | Tier::Vnni => false,
-        }
-    }
-}
-
 /// Subword-packed GEMM: `out[i][j] = Σ_t a[i][t] * bt[j][t]`, exact in
 /// `i64`: `a` is `m x k` (e.g. one quantized filter per row), `bt` the
 /// **transposed** right operand, `n x k` (e.g. one im2col patch per
 /// row), and `out` is `m x n` row-major, fully overwritten.
 ///
-/// The multiply runs on the fastest tier the host has (see the module
-/// docs): register tiles on AVX-512 VNNI or AVX2, where each `MR`-row
+/// The multiply runs on [`Tier::best`] (see the module docs): register
+/// tiles on AVX-512 VNNI or AVX2, where each `MR`-row
 /// micro-panel of `a` sweeps a [`COL_TILE`]-row block of `bt` in
 /// `MR x NR` tiles, so every weight and activation lane vector is loaded
 /// once per tile and chunk and feeds several outputs, and each output is
@@ -723,17 +661,25 @@ impl Tier {
 /// Panics when the panels disagree on `k` or `out.len()` is not
 /// `a.rows() * bt.rows()`.
 pub fn gemm_packed(a: &PackedPanel, bt: &PackedPanel, out: &mut [i64]) {
+    gemm_packed_on(Tier::best(), a, bt, out);
+}
+
+/// [`gemm_packed`] on `tier`: the VNNI tiles where it reaches
+/// `avx512-vnni` and the left panel carries their byte lanes, else the
+/// AVX2 tiles where it reaches `avx2`, else the scalar decode loop.
+fn gemm_packed_on(tier: Tier, a: &PackedPanel, bt: &PackedPanel, out: &mut [i64]) {
     assert_eq!(a.k(), bt.k(), "panels must agree on k");
     assert_eq!(out.len(), a.rows() * bt.rows(), "out must be m x n");
     if a.k() == 0 {
         out.fill(0);
         return;
     }
-    for tier in [Tier::Vnni, Tier::Avx2, Tier::Scalar] {
-        if tier.gemm(a, bt, out) {
-            return;
-        }
+    #[cfg(target_arch = "x86_64")]
+    if vnni::gemm(tier, a, bt, out) || avx2::gemm(tier, a, bt, out) {
+        return;
     }
+    let _ = tier;
+    gemm_packed_scalar(a, bt, out);
 }
 
 #[cfg(test)]
@@ -853,26 +799,25 @@ mod tests {
         }
     }
 
-    /// Runs `check` on every tier the host has, each called explicitly,
-    /// and prints which tiers ran and which are absent (so a log from a
-    /// host without AVX-512 VNNI says so instead of passing silently).
-    fn on_every_tier(mut check: impl FnMut(Tier)) {
-        let mut log = Vec::new();
-        for tier in Tier::ALL {
-            if tier.available() {
-                check(tier);
-                log.push(format!("{} ran", tier.name()));
-            } else {
-                log.push(format!("{} absent", tier.name()));
-            }
-        }
-        println!("gemm tiers: {}", log.join(", "));
-    }
-
-    /// `a x bt` on `tier`, which the host has; both panels were packed.
+    /// `a x bt` on `tier`'s own kernel, which must accept the panels (both
+    /// were packed, so a byte pair's left panel carries its byte lanes).
     fn gemm_on(tier: Tier, a: &PackedPanel, bt: &PackedPanel) -> Vec<i64> {
         let mut out = vec![i64::MIN; a.rows() * bt.rows()]; // poisoned
-        assert!(tier.gemm(a, bt, &mut out), "{} declined", tier.name());
+        #[cfg(target_arch = "x86_64")]
+        let ran = if tier.has_vnni() {
+            vnni::gemm(tier, a, bt, &mut out)
+        } else if tier.has_avx2() {
+            avx2::gemm(tier, a, bt, &mut out)
+        } else {
+            gemm_packed_scalar(a, bt, &mut out);
+            true
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let ran = {
+            gemm_packed_scalar(a, bt, &mut out);
+            true
+        };
+        assert!(ran, "{tier:?} declined");
         out
     }
 
@@ -883,7 +828,7 @@ mod tests {
     /// included) in play.
     #[test]
     fn dot_packed_matches_dot_i16_for_every_mode_pair() {
-        on_every_tier(|tier| {
+        for &tier in Tier::all() {
             for (i, &ma) in SubwordMode::ALL.iter().enumerate() {
                 for (j, &mb) in SubwordMode::ALL.iter().enumerate() {
                     for k in [0usize, 1, 7, 16, 31, 150, 2049] {
@@ -897,13 +842,12 @@ mod tests {
                         assert_eq!(
                             gemm_on(tier, &pa, &pb),
                             [want],
-                            "{} modes {ma}x{mb} k={k}",
-                            tier.name()
+                            "{tier:?} modes {ma}x{mb} k={k}"
                         );
                     }
                 }
             }
-        });
+        }
     }
 
     /// The `X1 x X1` cross-term corner: whole rows of `MIN x MIN` force
@@ -913,16 +857,15 @@ mod tests {
     /// for any length.
     #[test]
     fn packed_x1_min_times_min_is_corrected() {
-        on_every_tier(|tier| {
+        for &tier in Tier::all() {
             for k in [1usize, 8, 16, 17, 160, 2048] {
                 let a = vec![i16::MIN; k];
                 let pa = PackedPanel::pack(&a, 1, k, SubwordMode::X1);
                 assert!(pa.has_min);
-                let t = tier.name();
                 assert_eq!(
                     gemm_on(tier, &pa, &pa),
                     [k as i64 * (1i64 << 30)],
-                    "{t} k={k}"
+                    "{tier:?} k={k}"
                 );
                 assert_eq!(dot_packed(&pa, 0, &pa, 0), k as i64 * (1i64 << 30), "k={k}");
                 // Mixed MIN/MAX rows exercise partially-overflowing steps.
@@ -933,22 +876,22 @@ mod tests {
                 assert_eq!(
                     gemm_on(tier, &pa, &pb),
                     naive_gemm(&a, &b, 1, k, 1),
-                    "{t} mixed k={k}"
+                    "{tier:?} mixed k={k}"
                 );
                 assert_eq!(
                     gemm_on(tier, &pb, &pb),
                     naive_gemm(&b, &b, 1, k, 1),
-                    "{t} self k={k}"
+                    "{tier:?} self k={k}"
                 );
             }
-        });
+        }
     }
 
     /// Every tier computes the same exact sums as the scalar decode loop,
     /// and so does the dispatched [`gemm_packed`].
     #[test]
     fn scalar_fallback_agrees_with_dispatch() {
-        on_every_tier(|tier| {
+        for &tier in Tier::all() {
             for &ma in &SubwordMode::ALL {
                 for &mb in &SubwordMode::ALL {
                     for k in [5usize, 64, 333] {
@@ -957,15 +900,14 @@ mod tests {
                         let pa = PackedPanel::pack(&a, 1, k, ma);
                         let pb = PackedPanel::pack(&b, 1, k, mb);
                         let want = dot_packed(&pa, 0, &pb, 0);
-                        let t = tier.name();
-                        assert_eq!(gemm_on(tier, &pa, &pb), [want], "{t} {ma}x{mb} k={k}");
+                        assert_eq!(gemm_on(tier, &pa, &pb), [want], "{tier:?} {ma}x{mb} k={k}");
                         let mut dispatched = [i64::MIN];
                         gemm_packed(&pa, &pb, &mut dispatched);
                         assert_eq!(dispatched, [want], "dispatch {ma}x{mb} k={k}");
                     }
                 }
             }
-        });
+        }
     }
 
     /// Every tier stays exact across its `i32` spill boundaries with the
@@ -988,7 +930,7 @@ mod tests {
             .collect();
         ks.push((BYTE_SPILL_CHUNKS + 1) * 64 + PACK_STEP_LANES);
         let lo = |mode: SubwordMode| -(1i64 << (mode.lane_bits() - 1));
-        on_every_tier(|tier| {
+        for &tier in Tier::all() {
             for &k in &ks {
                 for &ma in &SubwordMode::ALL {
                     let w = lo(ma);
@@ -997,17 +939,16 @@ mod tests {
                         for x in [-lo(mb) - 1, lo(mb)] {
                             let pb = PackedPanel::pack(&vec![x as i16; k], 1, k, mb);
                             let want = k as i64 * w * x;
-                            let t = tier.name();
                             assert_eq!(
                                 gemm_on(tier, &pa, &pb),
                                 [want],
-                                "{t} k={k} {ma}x{mb} {w}*{x}"
+                                "{tier:?} k={k} {ma}x{mb} {w}*{x}"
                             );
                         }
                     }
                 }
             }
-        });
+        }
     }
 
     /// A random `rows x k` panel of `mode` lanes that holds the mode's most
@@ -1047,18 +988,16 @@ mod tests {
     /// The NN kernel equivalence net rests on this.
     #[test]
     fn gemm_packed_matches_gemm_i16_across_shapes_and_modes() {
-        let mut tiers = Vec::new();
-        on_every_tier(|tier| tiers.push(tier));
+        println!("{}", crate::host::tiers_line());
         let check = |a: &[i16], bt: &[i16], (m, k, n): (usize, usize, usize), ma, mb| {
             let pa = PackedPanel::pack(a, m, k, ma);
             let pbt = PackedPanel::pack(bt, n, k, mb);
             let want = naive_gemm(a, bt, m, k, n);
-            for &tier in &tiers {
+            for &tier in Tier::all() {
                 assert_eq!(
                     gemm_on(tier, &pa, &pbt),
                     want,
-                    "{} m={m} k={k} n={n} {ma}x{mb} min={}/{}",
-                    tier.name(),
+                    "{tier:?} m={m} k={k} n={n} {ma}x{mb} min={}/{}",
                     pa.has_min,
                     pbt.has_min
                 );

@@ -1,10 +1,10 @@
 //! The AVX2 tier of [`gemm_packed`](super::gemm_packed): `vpmaddwd`
 //! register tiles over 16-lane steps, for hosts without AVX-512 VNNI.
-//! `unsafe` is confined to this module: [`gemm`] checks for AVX2 and for
-//! the panel shapes itself, and every pointer walks panel rows whose
-//! lengths come from the panels.
+//! `unsafe` is confined to this module: [`gemm`] checks its [`Tier`] for
+//! AVX2 and the panel shapes itself, and every pointer walks panel rows
+//! whose lengths come from the panels.
 
-use super::{spill_steps, sweep, PackedPanel, SubwordMode, Tile};
+use super::{spill_steps, sweep, PackedPanel, SubwordMode, Tier, Tile};
 use std::arch::x86_64::{
     __m128i, __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_and_si256, _mm256_cmpeq_epi16,
     _mm256_cmpeq_epi32, _mm256_cvtepi8_epi16, _mm256_loadu_si256, _mm256_madd_epi16,
@@ -248,7 +248,7 @@ unsafe fn tile<A: Lanes, B: Lanes, const R: usize, const C: usize, const MINFIX:
 }
 
 /// The tiles of one mode pair over two panels. Built only by [`gemm`],
-/// after it has detected AVX2 and checked that the panels agree on `k`.
+/// after its tier showed AVX2 and it checked that the panels agree on `k`.
 struct Tiles<'p, A, B, const MINFIX: bool> {
     a: &'p PackedPanel,
     b: &'p PackedPanel,
@@ -264,7 +264,7 @@ impl<A: Lanes, B: Lanes, const MINFIX: bool> Tile for Tiles<'_, A, B, MINFIX> {
             "tile out of range"
         );
         let (sa, sb) = (a.words_per_row(), b.words_per_row());
-        // SAFETY: `gemm` built `self` after detecting AVX2. Rows
+        // SAFETY: `gemm` built `self` after its tier showed AVX2. Rows
         // `i0..i0 + R` of `a` and `j0..j0 + C` of `b` exist (asserted
         // above), and each holds the `words_per_row` words its mode
         // consumes over `steps()` steps (the panels agree on `k`, rows
@@ -302,20 +302,21 @@ unsafe fn run<A: Lanes, B: Lanes, const MINFIX: bool>(
 }
 
 /// [`gemm_packed`](super::gemm_packed) on this tier, or `false`
-/// (nothing written) when the host lacks AVX2.
+/// (nothing written) when `tier` does not reach `avx2`.
 ///
 /// # Panics
 ///
 /// Panics when the panels disagree on `k` or `out` is not
 /// `a.rows() x bt.rows()`.
-pub(super) fn gemm(a: &PackedPanel, bt: &PackedPanel, out: &mut [i64]) -> bool {
-    if !is_x86_feature_detected!("avx2") {
+pub(super) fn gemm(tier: Tier, a: &PackedPanel, bt: &PackedPanel, out: &mut [i64]) -> bool {
+    if !tier.has_avx2() {
         return false;
     }
     assert_eq!(a.k(), bt.k(), "panels must agree on k");
     assert_eq!(out.len(), a.rows() * bt.rows(), "out must be m x n");
-    // SAFETY: AVX2 was detected above. The `MIN x MIN` correction runs
-    // only where both `X1` panels can produce it.
+    // SAFETY: a `Tier` that has AVX2 proves the host has it (the
+    // `host::Tier` invariant). The `MIN x MIN` correction runs only where
+    // both `X1` panels can produce it.
     unsafe {
         use SubwordMode::{X1, X2, X4};
         match (a.mode(), bt.mode()) {

@@ -1,8 +1,8 @@
 //! The AVX-512 VNNI tier of [`gemm_packed`](super::gemm_packed):
 //! `vpdpbusd` byte dot products for the 4/8-bit pairs and `vpdpwssd`
 //! 16-bit dot products for the pairs with a 16-bit side, at zmm width.
-//! `unsafe` is confined to this module: [`gemm`] checks the CPU features
-//! and the panel shapes itself, every full-width load stays inside a
+//! `unsafe` is confined to this module: [`gemm`] checks its [`Tier`] and
+//! the panel shapes itself, every full-width load stays inside a
 //! panel row, and the tail chunk of a row is read with masked loads
 //! (which do not fault on the masked-off bytes).
 //!
@@ -12,7 +12,7 @@
 //! its masked-off lanes load as zero on both sides.
 
 use super::{
-    spill_bound, spill_steps, sweep, PackedPanel, SubwordMode, Tile, BYTE_SPILL_CHUNKS,
+    spill_bound, spill_steps, sweep, PackedPanel, SubwordMode, Tier, Tile, BYTE_SPILL_CHUNKS,
     PACK_STEP_LANES, SPLIT_SPILL_CHUNKS,
 };
 use std::arch::x86_64::{
@@ -29,14 +29,6 @@ use std::arch::x86_64::{
     _mm512_xor_si512, _mm_add_epi32, _mm_maskz_loadu_epi8,
 };
 use std::marker::PhantomData;
-
-/// The CPU features this tier runs on.
-pub(super) fn detected() -> bool {
-    is_x86_feature_detected!("avx512f")
-        && is_x86_feature_detected!("avx512bw")
-        && is_x86_feature_detected!("avx512vl")
-        && is_x86_feature_detected!("avx512vnni")
-}
 
 /// A low-bit mask of `units` ones (`units` in `0..=64`).
 #[inline(always)]
@@ -593,7 +585,7 @@ unsafe fn tile<P: Pair, const R: usize, const C: usize>(
 }
 
 /// One mode pair's tiles over two panels, as byte rows. Built only by
-/// [`gemm`], after it has detected the tier's features and checked that
+/// [`gemm`], after its tier showed the features and it checked that
 /// every row holds `steps` steps of its layout and that the slices cover
 /// every row.
 struct Tiles<'p, P> {
@@ -618,7 +610,7 @@ impl<P: Pair> Tile for Tiles<'_, P> {
             i0 + R <= self.rows_a && j0 + C <= self.rows_b,
             "tile out of range"
         );
-        // SAFETY: `gemm` built `self` after detecting the tier's features.
+        // SAFETY: `gemm` built `self` after its tier showed the features.
         // Rows `i0..i0 + R` and `j0..j0 + C` exist (asserted above), and
         // `gemm` checked that each row holds `steps` steps of its layout
         // (`steps * STEP_BYTES <= stride`, and the slices cover every
@@ -664,17 +656,17 @@ fn word_bytes(words: &[u16]) -> &[u8] {
 }
 
 /// [`gemm_packed`](super::gemm_packed) on this tier, or `false`
-/// (nothing written) when the host lacks its features, or when a byte
-/// pair's left panel carries no byte lanes (it was filled in place, not
-/// packed).
+/// (nothing written) when `tier` does not reach `avx512-vnni`, or when a
+/// byte pair's left panel carries no byte lanes (it was filled in place,
+/// not packed).
 ///
 /// # Panics
 ///
 /// Panics when the panels disagree on `k` or `out` is not
 /// `a.rows() x bt.rows()`.
-pub(super) fn gemm(a: &PackedPanel, bt: &PackedPanel, out: &mut [i64]) -> bool {
+pub(super) fn gemm(tier: Tier, a: &PackedPanel, bt: &PackedPanel, out: &mut [i64]) -> bool {
     use SubwordMode::{X1, X2, X4};
-    if !detected() {
+    if !tier.has_vnni() {
         return false;
     }
     assert_eq!(a.k(), bt.k(), "panels must agree on k");
@@ -713,8 +705,9 @@ pub(super) fn gemm(a: &PackedPanel, bt: &PackedPanel, out: &mut [i64]) -> bool {
                 sums: &a.row_sums,
                 pair: PhantomData,
             };
-            // SAFETY: the features were detected above, and the asserts
-            // check the layout contract of `Tiles`.
+            // SAFETY: a `Tier` that has VNNI proves the host has every
+            // feature `run` enables (the `host::Tier` invariant), and the
+            // asserts check the layout contract of `Tiles`.
             unsafe { run::<P, $mr, $nr>(&tiles, out) }
         }};
     }

@@ -38,6 +38,7 @@
 pub mod energy;
 pub mod error;
 pub mod gemm;
+pub mod host;
 pub mod isa;
 pub mod kernels;
 pub mod memory;

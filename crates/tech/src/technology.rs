@@ -121,12 +121,6 @@ impl Technology {
         1e3 / self.nominal_frequency_mhz
     }
 
-    /// The calibrated delay model.
-    #[must_use]
-    pub fn delay_model(&self) -> &DelayModel {
-        &self.delay
-    }
-
     /// A voltage solver configured with this technology's rail limits.
     #[must_use]
     pub fn voltage_solver(&self) -> VoltageSolver {

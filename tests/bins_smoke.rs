@@ -130,6 +130,10 @@ fn dvafs_cli_rejects_bad_invocations() {
         (vec!["run", "fig99"], "unknown scenario"),
         (vec!["run", "fig2", "--out"], "--out requires a value"),
         (vec!["run", "fig2", "--format", "yaml"], "unknown format"),
+        (
+            vec!["serve", "--listne", "127.0.0.1:0"],
+            "unrecognized flag --listne",
+        ),
     ] {
         let output = dvafs(&args);
         assert!(
@@ -142,6 +146,25 @@ fn dvafs_cli_rejects_bad_invocations() {
             "dvafs {args:?}: stderr {stderr:?} missing {needle:?}"
         );
     }
+}
+
+/// `dvafs serve --help` prints the usage and exits 2, as `dvafs --help`
+/// does, without starting a session: nothing is read from stdin, nothing
+/// is written to stdout, and no request count is reported.
+#[test]
+fn serve_help_prints_the_usage_and_serves_nothing() {
+    let output = dvafs_command(&["serve", "--help"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("spawn dvafs serve --help");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains("usage: dvafs <command>"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("request(s)"), "stderr: {stderr}");
+    assert!(output.stdout.is_empty());
 }
 
 /// An invalid `DVAFS_THREADS` is reported once per process: a serve
